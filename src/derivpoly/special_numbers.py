@@ -20,7 +20,7 @@ MACMAHON = "macmahon"
 TABLE_KINDS = ("eulerian", "macmahon", "bernoulli", "bernoulli-poly")
 
 
-def _eulerian_next_row(n: int, prev: list[int]) -> list[int]:
+def _eulerian_next_row(n: int, prev: tuple[int, ...]) -> list[int]:
     """Row n (entries k = 0..n-1) from row n-1 via the ascent recurrence."""
     row = []
     for k in range(n):
@@ -30,7 +30,7 @@ def _eulerian_next_row(n: int, prev: list[int]) -> list[int]:
     return row
 
 
-def _macmahon_next_row(n: int, prev: list[int]) -> list[int]:
+def _macmahon_next_row(n: int, prev: tuple[int, ...]) -> list[int]:
     """Row n (entries k = 1..n) from row n-1; zero outside 1 <= k <= n-1."""
     row = []
     for k in range(1, n + 1):
@@ -51,7 +51,7 @@ class Triangle:
         if kind not in (EULERIAN, MACMAHON):
             raise ValueError(f"unknown triangle kind {kind!r}")
         self.kind = kind
-        self._rows: list[list[int]] = [[1]]
+        self._rows: list[tuple[int, ...]] = [(1,)]
         self._lock = threading.Lock()
 
     def row(self, n: int) -> tuple[int, ...]:
@@ -62,8 +62,8 @@ class Triangle:
             with self._lock:
                 while len(self._rows) < n:
                     m = len(self._rows) + 1
-                    self._rows.append(step(m, self._rows[-1]))
-        return tuple(self._rows[n - 1])
+                    self._rows.append(tuple(step(m, self._rows[-1])))
+        return self._rows[n - 1]
 
     def value(self, n: int, k: int) -> int:
         """Entry at (n, k); zero outside the triangular support."""
@@ -124,11 +124,11 @@ def macmahon_row(n: int) -> tuple[int, ...]:
     return _MACMAHON_TRIANGLE.row(n)
 
 
-def bernoulli_numbers(n_max: int) -> list[Fraction]:
-    """B_0..B_n_max by coefficient-wise inversion of (e^t - 1)/t.
+def _bernoulli_cache(n_max: int) -> list[Fraction]:
+    """The shared cache of B_0, B_1, ..., extended through B_n_max.
 
-    The constant term of (e^t - 1)/t is 1, hence invertible: writing
-    beta_n = B_n/n!, each new coefficient satisfies
+    Coefficient-wise inversion of (e^t - 1)/t: its constant term is 1, hence
+    invertible, and writing beta_n = B_n/n!, each new coefficient satisfies
     beta_n = -sum_{k<n} beta_k / (n-k+1)!.
     """
     if n_max < 0:
@@ -141,11 +141,16 @@ def bernoulli_numbers(n_max: int) -> list[Fraction]:
             for k in range(n):
                 acc += cache[k] / (factorial(k) * factorial(n - k + 1))
             cache.append(-acc * factorial(n))
-        return list(cache[: n_max + 1])
+    return cache
+
+
+def bernoulli_numbers(n_max: int) -> list[Fraction]:
+    """B_0..B_n_max, as a new list."""
+    return _bernoulli_cache(n_max)[: n_max + 1]
 
 
 def bernoulli_number(n: int) -> Fraction:
-    return bernoulli_numbers(n)[n]
+    return _bernoulli_cache(n)[n]
 
 
 def bernoulli_poly(n: int) -> Poly:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -123,6 +121,13 @@ def _fail(identity: str, params: dict, index: Optional[int], lhs, rhs) -> Verdic
                    {"lhs": str(lhs), "rhs": str(rhs)})
 
 
+def _compare(identity: str, params: dict, index: Optional[int], lhs, rhs) -> Verdict:
+    """Pass when the two routes agree exactly; otherwise fail with a witness."""
+    if lhs != rhs:
+        return _fail(identity, params, index, lhs, rhs)
+    return _ok(identity, params)
+
+
 @dataclass(frozen=True)
 class OracleInstance:
     """Initial data for the series oracle: parameters plus u(0), v(0)."""
@@ -184,65 +189,55 @@ def _base_params_dict(base: RiccatiParams, **extra) -> dict:
     return d
 
 
-def check_theorem1(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
-    """n! * [z^n]u == r^n * P_{n+1}(u0), exactly, for 1 <= n <= n_max."""
+def _check_oracle(identity: str, inst: OracleInstance, n_max: Optional[int],
+                  oracle, start: Fraction, ratio: Fraction, family,
+                  **extra) -> Verdict:
+    """n! * [z^n]oracle(inst) == start * ratio^n * family(n)(u0), exactly,
+    for 1 <= n <= n_max (default: the oracle order).
+
+    The shared comparison of theorems 1-3: the left side comes from the ODE
+    oracle alone, the right side from a triangle-built polynomial family.
+    """
     n_max = inst.order if n_max is None else n_max
     if n_max > inst.order:
         raise ValueError(f"n_max {n_max} exceeds oracle order {inst.order}")
-    base = inst.params.base
-    params = _base_params_dict(base, u0=format_rational(inst.u0), n_max=n_max)
-    c = riccati_series(inst).coeffs
-    rpow = Fraction(1)
+    params = _base_params_dict(inst.params.base, u0=format_rational(inst.u0),
+                               n_max=n_max, **extra)
+    c = oracle(inst).coeffs
+    factor = start
     for n in range(1, n_max + 1):
-        rpow *= base.r
+        factor *= ratio
         lhs = factorial(n) * c[n]
-        rhs = rpow * build_P(n + 1, base).eval(inst.u0)
+        rhs = factor * family(n).eval(inst.u0)
         if lhs != rhs:
-            return _fail("theorem1", params, n, lhs, rhs)
-    return _ok("theorem1", params)
+            return _fail(identity, params, n, lhs, rhs)
+    return _ok(identity, params)
+
+
+def check_theorem1(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
+    """n! * [z^n]u == r^n * P_{n+1}(u0), exactly, for 1 <= n <= n_max."""
+    base = inst.params.base
+    return _check_oracle("theorem1", inst, n_max, riccati_series, Fraction(1),
+                         base.r, lambda n: build_P(n + 1, base))
 
 
 def check_theorem2(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
     """n! * [z^n]v == v0 * (r/2)^n * Q_n(u0) for the unshifted case d = 0."""
     if inst.params.d != 0:
         raise ValueError("the Q-family check applies to d = 0 instances")
-    n_max = inst.order if n_max is None else n_max
-    if n_max > inst.order:
-        raise ValueError(f"n_max {n_max} exceeds oracle order {inst.order}")
     base = inst.params.base
-    params = _base_params_dict(base, u0=format_rational(inst.u0),
-                               v0=format_rational(inst.v0), n_max=n_max)
-    w = v_series(inst).coeffs
-    half_r = base.r / 2
-    factor = inst.v0
-    for n in range(1, n_max + 1):
-        factor *= half_r
-        lhs = factorial(n) * w[n]
-        rhs = factor * build_Q(n, base).eval(inst.u0)
-        if lhs != rhs:
-            return _fail("theorem2", params, n, lhs, rhs)
-    return _ok("theorem2", params)
+    return _check_oracle("theorem2", inst, n_max, v_series, inst.v0,
+                         base.r / 2, lambda n: build_Q(n, base),
+                         v0=format_rational(inst.v0))
 
 
 def check_theorem3(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
     """n! * [z^n]v == v0 * (r/2)^n * S_n(u0) for any shift d."""
-    n_max = inst.order if n_max is None else n_max
-    if n_max > inst.order:
-        raise ValueError(f"n_max {n_max} exceeds oracle order {inst.order}")
-    base = inst.params.base
-    params = _base_params_dict(base, d=format_rational(inst.params.d),
-                               u0=format_rational(inst.u0),
-                               v0=format_rational(inst.v0), n_max=n_max)
-    w = v_series(inst).coeffs
-    half_r = base.r / 2
-    factor = inst.v0
-    for n in range(1, n_max + 1):
-        factor *= half_r
-        lhs = factorial(n) * w[n]
-        rhs = factor * build_S(n, inst.params).eval(inst.u0)
-        if lhs != rhs:
-            return _fail("theorem3", params, n, lhs, rhs)
-    return _ok("theorem3", params)
+    return _check_oracle("theorem3", inst, n_max, v_series, inst.v0,
+                         inst.params.base.r / 2,
+                         lambda n: build_S(n, inst.params),
+                         d=format_rational(inst.params.d),
+                         v0=format_rational(inst.v0))
 
 
 def _inv_fact(n: int) -> Fraction:
@@ -263,15 +258,19 @@ def _check_series_identity(identity: str, params: dict, product: Series,
     return _ok(identity, params)
 
 
+def _order_params(order: int, **extra) -> dict:
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    return {**extra, "order": order}
+
+
 def check_egf_eulerian(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """(sum E_n(x) y^n/n!) * (1 - x e^((1-x)y)) == 1 - x, cross-multiplied.
 
     Cross-multiplication avoids dividing by 1 - x e^((1-x)y), whose constant
     term 1 - x is not invertible over polynomial coefficients.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    params = {"order": order}
+    params = _order_params(order)
     one_minus_x = Poly((1, -1))
     lhs = Series([build_E(n) * _inv_fact(n) for n in range(order + 1)])
     mult = Series.constant(Poly.constant(1), order) - \
@@ -282,9 +281,7 @@ def check_egf_eulerian(order: int = DEFAULT_EGF_ORDER) -> Verdict:
 
 def check_egf_A(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """(sum A_n(x) y^n/n!) * (x - e^((x-1)y)) == x - 1, cross-multiplied."""
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    params = {"order": order}
+    params = _order_params(order)
     x_minus_one = Poly((-1, 1))
     lhs = Series([build_A(n) * _inv_fact(n) for n in range(order + 1)])
     mult = Series.constant(X, order) - series_exp_linear(x_minus_one, order)
@@ -300,9 +297,7 @@ def check_egf_macmahon(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     the numerator exponent at half the denominator's, and rescaling y to
     absorb the 2^-n coefficient weights doubles the denominator exponent.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    params = {"order": order}
+    params = _order_params(order)
     one_minus_x = Poly((1, -1))
     lhs = Series([build_M(n) * _inv_fact(n) for n in range(order + 1)])
     mult = Series.constant(Poly.constant(1), order) - \
@@ -317,9 +312,7 @@ def check_egf_macmahon_halved(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     This is the direct substituted form (same multiplier as the Eulerian
     check); the unhalved variant above is this one with y doubled.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    params = {"order": order}
+    params = _order_params(order)
     one_minus_x = Poly((1, -1))
     lhs = Series([build_M(n) * (Fraction(1, 2) ** n * _inv_fact(n))
                   for n in range(order + 1)])
@@ -344,9 +337,7 @@ def _check_u0_open_unit(u0: Fraction) -> Fraction:
 def check_F_closed_form(u0, order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """(sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1."""
     u0 = _check_u0_open_unit(u0)
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    params = {"u0": format_rational(u0), "order": order}
+    params = _order_params(order, u0=format_rational(u0))
     lhs = Series([build_P(n + 1, _BASE01).eval(u0) * _inv_fact(n)
                   for n in range(order + 1)])
     mult = Series.constant(u0, order) + \
@@ -361,10 +352,8 @@ def check_H_closed_form(u0, d, order: int = DEFAULT_EGF_ORDER) -> Verdict:
     The d = 0 case is the generating function of the Q family itself.
     """
     u0 = _check_u0_open_unit(u0)
-    if order < 1:
-        raise ValueError("order must be >= 1")
     d = Fraction(d)
-    params = {"u0": format_rational(u0), "d": format_rational(d), "order": order}
+    params = _order_params(order, u0=format_rational(u0), d=format_rational(d))
     sp = ShiftedParams(_BASE01, d)
     lhs = Series([build_S(n, sp).eval(u0) * (Fraction(1, 2) ** n * _inv_fact(n))
                   for n in range(order + 1)])
@@ -384,9 +373,7 @@ def check_lemma1(n: int) -> Verdict:
     for k in range(n):
         acc = acc + binomial(n, k) * build_P(k + 1, _BASE01)
     rhs = (X - 1) * acc
-    if lhs != rhs:
-        return _fail("lemma1", params, None, lhs, rhs)
-    return _ok("lemma1", params)
+    return _compare("lemma1", params, None, lhs, rhs)
 
 
 def check_classical(n: int) -> Verdict:
@@ -424,9 +411,7 @@ def check_integral_P(n: int, a, b) -> Verdict:
     params = _pair_params(n, a, b)
     lhs = build_P(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
     rhs = -((b - a) ** (n + 1)) * bernoulli_number(n)
-    if lhs != rhs:
-        return _fail("integral_P", params, n, lhs, rhs)
-    return _ok("integral_P", params)
+    return _compare("integral_P", params, n, lhs, rhs)
 
 
 def check_integral_Q(n: int, a, b) -> Verdict:
@@ -437,9 +422,7 @@ def check_integral_Q(n: int, a, b) -> Verdict:
     params = _pair_params(n, a, b)
     lhs = build_Q(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
     rhs = 2 ** n * bernoulli_value(n, Fraction(1, 2)) * (b - a) ** (n + 1)
-    if lhs != rhs:
-        return _fail("integral_Q", params, n, lhs, rhs)
-    return _ok("integral_Q", params)
+    return _compare("integral_Q", params, n, lhs, rhs)
 
 
 def check_integral_S(n: int, a, b, d) -> Verdict:
@@ -452,9 +435,7 @@ def check_integral_S(n: int, a, b, d) -> Verdict:
     lhs = build_S(n, sp).definite_integral(a, b)
     rhs = 2 ** n * (b - a) ** (n + 1) * bernoulli_value(
         n, Fraction(1, 2) + d / (b - a))
-    if lhs != rhs:
-        return _fail("integral_S", params, n, lhs, rhs)
-    return _ok("integral_S", params)
+    return _compare("integral_S", params, n, lhs, rhs)
 
 
 _PM1 = RiccatiParams(Fraction(1), Fraction(-1), Fraction(1))
@@ -469,9 +450,7 @@ def check_integral_P_symmetric(n: int) -> Verdict:
     sign = -1 if n % 2 == 0 else 1
     lhs = sign * build_P(n, _PM1).definite_integral(-1, 1)
     rhs = (-sign) * 2 ** (n + 1) * bernoulli_number(n)
-    if lhs != rhs:
-        return _fail("integral_P_symmetric", params, n, lhs, rhs)
-    return _ok("integral_P_symmetric", params)
+    return _compare("integral_P_symmetric", params, n, lhs, rhs)
 
 
 def grosset_veselov_exact(m: int) -> Verdict:
@@ -495,9 +474,7 @@ def grosset_veselov_exact(m: int) -> Verdict:
     sign = 1 if (m - 1) % 2 == 0 else -1
     lhs = sign * Fraction(1, 2 ** (2 * m + 1)) * quotient.definite_integral(-1, 1)
     rhs = bernoulli_number(2 * m)
-    if lhs != rhs:
-        return _fail("grosset_veselov_exact", params, m, lhs, rhs)
-    return _ok("grosset_veselov_exact", params)
+    return _compare("grosset_veselov_exact", params, m, lhs, rhs)
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float,
@@ -556,6 +533,8 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
     """
     if not 1 <= m <= 3:
         raise ValueError(f"the numeric cross-check supports 1 <= m <= 3, got {m}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if tol <= 0:
         raise ValueError("tol must be positive")
     params = {"m": m, "tol": tol}
@@ -587,23 +566,29 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
     return _ok("grosset_veselov_numeric", params)
 
 
+def _check_substitution(identity: str, n: int, params: RiccatiParams,
+                        in_x: Poly, in_u: Poly, power: int,
+                        samples: Sequence[Fraction]) -> Verdict:
+    """in_x((u-a)/(u-b)) == in_u(u) / (u-b)^power at sample points u != b."""
+    pd = _base_params_dict(params, n=n)
+    for u in samples:
+        u = Fraction(u)
+        if u == params.b:
+            continue
+        lhs = in_x.eval((u - params.a) / (u - params.b))
+        rhs = in_u.eval(u) / (u - params.b) ** power
+        if lhs != rhs:
+            return _fail(identity, pd, None, lhs, rhs)
+    return _ok(identity, pd)
+
+
 def check_substitution_E(n: int, params: RiccatiParams,
                          samples: Sequence[Fraction] = SUBSTITUTION_SAMPLES) -> Verdict:
     """E_n((u-a)/(u-b)) == P_{n+1}(u) / (u-b)^(n+1) at sample points u != b."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    pd = _base_params_dict(params, n=n)
-    e = build_E(n)
-    p = build_P(n + 1, params)
-    for u in samples:
-        u = Fraction(u)
-        if u == params.b:
-            continue
-        lhs = e.eval((u - params.a) / (u - params.b))
-        rhs = p.eval(u) / (u - params.b) ** (n + 1)
-        if lhs != rhs:
-            return _fail("substitution_E", pd, None, lhs, rhs)
-    return _ok("substitution_E", pd)
+    return _check_substitution("substitution_E", n, params, build_E(n),
+                               build_P(n + 1, params), n + 1, samples)
 
 
 def check_substitution_M(n: int, params: RiccatiParams,
@@ -611,18 +596,8 @@ def check_substitution_M(n: int, params: RiccatiParams,
     """M_n((u-a)/(u-b)) == Q_n(u) / (u-b)^n at sample points u != b."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    pd = _base_params_dict(params, n=n)
-    mpoly = build_M(n)
-    q = build_Q(n, params)
-    for u in samples:
-        u = Fraction(u)
-        if u == params.b:
-            continue
-        lhs = mpoly.eval((u - params.a) / (u - params.b))
-        rhs = q.eval(u) / (u - params.b) ** n
-        if lhs != rhs:
-            return _fail("substitution_M", pd, None, lhs, rhs)
-    return _ok("substitution_M", pd)
+    return _check_substitution("substitution_M", n, params, build_M(n),
+                               build_Q(n, params), n, samples)
 
 
 def check_homogeneity_Q(n: int, params: RiccatiParams,
@@ -716,15 +691,15 @@ def check_macmahon_triangle(n_max: int = 20) -> Verdict:
 # Suites
 
 def suite_theorem1(n_max: int = DEFAULT_T1_N,
-                   order: Optional[int] = None) -> list[Verdict]:
-    order = max(n_max, order or DEFAULT_ORACLE_ORDER)
+                   order: int = DEFAULT_ORACLE_ORDER) -> list[Verdict]:
+    order = max(n_max, order)
     return [check_theorem1(instance(r, a, b, u0, order=order), n_max)
             for r, a, b, u0 in ORACLE_INSTANCES]
 
 
 def suite_theorem2(n_max: int = DEFAULT_T23_N,
-                   order: Optional[int] = None) -> list[Verdict]:
-    order = max(n_max, order or DEFAULT_ORACLE_ORDER)
+                   order: int = DEFAULT_ORACLE_ORDER) -> list[Verdict]:
+    order = max(n_max, order)
     out = [check_theorem2(instance(r, a, b, u0, order=order), n_max)
            for r, a, b, u0 in ORACLE_INSTANCES]
     # v is determined only up to scale; a non-unit v0 exercises that freedom.
@@ -735,8 +710,8 @@ def suite_theorem2(n_max: int = DEFAULT_T23_N,
 
 
 def suite_theorem3(n_max: int = DEFAULT_T23_N,
-                   order: Optional[int] = None) -> list[Verdict]:
-    order = max(n_max, order or DEFAULT_ORACLE_ORDER)
+                   order: int = DEFAULT_ORACLE_ORDER) -> list[Verdict]:
+    order = max(n_max, order)
     return [check_theorem3(instance(r, a, b, u0, d=d, order=order), n_max)
             for d in (Fraction(1, 4), Fraction(-1, 2))
             for r, a, b, u0 in ORACLE_INSTANCES]
@@ -762,26 +737,31 @@ def suite_classical(n_max: int = DEFAULT_POLY_ID_N) -> list[Verdict]:
     return [check_classical(n) for n in range(1, n_max + 1)]
 
 
-def suite_integrals(n_max: int = DEFAULT_INTEGRAL_N,
-                    s_n_max: Optional[int] = None,
+def suite_integrals(n_max: Optional[int] = None,
                     a=None, b=None, d=None) -> list[Verdict]:
     """P/Q/S integral identities.
 
-    With an explicit (a, b) only that pair is exercised (and only P/Q/S);
-    otherwise the default pairs, including a reversed-orientation one, plus
-    the symmetric-interval reduction on (-1, 1).
+    With an explicit (a, b) only that pair is exercised (and only P/Q/S, with
+    shift d, default 0); otherwise the default pairs, including a
+    reversed-orientation one, plus the symmetric-interval reduction on
+    (-1, 1).  Every family runs to n_max, except that without n_max and
+    without a pair P/Q run to DEFAULT_INTEGRAL_N and S to DEFAULT_INTEGRAL_S_N.
     """
-    out: list[Verdict] = []
     if (a is None) != (b is None):
         raise ValueError("a and b must be given together")
+    if d is not None and a is None:
+        raise ValueError("d applies only together with a and b")
+    s_n = n_max
+    if n_max is None:
+        n_max = DEFAULT_INTEGRAL_N
+        s_n = DEFAULT_INTEGRAL_S_N if a is None else n_max
+    out: list[Verdict] = []
     if a is not None:
-        s_n = n_max if s_n_max is None else s_n_max
         d = Fraction(0) if d is None else Fraction(d)
         out.extend(check_integral_P(n, a, b) for n in range(1, n_max + 1))
         out.extend(check_integral_Q(n, a, b) for n in range(0, n_max + 1))
         out.extend(check_integral_S(n, a, b, d) for n in range(1, s_n + 1))
         return out
-    s_n = DEFAULT_INTEGRAL_S_N if s_n_max is None else s_n_max
     for pa, pb in INTEGRAL_PAIRS:
         out.extend(check_integral_P(n, pa, pb) for n in range(1, n_max + 1))
         out.extend(check_integral_Q(n, pa, pb) for n in range(0, n_max + 1))
@@ -818,11 +798,23 @@ def suite_relations(n_max: int = DEFAULT_RELATION_N,
     return out
 
 
-SUITE_NAMES = ("all", "theorem1", "theorem2", "theorem3", "egf", "lemma1",
-               "classical", "integrals", "grosset-veselov", "relations")
+#: Suite name -> (suite function, the run_suite options it honours).  The
+#: order is the order in which ``all`` runs the sub-suites.
+SUITES = {
+    "theorem1": (suite_theorem1, ("n_max", "order")),
+    "theorem2": (suite_theorem2, ("n_max", "order")),
+    "theorem3": (suite_theorem3, ("n_max", "order")),
+    "egf": (suite_egf, ("order", "u0")),
+    "lemma1": (suite_lemma1, ("n_max",)),
+    "classical": (suite_classical, ("n_max",)),
+    "integrals": (suite_integrals, ("n_max", "a", "b", "d")),
+    "grosset-veselov": (suite_grosset_veselov, ("m_max", "tol")),
+    "relations": (suite_relations, ("n_max",)),
+}
 
-_SUB_SUITES = ("theorem1", "theorem2", "theorem3", "egf", "lemma1",
-               "classical", "integrals", "grosset-veselov", "relations")
+_SUB_SUITES = tuple(SUITES)
+
+SUITE_NAMES = ("all", *_SUB_SUITES)
 
 
 def _verdict_sort_key(v: Verdict) -> tuple[str, str]:
@@ -835,40 +827,29 @@ def run_suite(name: str, *, n_max: Optional[int] = None,
               tol: Optional[float] = None) -> list[Verdict]:
     """Run one named suite (or all of them) and return sorted verdicts.
 
-    Bounds apply where they are meaningful for the suite and are ignored
-    otherwise; ``all`` always runs at the default bounds.  The environment
-    variable DERIVPOLY_JOBS caps how many sub-suites run concurrently.
+    Only the options that are given (not None) reach the suite function, so
+    each default lives once, in that function's signature.  An option the
+    suite does not honour (see SUITES) raises ValueError, as does a bound
+    below 1.  ``all`` runs every sub-suite at its defaults, one after the
+    other, and takes no options.
     """
+    options = {"n_max": n_max, "m_max": m_max, "order": order, "u0": u0,
+               "a": a, "b": b, "d": d, "tol": tol}
+    given = {k: v for k, v in options.items() if v is not None}
     if name == "all":
-        jobs = int(os.environ.get("DERIVPOLY_JOBS", "1") or "1")
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda s: run_suite(s), _SUB_SUITES))
-        else:
-            results = [run_suite(s) for s in _SUB_SUITES]
-        verdicts = [v for sub in results for v in sub]
-        return sorted(verdicts, key=_verdict_sort_key)
-    if name == "theorem1":
-        verdicts = suite_theorem1(n_max or DEFAULT_T1_N, order)
-    elif name == "theorem2":
-        verdicts = suite_theorem2(n_max or DEFAULT_T23_N, order)
-    elif name == "theorem3":
-        verdicts = suite_theorem3(n_max or DEFAULT_T23_N, order)
-    elif name == "egf":
-        verdicts = suite_egf(order or DEFAULT_EGF_ORDER,
-                             Fraction(1, 3) if u0 is None else u0)
-    elif name == "lemma1":
-        verdicts = suite_lemma1(n_max or DEFAULT_POLY_ID_N)
-    elif name == "classical":
-        verdicts = suite_classical(n_max or DEFAULT_POLY_ID_N)
-    elif name == "integrals":
-        verdicts = suite_integrals(n_max or DEFAULT_INTEGRAL_N,
-                                   s_n_max=n_max, a=a, b=b, d=d)
-    elif name == "grosset-veselov":
-        verdicts = suite_grosset_veselov(m_max or DEFAULT_GV_M,
-                                         tol=tol or DEFAULT_GV_TOL)
-    elif name == "relations":
-        verdicts = suite_relations(n_max or DEFAULT_RELATION_N)
+        suite, accepted = None, ()
+    elif name in SUITES:
+        suite, accepted = SUITES[name]
     else:
         raise ValueError(f"unknown suite {name!r}")
+    ignored = [k for k in given if k not in accepted]
+    if ignored:
+        raise ValueError(f"suite {name!r} does not take {', '.join(ignored)}")
+    for key in ("n_max", "m_max", "order"):
+        if given.get(key, 1) < 1:
+            raise ValueError(f"{key} must be >= 1, got {given[key]}")
+    if suite is None:
+        verdicts = [v for sub in _SUB_SUITES for v in run_suite(sub)]
+    else:
+        verdicts = suite(**given)
     return sorted(verdicts, key=_verdict_sort_key)

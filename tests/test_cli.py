@@ -211,8 +211,15 @@ class TestVerify:
         assert run_cli_error(capsys, "verify", "integrals", "--a", "0") == 2
         assert run_cli_error(capsys, "verify", "integrals", "--a", "1",
                              "--b", "1") == 2
-        assert run_cli_error(capsys, "verify", "grosset-veselov", "--tol",
-                             "0") == 2
+        for tol in ("0", "nan", "inf"):
+            assert run_cli_error(capsys, "verify", "grosset-veselov", "--tol",
+                                 tol) == 2
+        # options the suite does not honour
+        assert run_cli_error(capsys, "verify", "all", "--n-max", "1", "--a",
+                             "5", "--b", "7") == 2
+        assert run_cli_error(capsys, "verify", "lemma1", "--u0", "1/2",
+                             "--m-max", "9", "--order", "3") == 2
+        assert run_cli_error(capsys, "verify", "integrals", "--d", "7") == 2
 
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli_error(capsys, "verify", "lemma1", "--frobnicate") == 2

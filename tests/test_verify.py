@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -204,8 +205,9 @@ class TestGrossetVeselov:
     def test_numeric_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             V.grosset_veselov_numeric(4)
-        with pytest.raises(ValueError):
-            V.grosset_veselov_numeric(1, tol=0)
+        for tol in (0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                V.grosset_veselov_numeric(1, tol=tol)
 
     def test_unreachable_tolerance_is_inconclusive(self):
         verdict = V.grosset_veselov_numeric(1, tol=1e-300)
@@ -283,12 +285,23 @@ class TestSuites:
         assert verdicts
         assert all(v.passed for v in verdicts)
 
-    def test_parallel_matches_sequential(self, monkeypatch):
-        sequential = V.run_suite("all")
-        monkeypatch.setenv("DERIVPOLY_JOBS", "4")
-        parallel = V.run_suite("all")
-        assert [v.to_json_obj() for v in sequential] == \
-            [v.to_json_obj() for v in parallel]
+    def test_all_is_sorted_union_of_sub_suites(self):
+        union = [v for name in V._SUB_SUITES for v in V.run_suite(name)]
+        expected = sorted(union, key=V._verdict_sort_key)
+        assert [v.to_json_obj() for v in V.run_suite("all")] == \
+            [v.to_json_obj() for v in expected]
+
+    def test_options_a_suite_ignores_rejected(self):
+        with pytest.raises(ValueError, match="does not take"):
+            V.run_suite("all", n_max=1)
+        with pytest.raises(ValueError, match="does not take"):
+            V.run_suite("lemma1", u0=Fraction(1, 2))
+        with pytest.raises(ValueError, match="together with a and b"):
+            V.run_suite("integrals", d=Fraction(7))
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            V.run_suite("lemma1", n_max=0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            V.run_suite("grosset-veselov", m_max=1, tol=0.0)
 
     def test_every_named_suite_runs(self):
         for name in V.SUITE_NAMES:
