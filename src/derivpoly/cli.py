@@ -98,12 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_rows(rows: list[list[str]], fmt: str, json_obj: dict) -> None:
+def _print_rows(rows: list[list[str]], fmt: str, kind: str) -> None:
     if fmt == "plain":
         for row in rows:
             print(" ".join(row))
     elif fmt == "json":
-        print(json.dumps(json_obj, sort_keys=True))
+        print(json.dumps(table_json_obj(kind, rows), sort_keys=True))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerows(rows)
@@ -113,7 +113,7 @@ def _cmd_table(args, parser) -> int:
     if args.n < 1:
         parser.error(f"--n must be >= 1, got {args.n}")
     rows = table_rows(args.kind, args.n)
-    _print_rows(rows, args.format, table_json_obj(args.kind, args.n))
+    _print_rows(rows, args.format, args.kind)
     return 0
 
 

@@ -18,12 +18,14 @@ member is an ordinary univariate ``Poly``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import binomial, format_rational
 from .polyseries import Poly, X
-from .special_numbers import eulerian, eulerian_row, macmahon, macmahon_row
+from .special_numbers import (FAMILY_CACHE, eulerian, eulerian_row, macmahon,
+                              macmahon_row)
 
 FAMILIES = ("P", "Q", "S", "E", "A", "M")
 
@@ -82,6 +84,21 @@ def _power_table(p: Poly, n: int) -> list[Poly]:
     return out
 
 
+def _built_once(build):
+    """Memoize an r-independent builder on (n, a, b) in ``FAMILY_CACHE``."""
+
+    @functools.wraps(build)
+    def cached(n: int, params: RiccatiParams) -> Poly:
+        key = (build.__name__, n, params.a, params.b)
+        poly = FAMILY_CACHE.get(key)
+        if poly is None:
+            poly = FAMILY_CACHE[key] = build(n, params)
+        return poly
+
+    return cached
+
+
+@_built_once
 def build_P(n: int, params: RiccatiParams) -> Poly:
     """P_n(u; a, b), degree n, independent of r.
 
@@ -105,6 +122,7 @@ def build_P(n: int, params: RiccatiParams) -> Poly:
     return total
 
 
+@_built_once
 def build_Q(n: int, params: RiccatiParams) -> Poly:
     """Q_n(u; a, b), degree n, from MacMahon row n+1; Q_0 = 1."""
     if n < 0:

@@ -9,6 +9,7 @@ so they are hard errors instead.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
@@ -103,13 +104,15 @@ class Poly:
             return NotImplemented
         if not self._coeffs or not other._coeffs:
             return Poly()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        nums_a, den_a = _over_common_denominator(self._coeffs)
+        nums_b, den_b = _over_common_denominator(other._coeffs)
+        out = [0] * (len(nums_a) + len(nums_b) - 1)
+        for i, a in enumerate(nums_a):
+            if a:
+                for j, b in enumerate(nums_b, i):
+                    out[j] += a * b
+        den = den_a * den_b
+        return Poly([Fraction(c, den) for c in out])
 
     __rmul__ = __mul__
 
@@ -202,6 +205,12 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self!s})"
+
+
+def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """Integer numerators over the lcm of the denominators (fmpq_poly form)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 #: The polynomial variable (u for derivative polynomials, x for EGF checks).

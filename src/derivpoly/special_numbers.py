@@ -77,10 +77,13 @@ _EULERIAN_TRIANGLE = Triangle(EULERIAN)
 _MACMAHON_TRIANGLE = Triangle(MACMAHON)
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()
+#: Polynomials built from the triangles (the P and Q families of
+#: ``derivative_polys``), so they are dropped together with their rows.
+FAMILY_CACHE: dict[tuple, Poly] = {}
 
 
 def reset_caches() -> None:
-    """Drop all memoized rows and values.
+    """Drop all memoized rows, values and family polynomials.
 
     Only tests that patch a recurrence need this; normal use never does.
     """
@@ -88,6 +91,7 @@ def reset_caches() -> None:
     _EULERIAN_TRIANGLE = Triangle(EULERIAN)
     _MACMAHON_TRIANGLE = Triangle(MACMAHON)
     _BERNOULLI = [Fraction(1)]
+    FAMILY_CACHE.clear()
 
 
 def eulerian(n: int, k: int) -> int:
@@ -188,8 +192,9 @@ def table_rows(kind: str, n_max: int) -> list[list[str]]:
     raise ValueError(f"unknown table kind {kind!r}")
 
 
-def table_json_obj(kind: str, n_max: int) -> dict:
-    return {"kind": kind, "rows": table_rows(kind, n_max)}
+def table_json_obj(kind: str, rows: list[list[str]]) -> dict:
+    """The JSON form of ``table_rows`` output; ``parse_table_json_obj`` inverts it."""
+    return {"kind": kind, "rows": rows}
 
 
 def parse_table_json_obj(obj: dict) -> tuple[str, list[list[str]]]:

@@ -520,6 +520,13 @@ def _adaptive_simpson(f, a: float, b: float, tol: float,
     return value, converged
 
 
+def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+
+
 def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
     """Floating-point cross-check of the same integral in its original form.
 
@@ -533,10 +540,7 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
     """
     if not 1 <= m <= 3:
         raise ValueError(f"the numeric cross-check supports 1 <= m <= 3, got {m}")
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     params = {"m": m, "tol": tol}
     coeffs = [float(c) for c in build_P(m + 1, _PM1).coeffs]
 
@@ -775,6 +779,7 @@ def suite_integrals(n_max: Optional[int] = None,
 def suite_grosset_veselov(m_max: int = DEFAULT_GV_M,
                           numeric_m_max: int = DEFAULT_GV_NUMERIC_M,
                           tol: float = DEFAULT_GV_TOL) -> list[Verdict]:
+    _check_tol(tol)
     out = [grosset_veselov_exact(m) for m in range(1, m_max + 1)]
     out.extend(grosset_veselov_numeric(m, tol)
                for m in range(1, min(numeric_m_max, 3) + 1))

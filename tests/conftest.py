@@ -3,6 +3,21 @@ import pytest
 from derivpoly import special_numbers
 
 
+def _inject_row_fault(monkeypatch, step_name, bad_row):
+    """Patch one triangle recurrence between two cache resets.
+
+    Resetting drops the triangle rows and the P/Q memo built from them, so the
+    fault reaches every cached layer, and the correct values come back after.
+    """
+    special_numbers.reset_caches()
+    monkeypatch.setattr(special_numbers, step_name, bad_row)
+    try:
+        yield
+    finally:
+        monkeypatch.undo()
+        special_numbers.reset_caches()
+
+
 @pytest.fixture
 def mutated_eulerian_recurrence(monkeypatch):
     """Inject an off-by-one into the ascent recurrence, with isolated caches.
@@ -20,13 +35,26 @@ def mutated_eulerian_recurrence(monkeypatch):
             row.append((k + 2) * left + (n - k) * right)
         return row
 
-    special_numbers.reset_caches()
-    monkeypatch.setattr(special_numbers, "_eulerian_next_row", bad_row)
-    try:
-        yield
-    finally:
-        monkeypatch.undo()
-        special_numbers.reset_caches()
+    yield from _inject_row_fault(monkeypatch, "_eulerian_next_row", bad_row)
+
+
+@pytest.fixture
+def mutated_macmahon_recurrence(monkeypatch):
+    """Inject an off-by-one into the MacMahon recurrence, with isolated caches.
+
+    Row 1 stays [1]; from row 2 on the anchor M(n, 1) = 1 breaks, so the Q
+    and S families and everything built on them must stop verifying.
+    """
+
+    def bad_row(n, prev):
+        row = []
+        for k in range(1, n + 1):
+            left = prev[k - 1] if k <= n - 1 else 0
+            right = prev[k - 2] if k >= 2 else 0
+            row.append(2 * k * left + (2 * n - 2 * k + 1) * right)
+        return row
+
+    yield from _inject_row_fault(monkeypatch, "_macmahon_next_row", bad_row)
 
 
 @pytest.hookimpl(hookwrapper=True)

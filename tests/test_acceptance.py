@@ -11,9 +11,12 @@ import sys
 import time
 from fractions import Fraction
 
+import pytest
+
 import derivpoly.verify as V
 from derivpoly import special_numbers as sn
-from derivpoly.derivative_polys import RiccatiParams, build_P, build_S, shifted
+from derivpoly.derivative_polys import (RiccatiParams, build_P, build_Q,
+                                       build_S, shifted)
 from derivpoly.polyseries import Poly, X
 
 
@@ -154,3 +157,24 @@ def test_criterion_9_mutation_sanity(mutated_eulerian_recurrence):
     # criterion 5 collapses
     assert not all(V.check_lemma1(n).passed for n in range(1, 16))
     assert not all(V.check_classical(n).passed for n in range(1, 16))
+
+
+@pytest.mark.parametrize("fault", ["mutated_eulerian_recurrence",
+                                   "mutated_macmahon_recurrence"])
+def test_mutation_reaches_warm_family_memo(request, fault):
+    """A fault injected after the P/Q memo is warm still fails ``verify all``,
+    and the correct families come back once the fault is removed."""
+    assert all(v.passed for v in V.run_suite("all"))
+    params = RiccatiParams(1, 0, 1)
+    assert ("build_Q", 6, 0, 1) in sn.FAMILY_CACHE
+    good = (build_P(6, params), build_Q(6, params))
+
+    def families_restored():
+        assert (build_P(6, params), build_Q(6, params)) == good
+
+    # finalizers run last-in first-out, so this one runs after the fault's
+    # teardown has undone the patch and reset the caches
+    request.addfinalizer(families_restored)
+    request.getfixturevalue(fault)
+    assert (build_P(6, params), build_Q(6, params)) != good
+    assert any(not v.passed for v in V.run_suite("all"))

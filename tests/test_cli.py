@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -195,6 +196,17 @@ class TestVerify:
         _, first = run_cli(capsys, "verify", "egf")
         _, second = run_cli(capsys, "verify", "egf")
         assert first == second
+
+    @pytest.mark.parametrize("fmt, digest", [
+        ("plain", "849973269dea95b10042f22340cd40dd5da5698f19f5a7911112dcecec490dfc"),
+        ("json", "9b3088caf0f9be3c9cfcab4e88a03650b64cf213cb47294859f166cf26397263"),
+        ("csv", "a3fc5f37d5f2e116be562dac6b944e9a94a5e07ac4d928d134e1dffbd5110662"),
+    ])
+    def test_verify_all_output_pinned(self, capsys, fmt, digest):
+        """``verify all`` stdout is pinned byte for byte in every format."""
+        code, out = run_cli(capsys, "verify", "all", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         failing = verify_mod.Verdict("demo", {"n": 1}, False, 1,

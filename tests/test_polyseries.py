@@ -55,6 +55,51 @@ class TestPolyBasics:
         assert p * (q + r) == p * q + p * r
 
 
+def schoolbook_product(a, b):
+    """Reference product: Fraction convolution, trailing zeros stripped."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+kernel_coeffs = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-10**6, 10**6).map(Fraction),
+    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**25)),
+)
+kernel_lists = st.lists(kernel_coeffs, max_size=8)
+
+
+class TestProductKernel:
+    """``Poly.__mul__`` convolves integer numerators over common denominators;
+    it must agree with the Fraction schoolbook product in canonical form."""
+
+    @given(kernel_lists, kernel_lists)
+    def test_matches_schoolbook(self, a, b):
+        product = Poly(a) * Poly(b)
+        assert product.coeffs == schoolbook_product(a, b)
+        assert all(type(c) is Fraction for c in product.coeffs)
+        assert not product.coeffs or product.coeffs[-1] != 0
+
+    @given(kernel_lists, st.lists(st.just(0), max_size=3))
+    def test_zero_polynomial(self, a, zeros):
+        zero = Poly(zeros)
+        assert zero.coeffs == ()
+        assert (Poly(a) * zero).coeffs == ()
+        assert (zero * Poly(a)).coeffs == ()
+
+    @given(kernel_lists, kernel_coeffs.filter(bool))
+    def test_cancelling_products_are_canonical(self, a, c):
+        # (x - c)(x + c) = x^2 - c^2: the middle coefficient cancels
+        product = Poly(a) * (X - c) * (X + c)
+        assert product.coeffs == schoolbook_product(a, (-c * c, 0, 1))
+
+
 class TestEval:
     def test_spot_values(self):
         p = X * X - X

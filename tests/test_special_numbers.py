@@ -215,7 +215,7 @@ class TestTables:
 
     def test_json_round_trip(self):
         for kind in sn.TABLE_KINDS:
-            obj = sn.table_json_obj(kind, 5)
+            obj = sn.table_json_obj(kind, sn.table_rows(kind, 5))
             parsed_kind, parsed_rows = sn.parse_table_json_obj(obj)
             assert parsed_kind == kind
             assert parsed_rows == obj["rows"]

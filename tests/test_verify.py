@@ -209,6 +209,15 @@ class TestGrossetVeselov:
             with pytest.raises(ValueError):
                 V.grosset_veselov_numeric(1, tol=tol)
 
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_suite_rejects_tol_before_exact_work(self, monkeypatch, tol):
+        def exact_not_expected(m):
+            raise AssertionError("exact verdicts ran before tol was checked")
+
+        monkeypatch.setattr(V, "grosset_veselov_exact", exact_not_expected)
+        with pytest.raises(ValueError, match="tol"):
+            V.run_suite("grosset-veselov", m_max=40, tol=tol)
+
     def test_unreachable_tolerance_is_inconclusive(self):
         verdict = V.grosset_veselov_numeric(1, tol=1e-300)
         assert not verdict.passed
