@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import re
 import sys
 from fractions import Fraction
@@ -52,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("kind", choices=TABLE_KINDS)
     p_table.add_argument("--n", type=int, required=True,
                          help="largest row (triangles) or index (Bernoulli)")
-    p_table.add_argument("--format", choices=FORMATS, default="plain")
 
     p_poly = sub.add_parser("poly", help="print one polynomial of a family")
     p_poly.add_argument("family", choices=FAMILIES)
@@ -61,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--a", type=_rational_arg)
     p_poly.add_argument("--b", type=_rational_arg)
     p_poly.add_argument("--d", type=_rational_arg)
-    p_poly.add_argument("--format", choices=FORMATS, default="plain")
 
     p_series = sub.add_parser(
         "series", help="Taylor coefficients of u or its companion v")
@@ -79,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="logistic offset coefficient")
     p_series.add_argument("--s", type=_rational_arg,
                           help="logistic rate")
-    p_series.add_argument("--format", choices=FORMATS, default="plain")
 
     p_verify = sub.add_parser("verify", help="run identity suites")
     p_verify.add_argument("suite", choices=SUITE_NAMES)
@@ -91,140 +87,119 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--b", type=_rational_arg)
     p_verify.add_argument("--d", type=_rational_arg)
     p_verify.add_argument("--tol", type=float)
-    p_verify.add_argument("--format", choices=FORMATS, default="plain")
 
+    for p in (p_table, p_poly, p_series, p_verify):
+        p.add_argument("--format", choices=FORMATS, default="plain")
     for p in (parser, p_table, p_poly, p_series, p_verify):
         _allow_negative_rationals(p)
     return parser
 
 
-def _print_rows(rows: list[list[str]], fmt: str, kind: str) -> None:
-    if fmt == "plain":
-        for row in rows:
+def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
+    """Print a command's output in format ``fmt``.
+
+    ``plain`` and ``as_csv`` (default: ``plain``) return rows of strings,
+    printed space-separated or as csv lines; ``as_json`` returns objects,
+    printed one sorted-key JSON object per line.  Each is a zero-argument
+    callable, and only the one for ``fmt`` runs.
+    """
+    if fmt == "json":
+        for obj in as_json():
+            print(json.dumps(obj, sort_keys=True))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows((as_csv or plain)())
+    else:
+        for row in plain():
             print(" ".join(row))
-    elif fmt == "json":
-        print(json.dumps(table_json_obj(kind, rows), sort_keys=True))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerows(rows)
 
 
-def _cmd_table(args, parser) -> int:
-    if args.n < 1:
-        parser.error(f"--n must be >= 1, got {args.n}")
+def _cmd_table(args) -> int:
     rows = table_rows(args.kind, args.n)
-    _print_rows(rows, args.format, args.kind)
+    _emit(args.format, lambda: rows, lambda: [table_json_obj(args.kind, rows)])
     return 0
 
 
-def _cmd_poly(args, parser) -> int:
-    try:
-        poly = family_poly(args.family, args.n,
-                           r=args.r, a=args.a, b=args.b, d=args.d)
-    except ValueError as exc:
-        parser.error(str(exc))
-    coeffs = poly.to_coeff_strings() or ["0"]
-    if args.format == "plain":
-        print(" ".join(coeffs))
-    elif args.format == "json":
-        print(json.dumps(family_json_obj(args.family, args.n, poly,
-                                         r=args.r, a=args.a, b=args.b,
-                                         d=args.d), sort_keys=True))
-    else:
-        csv.writer(sys.stdout, lineterminator="\n").writerow(coeffs)
+def _cmd_poly(args) -> int:
+    params = {"r": args.r, "a": args.a, "b": args.b, "d": args.d}
+    poly = family_poly(args.family, args.n, **params)
+    _emit(args.format, lambda: [poly.to_coeff_strings() or ["0"]],
+          lambda: [family_json_obj(args.family, args.n, poly, **params)])
     return 0
 
 
-def _logistic_to_riccati(args, parser):
+def _logistic_to_riccati(args):
     """Map the logistic parameterization (q, p, s) to (r, a, b, u0, v0)."""
     if args.r is not None or args.a is not None or args.b is not None \
             or args.u0 is not None:
-        parser.error("give either --q/--p/--s or --r/--a/--b/--u0, not both")
+        raise ValueError("give either --q/--p/--s or --r/--a/--b/--u0, not both")
     if args.q is None or args.p is None or args.s is None:
-        parser.error("the logistic form needs all of --q, --p, --s")
+        raise ValueError("the logistic form needs all of --q, --p, --s")
     if args.q <= 0 or args.s <= 0 or args.p <= 0:
-        parser.error("logistic parameters require q > 0, p > 0, s > 0")
+        raise ValueError("logistic parameters require q > 0, p > 0, s > 0")
     r = -args.s / args.q
     u0 = args.q / (1 + args.p)
     return r, args.q, Fraction(0), u0, u0
 
 
-def _cmd_series(args, parser) -> int:
-    if args.order < 1:
-        parser.error(f"--order must be >= 1, got {args.order}")
+def _cmd_series(args) -> int:
     if args.q is not None or args.p is not None or args.s is not None:
-        r, a, b, u0, v0 = _logistic_to_riccati(args, parser)
+        r, a, b, u0, v0 = _logistic_to_riccati(args)
     else:
         if args.r is None or args.a is None or args.b is None or args.u0 is None:
-            parser.error("need --r, --a, --b and --u0 (or the logistic flags)")
+            raise ValueError("need --r, --a, --b and --u0 (or the logistic flags)")
         r, a, b, u0, v0 = args.r, args.a, args.b, args.u0, args.v0
-    try:
-        inst = instance(r, a, b, u0, d=args.d, v0=v0, order=args.order)
-    except ValueError as exc:
-        parser.error(str(exc))
+    inst = instance(r, a, b, u0, d=args.d, v0=v0, order=args.order)
     series = riccati_series(inst) if args.which == "riccati" else v_series(inst)
-    if args.format == "plain":
-        print(" ".join(str(c) for c in series.coeffs))
-    elif args.format == "json":
-        print(json.dumps(series.to_json_obj(), sort_keys=True))
-    else:
-        csv.writer(sys.stdout, lineterminator="\n").writerow(
-            [str(c) for c in series.coeffs])
+    _emit(args.format, lambda: [[str(c) for c in series.coeffs]],
+          lambda: [series.to_json_obj()])
     return 0
 
 
-def _format_verdict_plain(v: Verdict) -> str:
-    status = "PASS" if v.passed else ("INCONCLUSIVE" if v.inconclusive else "FAIL")
-    parts = [status, v.identity]
+def _plain_verdict(v: Verdict) -> list[str]:
+    parts = [v.status.upper(), v.identity]
     parts.extend(f"{k}={v.params[k]}" for k in sorted(v.params))
     if not v.passed:
         parts.append(f"first_failure={v.first_failure}")
         if v.witness:
             parts.append(f"lhs={v.witness['lhs']}")
             parts.append(f"rhs={v.witness['rhs']}")
-    return " ".join(parts)
+    return parts
 
 
-def _cmd_verify(args, parser) -> int:
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        parser.error("--tol must be positive and finite")
-    try:
-        verdicts = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max,
-                             order=args.order, u0=args.u0, a=args.a,
-                             b=args.b, d=args.d, tol=args.tol)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.format == "plain":
-        for v in verdicts:
-            print(_format_verdict_plain(v))
-    elif args.format == "json":
-        for v in verdicts:
-            print(json.dumps(v.to_json_obj(), sort_keys=True))
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for v in verdicts:
-            writer.writerow([
-                v.identity,
-                json.dumps(v.params, sort_keys=True),
-                "pass" if v.passed else ("inconclusive" if v.inconclusive
-                                         else "fail"),
-                "" if v.first_failure is None else v.first_failure,
-                v.witness["lhs"] if v.witness else "",
-                v.witness["rhs"] if v.witness else "",
-            ])
+def _csv_verdict(v: Verdict) -> list[str]:
+    return [
+        v.identity,
+        json.dumps(v.params, sort_keys=True),
+        v.status,
+        "" if v.first_failure is None else v.first_failure,
+        v.witness["lhs"] if v.witness else "",
+        v.witness["rhs"] if v.witness else "",
+    ]
+
+
+def _cmd_verify(args) -> int:
+    verdicts = run_suite(args.suite, n_max=args.n_max, m_max=args.m_max,
+                         order=args.order, u0=args.u0, a=args.a, b=args.b,
+                         d=args.d, tol=args.tol)
+    _emit(args.format, lambda: map(_plain_verdict, verdicts),
+          lambda: map(Verdict.to_json_obj, verdicts),
+          lambda: map(_csv_verdict, verdicts))
     return 0 if all(v.passed for v in verdicts) else 1
 
 
+_COMMANDS = {"table": _cmd_table, "poly": _cmd_poly, "series": _cmd_series,
+             "verify": _cmd_verify}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; the library's ValueError on bad input is a usage
+    error (exit 2)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "table":
-        return _cmd_table(args, parser)
-    if args.command == "poly":
-        return _cmd_poly(args, parser)
-    if args.command == "series":
-        return _cmd_series(args, parser)
-    return _cmd_verify(args, parser)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -177,9 +177,16 @@ def build_M(n: int) -> Poly:
 
 
 def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
-    """Build one member of a named family; raises ValueError on bad input."""
+    """Build one member of a named family; raises ValueError on bad input,
+    including a parameter the family does not depend on (E/A/M take none of
+    r, a, b, d; P and Q take no d)."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    takes = {"P": "rab", "Q": "rab", "S": "rabd"}.get(family, "")
+    ignored = [k for k, v in zip("rabd", (r, a, b, d))
+               if v is not None and k not in takes]
+    if ignored:
+        raise ValueError(f"family {family} does not take {', '.join(ignored)}")
     if family in ("P", "Q", "S"):
         if a is None or b is None:
             raise ValueError(f"family {family} requires parameters a and b")

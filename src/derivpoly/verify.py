@@ -10,11 +10,12 @@ quadrature cross-check ``grosset_veselov_numeric``.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .derivative_polys import (
     RiccatiParams,
@@ -99,6 +100,13 @@ class Verdict:
     witness: Optional[dict] = None
     inconclusive: bool = False
 
+    @property
+    def status(self) -> str:
+        """``pass``, ``fail`` or ``inconclusive``."""
+        if self.passed:
+            return "pass"
+        return "inconclusive" if self.inconclusive else "fail"
+
     def to_json_obj(self) -> dict:
         obj = {
             "identity": self.identity,
@@ -110,6 +118,16 @@ class Verdict:
         if self.inconclusive:
             obj["inconclusive"] = True
         return obj
+
+
+def _params(**fields) -> dict:
+    """Verdict parameters, with every Fraction (also inside a tuple) as ``p/q``."""
+
+    def fmt(v):
+        return format_rational(v) if isinstance(v, Fraction) else v
+
+    return {k: [fmt(x) for x in v] if isinstance(v, tuple) else fmt(v)
+            for k, v in fields.items()}
 
 
 def _ok(identity: str, params: dict) -> Verdict:
@@ -182,13 +200,6 @@ def v_series(inst: OracleInstance) -> Series:
     return Series(w)
 
 
-def _base_params_dict(base: RiccatiParams, **extra) -> dict:
-    d = {"r": format_rational(base.r), "a": format_rational(base.a),
-         "b": format_rational(base.b)}
-    d.update(extra)
-    return d
-
-
 def _check_oracle(identity: str, inst: OracleInstance, n_max: Optional[int],
                   oracle, start: Fraction, ratio: Fraction, family,
                   **extra) -> Verdict:
@@ -201,8 +212,9 @@ def _check_oracle(identity: str, inst: OracleInstance, n_max: Optional[int],
     n_max = inst.order if n_max is None else n_max
     if n_max > inst.order:
         raise ValueError(f"n_max {n_max} exceeds oracle order {inst.order}")
-    params = _base_params_dict(inst.params.base, u0=format_rational(inst.u0),
-                               n_max=n_max, **extra)
+    base = inst.params.base
+    params = _params(r=base.r, a=base.a, b=base.b, u0=inst.u0, n_max=n_max,
+                     **extra)
     c = oracle(inst).coeffs
     factor = start
     for n in range(1, n_max + 1):
@@ -227,8 +239,7 @@ def check_theorem2(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict
         raise ValueError("the Q-family check applies to d = 0 instances")
     base = inst.params.base
     return _check_oracle("theorem2", inst, n_max, v_series, inst.v0,
-                         base.r / 2, lambda n: build_Q(n, base),
-                         v0=format_rational(inst.v0))
+                         base.r / 2, lambda n: build_Q(n, base), v0=inst.v0)
 
 
 def check_theorem3(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
@@ -236,8 +247,7 @@ def check_theorem3(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict
     return _check_oracle("theorem3", inst, n_max, v_series, inst.v0,
                          inst.params.base.r / 2,
                          lambda n: build_S(n, inst.params),
-                         d=format_rational(inst.params.d),
-                         v0=format_rational(inst.v0))
+                         d=inst.params.d, v0=inst.v0)
 
 
 def _inv_fact(n: int) -> Fraction:
@@ -261,7 +271,7 @@ def _check_series_identity(identity: str, params: dict, product: Series,
 def _order_params(order: int, **extra) -> dict:
     if order < 1:
         raise ValueError("order must be >= 1")
-    return {**extra, "order": order}
+    return _params(**extra, order=order)
 
 
 def check_egf_eulerian(order: int = DEFAULT_EGF_ORDER) -> Verdict:
@@ -337,7 +347,7 @@ def _check_u0_open_unit(u0: Fraction) -> Fraction:
 def check_F_closed_form(u0, order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """(sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1."""
     u0 = _check_u0_open_unit(u0)
-    params = _order_params(order, u0=format_rational(u0))
+    params = _order_params(order, u0=u0)
     lhs = Series([build_P(n + 1, _BASE01).eval(u0) * _inv_fact(n)
                   for n in range(order + 1)])
     mult = Series.constant(u0, order) + \
@@ -353,7 +363,7 @@ def check_H_closed_form(u0, d, order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """
     u0 = _check_u0_open_unit(u0)
     d = Fraction(d)
-    params = _order_params(order, u0=format_rational(u0), d=format_rational(d))
+    params = _order_params(order, u0=u0, d=d)
     sp = ShiftedParams(_BASE01, d)
     lhs = Series([build_S(n, sp).eval(u0) * (Fraction(1, 2) ** n * _inv_fact(n))
                   for n in range(order + 1)])
@@ -397,18 +407,12 @@ def check_classical(n: int) -> Verdict:
     return _ok("classical", params)
 
 
-def _pair_params(n: int, a: Fraction, b: Fraction, **extra) -> dict:
-    d = {"n": n, "a": format_rational(a), "b": format_rational(b)}
-    d.update(extra)
-    return d
-
-
 def check_integral_P(n: int, a, b) -> Verdict:
     """integral_a^b P_n du == -(b-a)^(n+1) * B_n, exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a, b = Fraction(a), Fraction(b)
-    params = _pair_params(n, a, b)
+    params = _params(n=n, a=a, b=b)
     lhs = build_P(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
     rhs = -((b - a) ** (n + 1)) * bernoulli_number(n)
     return _compare("integral_P", params, n, lhs, rhs)
@@ -419,7 +423,7 @@ def check_integral_Q(n: int, a, b) -> Verdict:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     a, b = Fraction(a), Fraction(b)
-    params = _pair_params(n, a, b)
+    params = _params(n=n, a=a, b=b)
     lhs = build_Q(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
     rhs = 2 ** n * bernoulli_value(n, Fraction(1, 2)) * (b - a) ** (n + 1)
     return _compare("integral_Q", params, n, lhs, rhs)
@@ -430,7 +434,7 @@ def check_integral_S(n: int, a, b, d) -> Verdict:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a, b, d = Fraction(a), Fraction(b), Fraction(d)
-    params = _pair_params(n, a, b, d=format_rational(d))
+    params = _params(n=n, a=a, b=b, d=d)
     sp = ShiftedParams(RiccatiParams(Fraction(1), a, b), d)
     lhs = build_S(n, sp).definite_integral(a, b)
     rhs = 2 ** n * (b - a) ** (n + 1) * bernoulli_value(
@@ -477,13 +481,15 @@ def grosset_veselov_exact(m: int) -> Verdict:
     return _compare("grosset_veselov_exact", params, m, lhs, rhs)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float,
+def _adaptive_simpson(f, edges: list[float], tol: float,
                       max_depth: int = 28,
                       max_evals: int = 200_000) -> tuple[float, bool]:
-    """Recursive adaptive Simpson on [a, b]; returns (value, converged).
+    """Recursive adaptive Simpson on each panel between consecutive
+    ``edges``, each to ``tol``; returns (sum of the panels, converged).
 
-    Refinement stops, and the result is flagged non-converged, once either
-    the depth cap or the evaluation budget is exhausted.
+    All panels share one evaluation budget.  Refinement stops, and the
+    result is flagged non-converged, once either the depth cap or the
+    budget is exhausted.
     """
 
     def simpson(lo, flo, hi, fhi, fmid):
@@ -512,11 +518,13 @@ def _adaptive_simpson(f, a: float, b: float, tol: float,
         return (recurse(lo, flo, mid, fmid, flmid, left, half, depth + 1)
                 + recurse(mid, fmid, hi, fhi, frmid, right, half, depth + 1))
 
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    evals += 3
-    whole = simpson(a, fa, b, fb, fm)
-    value = recurse(a, fa, b, fb, fm, whole, tol, 0)
+    value = 0.0
+    for a, b in zip(edges, edges[1:]):
+        fa, fb = f(a), f(b)
+        fm = f(0.5 * (a + b))
+        evals += 3
+        whole = simpson(a, fa, b, fb, fm)
+        value += recurse(a, fa, b, fb, fm, whole, tol, 0)
     return value, converged
 
 
@@ -551,13 +559,8 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
             acc = acc * u + c
         return acc * acc
 
-    value = 0.0
-    converged = True
-    panel_tol = tol * 1e-3 / 40.0
-    for k in range(-20, 20):
-        part, ok = _adaptive_simpson(integrand, float(k), float(k + 1), panel_tol)
-        value += part
-        converged = converged and ok
+    value, converged = _adaptive_simpson(
+        integrand, [float(k) for k in range(-20, 21)], tol * 1e-3 / 40.0)
     sign = 1.0 if (m - 1) % 2 == 0 else -1.0
     target = sign * 2 ** (2 * m + 1) * float(bernoulli_number(2 * m))
     if not converged:
@@ -571,12 +574,10 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
 
 
 def _check_substitution(identity: str, n: int, params: RiccatiParams,
-                        in_x: Poly, in_u: Poly, power: int,
-                        samples: Sequence[Fraction]) -> Verdict:
+                        in_x: Poly, in_u: Poly, power: int) -> Verdict:
     """in_x((u-a)/(u-b)) == in_u(u) / (u-b)^power at sample points u != b."""
-    pd = _base_params_dict(params, n=n)
-    for u in samples:
-        u = Fraction(u)
+    pd = _params(r=params.r, a=params.a, b=params.b, n=n)
+    for u in SUBSTITUTION_SAMPLES:
         if u == params.b:
             continue
         lhs = in_x.eval((u - params.a) / (u - params.b))
@@ -586,39 +587,34 @@ def _check_substitution(identity: str, n: int, params: RiccatiParams,
     return _ok(identity, pd)
 
 
-def check_substitution_E(n: int, params: RiccatiParams,
-                         samples: Sequence[Fraction] = SUBSTITUTION_SAMPLES) -> Verdict:
+def check_substitution_E(n: int, params: RiccatiParams) -> Verdict:
     """E_n((u-a)/(u-b)) == P_{n+1}(u) / (u-b)^(n+1) at sample points u != b."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     return _check_substitution("substitution_E", n, params, build_E(n),
-                               build_P(n + 1, params), n + 1, samples)
+                               build_P(n + 1, params), n + 1)
 
 
-def check_substitution_M(n: int, params: RiccatiParams,
-                         samples: Sequence[Fraction] = SUBSTITUTION_SAMPLES) -> Verdict:
+def check_substitution_M(n: int, params: RiccatiParams) -> Verdict:
     """M_n((u-a)/(u-b)) == Q_n(u) / (u-b)^n at sample points u != b."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return _check_substitution("substitution_M", n, params, build_M(n),
-                               build_Q(n, params), n, samples)
+                               build_Q(n, params), n)
 
 
-def check_homogeneity_Q(n: int, params: RiccatiParams,
-                        lambdas: Sequence[Fraction] = HOMOGENEITY_LAMBDAS,
-                        samples: Sequence[Fraction] = SUBSTITUTION_SAMPLES) -> Verdict:
+def check_homogeneity_Q(n: int, params: RiccatiParams) -> Verdict:
     """Q_n(lam*u; lam*a, lam*b) == lam^n * Q_n(u; a, b) at sample points."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    pd = _base_params_dict(params, n=n,
-                           lambdas=[format_rational(l) for l in lambdas])
+    pd = _params(r=params.r, a=params.a, b=params.b, n=n,
+                 lambdas=HOMOGENEITY_LAMBDAS)
     q = build_Q(n, params)
-    for lam in lambdas:
-        lam = Fraction(lam)
+    for lam in HOMOGENEITY_LAMBDAS:
         scaled = RiccatiParams(params.r, lam * params.a, lam * params.b)
         q_scaled = build_Q(n, scaled)
-        for u in samples:
-            lhs = q_scaled.eval(lam * Fraction(u))
+        for u in SUBSTITUTION_SAMPLES:
+            lhs = q_scaled.eval(lam * u)
             rhs = lam ** n * q.eval(u)
             if lhs != rhs:
                 return _fail("homogeneity_Q", pd, None, lhs, rhs)
@@ -694,29 +690,26 @@ def check_macmahon_triangle(n_max: int = 20) -> Verdict:
 # ---------------------------------------------------------------------------
 # Suites
 
-def suite_theorem1(n_max: int = DEFAULT_T1_N,
-                   order: int = DEFAULT_ORACLE_ORDER) -> list[Verdict]:
-    order = max(n_max, order)
-    return [check_theorem1(instance(r, a, b, u0, order=order), n_max)
+# The theorem suites build their oracles at order n_max: the coefficients
+# up to n_max do not depend on the truncation order.
+
+def suite_theorem1(n_max: int = DEFAULT_T1_N) -> list[Verdict]:
+    return [check_theorem1(instance(r, a, b, u0, order=n_max))
             for r, a, b, u0 in ORACLE_INSTANCES]
 
 
-def suite_theorem2(n_max: int = DEFAULT_T23_N,
-                   order: int = DEFAULT_ORACLE_ORDER) -> list[Verdict]:
-    order = max(n_max, order)
-    out = [check_theorem2(instance(r, a, b, u0, order=order), n_max)
+def suite_theorem2(n_max: int = DEFAULT_T23_N) -> list[Verdict]:
+    out = [check_theorem2(instance(r, a, b, u0, order=n_max))
            for r, a, b, u0 in ORACLE_INSTANCES]
     # v is determined only up to scale; a non-unit v0 exercises that freedom.
     r, a, b, u0 = ORACLE_INSTANCES[0]
     out.append(check_theorem2(
-        instance(r, a, b, u0, v0=Fraction(2, 3), order=order), n_max))
+        instance(r, a, b, u0, v0=Fraction(2, 3), order=n_max)))
     return out
 
 
-def suite_theorem3(n_max: int = DEFAULT_T23_N,
-                   order: int = DEFAULT_ORACLE_ORDER) -> list[Verdict]:
-    order = max(n_max, order)
-    return [check_theorem3(instance(r, a, b, u0, d=d, order=order), n_max)
+def suite_theorem3(n_max: int = DEFAULT_T23_N) -> list[Verdict]:
+    return [check_theorem3(instance(r, a, b, u0, d=d, order=n_max))
             for d in (Fraction(1, 4), Fraction(-1, 2))
             for r, a, b, u0 in ORACLE_INSTANCES]
 
@@ -777,18 +770,15 @@ def suite_integrals(n_max: Optional[int] = None,
 
 
 def suite_grosset_veselov(m_max: int = DEFAULT_GV_M,
-                          numeric_m_max: int = DEFAULT_GV_NUMERIC_M,
                           tol: float = DEFAULT_GV_TOL) -> list[Verdict]:
     _check_tol(tol)
     out = [grosset_veselov_exact(m) for m in range(1, m_max + 1)]
     out.extend(grosset_veselov_numeric(m, tol)
-               for m in range(1, min(numeric_m_max, 3) + 1))
+               for m in range(1, DEFAULT_GV_NUMERIC_M + 1))
     return out
 
 
-def suite_relations(n_max: int = DEFAULT_RELATION_N,
-                    homogeneity_n_max: int = DEFAULT_HOMOGENEITY_N,
-                    integrality_n_max: int = DEFAULT_INTEGRAL_N) -> list[Verdict]:
+def suite_relations(n_max: int = DEFAULT_RELATION_N) -> list[Verdict]:
     out: list[Verdict] = [
         check_eulerian_triangle(DEFAULT_T23_N),
         check_macmahon_triangle(20),
@@ -798,23 +788,23 @@ def suite_relations(n_max: int = DEFAULT_RELATION_N,
         out.extend(check_substitution_E(n, params) for n in range(1, n_max + 1))
         out.extend(check_substitution_M(n, params) for n in range(0, n_max + 1))
         out.extend(check_homogeneity_Q(n, params)
-                   for n in range(1, homogeneity_n_max + 1))
-    out.extend(check_integrality(n) for n in range(1, integrality_n_max + 1))
+                   for n in range(1, DEFAULT_HOMOGENEITY_N + 1))
+    out.extend(check_integrality(n) for n in range(1, DEFAULT_INTEGRAL_N + 1))
     return out
 
 
-#: Suite name -> (suite function, the run_suite options it honours).  The
-#: order is the order in which ``all`` runs the sub-suites.
+#: Suite name -> suite function; its parameters are the run_suite options
+#: it honours.  The order is the order in which ``all`` runs the sub-suites.
 SUITES = {
-    "theorem1": (suite_theorem1, ("n_max", "order")),
-    "theorem2": (suite_theorem2, ("n_max", "order")),
-    "theorem3": (suite_theorem3, ("n_max", "order")),
-    "egf": (suite_egf, ("order", "u0")),
-    "lemma1": (suite_lemma1, ("n_max",)),
-    "classical": (suite_classical, ("n_max",)),
-    "integrals": (suite_integrals, ("n_max", "a", "b", "d")),
-    "grosset-veselov": (suite_grosset_veselov, ("m_max", "tol")),
-    "relations": (suite_relations, ("n_max",)),
+    "theorem1": suite_theorem1,
+    "theorem2": suite_theorem2,
+    "theorem3": suite_theorem3,
+    "egf": suite_egf,
+    "lemma1": suite_lemma1,
+    "classical": suite_classical,
+    "integrals": suite_integrals,
+    "grosset-veselov": suite_grosset_veselov,
+    "relations": suite_relations,
 }
 
 _SUB_SUITES = tuple(SUITES)
@@ -826,25 +816,22 @@ def _verdict_sort_key(v: Verdict) -> tuple[str, str]:
     return (v.identity, json.dumps(v.params, sort_keys=True, default=str))
 
 
-def run_suite(name: str, *, n_max: Optional[int] = None,
-              m_max: Optional[int] = None, order: Optional[int] = None,
-              u0=None, a=None, b=None, d=None,
-              tol: Optional[float] = None) -> list[Verdict]:
+def run_suite(name: str, **options) -> list[Verdict]:
     """Run one named suite (or all of them) and return sorted verdicts.
 
-    Only the options that are given (not None) reach the suite function, so
-    each default lives once, in that function's signature.  An option the
-    suite does not honour (see SUITES) raises ValueError, as does a bound
-    below 1.  ``all`` runs every sub-suite at its defaults, one after the
-    other, and takes no options.
+    The options are the parameters of the suite functions (n_max, m_max,
+    order, u0, a, b, d, tol).  Only the options that are given (not None)
+    reach the suite function, so each default lives once, in that function's
+    signature.  An option that is not a parameter of the suite function
+    raises ValueError, as does a bound below 1.  ``all`` runs every
+    sub-suite at its defaults, one after the other, and takes no options.
     """
-    options = {"n_max": n_max, "m_max": m_max, "order": order, "u0": u0,
-               "a": a, "b": b, "d": d, "tol": tol}
     given = {k: v for k, v in options.items() if v is not None}
     if name == "all":
         suite, accepted = None, ()
     elif name in SUITES:
-        suite, accepted = SUITES[name]
+        suite = SUITES[name]
+        accepted = inspect.signature(suite).parameters
     else:
         raise ValueError(f"unknown suite {name!r}")
     ignored = [k for k in given if k not in accepted]

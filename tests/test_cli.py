@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from fractions import Fraction
@@ -105,6 +106,12 @@ class TestPoly:
         assert run_cli_error(capsys, "poly", "Z", "--n", "1") == 2
         assert run_cli_error(capsys, "poly", "P", "--n", "0", "--a", "0",
                              "--b", "1") == 2
+        # parameters the family does not depend on
+        assert run_cli_error(capsys, "poly", "E", "--n", "3", "--a", "0",
+                             "--b", "1", "--d", "5") == 2
+        assert run_cli_error(capsys, "poly", "M", "--n", "2", "--r", "3") == 2
+        assert run_cli_error(capsys, "poly", "Q", "--n", "2", "--a", "0",
+                             "--b", "1", "--d", "5", "--format", "json") == 2
 
 
 class TestSeries:
@@ -161,6 +168,44 @@ class TestSeries:
                              "0", "--b", "1", "--u0", "0", "--order", "3") == 2
 
 
+PINNED_COMMANDS = {
+    "eulerian": ["table", "eulerian", "--n", "30"],
+    "macmahon": ["table", "macmahon", "--n", "30"],
+    "bernoulli": ["table", "bernoulli", "--n", "30"],
+    "bernoulli-poly": ["table", "bernoulli-poly", "--n", "12"],
+    "poly-S": ["poly", "S", "--n", "4", "--a", "0", "--b", "1", "--d=-1/2"],
+    "series-v": ["series", "v", "--q", "2", "--p", "3", "--s", "1",
+                 "--order", "8"],
+}
+
+
+@pytest.mark.parametrize("command, fmt, digest", [
+    ("eulerian", "plain", "6197337cfff1a76207005b8ddb9b2925ae29c8f239ba27acdf21c776c21c6651"),
+    ("eulerian", "json", "d652e901b24ef0665bb390b5f02912e5c557a80fe03ed60ea5ea9b65d10ce0b4"),
+    ("eulerian", "csv", "a280bd8200172d9cf172c3ebb7654e0fd9757e7d90363dfe6dfa1e673d6679a9"),
+    ("macmahon", "plain", "1f0ab73c20c65252799941b4d07857a052be4d37f7c80d2c13f62b081fc4ca4f"),
+    ("macmahon", "json", "0a20660c68d8a69cac093f321d3af1a0555a70b4a80d0d8a03253335b4bb03c9"),
+    ("macmahon", "csv", "ebaad92e218f5b789b64f6af386bffaccb5838d4e0919bcd9784d76a8686b76e"),
+    ("bernoulli", "plain", "6634d1e65a5cf3340b5fdae8c0124957dfc26acbeabba646391d31a42dad085a"),
+    ("bernoulli", "json", "792ba74b144b3d14e1f9b2fcdc9c6b831b65d986e33a09ef2e4283d4918a995f"),
+    ("bernoulli", "csv", "6634d1e65a5cf3340b5fdae8c0124957dfc26acbeabba646391d31a42dad085a"),
+    ("bernoulli-poly", "plain", "78ebc1fe560d9049f59f1ce66c24c966d6eee1d06b1484cd62c9eedc47881f8f"),
+    ("bernoulli-poly", "json", "a01a8abda3a3d489d8cddfdbba8bc944ebf0731dfbb9161ee68b41cd9a5c674e"),
+    ("bernoulli-poly", "csv", "31410263b85a85777ff5101d3b433582b8bc1d2f7adb9660d673dbf8bea3d67d"),
+    ("poly-S", "plain", "59f3d4fa4f49df0002a1031f66c5cbe395e9af474516effbfb6c25dea49b4738"),
+    ("poly-S", "json", "bbbc45a9bd61271f4e9cdad81e9c536c27178cdb6d1248ede0f77d7b60ee70e1"),
+    ("poly-S", "csv", "19d67b36e253dbd3c650e12f4193969ba9fb55053a51c987859d9c371cf7aff9"),
+    ("series-v", "plain", "34ce52f2127eb902a476c4cdb8b3b73c4d6081cc645148ac7b4482560045c57c"),
+    ("series-v", "json", "3a926a8efeb5b5376cbca1c08ba2287ff297c96af35a725af7df682742acd1dc"),
+    ("series-v", "csv", "ca448c84d060dbc23bd5edc5e47944f96f4775b9d9984d3d7f38b21babc9321c"),
+])
+def test_output_pinned(capsys, command, fmt, digest):
+    """``table``, ``poly`` and ``series`` stdout is pinned byte for byte."""
+    code, out = run_cli(capsys, *PINNED_COMMANDS[command], "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         code, out = run_cli(capsys, "verify", "lemma1", "--n-max", "4")
@@ -208,6 +253,30 @@ class TestVerify:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_verdict_status_in_every_format(self, capsys, monkeypatch):
+        verdicts = [
+            verify_mod.Verdict("demo_pass", {"n": 1}, True),
+            verify_mod.Verdict("demo_fail", {"n": 2}, False, 2,
+                               {"lhs": "0", "rhs": "1"}),
+            verify_mod.Verdict("demo_numeric", {"m": 1}, False, 1,
+                               {"lhs": "0.5", "rhs": "0.25"},
+                               inconclusive=True),
+        ]
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: verdicts)
+        code, out = run_cli(capsys, "verify", "lemma1")
+        assert code == 1
+        assert [line.split()[0] for line in out.splitlines()] == \
+            ["PASS", "FAIL", "INCONCLUSIVE"]
+        code, out = run_cli(capsys, "verify", "lemma1", "--format", "csv")
+        assert code == 1
+        assert [row[2] for row in csv.reader(out.splitlines())] == \
+            ["pass", "fail", "inconclusive"]
+        code, out = run_cli(capsys, "verify", "lemma1", "--format", "json")
+        assert code == 1
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert [obj["pass"] for obj in objs] == [True, False, False]
+        assert [obj.get("inconclusive") for obj in objs] == [None, None, True]
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         failing = verify_mod.Verdict("demo", {"n": 1}, False, 1,
                                      {"lhs": "0", "rhs": "1"})
@@ -232,6 +301,7 @@ class TestVerify:
         assert run_cli_error(capsys, "verify", "lemma1", "--u0", "1/2",
                              "--m-max", "9", "--order", "3") == 2
         assert run_cli_error(capsys, "verify", "integrals", "--d", "7") == 2
+        assert run_cli_error(capsys, "verify", "theorem1", "--order", "5") == 2
 
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli_error(capsys, "verify", "lemma1", "--frobnicate") == 2

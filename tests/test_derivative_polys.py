@@ -192,6 +192,14 @@ class TestFamilyDispatch:
             family_poly("P", 2, a=1, b=1)
         with pytest.raises(ValueError):
             family_poly("Z", 1)
+        # parameters the family does not depend on
+        for family in ("E", "A", "M"):
+            for key in ("r", "a", "b", "d"):
+                with pytest.raises(ValueError, match="does not take"):
+                    family_poly(family, 2, **{key: Fraction(1)})
+        for family in ("P", "Q"):
+            with pytest.raises(ValueError, match="does not take d"):
+                family_poly(family, 2, a=0, b=1, d=Fraction(5))
 
     def test_json_shape(self):
         poly = family_poly("P", 2, a=0, b=1)

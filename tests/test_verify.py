@@ -305,6 +305,8 @@ class TestSuites:
             V.run_suite("all", n_max=1)
         with pytest.raises(ValueError, match="does not take"):
             V.run_suite("lemma1", u0=Fraction(1, 2))
+        with pytest.raises(ValueError, match="does not take"):
+            V.run_suite("theorem2", order=5)
         with pytest.raises(ValueError, match="together with a and b"):
             V.run_suite("integrals", d=Fraction(7))
         with pytest.raises(ValueError, match="n_max must be >= 1"):
