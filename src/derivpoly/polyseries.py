@@ -177,12 +177,6 @@ class Poly:
                     rem[shift + j] -= coef * qc
         return Poly(quot), Poly(rem)
 
-    def __floordiv__(self, other: object) -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: object) -> "Poly":
-        return divmod(self, other)[1]
-
     def exact_div(self, other: object) -> Optional["Poly"]:
         """Quotient when the division leaves no remainder, else None.
 

@@ -2,10 +2,12 @@
 
 Two independent computation routes exist for everything here: a power-series
 ODE oracle that knows nothing about the polynomial families, and the families
-themselves built from the triangles.  Each check compares the two routes (or
-two exact closed forms) and returns a Verdict.  Exact paths carry no
-tolerance knobs; the single floating-point path in the package is the
-quadrature cross-check ``grosset_veselov_numeric``.
+themselves built from the triangles.  Each check states its two routes (or
+two exact closed forms) as a lazy stream of ``(index, lhs, rhs)`` pairs, and
+``_scan`` is the one place where they are compared: it fails at the first
+pair that differs, with that pair as the witness, and passes otherwise.
+Exact paths carry no tolerance knobs; the single floating-point path in the
+package is the quadrature cross-check ``grosset_veselov_numeric``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .derivative_polys import (
     RiccatiParams,
@@ -130,20 +132,21 @@ def _params(**fields) -> dict:
             for k, v in fields.items()}
 
 
-def _ok(identity: str, params: dict) -> Verdict:
-    return Verdict(identity, params, True)
-
-
 def _fail(identity: str, params: dict, index: Optional[int], lhs, rhs) -> Verdict:
     return Verdict(identity, params, False, index,
                    {"lhs": str(lhs), "rhs": str(rhs)})
 
 
-def _compare(identity: str, params: dict, index: Optional[int], lhs, rhs) -> Verdict:
-    """Pass when the two routes agree exactly; otherwise fail with a witness."""
-    if lhs != rhs:
-        return _fail(identity, params, index, lhs, rhs)
-    return _ok(identity, params)
+def _scan(identity: str, params: dict, pairs: Iterable[tuple]) -> Verdict:
+    """Compare two routes pair by pair: fail at the first ``(index, lhs,
+    rhs)`` whose sides differ, with that pair as the witness; pass otherwise.
+
+    ``pairs`` is read lazily, so nothing after the first mismatch is computed.
+    """
+    for index, lhs, rhs in pairs:
+        if lhs != rhs:
+            return _fail(identity, params, index, lhs, rhs)
+    return Verdict(identity, params, True)
 
 
 @dataclass(frozen=True)
@@ -216,14 +219,9 @@ def _check_oracle(identity: str, inst: OracleInstance, n_max: Optional[int],
     params = _params(r=base.r, a=base.a, b=base.b, u0=inst.u0, n_max=n_max,
                      **extra)
     c = oracle(inst).coeffs
-    factor = start
-    for n in range(1, n_max + 1):
-        factor *= ratio
-        lhs = factorial(n) * c[n]
-        rhs = factor * family(n).eval(inst.u0)
-        if lhs != rhs:
-            return _fail(identity, params, n, lhs, rhs)
-    return _ok(identity, params)
+    return _scan(identity, params, (
+        (n, factorial(n) * c[n], start * ratio ** n * family(n).eval(inst.u0))
+        for n in range(1, n_max + 1)))
 
 
 def check_theorem1(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
@@ -250,28 +248,31 @@ def check_theorem3(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict
                          d=inst.params.d, v0=inst.v0)
 
 
-def _inv_fact(n: int) -> Fraction:
-    return Fraction(1, factorial(n))
-
-
-def _check_series_identity(identity: str, params: dict, product: Series,
-                           expected: Series) -> Verdict:
-    """Compare two truncated series through order N-1.
+def _check_egf(identity: str, coeff, mult: Series, expected: Series,
+               **params) -> Verdict:
+    """(sum_n coeff(n) t^n/n!) * mult == expected through order N-1, where
+    N >= 1 is the truncation order of ``mult``.
 
     The top coefficient is discarded: the finite sum being multiplied is only
     a truncation of the full generating function, so the product's top-order
     coefficient is not meaningful evidence either way.
     """
-    for n in range(product.order):
-        if product[n] != expected[n]:
-            return _fail(identity, params, n, product[n], expected[n])
-    return _ok(identity, params)
-
-
-def _order_params(order: int, **extra) -> dict:
+    order = mult.order
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _params(**extra, order=order)
+    egf = Series([coeff(n) * Fraction(1, factorial(n)) for n in range(order + 1)])
+    product = egf * mult
+    return _scan(identity, _params(**params, order=order),
+                 ((n, product[n], expected[n]) for n in range(order)))
+
+
+_ONE_MINUS_X = Poly((1, -1))
+
+
+def _egf_multiplier(rate: Poly, order: int) -> Series:
+    """1 - x e^(rate*y), the cross-multiplier of the E and M EGF checks."""
+    return Series.constant(Poly.constant(1), order) - \
+        series_exp_linear(rate, order).scale(X)
 
 
 def check_egf_eulerian(order: int = DEFAULT_EGF_ORDER) -> Verdict:
@@ -280,23 +281,18 @@ def check_egf_eulerian(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     Cross-multiplication avoids dividing by 1 - x e^((1-x)y), whose constant
     term 1 - x is not invertible over polynomial coefficients.
     """
-    params = _order_params(order)
-    one_minus_x = Poly((1, -1))
-    lhs = Series([build_E(n) * _inv_fact(n) for n in range(order + 1)])
-    mult = Series.constant(Poly.constant(1), order) - \
-        series_exp_linear(one_minus_x, order).scale(X)
-    expected = Series.constant(one_minus_x, order)
-    return _check_series_identity("egf_eulerian", params, lhs * mult, expected)
+    return _check_egf("egf_eulerian", build_E,
+                      _egf_multiplier(_ONE_MINUS_X, order),
+                      Series.constant(_ONE_MINUS_X, order))
 
 
 def check_egf_A(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """(sum A_n(x) y^n/n!) * (x - e^((x-1)y)) == x - 1, cross-multiplied."""
-    params = _order_params(order)
     x_minus_one = Poly((-1, 1))
-    lhs = Series([build_A(n) * _inv_fact(n) for n in range(order + 1)])
-    mult = Series.constant(X, order) - series_exp_linear(x_minus_one, order)
-    expected = Series.constant(x_minus_one, order)
-    return _check_series_identity("egf_a", params, lhs * mult, expected)
+    return _check_egf(
+        "egf_a", build_A,
+        Series.constant(X, order) - series_exp_linear(x_minus_one, order),
+        Series.constant(x_minus_one, order))
 
 
 def check_egf_macmahon(order: int = DEFAULT_EGF_ORDER) -> Verdict:
@@ -307,13 +303,9 @@ def check_egf_macmahon(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     the numerator exponent at half the denominator's, and rescaling y to
     absorb the 2^-n coefficient weights doubles the denominator exponent.
     """
-    params = _order_params(order)
-    one_minus_x = Poly((1, -1))
-    lhs = Series([build_M(n) * _inv_fact(n) for n in range(order + 1)])
-    mult = Series.constant(Poly.constant(1), order) - \
-        series_exp_linear(one_minus_x * 2, order).scale(X)
-    expected = series_exp_linear(one_minus_x, order).scale(one_minus_x)
-    return _check_series_identity("egf_macmahon", params, lhs * mult, expected)
+    return _check_egf("egf_macmahon", build_M,
+                      _egf_multiplier(_ONE_MINUS_X * 2, order),
+                      series_exp_linear(_ONE_MINUS_X, order).scale(_ONE_MINUS_X))
 
 
 def check_egf_macmahon_halved(order: int = DEFAULT_EGF_ORDER) -> Verdict:
@@ -322,16 +314,11 @@ def check_egf_macmahon_halved(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     This is the direct substituted form (same multiplier as the Eulerian
     check); the unhalved variant above is this one with y doubled.
     """
-    params = _order_params(order)
-    one_minus_x = Poly((1, -1))
-    lhs = Series([build_M(n) * (Fraction(1, 2) ** n * _inv_fact(n))
-                  for n in range(order + 1)])
-    mult = Series.constant(Poly.constant(1), order) - \
-        series_exp_linear(one_minus_x, order).scale(X)
-    expected = series_exp_linear(one_minus_x * Fraction(1, 2),
-                                 order).scale(one_minus_x)
-    return _check_series_identity("egf_macmahon_halved", params,
-                                  lhs * mult, expected)
+    return _check_egf("egf_macmahon_halved",
+                      lambda n: build_M(n) * Fraction(1, 2 ** n),
+                      _egf_multiplier(_ONE_MINUS_X, order),
+                      series_exp_linear(_ONE_MINUS_X * Fraction(1, 2),
+                                        order).scale(_ONE_MINUS_X))
 
 
 _BASE01 = RiccatiParams(Fraction(1), Fraction(0), Fraction(1))
@@ -344,16 +331,19 @@ def _check_u0_open_unit(u0: Fraction) -> Fraction:
     return u0
 
 
+def _closed_form_multiplier(u0: Fraction, order: int) -> Series:
+    """u0 + (1-u0) e^t, the cross-multiplier of the F and H closed forms."""
+    return Series.constant(u0, order) + \
+        series_exp_linear(Fraction(1), order).scale(1 - u0)
+
+
 def check_F_closed_form(u0, order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """(sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1."""
     u0 = _check_u0_open_unit(u0)
-    params = _order_params(order, u0=u0)
-    lhs = Series([build_P(n + 1, _BASE01).eval(u0) * _inv_fact(n)
-                  for n in range(order + 1)])
-    mult = Series.constant(u0, order) + \
-        series_exp_linear(Fraction(1), order).scale(1 - u0)
-    expected = Series.constant(u0, order)
-    return _check_series_identity("closed_form_f", params, lhs * mult, expected)
+    return _check_egf("closed_form_f",
+                      lambda n: build_P(n + 1, _BASE01).eval(u0),
+                      _closed_form_multiplier(u0, order),
+                      Series.constant(u0, order), u0=u0)
 
 
 def check_H_closed_form(u0, d, order: int = DEFAULT_EGF_ORDER) -> Verdict:
@@ -363,70 +353,58 @@ def check_H_closed_form(u0, d, order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """
     u0 = _check_u0_open_unit(u0)
     d = Fraction(d)
-    params = _order_params(order, u0=u0, d=d)
     sp = ShiftedParams(_BASE01, d)
-    lhs = Series([build_S(n, sp).eval(u0) * (Fraction(1, 2) ** n * _inv_fact(n))
-                  for n in range(order + 1)])
-    mult = Series.constant(u0, order) + \
-        series_exp_linear(Fraction(1), order).scale(1 - u0)
-    expected = series_exp_linear(Fraction(1, 2) + d, order)
-    return _check_series_identity("closed_form_h", params, lhs * mult, expected)
+    return _check_egf("closed_form_h",
+                      lambda n: build_S(n, sp).eval(u0) * Fraction(1, 2 ** n),
+                      _closed_form_multiplier(u0, order),
+                      series_exp_linear(Fraction(1, 2) + d, order), u0=u0, d=d)
 
 
 def check_lemma1(n: int) -> Verdict:
     """P_{n+1}(u;0,1) == (u-1) * sum_{k<n} C(n,k) P_{k+1}(u;0,1), exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    params = {"n": n}
     lhs = build_P(n + 1, _BASE01)
-    acc = Poly()
-    for k in range(n):
-        acc = acc + binomial(n, k) * build_P(k + 1, _BASE01)
-    rhs = (X - 1) * acc
-    return _compare("lemma1", params, None, lhs, rhs)
+    acc = sum((binomial(n, k) * build_P(k + 1, _BASE01) for k in range(n)),
+              Poly())
+    return _scan("lemma1", {"n": n}, [(None, lhs, (X - 1) * acc)])
 
 
 def check_classical(n: int) -> Verdict:
-    """Binomial self-convolution identities for E_n and A_n in powers of x-1."""
+    """F_n == sum_{k<n} C(n,k) F_k (x-1)^(n-1-k) for the Eulerian polynomials
+    F = A, and F = E with E_1 standing in for E_0.
+
+    The sides are compared as labelled text, the witness; a Poly's text is
+    canonical, so equal texts mean equal polynomials.
+    """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    params = {"n": n}
     xm1 = Poly((-1, 1))
-    lhs_e = build_E(n)
-    rhs_e = build_E(1) * xm1 ** (n - 1)
-    for k in range(1, n):
-        rhs_e = rhs_e + binomial(n, k) * build_E(k) * xm1 ** (n - 1 - k)
-    if lhs_e != rhs_e:
-        return _fail("classical", params, None, f"E: {lhs_e}", f"E: {rhs_e}")
-    lhs_a = build_A(n)
-    rhs_a = Poly()
-    for k in range(n):
-        rhs_a = rhs_a + binomial(n, k) * build_A(k) * xm1 ** (n - 1 - k)
-    if lhs_a != rhs_a:
-        return _fail("classical", params, None, f"A: {lhs_a}", f"A: {rhs_a}")
-    return _ok("classical", params)
+
+    def convolution(family) -> Poly:
+        return sum((binomial(n, k) * family(k) * xm1 ** (n - 1 - k)
+                    for k in range(n)), Poly())
+
+    families = (("E", lambda k: build_E(max(k, 1))), ("A", build_A))
+    return _scan("classical", {"n": n}, (
+        (None, f"{name}: {family(n)}", f"{name}: {convolution(family)}")
+        for name, family in families))
 
 
 def check_integral_P(n: int, a, b) -> Verdict:
     """integral_a^b P_n du == -(b-a)^(n+1) * B_n, exactly."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     a, b = Fraction(a), Fraction(b)
-    params = _params(n=n, a=a, b=b)
     lhs = build_P(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
     rhs = -((b - a) ** (n + 1)) * bernoulli_number(n)
-    return _compare("integral_P", params, n, lhs, rhs)
+    return _scan("integral_P", _params(n=n, a=a, b=b), [(n, lhs, rhs)])
 
 
 def check_integral_Q(n: int, a, b) -> Verdict:
     """integral_a^b Q_n du == 2^n * B_n(1/2) * (b-a)^(n+1), exactly."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
     a, b = Fraction(a), Fraction(b)
-    params = _params(n=n, a=a, b=b)
     lhs = build_Q(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
     rhs = 2 ** n * bernoulli_value(n, Fraction(1, 2)) * (b - a) ** (n + 1)
-    return _compare("integral_Q", params, n, lhs, rhs)
+    return _scan("integral_Q", _params(n=n, a=a, b=b), [(n, lhs, rhs)])
 
 
 def check_integral_S(n: int, a, b, d) -> Verdict:
@@ -434,12 +412,11 @@ def check_integral_S(n: int, a, b, d) -> Verdict:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     a, b, d = Fraction(a), Fraction(b), Fraction(d)
-    params = _params(n=n, a=a, b=b, d=d)
     sp = ShiftedParams(RiccatiParams(Fraction(1), a, b), d)
     lhs = build_S(n, sp).definite_integral(a, b)
     rhs = 2 ** n * (b - a) ** (n + 1) * bernoulli_value(
         n, Fraction(1, 2) + d / (b - a))
-    return _compare("integral_S", params, n, lhs, rhs)
+    return _scan("integral_S", _params(n=n, a=a, b=b, d=d), [(n, lhs, rhs)])
 
 
 _PM1 = RiccatiParams(Fraction(1), Fraction(-1), Fraction(1))
@@ -448,13 +425,10 @@ _ONE_MINUS_U2 = Poly((1, 0, -1))
 
 def check_integral_P_symmetric(n: int) -> Verdict:
     """(-1)^(n-1) * integral_{-1}^{1} P_n(u;-1,1) du == (-1)^n 2^(n+1) B_n."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    params = {"n": n}
     sign = -1 if n % 2 == 0 else 1
     lhs = sign * build_P(n, _PM1).definite_integral(-1, 1)
     rhs = (-sign) * 2 ** (n + 1) * bernoulli_number(n)
-    return _compare("integral_P_symmetric", params, n, lhs, rhs)
+    return _scan("integral_P_symmetric", {"n": n}, [(n, lhs, rhs)])
 
 
 def grosset_veselov_exact(m: int) -> Verdict:
@@ -477,19 +451,22 @@ def grosset_veselov_exact(m: int) -> Verdict:
                      "nonzero remainder dividing P^2 by 1-u^2", "exact division")
     sign = 1 if (m - 1) % 2 == 0 else -1
     lhs = sign * Fraction(1, 2 ** (2 * m + 1)) * quotient.definite_integral(-1, 1)
-    rhs = bernoulli_number(2 * m)
-    return _compare("grosset_veselov_exact", params, m, lhs, rhs)
+    return _scan("grosset_veselov_exact", params,
+                 [(m, lhs, bernoulli_number(2 * m))])
 
 
-def _adaptive_simpson(f, edges: list[float], tol: float,
-                      max_depth: int = 28,
-                      max_evals: int = 200_000) -> tuple[float, bool]:
+#: Refinement depth cap and evaluation budget of one quadrature.
+SIMPSON_MAX_DEPTH = 28
+SIMPSON_MAX_EVALS = 200_000
+
+
+def _adaptive_simpson(f, edges: list[float], tol: float) -> tuple[float, bool]:
     """Recursive adaptive Simpson on each panel between consecutive
     ``edges``, each to ``tol``; returns (sum of the panels, converged).
 
     All panels share one evaluation budget.  Refinement stops, and the
-    result is flagged non-converged, once either the depth cap or the
-    budget is exhausted.
+    result is flagged non-converged, once either SIMPSON_MAX_DEPTH or
+    SIMPSON_MAX_EVALS is exhausted.
     """
 
     def simpson(lo, flo, hi, fhi, fmid):
@@ -511,7 +488,7 @@ def _adaptive_simpson(f, edges: list[float], tol: float,
         delta = left + right - whole
         if abs(delta) <= 15.0 * eps:
             return left + right + delta / 15.0
-        if depth >= max_depth or evals >= max_evals:
+        if depth >= SIMPSON_MAX_DEPTH or evals >= SIMPSON_MAX_EVALS:
             converged = False
             return left + right
         half = 0.5 * eps
@@ -544,7 +521,9 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
     which would fool a single whole-interval error estimate.  The integrand
     decays like e^(-4|x|), so the discarded tail is far below any tolerance
     of interest.  Non-convergence of the quadrature is reported as an
-    inconclusive verdict, distinct from a failed comparison.
+    inconclusive verdict, distinct from a failed comparison.  Each of the
+    40 panels is asked for tol/80, so the panels together spend half of
+    ``tol`` and the comparison with the exact value the other half.
     """
     if not 1 <= m <= 3:
         raise ValueError(f"the numeric cross-check supports 1 <= m <= 3, got {m}")
@@ -560,31 +539,23 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
         return acc * acc
 
     value, converged = _adaptive_simpson(
-        integrand, [float(k) for k in range(-20, 21)], tol * 1e-3 / 40.0)
+        integrand, [float(k) for k in range(-20, 21)], tol / 80.0)
     sign = 1.0 if (m - 1) % 2 == 0 else -1.0
     target = sign * 2 ** (2 * m + 1) * float(bernoulli_number(2 * m))
-    if not converged:
-        return Verdict("grosset_veselov_numeric", params, False, m,
-                       {"lhs": repr(value), "rhs": repr(target)},
-                       inconclusive=True)
-    if abs(value - target) >= tol:
-        return _fail("grosset_veselov_numeric", params, m, repr(value),
-                     repr(target))
-    return _ok("grosset_veselov_numeric", params)
+    if converged and abs(value - target) < tol:
+        return Verdict("grosset_veselov_numeric", params, True)
+    return Verdict("grosset_veselov_numeric", params, False, m,
+                   {"lhs": repr(value), "rhs": repr(target)},
+                   inconclusive=not converged)
 
 
 def _check_substitution(identity: str, n: int, params: RiccatiParams,
                         in_x: Poly, in_u: Poly, power: int) -> Verdict:
     """in_x((u-a)/(u-b)) == in_u(u) / (u-b)^power at sample points u != b."""
-    pd = _params(r=params.r, a=params.a, b=params.b, n=n)
-    for u in SUBSTITUTION_SAMPLES:
-        if u == params.b:
-            continue
-        lhs = in_x.eval((u - params.a) / (u - params.b))
-        rhs = in_u.eval(u) / (u - params.b) ** power
-        if lhs != rhs:
-            return _fail(identity, pd, None, lhs, rhs)
-    return _ok(identity, pd)
+    a, b = params.a, params.b
+    return _scan(identity, _params(r=params.r, a=a, b=b, n=n), (
+        (None, in_x.eval((u - a) / (u - b)), in_u.eval(u) / (u - b) ** power)
+        for u in SUBSTITUTION_SAMPLES if u != b))
 
 
 def check_substitution_E(n: int, params: RiccatiParams) -> Verdict:
@@ -597,28 +568,20 @@ def check_substitution_E(n: int, params: RiccatiParams) -> Verdict:
 
 def check_substitution_M(n: int, params: RiccatiParams) -> Verdict:
     """M_n((u-a)/(u-b)) == Q_n(u) / (u-b)^n at sample points u != b."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
     return _check_substitution("substitution_M", n, params, build_M(n),
                                build_Q(n, params), n)
 
 
 def check_homogeneity_Q(n: int, params: RiccatiParams) -> Verdict:
     """Q_n(lam*u; lam*a, lam*b) == lam^n * Q_n(u; a, b) at sample points."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    pd = _params(r=params.r, a=params.a, b=params.b, n=n,
-                 lambdas=HOMOGENEITY_LAMBDAS)
+    a, b = params.a, params.b
     q = build_Q(n, params)
-    for lam in HOMOGENEITY_LAMBDAS:
-        scaled = RiccatiParams(params.r, lam * params.a, lam * params.b)
-        q_scaled = build_Q(n, scaled)
-        for u in SUBSTITUTION_SAMPLES:
-            lhs = q_scaled.eval(lam * u)
-            rhs = lam ** n * q.eval(u)
-            if lhs != rhs:
-                return _fail("homogeneity_Q", pd, None, lhs, rhs)
-    return _ok("homogeneity_Q", pd)
+    scaled = ((lam, build_Q(n, RiccatiParams(params.r, lam * a, lam * b)))
+              for lam in HOMOGENEITY_LAMBDAS)
+    return _scan("homogeneity_Q",
+                 _params(r=params.r, a=a, b=b, n=n, lambdas=HOMOGENEITY_LAMBDAS),
+                 ((None, q_lam.eval(lam * u), lam ** n * q.eval(u))
+                  for lam, q_lam in scaled for u in SUBSTITUTION_SAMPLES))
 
 
 def check_integrality(n: int) -> Verdict:
@@ -635,56 +598,56 @@ def check_integrality(n: int) -> Verdict:
         return _fail("integrality", params, n,
                      "nonzero remainder dividing P_{n+1} by u", "exact division")
     s = build_S(n, ShiftedParams(_BASE01, Fraction(-1, 2)))
-    if s != 2 ** n * quotient:
-        return _fail("integrality", params, n, s, 2 ** n * quotient)
-    reduced = s * Fraction(1, 2 ** n)
-    if any(c.denominator != 1 for c in reduced.coeffs):
-        return _fail("integrality", params, n, reduced, "integer coefficients")
-    return _ok("integrality", params)
+    verdict = _scan("integrality", params, [(n, s, 2 ** n * quotient)])
+    if verdict.passed:
+        reduced = s * Fraction(1, 2 ** n)
+        if any(c.denominator != 1 for c in reduced.coeffs):
+            return _fail("integrality", params, n, reduced,
+                         "integer coefficients")
+    return verdict
+
+
+def _symmetric(row: tuple):
+    """The right side of a symmetry pair: the row itself when it reads the
+    same reversed, otherwise a description that cannot equal it."""
+    return row if row == row[::-1] else "symmetric row"
 
 
 def check_eulerian_triangle(n_max: int = DEFAULT_T23_N) -> Verdict:
     """Triangle self-consistency: anchor row, recurrence vs explicit sum,
-    symmetry, and factorial row sums."""
+    symmetry, and factorial row sums up to n_max; symmetry up to row 25."""
     if n_max < 3:
         raise ValueError(f"need n_max >= 3, got {n_max}")
-    params = {"n_max": n_max}
-    if eulerian_row(3) != (1, 4, 1):
-        return _fail("triangle_eulerian", params, 3, eulerian_row(3), (1, 4, 1))
-    for n in range(1, n_max + 1):
-        for k in range(n):
-            rec, exp = eulerian(n, k), eulerian_explicit(n, k)
-            if rec != exp:
-                return _fail("triangle_eulerian", params, n, rec, exp)
-            sym = eulerian(n, n - k - 1)
-            if rec != sym:
-                return _fail("triangle_eulerian", params, n, rec, sym)
-        if sum(eulerian_row(n)) != factorial(n):
-            return _fail("triangle_eulerian", params, n,
-                         sum(eulerian_row(n)), factorial(n))
-    for n in range(n_max + 1, 26):
-        row = eulerian_row(n)
-        if row != tuple(reversed(row)):
-            return _fail("triangle_eulerian", params, n, row, "symmetric row")
-    return _ok("triangle_eulerian", params)
+
+    def pairs():
+        yield 3, eulerian_row(3), (1, 4, 1)
+        for n in range(1, n_max + 1):
+            for k in range(n):
+                rec = eulerian(n, k)
+                yield n, rec, eulerian_explicit(n, k)
+                yield n, rec, eulerian(n, n - k - 1)
+            yield n, sum(eulerian_row(n)), factorial(n)
+        for n in range(n_max + 1, 26):
+            row = eulerian_row(n)
+            yield n, row, _symmetric(row)
+
+    return _scan("triangle_eulerian", {"n_max": n_max}, pairs())
 
 
 def check_macmahon_triangle(n_max: int = 20) -> Verdict:
     """Triangle self-consistency: anchor rows, boundary ones, symmetry."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
-    params = {"n_max": n_max}
-    if macmahon_row(3) != (1, 6, 1) or macmahon_row(4) != (1, 23, 23, 1):
-        return _fail("triangle_macmahon", params, 4,
-                     (macmahon_row(3), macmahon_row(4)),
-                     ((1, 6, 1), (1, 23, 23, 1)))
-    for n in range(1, n_max + 1):
-        if macmahon(n, 1) != 1:
-            return _fail("triangle_macmahon", params, n, macmahon(n, 1), 1)
-        row = macmahon_row(n)
-        if row != tuple(reversed(row)):
-            return _fail("triangle_macmahon", params, n, row, "symmetric row")
-    return _ok("triangle_macmahon", params)
+
+    def pairs():
+        yield (4, (macmahon_row(3), macmahon_row(4)),
+               ((1, 6, 1), (1, 23, 23, 1)))
+        for n in range(1, n_max + 1):
+            yield n, macmahon(n, 1), 1
+            row = macmahon_row(n)
+            yield n, row, _symmetric(row)
+
+    return _scan("triangle_macmahon", {"n_max": n_max}, pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -748,24 +711,22 @@ def suite_integrals(n_max: Optional[int] = None,
         raise ValueError("a and b must be given together")
     if d is not None and a is None:
         raise ValueError("d applies only together with a and b")
+    explicit = a is not None
+    pairs = [(a, b)] if explicit else INTEGRAL_PAIRS
+    triples = [(a, b, 0 if d is None else d)] if explicit else INTEGRAL_S_TRIPLES
     s_n = n_max
     if n_max is None:
         n_max = DEFAULT_INTEGRAL_N
-        s_n = DEFAULT_INTEGRAL_S_N if a is None else n_max
-    out: list[Verdict] = []
-    if a is not None:
-        d = Fraction(0) if d is None else Fraction(d)
-        out.extend(check_integral_P(n, a, b) for n in range(1, n_max + 1))
-        out.extend(check_integral_Q(n, a, b) for n in range(0, n_max + 1))
-        out.extend(check_integral_S(n, a, b, d) for n in range(1, s_n + 1))
-        return out
-    for pa, pb in INTEGRAL_PAIRS:
-        out.extend(check_integral_P(n, pa, pb) for n in range(1, n_max + 1))
-        out.extend(check_integral_Q(n, pa, pb) for n in range(0, n_max + 1))
-    for pa, pb, pd in INTEGRAL_S_TRIPLES:
-        out.extend(check_integral_S(n, pa, pb, pd) for n in range(1, s_n + 1))
-    out.extend(check_integral_P_symmetric(n)
-               for n in range(1, DEFAULT_SYMMETRIC_N + 1))
+        s_n = n_max if explicit else DEFAULT_INTEGRAL_S_N
+    out = [check_integral_P(n, pa, pb)
+           for pa, pb in pairs for n in range(1, n_max + 1)]
+    out += [check_integral_Q(n, pa, pb)
+            for pa, pb in pairs for n in range(0, n_max + 1)]
+    out += [check_integral_S(n, pa, pb, pd)
+            for pa, pb, pd in triples for n in range(1, s_n + 1)]
+    if not explicit:
+        out += [check_integral_P_symmetric(n)
+                for n in range(1, DEFAULT_SYMMETRIC_N + 1)]
     return out
 
 
@@ -812,6 +773,11 @@ _SUB_SUITES = tuple(SUITES)
 SUITE_NAMES = ("all", *_SUB_SUITES)
 
 
+def _suite_all() -> list[Verdict]:
+    """Every sub-suite at its defaults, each through run_suite."""
+    return [v for sub in _SUB_SUITES for v in run_suite(sub)]
+
+
 def _verdict_sort_key(v: Verdict) -> tuple[str, str]:
     return (v.identity, json.dumps(v.params, sort_keys=True, default=str))
 
@@ -827,21 +793,13 @@ def run_suite(name: str, **options) -> list[Verdict]:
     sub-suite at its defaults, one after the other, and takes no options.
     """
     given = {k: v for k, v in options.items() if v is not None}
-    if name == "all":
-        suite, accepted = None, ()
-    elif name in SUITES:
-        suite = SUITES[name]
-        accepted = inspect.signature(suite).parameters
-    else:
+    suite = _suite_all if name == "all" else SUITES.get(name)
+    if suite is None:
         raise ValueError(f"unknown suite {name!r}")
-    ignored = [k for k in given if k not in accepted]
+    ignored = [k for k in given if k not in inspect.signature(suite).parameters]
     if ignored:
         raise ValueError(f"suite {name!r} does not take {', '.join(ignored)}")
     for key in ("n_max", "m_max", "order"):
         if given.get(key, 1) < 1:
             raise ValueError(f"{key} must be >= 1, got {given[key]}")
-    if suite is None:
-        verdicts = [v for sub in _SUB_SUITES for v in run_suite(sub)]
-    else:
-        verdicts = suite(**given)
-    return sorted(verdicts, key=_verdict_sort_key)
+    return sorted(suite(**given), key=_verdict_sort_key)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -199,8 +200,10 @@ class TestGrossetVeselov:
         assert all(V.grosset_veselov_exact(m).passed for m in range(1, 9))
 
     def test_numeric_range(self):
-        for m in (1, 2, 3):
-            assert V.grosset_veselov_numeric(m, 1e-8).passed
+        # at 1e-12 each panel's share of tol must stay above double precision
+        for tol in (1e-8, 1e-12):
+            for m in (1, 2, 3):
+                assert V.grosset_veselov_numeric(m, tol).passed
 
     def test_numeric_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -256,6 +259,18 @@ class TestVerdicts:
                             "witness"}
         assert obj["pass"] is True
         assert obj["witness"] is None
+
+    def test_scan_stops_at_first_mismatch(self):
+        def pairs():
+            yield 1, 1, 1
+            yield 2, Fraction(1, 2), Fraction(1, 3)
+            raise AssertionError("a pair after the first mismatch was computed")
+
+        verdict = V._scan("demo", {"n": 2}, pairs())
+        assert not verdict.passed
+        assert verdict.first_failure == 2
+        assert verdict.witness == {"lhs": "1/2", "rhs": "1/3"}
+        assert V._scan("demo", {}, iter([(1, 2, 2)])).passed
 
     def test_failure_carries_witness(self, mutated_eulerian_recurrence):
         verdict = V.check_egf_eulerian(6)
@@ -321,3 +336,27 @@ class TestSuites:
             verdicts = V.run_suite(name)
             assert verdicts
             assert all(v.passed for v in verdicts)
+
+
+def _verdicts_digest(verdicts) -> str:
+    """SHA-256 of the verdict JSON; numeric quadrature verdicts keep only
+    their status, because their float witnesses depend on the panel
+    tolerance rather than on the identity."""
+    objs = []
+    for v in verdicts:
+        if v.identity == "grosset_veselov_numeric":
+            objs.append({"identity": v.identity, "params": v.params,
+                         "status": v.status})
+        else:
+            objs.append(v.to_json_obj())
+    return hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("fault,digest", [
+    ("mutated_eulerian_recurrence", "2742a72793f830f004a3b6395144303b59c78863556f9e95417864faab892a04"),
+    ("mutated_macmahon_recurrence", "8d9e97a150ed8322a176377cb94f307630579d598482daedde82ae41e3a9324b"),
+])
+def test_verdicts_under_fault_pinned(request, fault, digest):
+    """Every verdict and witness of ``all`` under an injected fault is pinned."""
+    request.getfixturevalue(fault)
+    assert _verdicts_digest(V.run_suite("all")) == digest
