@@ -24,8 +24,7 @@ from fractions import Fraction
 
 from .exact import binomial, format_rational
 from .polyseries import Poly, X
-from .special_numbers import (FAMILY_CACHE, eulerian, eulerian_row, macmahon,
-                              macmahon_row)
+from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
 
 FAMILIES = ("P", "Q", "S", "E", "A", "M")
 
@@ -76,12 +75,18 @@ def shifted(r, a, b, d=0) -> ShiftedParams:
     return ShiftedParams(RiccatiParams(r, a, b), d)
 
 
-def _power_table(p: Poly, n: int) -> list[Poly]:
-    """[p^0, p^1, ..., p^n]."""
-    out = [Poly.constant(1)]
-    for _ in range(n):
-        out.append(out[-1] * p)
-    return out
+def _homogeneous(coeffs, x: Poly, y: Poly) -> Poly:
+    """sum_k coeffs[k] x^k y^(m-k), m = len(coeffs) - 1, by Horner's rule in x.
+
+    A running power of y supplies y^(m-k), so every step multiplies only by
+    one of the linear factors x and y: O(m^2) coefficient work in all.
+    """
+    acc = Poly.constant(coeffs[-1])
+    y_pow = Poly.constant(1)
+    for c in reversed(coeffs[:-1]):
+        y_pow = y_pow * y
+        acc = acc * x + c * y_pow
+    return acc
 
 
 def _built_once(build):
@@ -112,27 +117,17 @@ def build_P(n: int, params: RiccatiParams) -> Poly:
     ua = X - params.a
     if n == 1:
         return ua
-    m = n - 1
     ub = X - params.b
-    pa = _power_table(ua, m)
-    pb = _power_table(ub, m)
-    total = Poly()
-    for k in range(m):
-        total = total + eulerian(m, k) * (pa[k + 1] * pb[m - k])
-    return total
+    return ua * ub * _homogeneous(eulerian_row(n - 1), ua, ub)
 
 
 @_built_once
 def build_Q(n: int, params: RiccatiParams) -> Poly:
-    """Q_n(u; a, b), degree n, from MacMahon row n+1; Q_0 = 1."""
+    """Q_n(u; a, b), degree n, independent of r; Q_0 = 1.  Its coefficients
+    against (u-a)^(n+1-k) (u-b)^(k-1) are the MacMahon numbers of row n+1."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    pa = _power_table(X - params.a, n)
-    pb = _power_table(X - params.b, n)
-    total = Poly()
-    for k in range(1, n + 2):
-        total = total + macmahon(n + 1, k) * (pa[n + 1 - k] * pb[k - 1])
-    return total
+    return _homogeneous(macmahon_row(n + 1), X - params.b, X - params.a)
 
 
 def build_S(n: int, params: ShiftedParams) -> Poly:
@@ -154,10 +149,7 @@ def build_E(n: int) -> Poly:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
         return Poly.constant(1)
-    coeffs = [0] * (n + 1)
-    for k in range(n):
-        coeffs[k + 1] = eulerian(n, k)
-    return Poly(coeffs)
+    return Poly((0, *eulerian_row(n)))
 
 
 def build_A(n: int) -> Poly:

@@ -132,6 +132,13 @@ def _params(**fields) -> dict:
             for k, v in fields.items()}
 
 
+def _upto(bound: int, name: str = "n_max") -> range:
+    """1..bound, refusing an empty range: a check over nothing is no check."""
+    if bound < 1:
+        raise ValueError(f"{name} must be >= 1, got {bound}")
+    return range(1, bound + 1)
+
+
 def _fail(identity: str, params: dict, index: Optional[int], lhs, rhs) -> Verdict:
     return Verdict(identity, params, False, index,
                    {"lhs": str(lhs), "rhs": str(rhs)})
@@ -164,7 +171,7 @@ class OracleInstance:
         if self.v0 == 0:
             raise ValueError("v0 must be nonzero")
         if self.order < 1:
-            raise ValueError("oracle order must be >= 1")
+            raise ValueError(f"oracle order must be >= 1, got {self.order}")
 
 
 def instance(r, a, b, u0, *, d=0, v0=1, order=DEFAULT_ORACLE_ORDER) -> OracleInstance:
@@ -213,6 +220,7 @@ def _check_oracle(identity: str, inst: OracleInstance, n_max: Optional[int],
     oracle alone, the right side from a triangle-built polynomial family.
     """
     n_max = inst.order if n_max is None else n_max
+    ns = _upto(n_max)
     if n_max > inst.order:
         raise ValueError(f"n_max {n_max} exceeds oracle order {inst.order}")
     base = inst.params.base
@@ -221,7 +229,7 @@ def _check_oracle(identity: str, inst: OracleInstance, n_max: Optional[int],
     c = oracle(inst).coeffs
     return _scan(identity, params, (
         (n, factorial(n) * c[n], start * ratio ** n * family(n).eval(inst.u0))
-        for n in range(1, n_max + 1)))
+        for n in ns))
 
 
 def check_theorem1(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
@@ -259,7 +267,7 @@ def _check_egf(identity: str, coeff, mult: Series, expected: Series,
     """
     order = mult.order
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise ValueError(f"order must be >= 1, got {order}")
     egf = Series([coeff(n) * Fraction(1, factorial(n)) for n in range(order + 1)])
     product = egf * mult
     return _scan(identity, _params(**params, order=order),
@@ -690,11 +698,11 @@ def suite_egf(order: int = DEFAULT_EGF_ORDER, u0=Fraction(1, 3)) -> list[Verdict
 
 
 def suite_lemma1(n_max: int = DEFAULT_POLY_ID_N) -> list[Verdict]:
-    return [check_lemma1(n) for n in range(1, n_max + 1)]
+    return [check_lemma1(n) for n in _upto(n_max)]
 
 
 def suite_classical(n_max: int = DEFAULT_POLY_ID_N) -> list[Verdict]:
-    return [check_classical(n) for n in range(1, n_max + 1)]
+    return [check_classical(n) for n in _upto(n_max)]
 
 
 def suite_integrals(n_max: Optional[int] = None,
@@ -718,12 +726,11 @@ def suite_integrals(n_max: Optional[int] = None,
     if n_max is None:
         n_max = DEFAULT_INTEGRAL_N
         s_n = n_max if explicit else DEFAULT_INTEGRAL_S_N
-    out = [check_integral_P(n, pa, pb)
-           for pa, pb in pairs for n in range(1, n_max + 1)]
-    out += [check_integral_Q(n, pa, pb)
-            for pa, pb in pairs for n in range(0, n_max + 1)]
+    ns = _upto(n_max)
+    out = [check_integral_P(n, pa, pb) for pa, pb in pairs for n in ns]
+    out += [check_integral_Q(n, pa, pb) for pa, pb in pairs for n in (0, *ns)]
     out += [check_integral_S(n, pa, pb, pd)
-            for pa, pb, pd in triples for n in range(1, s_n + 1)]
+            for pa, pb, pd in triples for n in _upto(s_n)]
     if not explicit:
         out += [check_integral_P_symmetric(n)
                 for n in range(1, DEFAULT_SYMMETRIC_N + 1)]
@@ -733,21 +740,22 @@ def suite_integrals(n_max: Optional[int] = None,
 def suite_grosset_veselov(m_max: int = DEFAULT_GV_M,
                           tol: float = DEFAULT_GV_TOL) -> list[Verdict]:
     _check_tol(tol)
-    out = [grosset_veselov_exact(m) for m in range(1, m_max + 1)]
+    out = [grosset_veselov_exact(m) for m in _upto(m_max, "m_max")]
     out.extend(grosset_veselov_numeric(m, tol)
                for m in range(1, DEFAULT_GV_NUMERIC_M + 1))
     return out
 
 
 def suite_relations(n_max: int = DEFAULT_RELATION_N) -> list[Verdict]:
+    ns = _upto(n_max)
     out: list[Verdict] = [
         check_eulerian_triangle(DEFAULT_T23_N),
         check_macmahon_triangle(20),
     ]
     for pa, pb in RELATION_PARAM_PAIRS:
         params = RiccatiParams(Fraction(1), pa, pb)
-        out.extend(check_substitution_E(n, params) for n in range(1, n_max + 1))
-        out.extend(check_substitution_M(n, params) for n in range(0, n_max + 1))
+        out.extend(check_substitution_E(n, params) for n in ns)
+        out.extend(check_substitution_M(n, params) for n in (0, *ns))
         out.extend(check_homogeneity_Q(n, params)
                    for n in range(1, DEFAULT_HOMOGENEITY_N + 1))
     out.extend(check_integrality(n) for n in range(1, DEFAULT_INTEGRAL_N + 1))
@@ -789,8 +797,8 @@ def run_suite(name: str, **options) -> list[Verdict]:
     order, u0, a, b, d, tol).  Only the options that are given (not None)
     reach the suite function, so each default lives once, in that function's
     signature.  An option that is not a parameter of the suite function
-    raises ValueError, as does a bound below 1.  ``all`` runs every
-    sub-suite at its defaults, one after the other, and takes no options.
+    raises ValueError; each suite rejects its own bounds below 1.  ``all``
+    runs every sub-suite at its defaults, in turn, and takes no options.
     """
     given = {k: v for k, v in options.items() if v is not None}
     suite = _suite_all if name == "all" else SUITES.get(name)
@@ -799,7 +807,4 @@ def run_suite(name: str, **options) -> list[Verdict]:
     ignored = [k for k in given if k not in inspect.signature(suite).parameters]
     if ignored:
         raise ValueError(f"suite {name!r} does not take {', '.join(ignored)}")
-    for key in ("n_max", "m_max", "order"):
-        if given.get(key, 1) < 1:
-            raise ValueError(f"{key} must be >= 1, got {given[key]}")
     return sorted(suite(**given), key=_verdict_sort_key)

@@ -1,16 +1,16 @@
 import pytest
 
-from derivpoly import special_numbers
+from derivpoly import derivative_polys, special_numbers
 
 
-def _inject_row_fault(monkeypatch, step_name, bad_row):
-    """Patch one triangle recurrence between two cache resets.
+def _inject_fault(monkeypatch, module, name, faulty):
+    """Patch one module attribute between two cache resets.
 
     Resetting drops the triangle rows and the P/Q memo built from them, so the
     fault reaches every cached layer, and the correct values come back after.
     """
     special_numbers.reset_caches()
-    monkeypatch.setattr(special_numbers, step_name, bad_row)
+    monkeypatch.setattr(module, name, faulty)
     try:
         yield
     finally:
@@ -35,7 +35,8 @@ def mutated_eulerian_recurrence(monkeypatch):
             row.append((k + 2) * left + (n - k) * right)
         return row
 
-    yield from _inject_row_fault(monkeypatch, "_eulerian_next_row", bad_row)
+    yield from _inject_fault(monkeypatch, special_numbers,
+                             "_eulerian_next_row", bad_row)
 
 
 @pytest.fixture
@@ -54,7 +55,24 @@ def mutated_macmahon_recurrence(monkeypatch):
             row.append(2 * k * left + (2 * n - 2 * k + 1) * right)
         return row
 
-    yield from _inject_row_fault(monkeypatch, "_macmahon_next_row", bad_row)
+    yield from _inject_fault(monkeypatch, special_numbers,
+                             "_macmahon_next_row", bad_row)
+
+
+@pytest.fixture
+def mutated_horner_kernel(monkeypatch):
+    """Put the constant coefficient of the P/Q Horner kernel off by one.
+
+    The triangles stay correct, so only the families built from them (and
+    every check that reads P, Q or S) must stop verifying.
+    """
+    kernel = derivative_polys._homogeneous
+
+    def bad_kernel(coeffs, x, y):
+        return kernel((coeffs[0] + 1, *coeffs[1:]), x, y)
+
+    yield from _inject_fault(monkeypatch, derivative_polys, "_homogeneous",
+                             bad_kernel)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -163,8 +163,16 @@ def test_criterion_9_mutation_sanity(mutated_eulerian_recurrence):
     assert not all(V.check_classical(n).passed for n in range(1, 16))
 
 
+def test_mutation_of_horner_kernel_fails_theorems(mutated_horner_kernel):
+    """An off-by-one coefficient in the P/Q Horner kernel fails theorem 1
+    (P against the u oracle) and theorem 2 (Q against the v oracle)."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"theorem1", "theorem2"} <= failed
+
+
 @pytest.mark.parametrize("fault", ["mutated_eulerian_recurrence",
-                                   "mutated_macmahon_recurrence"])
+                                   "mutated_macmahon_recurrence",
+                                   "mutated_horner_kernel"])
 def test_mutation_reaches_warm_family_memo(request, fault):
     """A fault injected after the P/Q memo is warm still fails ``verify all``,
     and the correct families come back once the fault is removed."""

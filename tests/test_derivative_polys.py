@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from derivpoly.derivative_polys import (
     RiccatiParams,
@@ -16,6 +18,7 @@ from derivpoly.derivative_polys import (
     shifted,
 )
 from derivpoly.polyseries import Poly, X
+from derivpoly.special_numbers import eulerian, macmahon
 
 BASE01 = RiccatiParams(1, 0, 1)
 BASE_PM1 = RiccatiParams(-1, -1, 1)
@@ -78,6 +81,48 @@ class TestBuildQ:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             build_Q(-1, BASE01)
+
+
+def power_table_P(n, a, b):
+    """Reference P_n: sum_k E(n-1,k) (u-a)^(k+1) (u-b)^(n-1-k), each basis
+    element a full product of two powers."""
+    if n == 1:
+        return X - a
+    pa = [(X - a) ** k for k in range(n + 1)]
+    pb = [(X - b) ** k for k in range(n + 1)]
+    return sum((eulerian(n - 1, k) * pa[k + 1] * pb[n - 1 - k]
+                for k in range(n - 1)), Poly())
+
+
+def power_table_Q(n, a, b):
+    """Reference Q_n: sum_k M(n+1,k) (u-a)^(n+1-k) (u-b)^(k-1)."""
+    pa = [(X - a) ** k for k in range(n + 1)]
+    pb = [(X - b) ** k for k in range(n + 1)]
+    return sum((macmahon(n + 1, k) * pa[n + 1 - k] * pb[k - 1]
+                for k in range(1, n + 2)), Poly())
+
+
+class TestHornerBuildersMatchPowerTables:
+    @pytest.mark.parametrize("a,b", [
+        (0, 1), (Fraction(1, 3), Fraction(4, 3)),
+        (Fraction(-2, 3), Fraction(2, 3)), (3, -2),
+    ])
+    def test_fixed_pairs(self, a, b):
+        params = RiccatiParams(1, a, b)
+        for n in range(1, 31):
+            assert build_P(n, params) == power_table_P(n, a, b)
+        for n in range(0, 31):
+            assert build_Q(n, params) == power_table_Q(n, a, b)
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.fractions(min_value=-5, max_value=5, max_denominator=12),
+           b=st.fractions(min_value=-5, max_value=5, max_denominator=12),
+           n=st.integers(min_value=1, max_value=30))
+    def test_random_pairs(self, a, b, n):
+        assume(a != b)
+        params = RiccatiParams(1, a, b)
+        assert build_P(n, params) == power_table_P(n, a, b)
+        assert build_Q(n, params) == power_table_Q(n, a, b)
 
 
 class TestBuildS:

@@ -1,5 +1,4 @@
 import itertools
-import threading
 from fractions import Fraction
 
 import pytest
@@ -117,24 +116,6 @@ class TestTriangleObject:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             sn.Triangle("pascal")
-
-    def test_concurrent_row_construction(self):
-        tri = sn.Triangle(sn.EULERIAN)
-        errors = []
-
-        def worker():
-            try:
-                tri.row(60)
-            except Exception as exc:  # pragma: no cover - diagnostic only
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert tri.row(60) == tuple(sn.eulerian_row(60))
 
 
 class TestBernoulliNumbers:

@@ -329,6 +329,22 @@ class TestSuites:
         with pytest.raises(ValueError, match="tol must be positive"):
             V.run_suite("grosset-veselov", m_max=1, tol=0.0)
 
+    @pytest.mark.parametrize("call", [
+        lambda: V.check_theorem1(V.instance(1, 0, 1, Fraction(1, 3)), 0),
+        lambda: V.check_theorem1(V.instance(1, 0, 1, Fraction(1, 3)), -3),
+        lambda: V.suite_lemma1(0),
+        lambda: V.suite_classical(0),
+        lambda: V.suite_integrals(n_max=0),
+        lambda: V.suite_grosset_veselov(0),
+        lambda: V.suite_relations(0),
+    ], ids=["theorem1-0", "theorem1-neg", "lemma1", "classical", "integrals",
+            "grosset-veselov", "relations"])
+    def test_empty_bound_rejected_by_library(self, call):
+        """A bound below 1 raises in the checks and suites themselves, not
+        only behind run_suite, so no library call passes vacuously."""
+        with pytest.raises(ValueError, match="must be >= 1"):
+            call()
+
     def test_every_named_suite_runs(self):
         for name in V.SUITE_NAMES:
             if name == "all":
