@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional, Union
 
 from .exact import parse_rational
@@ -22,19 +23,30 @@ POLY_RING = "poly"
 
 
 class Poly:
-    """Immutable dense polynomial; coefficient ``k`` is the degree-k term.
-
-    Canonical form never stores trailing zero coefficients, so equality is
-    structural; the zero polynomial is the empty coefficient tuple.
+    """Immutable dense polynomial: integer numerators over one positive
+    denominator (FLINT's ``fmpq_poly`` form), coefficient k being
+    ``_coeffs[k] / _den``.  Canonical form has no trailing zero and
+    ``gcd(_den, *_coeffs) == 1``, with zero as ``()`` over 1, so equality is
+    structural; ``coeffs`` builds ``Fraction``s on demand.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_den")
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
+        cs = [_exact(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return cls._over([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _over(cls, nums: list[int], den: int) -> "Poly":
+        """The polynomial with coefficients ``nums[k] / den`` (den > 0)."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        poly = super().__new__(cls)
+        poly._coeffs = tuple(c // g for c in nums) if g > 1 else tuple(nums)
+        poly._den = den // g
+        return poly
 
     @classmethod
     def constant(cls, value: Scalar) -> "Poly":
@@ -42,7 +54,7 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        return tuple(Fraction(c, self._den) for c in self._coeffs)
 
     @property
     def degree(self) -> int:
@@ -55,7 +67,7 @@ class Poly:
     def coefficient(self, k: int) -> Fraction:
         """Coefficient of degree k; zero outside the stored range."""
         if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
+            return Fraction(self._coeffs[k], self._den)
         return Fraction(0)
 
     @staticmethod
@@ -70,18 +82,15 @@ class Poly:
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._coeffs, o._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        den = math.lcm(self._den, o._den)
+        sa, so = den // self._den, den // o._den
+        return Poly._over([x * sa + y * so for x, y in zip_longest(
+            self._coeffs, o._coeffs, fillvalue=0)], den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self._coeffs))
+        return Poly._over([-c for c in self._coeffs], self._den)
 
     def __sub__(self, other: object) -> "Poly":
         o = Poly._coerce(other)
@@ -97,22 +106,17 @@ class Poly:
 
     def __mul__(self, other: object) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly()
-            return Poly(tuple(c * other for c in self._coeffs))
+            return Poly._over([c * other.numerator for c in self._coeffs],
+                              self._den * other.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return Poly()
-        nums_a, den_a = _over_common_denominator(self._coeffs)
-        nums_b, den_b = _over_common_denominator(other._coeffs)
-        out = [0] * (len(nums_a) + len(nums_b) - 1)
-        for i, a in enumerate(nums_a):
-            if a:
-                for j, b in enumerate(nums_b, i):
-                    out[j] += a * b
-        den = den_a * den_b
-        return Poly([Fraction(c, den) for c in out])
+        a, b = self._coeffs, other._coeffs
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return Poly._over(out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -133,29 +137,27 @@ class Poly:
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
-        return self._coeffs == o._coeffs
+        return self._den == o._den and self._coeffs == o._coeffs
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._coeffs, self._den))
 
     def eval(self, x: Scalar) -> Fraction:
-        """Horner evaluation at an exact point."""
-        x = Fraction(x)
-        acc = Fraction(0)
+        """Horner evaluation at an exact point p/q, on ints."""
+        p, q = _exact(x).numerator, x.denominator
+        acc, q_pow = 0, 1
         for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * p + c * q_pow
+            q_pow *= q
+        return Fraction(acc * q, self._den * q_pow)
 
     def definite_integral(self, a: Scalar, b: Scalar) -> Fraction:
         """Exact integral over [a, b]; swapping the endpoints negates it."""
-        a, b = Fraction(a), Fraction(b)
-        total = Fraction(0)
-        apow, bpow = a, b
-        for k, c in enumerate(self._coeffs):
-            total += c * (bpow - apow) / (k + 1)
-            apow *= a
-            bpow *= b
-        return total
+        scale = math.lcm(*range(1, len(self._coeffs) + 1))
+        antiderivative = Poly._over(
+            [0, *(c * (scale // k) for k, c in enumerate(self._coeffs, 1))],
+            self._den * scale)
+        return antiderivative.eval(b) - antiderivative.eval(a)
 
     def __divmod__(self, other: object) -> tuple["Poly", "Poly"]:
         o = Poly._coerce(other)
@@ -163,17 +165,17 @@ class Poly:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        dq = len(rem) - len(o._coeffs)
+        rem, divisor = list(self.coeffs), o.coeffs
+        dq = len(rem) - len(divisor)
         if dq < 0:
             return Poly(), self
         quot = [Fraction(0)] * (dq + 1)
-        lead = o._coeffs[-1]
+        lead = divisor[-1]
         for shift in range(dq, -1, -1):
-            coef = rem[shift + len(o._coeffs) - 1] / lead
+            coef = rem[shift + len(divisor) - 1] / lead
             if coef:
                 quot[shift] = coef
-                for j, qc in enumerate(o._coeffs):
+                for j, qc in enumerate(divisor):
                     rem[shift + j] -= coef * qc
         return Poly(quot), Poly(rem)
 
@@ -188,23 +190,25 @@ class Poly:
 
     def to_coeff_strings(self) -> list[str]:
         """Serialized form: coefficient strings, lowest degree first."""
-        return [str(c) for c in self._coeffs]
+        return [str(c) for c in self.coeffs]
 
     @classmethod
     def from_coeff_strings(cls, items: Iterable[str]) -> "Poly":
         return cls(parse_rational(s) for s in items)
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self._coeffs) + "]"
+        return "[" + ", ".join(self.to_coeff_strings()) + "]"
 
     def __repr__(self) -> str:
         return f"Poly({self!s})"
 
 
-def _over_common_denominator(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer numerators over the lcm of the denominators (fmpq_poly form)."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _exact(value: object) -> Scalar:
+    """An int or Fraction unchanged; a float (binary, so not the decimal it
+    shows) or any other type is refused."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact int or Fraction expected, got {value!r}")
+    return value
 
 
 #: The polynomial variable (u for derivative polynomials, x for EGF checks).
@@ -231,7 +235,7 @@ class Series:
         elif ring == RATIONAL_RING:
             if any(isinstance(c, Poly) for c in cs):
                 raise ValueError("polynomial coefficient in a rational-ring series")
-            cs = [c if isinstance(c, Fraction) else Fraction(c) for c in cs]
+            cs = [c if isinstance(c, Fraction) else Fraction(_exact(c)) for c in cs]
         else:
             raise ValueError(f"unknown coefficient ring {ring!r}")
         self._coeffs = tuple(cs)
@@ -339,7 +343,7 @@ def series_exp_linear(l, order: int) -> Series:
     if isinstance(l, Poly):
         one = Poly.constant(1)
     else:
-        l = Fraction(l)
+        l = Fraction(_exact(l))
         one = Fraction(1)
     coeffs = [one]
     term = one

@@ -380,7 +380,7 @@ def check_lemma1(n: int) -> Verdict:
 
 def check_classical(n: int) -> Verdict:
     """F_n == sum_{k<n} C(n,k) F_k (x-1)^(n-1-k) for the Eulerian polynomials
-    F = A, and F = E with E_1 standing in for E_0.
+    F = A, and F = E with E_1 standing in for E_0, summed by Horner in x-1.
 
     The sides are compared as labelled text, the witness; a Poly's text is
     canonical, so equal texts mean equal polynomials.
@@ -390,8 +390,10 @@ def check_classical(n: int) -> Verdict:
     xm1 = Poly((-1, 1))
 
     def convolution(family) -> Poly:
-        return sum((binomial(n, k) * family(k) * xm1 ** (n - 1 - k)
-                    for k in range(n)), Poly())
+        acc = family(0)
+        for k in range(1, n):
+            acc = acc * xm1 + binomial(n, k) * family(k)
+        return acc
 
     families = (("E", lambda k: build_E(max(k, 1))), ("A", build_A))
     return _scan("classical", {"n": n}, (

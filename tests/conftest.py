@@ -1,6 +1,6 @@
 import pytest
 
-from derivpoly import derivative_polys, special_numbers
+from derivpoly import derivative_polys, polyseries, special_numbers
 
 
 def _inject_fault(monkeypatch, module, name, faulty):
@@ -73,6 +73,24 @@ def mutated_horner_kernel(monkeypatch):
 
     yield from _inject_fault(monkeypatch, derivative_polys, "_homogeneous",
                              bad_kernel)
+
+
+@pytest.fixture
+def mutated_poly_eval(monkeypatch):
+    """Put ``Poly.eval`` off by one on polynomials of degree 8 and up.
+
+    Products, sums and the builders stay correct, so only checks that read
+    a polynomial's value at a point (the series oracles, the Bernoulli
+    values on the right of the integral identities, the substitution
+    relations) must fail.  An antiderivative evaluated at both endpoints
+    carries the error twice, and it cancels.
+    """
+    evaluate = polyseries.Poly.eval
+
+    def bad_eval(poly, x):
+        return evaluate(poly, x) + (poly.degree >= 8)
+
+    yield from _inject_fault(monkeypatch, polyseries.Poly, "eval", bad_eval)
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -170,6 +170,15 @@ def test_mutation_of_horner_kernel_fails_theorems(mutated_horner_kernel):
     assert {"theorem1", "theorem2"} <= failed
 
 
+def test_mutation_of_poly_eval_fails_verify_all(mutated_poly_eval):
+    """An off-by-one ``Poly.eval`` from degree 8 on fails ``verify all``:
+    the integer evaluation layer is reached by some verdict."""
+    failed = [v for v in V.run_suite("all") if not v.passed]
+    assert failed
+    assert {"theorem1", "integral_Q", "substitution_E"} <= {
+        v.identity for v in failed}
+
+
 @pytest.mark.parametrize("fault", ["mutated_eulerian_recurrence",
                                    "mutated_macmahon_recurrence",
                                    "mutated_horner_kernel"])

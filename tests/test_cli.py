@@ -176,6 +176,13 @@ PINNED_COMMANDS = {
     "poly-S": ["poly", "S", "--n", "4", "--a", "0", "--b", "1", "--d=-1/2"],
     "series-v": ["series", "v", "--q", "2", "--p", "3", "--s", "1",
                  "--order", "8"],
+    # degree-30 members at rational a, b, d: large numerators over large
+    # denominators (a = -b makes P and Q sparse)
+    **{f"poly-{f}-30-{tag}": ["poly", f, "--n", "30", f"--a={a}", f"--b={b}",
+                              *([f"--d={d}"] if f == "S" else [])]
+       for tag, (a, b, d) in {"third": ("1/3", "4/3", "-1/2"),
+                              "symmetric": ("-2/3", "2/3", "5/3")}.items()
+       for f in "PQS"},
 }
 
 
@@ -198,6 +205,12 @@ PINNED_COMMANDS = {
     ("series-v", "plain", "34ce52f2127eb902a476c4cdb8b3b73c4d6081cc645148ac7b4482560045c57c"),
     ("series-v", "json", "3a926a8efeb5b5376cbca1c08ba2287ff297c96af35a725af7df682742acd1dc"),
     ("series-v", "csv", "ca448c84d060dbc23bd5edc5e47944f96f4775b9d9984d3d7f38b21babc9321c"),
+    ("poly-P-30-third", "json", "c0a96c654d4ec015c4d0fde5fbe2e94066b557fafba90db94c680aa2b58e3b98"),
+    ("poly-Q-30-third", "json", "3c5500a3814fc97401b85970eeb82efe790ecb0067b95a0b73c2a827b49ab412"),
+    ("poly-S-30-third", "json", "0922b980f3aa58f931d2eac18acf8355a39c0f4df01d6d7eb4b7461aecf8f11c"),
+    ("poly-P-30-symmetric", "json", "af8945d039d728ae5a7e080ad39f62f175f970a87a2294c9464b1ccbf5e95204"),
+    ("poly-Q-30-symmetric", "json", "a2699f7cc3cd0c15cdc274ee259508164800cd9a190ab195526c7bd36c55a575"),
+    ("poly-S-30-symmetric", "json", "4b06242c2feff349e17e8e51f262d7e1a730eec4185b17f373cc1da031e32a88"),
 ])
 def test_output_pinned(capsys, command, fmt, digest):
     """``table``, ``poly`` and ``series`` stdout is pinned byte for byte."""

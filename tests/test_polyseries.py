@@ -55,15 +55,21 @@ class TestPolyBasics:
         assert p * (q + r) == p * q + p * r
 
 
+def stripped(coeffs):
+    """The coefficients as a tuple, trailing zeros stripped."""
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 def schoolbook_product(a, b):
     """Reference product: Fraction convolution, trailing zeros stripped."""
     out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return stripped(out)
 
 
 kernel_coeffs = st.one_of(
@@ -75,9 +81,26 @@ kernel_coeffs = st.one_of(
 kernel_lists = st.lists(kernel_coeffs, max_size=8)
 
 
+def reference_sum(a, b, sign=1):
+    """Reference a + sign*b on Fraction lists, trailing zeros stripped."""
+    width = max(len(a), len(b))
+    pad = lambda v: list(v) + [Fraction(0)] * (width - len(v))
+    return stripped(x + sign * y for x, y in zip(pad(a), pad(b)))
+
+
+def reference_eval(a, x):
+    return sum((c * x ** k for k, c in enumerate(a)), Fraction(0))
+
+
+def reference_integral(a, lo, hi):
+    return sum((c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+                for k, c in enumerate(a)), Fraction(0))
+
+
 class TestProductKernel:
-    """``Poly.__mul__`` convolves integer numerators over common denominators;
-    it must agree with the Fraction schoolbook product in canonical form."""
+    """``Poly`` arithmetic runs on integer numerators over one denominator;
+    every operation must agree with Fraction reference code, in canonical
+    form."""
 
     @given(kernel_lists, kernel_lists)
     def test_matches_schoolbook(self, a, b):
@@ -98,6 +121,90 @@ class TestProductKernel:
         # (x - c)(x + c) = x^2 - c^2: the middle coefficient cancels
         product = Poly(a) * (X - c) * (X + c)
         assert product.coeffs == schoolbook_product(a, (-c * c, 0, 1))
+
+
+    @given(kernel_lists, kernel_lists)
+    def test_sum_and_difference_match_reference(self, a, b):
+        assert (Poly(a) + Poly(b)).coeffs == reference_sum(a, b)
+        assert (Poly(a) - Poly(b)).coeffs == reference_sum(a, b, -1)
+
+    @given(kernel_lists, kernel_coeffs)
+    def test_scalar_product_matches_reference(self, a, c):
+        expected = stripped(x * c for x in a)
+        assert (Poly(a) * c).coeffs == expected
+        assert (c * Poly(a)).coeffs == expected
+
+    @given(kernel_lists, kernel_coeffs)
+    def test_eval_matches_reference(self, a, x):
+        assert Poly(a).eval(x) == reference_eval(a, x)
+
+    @given(kernel_lists, kernel_coeffs, kernel_coeffs)
+    def test_integral_matches_reference(self, a, lo, hi):
+        assert Poly(a).definite_integral(lo, hi) == reference_integral(a, lo, hi)
+
+
+class TestCanonicalForm:
+    """One polynomial has one stored form however it was reached, so ``==``
+    and ``hash`` agree across constructor, sums, differences and products."""
+
+    @given(kernel_lists, kernel_lists, kernel_coeffs.filter(bool))
+    def test_every_route_gives_one_form(self, a, b, c):
+        p, q = Poly(a), Poly(b)
+        routes = [
+            Poly(list(a) + [0, 0]),
+            (p + q) - q,
+            q + (p - q),
+            -(-p),
+            (p * c) * (1 / c),
+            (p * Poly([c])) * Poly([1 / c]),
+            (p * (X + c) - p * X) * (1 / c),
+        ]
+        for route in routes:
+            assert route == p
+            assert hash(route) == hash(p)
+
+    @given(kernel_lists)
+    def test_difference_with_itself_is_zero(self, a):
+        zero = Poly(a) - Poly(a)
+        assert zero.coeffs == ()
+        assert zero == Poly() and hash(zero) == hash(Poly())
+
+    def test_equal_fractions_give_equal_polys(self):
+        assert Poly([Fraction(2, 4)]) == Poly([Fraction(1, 2)])
+        assert hash(Poly([Fraction(6, 3), 0])) == hash(Poly([2]))
+        assert Poly([Fraction(1, 3)]) * 3 == Poly([1])
+        assert str(Poly([Fraction(1, 6), Fraction(1, 3)]) * 6) == "[1, 2]"
+
+
+class TestExactInputs:
+    """A binary float is not the decimal it prints as: ``Poly([0.1])`` would
+    store 3602879701896397/36028797018963968, so floats are refused."""
+
+    def test_float_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Poly([0.1])
+        with pytest.raises(TypeError):
+            Poly.constant(0.5)
+        with pytest.raises(TypeError):
+            X + 0.5
+        with pytest.raises(TypeError):
+            0.5 * X
+
+    def test_float_point_rejected(self):
+        with pytest.raises(TypeError):
+            X.eval(0.5)
+        with pytest.raises(TypeError):
+            X.definite_integral(0.5, 1)
+        with pytest.raises(TypeError):
+            X.definite_integral(0, 1.0)
+
+    def test_float_series_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            Series([0.5])
+        with pytest.raises(TypeError):
+            Series([X, 0.5])
+        with pytest.raises(TypeError):
+            series_exp_linear(0.5, 3)
 
 
 class TestEval:
