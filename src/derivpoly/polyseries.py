@@ -160,24 +160,32 @@ class Poly:
         return antiderivative.eval(b) - antiderivative.eval(a)
 
     def __divmod__(self, other: object) -> tuple["Poly", "Poly"]:
+        """Long division on the numerators, fraction-free: the dividend is
+        scaled by lead^(dq+1), lead being the divisor's leading numerator,
+        so every step divides by lead exactly."""
         o = Poly._coerce(other)
         if o is None:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem, divisor = list(self.coeffs), o.coeffs
-        dq = len(rem) - len(divisor)
+        divisor, lead = o._coeffs, o._coeffs[-1]
+        dq = len(self._coeffs) - len(divisor)
         if dq < 0:
             return Poly(), self
-        quot = [Fraction(0)] * (dq + 1)
-        lead = divisor[-1]
+        scale = lead ** (dq + 1)
+        rem = [c * scale for c in self._coeffs]
+        quot = [0] * (dq + 1)
         for shift in range(dq, -1, -1):
-            coef = rem[shift + len(divisor) - 1] / lead
+            coef = rem[shift + len(divisor) - 1] // lead
             if coef:
                 quot[shift] = coef
-                for j, qc in enumerate(divisor):
-                    rem[shift + j] -= coef * qc
-        return Poly(quot), Poly(rem)
+                for j, d in enumerate(divisor, shift):
+                    rem[j] -= coef * d
+        # self = (A/da), other = (B/db), and scale*A = quot*B + rem
+        den = self._den * scale
+        sign = -1 if den < 0 else 1
+        return (Poly._over([sign * o._den * c for c in quot], sign * den),
+                Poly._over([sign * c for c in rem], sign * den))
 
     def exact_div(self, other: object) -> Optional["Poly"]:
         """Quotient when the division leaves no remainder, else None.
@@ -189,8 +197,14 @@ class Poly:
         return q if r.is_zero() else None
 
     def to_coeff_strings(self) -> list[str]:
-        """Serialized form: coefficient strings, lowest degree first."""
-        return [str(c) for c in self.coeffs]
+        """Serialized form: coefficient strings, lowest degree first, each
+        as ``str(Fraction)`` prints it (``p`` or ``p/q`` in lowest terms)."""
+        out = []
+        for c in self._coeffs:
+            g = math.gcd(c, self._den)
+            den = self._den // g
+            out.append(f"{c // g}/{den}" if den != 1 else str(c // g))
+        return out
 
     @classmethod
     def from_coeff_strings(cls, items: Iterable[str]) -> "Poly":

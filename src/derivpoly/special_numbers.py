@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import binomial, factorial
+from .exact import binomial
 from .polyseries import Poly
 
 EULERIAN = "eulerian"
@@ -126,21 +126,37 @@ def macmahon_row(n: int) -> tuple[int, ...]:
     return _MACMAHON_TRIANGLE.row(n)
 
 
-def _bernoulli_cache(n_max: int) -> list[Fraction]:
-    """The shared cache of B_0, B_1, ..., extended through B_n_max.
+def _tangent_numbers(k_max: int) -> list[int]:
+    """T_1..T_k_max (index 0 holds T_1): 1, 2, 16, 272, 7936, ...
 
-    Coefficient-wise inversion of (e^t - 1)/t: its constant term is 1, hence
-    invertible, and writing beta_n = B_n/n!, each new coefficient satisfies
-    beta_n = -sum_{k<n} beta_k / (n-k+1)!.
+    The integer triangle of Brent and Harvey (arXiv:1108.0286), after Knuth
+    and Buckholtz (1967): O(k_max^2) products of ints, no division.
     """
+    t = [1] * k_max
+    for k in range(1, k_max):
+        t[k] = k * t[k - 1]
+    for k in range(1, k_max):
+        for j in range(k, k_max):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t
+
+
+def _bernoulli_cache(n_max: int) -> list[Fraction]:
+    """B_0..B_m for some m >= n_max, from the memo or computed afresh.
+
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers,
+    B_1 = -1/2 and B_n = 0 for odd n >= 3; each value is one ``Fraction``
+    built at the end.  The memo keeps the longest list computed so far.
+    """
+    global _BERNOULLI
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
-    while len(_BERNOULLI) <= n_max:
-        n = len(_BERNOULLI)
-        acc = Fraction(0)
-        for k in range(n):
-            acc += _BERNOULLI[k] / (factorial(k) * factorial(n - k + 1))
-        _BERNOULLI.append(-acc * factorial(n))
+    if len(_BERNOULLI) <= n_max:
+        bs = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n_max - 1)
+        for k, t in enumerate(_tangent_numbers(n_max // 2), 1):
+            four_k = 4 ** k
+            bs[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t, four_k * (four_k - 1))
+        _BERNOULLI = bs
     return _BERNOULLI
 
 

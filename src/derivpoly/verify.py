@@ -179,35 +179,65 @@ def instance(r, a, b, u0, *, d=0, v0=1, order=DEFAULT_ORACLE_ORDER) -> OracleIns
     return OracleInstance(shifted(r, a, b, d), u0, v0, order)
 
 
+def _scaled_parameters(inst: OracleInstance) -> tuple[int, ...]:
+    """(q, alpha, beta, mu, eta): one denominator q with a = alpha/q,
+    b = beta/q, u0 = mu/q and h = d - (a+b)/2 = eta/q."""
+    base = inst.params.base
+    values = (base.a, base.b, inst.u0, inst.params.d - (base.a + base.b) / 2)
+    q = math.lcm(*(v.denominator for v in values))
+    return (q, *(v.numerator * (q // v.denominator) for v in values))
+
+
+def _riccati_numerators(alpha: int, beta: int, mu: int, order: int) -> list[int]:
+    """x_0..x_order of the scaled Riccati recurrence, on ints:
+    x_0 = mu, x_{n+1} = sum_i C(n,i) x_i x_{n-i} - (alpha+beta) x_n
+    + alpha*beta*[n=0]."""
+    s, x = alpha + beta, [mu]
+    for n in range(order):
+        conv = sum(math.comb(n, i) * x[i] * x[n - i] for i in range(n + 1))
+        x.append(conv - s * x[n] + (alpha * beta if n == 0 else 0))
+    return x
+
+
+def _unscaled(nums: list[int], lead: Fraction, r: Fraction, q: int) -> Series:
+    """The series with coefficient n equal to lead * r^n * nums[n] / (n! q^n)."""
+    num, den, out = lead.numerator, lead.denominator, []
+    for n, x in enumerate(nums):
+        if n:
+            num *= r.numerator
+            den *= r.denominator * n * q
+        out.append(Fraction(num * x, den))
+    return Series(out)
+
+
 def riccati_series(inst: OracleInstance) -> Series:
     """Taylor coefficients of u at 0 from u' = r(u-a)(u-b), u(0) = u0.
 
-    The recurrence (n+1) c_{n+1} = r * [z^n]((u-a)(u-b)) uses only the
-    coefficients already known, via the truncated convolution of u with
-    itself; it never consults the polynomial families it is used to check.
+    The recurrence (n+1) c_{n+1} = r * [z^n]((u-a)(u-b)) runs on ints: with
+    a, b, u0 over one denominator q, c_n = r^n x_n / (n! q^(n+1)) for the
+    integers x_n of ``_riccati_numerators``, and each c_n is one ``Fraction``
+    built at the end.  It never consults the polynomial families it is used
+    to check.
     """
-    base = inst.params.base
-    r, a, b = base.r, base.a, base.b
-    s, p = a + b, a * b
-    c = [inst.u0]
-    for n in range(inst.order):
-        conv = sum((c[i] * c[n - i] for i in range(n + 1)), Fraction(0))
-        rhs = conv - s * c[n] + (p if n == 0 else 0)
-        c.append(r * rhs / (n + 1))
-    return Series(c)
+    q, alpha, beta, mu, _ = _scaled_parameters(inst)
+    return _unscaled(_riccati_numerators(alpha, beta, mu, inst.order),
+                     Fraction(1, q), inst.params.base.r, q)
 
 
 def v_series(inst: OracleInstance) -> Series:
-    """Taylor coefficients of v from v' = r v (u - (a+b)/2 + d), v(0) = v0."""
-    base = inst.params.base
-    r = base.r
-    shift = inst.params.d - (base.a + base.b) / 2
-    c = riccati_series(inst).coeffs
-    w = [inst.v0]
+    """Taylor coefficients of v from v' = r v (u - (a+b)/2 + d), v(0) = v0.
+
+    On the same scale as ``riccati_series``, reusing its integers x_n:
+    w_n = v0 r^n y_n / (n! q^n) with y_0 = 1 and
+    y_{n+1} = sum_i C(n,i) y_i x_{n-i} + eta y_n, where h = eta/q.
+    """
+    q, alpha, beta, mu, eta = _scaled_parameters(inst)
+    x = _riccati_numerators(alpha, beta, mu, inst.order)
+    y = [1]
     for n in range(inst.order):
-        conv = sum((w[i] * c[n - i] for i in range(n + 1)), Fraction(0))
-        w.append(r * (conv + shift * w[n]) / (n + 1))
-    return Series(w)
+        conv = sum(math.comb(n, i) * y[i] * x[n - i] for i in range(n + 1))
+        y.append(conv + eta * y[n])
+    return _unscaled(y, inst.v0, inst.params.base.r, q)
 
 
 def _check_oracle(identity: str, inst: OracleInstance, n_max: Optional[int],

@@ -1,6 +1,6 @@
 import pytest
 
-from derivpoly import derivative_polys, polyseries, special_numbers
+from derivpoly import derivative_polys, polyseries, special_numbers, verify
 
 
 def _inject_fault(monkeypatch, module, name, faulty):
@@ -91,6 +91,45 @@ def mutated_poly_eval(monkeypatch):
         return evaluate(poly, x) + (poly.degree >= 8)
 
     yield from _inject_fault(monkeypatch, polyseries.Poly, "eval", bad_eval)
+
+
+@pytest.fixture
+def mutated_tangent_numbers(monkeypatch):
+    """Double the tangent number T_3, so B_6 doubles.
+
+    The triangles and families stay correct, so only checks that read a
+    Bernoulli number from B_6 on (the integral identities and the even
+    Bernoulli integrals) must fail.  The memoized Bernoulli list is dropped
+    with the other caches, or a warm memo would hide the fault.
+    """
+    tangent_numbers = special_numbers._tangent_numbers
+
+    def bad_tangent_numbers(k_max):
+        t = tangent_numbers(k_max)
+        if k_max >= 3:
+            t[2] *= 2
+        return t
+
+    yield from _inject_fault(monkeypatch, special_numbers, "_tangent_numbers",
+                             bad_tangent_numbers)
+
+
+@pytest.fixture
+def mutated_series_oracle(monkeypatch):
+    """Put x_5, the scaled integer coefficient of z^5 in the u oracle, off by
+    one.  The v oracle reuses the same integers, so theorems 1-3 must fail
+    while the families they are compared with stay correct.
+    """
+    numerators = verify._riccati_numerators
+
+    def bad_numerators(alpha, beta, mu, order):
+        x = numerators(alpha, beta, mu, order)
+        if order >= 5:
+            x[5] += 1
+        return x
+
+    yield from _inject_fault(monkeypatch, verify, "_riccati_numerators",
+                             bad_numerators)
 
 
 @pytest.hookimpl(hookwrapper=True)

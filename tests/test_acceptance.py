@@ -179,6 +179,36 @@ def test_mutation_of_poly_eval_fails_verify_all(mutated_poly_eval):
         v.identity for v in failed}
 
 
+def test_mutation_of_tangent_numbers_fails_verify_all(mutated_tangent_numbers):
+    """A doubled T_3 (so a doubled B_6) fails the integral identities, whose
+    right sides read Bernoulli numbers, and the even Bernoulli integrals."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"integral_P", "integral_Q", "grosset_veselov_exact"} <= failed
+
+
+def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
+    """An off-by-one scaled coefficient x_5 in the integer u oracle fails
+    theorem 1, and theorems 2 and 3 through the v oracle that reuses it."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"theorem1", "theorem2", "theorem3"} <= failed
+
+
+def test_mutation_reaches_warm_bernoulli_memo(request):
+    """A tangent-number fault injected after the Bernoulli memo is warm
+    still fails ``verify all``, and the correct numbers come back once the
+    fault is removed."""
+    assert all(v.passed for v in V.run_suite("all"))
+    good = sn.bernoulli_numbers(20)
+
+    def numbers_restored():
+        assert sn.bernoulli_numbers(20) == good
+
+    request.addfinalizer(numbers_restored)
+    request.getfixturevalue("mutated_tangent_numbers")
+    assert sn.bernoulli_number(6) == 2 * good[6]
+    assert any(not v.passed for v in V.run_suite("all"))
+
+
 @pytest.mark.parametrize("fault", ["mutated_eulerian_recurrence",
                                    "mutated_macmahon_recurrence",
                                    "mutated_horner_kernel"])

@@ -183,6 +183,12 @@ PINNED_COMMANDS = {
        for tag, (a, b, d) in {"third": ("1/3", "4/3", "-1/2"),
                               "symmetric": ("-2/3", "2/3", "5/3")}.items()
        for f in "PQS"},
+    # the large outputs of the benchmark's tables workload, at its seed-1
+    # parameters (perfbench/workloads.draw_params(1))
+    "bernoulli-400": ["table", "bernoulli", "--n", "400"],
+    **{f"series-{which}-200": ["series", which, "--order", "200", "--r=1/3",
+                               "--a=2/3", "--b=4/3", "--d=4/3", "--u0=1/3"]
+       for which in ("riccati", "v")},
 }
 
 
@@ -211,6 +217,15 @@ PINNED_COMMANDS = {
     ("poly-P-30-symmetric", "json", "af8945d039d728ae5a7e080ad39f62f175f970a87a2294c9464b1ccbf5e95204"),
     ("poly-Q-30-symmetric", "json", "a2699f7cc3cd0c15cdc274ee259508164800cd9a190ab195526c7bd36c55a575"),
     ("poly-S-30-symmetric", "json", "4b06242c2feff349e17e8e51f262d7e1a730eec4185b17f373cc1da031e32a88"),
+    ("bernoulli-400", "plain", "a77333109bde33d8040f7587d7c904deb23c6e9334373cdb30ab749394077e59"),
+    ("bernoulli-400", "json", "d8e2eac39f59571d4b3d1a84bd705b73c0d3c69069bca39a1c5cace8f2306bbb"),
+    ("bernoulli-400", "csv", "a77333109bde33d8040f7587d7c904deb23c6e9334373cdb30ab749394077e59"),
+    ("series-riccati-200", "plain", "da9805b687c94a5e75651d464b0d132dd585ec58262aa5236b4b236835febea7"),
+    ("series-riccati-200", "json", "8eb19624a11a334138cf3732b9ecc376c8578af80ebf813cd65d6c044ad249dd"),
+    ("series-riccati-200", "csv", "3a63907d126a80a711580af4f6ddbe762a4de0c1634d214a6a697e8a45de2d75"),
+    ("series-v-200", "plain", "28635174700f6e86a6fa1b64b387368151a780d1c88878096a19c36f346e503b"),
+    ("series-v-200", "json", "2e99a889431db150a3bb80802efa7a1112022dd88f9822979758742911f421ec"),
+    ("series-v-200", "csv", "37f82d128e5701adb36d63ad1da815fe51d94fa82b922a7ae50c7a371f6a53b5"),
 ])
 def test_output_pinned(capsys, command, fmt, digest):
     """``table``, ``poly`` and ``series`` stdout is pinned byte for byte."""

@@ -97,6 +97,25 @@ def reference_integral(a, lo, hi):
                 for k, c in enumerate(a)), Fraction(0))
 
 
+def reference_divmod(a, b):
+    """Reference long division on Fraction lists: (quotient, remainder),
+    trailing zeros stripped."""
+    rem, divisor = list(stripped(a)), stripped(b)
+    dq = len(rem) - len(divisor)
+    if dq < 0:
+        return (), tuple(rem)
+    quot = [Fraction(0)] * (dq + 1)
+    for shift in range(dq, -1, -1):
+        coef = rem[shift + len(divisor) - 1] / divisor[-1]
+        quot[shift] = coef
+        for j, d in enumerate(divisor):
+            rem[shift + j] -= coef * d
+    return stripped(quot), stripped(rem)
+
+
+nonzero_kernel_lists = kernel_lists.filter(lambda a: any(a))
+
+
 class TestProductKernel:
     """``Poly`` arithmetic runs on integer numerators over one denominator;
     every operation must agree with Fraction reference code, in canonical
@@ -141,6 +160,29 @@ class TestProductKernel:
     @given(kernel_lists, kernel_coeffs, kernel_coeffs)
     def test_integral_matches_reference(self, a, lo, hi):
         assert Poly(a).definite_integral(lo, hi) == reference_integral(a, lo, hi)
+
+    @given(kernel_lists, nonzero_kernel_lists)
+    def test_divmod_matches_reference(self, a, b):
+        quot, rem = divmod(Poly(a), Poly(b))
+        assert (quot.coeffs, rem.coeffs) == reference_divmod(a, b)
+
+    @given(kernel_lists, nonzero_kernel_lists)
+    def test_divmod_exact_quotient_has_zero_remainder(self, a, b):
+        quot, rem = divmod(Poly(a) * Poly(b), Poly(b))
+        assert quot.coeffs == stripped(a)
+        assert rem.coeffs == ()
+
+    def test_divmod_non_monic_rational_divisor(self):
+        # (3/2 u - 5/7) has a non-unit, rational leading coefficient
+        a = [Fraction(1, 3), Fraction(-2), Fraction(5, 4), Fraction(7, 9)]
+        b = [Fraction(-5, 7), Fraction(3, 2)]
+        quot, rem = divmod(Poly(a), Poly(b))
+        assert (quot.coeffs, rem.coeffs) == reference_divmod(a, b)
+        assert quot * Poly(b) + rem == Poly(a)
+
+    @given(kernel_lists)
+    def test_coeff_strings_match_fraction_str(self, a):
+        assert Poly(a).to_coeff_strings() == [str(c) for c in stripped(a)]
 
 
 class TestCanonicalForm:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from derivpoly.derivative_polys import RiccatiParams, build_P
 from derivpoly.exact import binomial, factorial
 from derivpoly.polyseries import Poly
 from derivpoly import special_numbers as sn
@@ -29,6 +30,18 @@ def macmahon_explicit(n, k):
         term = binomial(n, j) * (2 * k - 2 * j - 1) ** (n - 1)
         total += -term if j % 2 else term
     return total
+
+
+def fraction_recurrence_bernoulli(n_max):
+    """B_0..B_n_max by coefficient-wise inversion of (e^t - 1)/t on
+    Fractions: beta_n = B_n/n! = -sum_{k<n} beta_k / (n-k+1)!.  The
+    reference route for the integer tangent-number kernel."""
+    bs = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        acc = sum((bs[k] / (factorial(k) * factorial(n - k + 1))
+                   for k in range(n)), Fraction(0))
+        bs.append(-acc * factorial(n))
+    return bs
 
 
 class TestEulerian:
@@ -153,6 +166,23 @@ class TestBernoulliNumbers:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             sn.bernoulli_numbers(-1)
+
+    def test_matches_fraction_recurrence(self):
+        assert sn.bernoulli_numbers(200) == fraction_recurrence_bernoulli(200)
+
+    def test_tangent_numbers_are_p_family_values(self):
+        # T_k = (-1)^k P_2k(0) for u' = (u+1)(u-1)
+        params = RiccatiParams(1, -1, 1)
+        for k, t in enumerate(sn._tangent_numbers(12), 1):
+            assert t == (-1) ** k * build_P(2 * k, params).eval(0)
+
+    def test_memo_keeps_longest_prefix_until_reset(self):
+        sn.reset_caches()
+        long = sn.bernoulli_numbers(60)
+        assert sn.bernoulli_numbers(10) == long[:11]
+        assert len(sn._bernoulli_cache(10)) == 61
+        sn.reset_caches()
+        assert len(sn._bernoulli_cache(10)) < 61
 
 
 class TestBernoulliPolynomials:

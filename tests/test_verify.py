@@ -4,8 +4,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import derivpoly.verify as V
+from derivpoly import derivative_polys, special_numbers
 from derivpoly.derivative_polys import RiccatiParams, build_P
 from derivpoly.polyseries import Poly
 
@@ -38,6 +41,75 @@ class TestOracleSeries:
             V.instance(1, 0, 1, Fraction(1, 3), v0=0)
         with pytest.raises(ValueError):
             V.instance(1, 0, 1, Fraction(1, 3), order=0)
+
+
+def fraction_riccati_series(r, a, b, u0, order):
+    """Reference u oracle on Fractions: (n+1) c_{n+1} = r [z^n](u-a)(u-b)."""
+    c = [u0]
+    for n in range(order):
+        conv = sum((c[i] * c[n - i] for i in range(n + 1)), Fraction(0))
+        c.append(r * (conv - (a + b) * c[n] + (a * b if n == 0 else 0)) / (n + 1))
+    return tuple(c)
+
+
+def fraction_v_series(r, a, b, d, u0, v0, order):
+    """Reference v oracle on Fractions: (n+1) w_{n+1} = r [z^n] v(u - (a+b)/2 + d)."""
+    c = fraction_riccati_series(r, a, b, u0, order)
+    w = [v0]
+    for n in range(order):
+        conv = sum((w[i] * c[n - i] for i in range(n + 1)), Fraction(0))
+        w.append(r * (conv + (d - (a + b) / 2) * w[n]) / (n + 1))
+    return tuple(w)
+
+
+oracle_rationals = st.one_of(
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+oracle_instances = st.tuples(
+    oracle_rationals.filter(bool), oracle_rationals, oracle_rationals,
+    oracle_rationals, oracle_rationals, oracle_rationals.filter(bool),
+    st.integers(1, 40),
+).filter(lambda t: t[1] != t[2])
+
+
+class TestIntegerOracle:
+    """The oracle runs on integers scaled by one denominator; it must agree
+    with the Fraction recurrences of the ODEs it solves, and reach neither
+    the triangles nor the families it is compared with."""
+
+    @staticmethod
+    def assert_matches_fraction_recurrences(r, a, b, d, u0, v0, order):
+        inst = V.instance(r, a, b, u0, d=d, v0=v0, order=order)
+        assert V.riccati_series(inst).coeffs == fraction_riccati_series(
+            r, a, b, u0, order)
+        assert V.v_series(inst).coeffs == fraction_v_series(
+            r, a, b, d, u0, v0, order)
+
+    @given(oracle_instances)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_recurrences(self, t):
+        self.assert_matches_fraction_recurrences(*t)
+
+    def test_shifted_non_integer_instance_at_order_40(self):
+        self.assert_matches_fraction_recurrences(
+            Fraction(-3, 7), Fraction(5, 2), Fraction(-1, 3), Fraction(2, 9),
+            Fraction(7, 5), Fraction(-4, 3), 40)
+
+    def test_reaches_no_triangle_or_family(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle consulted a triangle or family")
+
+        for module in (V, derivative_polys, special_numbers):
+            for name in dir(module):
+                if name.startswith("build_") or name in (
+                        "eulerian", "eulerian_row", "macmahon", "macmahon_row"):
+                    monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(special_numbers.Triangle, "row", forbidden)
+        inst = V.instance(Fraction(-1, 2), Fraction(1, 3), 2, Fraction(3, 4),
+                          d=Fraction(5, 6), v0=Fraction(2, 3), order=12)
+        V.riccati_series(inst)
+        V.v_series(inst)
 
 
 class TestTheorem1:
