@@ -19,6 +19,7 @@ from .special_numbers import (
     eulerian_explicit,
     eulerian_row,
     macmahon,
+    macmahon_explicit,
     macmahon_row,
     table_rows,
 )
@@ -41,8 +42,8 @@ __all__ = [
     "Rational", "binomial", "factorial", "format_rational", "parse_rational",
     "Poly", "Series", "X", "series_exp_linear",
     "Triangle", "eulerian", "eulerian_explicit", "eulerian_row",
-    "macmahon", "macmahon_row", "bernoulli_number", "bernoulli_numbers",
-    "bernoulli_poly", "bernoulli_value", "table_rows",
+    "macmahon", "macmahon_explicit", "macmahon_row", "bernoulli_number",
+    "bernoulli_numbers", "bernoulli_poly", "bernoulli_value", "table_rows",
     "RiccatiParams", "ShiftedParams", "shifted",
     "build_P", "build_Q", "build_S", "build_E", "build_A", "build_M",
     "OracleInstance", "Verdict", "instance", "riccati_series", "v_series",

@@ -19,43 +19,39 @@ member is an ordinary univariate ``Poly``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import binomial, format_rational
+from .exact import Record, binomial, format_rational
 from .polyseries import Poly, X
 from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
 
 FAMILIES = ("P", "Q", "S", "E", "A", "M")
 
 
-@dataclass(frozen=True)
-class RiccatiParams:
+class RiccatiParams(Record):
     """(r, a, b) with r != 0 and a != b."""
 
-    r: Fraction
-    a: Fraction
-    b: Fraction
+    __slots__ = ("r", "a", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r))
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.r == 0:
+    def __init__(self, r, a, b):
+        r, a, b = Fraction(r), Fraction(a), Fraction(b)
+        if r == 0:
             raise ValueError("r must be nonzero")
-        if self.a == self.b:
+        if a == b:
             raise ValueError("a and b must differ")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class ShiftedParams:
+class ShiftedParams(Record):
     """A RiccatiParams plus the companion-equation shift d (unrestricted)."""
 
-    base: RiccatiParams
-    d: Fraction = Fraction(0)
+    __slots__ = ("base", "d")
 
-    def __post_init__(self):
-        object.__setattr__(self, "d", Fraction(self.d))
+    def __init__(self, base: RiccatiParams, d=Fraction(0)):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "d", Fraction(d))
 
     @property
     def r(self) -> Fraction:

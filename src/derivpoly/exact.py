@@ -3,7 +3,8 @@
 Python ints are already arbitrary precision and ``fractions.Fraction`` keeps
 rationals in reduced canonical form (positive denominator, gcd 1, zero stored
 as 0/1), so this module mostly pins down conventions the rest of the package
-relies on: the ``p/q`` string encoding and the combinatorial scalars.
+relies on: the ``p/q`` string encoding, the combinatorial scalars and the
+``Record`` base of the package's small immutable value types.
 """
 
 from __future__ import annotations
@@ -51,3 +52,43 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial needs n >= 0, got {n}")
     return math.factorial(n)
+
+
+class Record:
+    """Base of a small immutable value type with its fields in ``__slots__``.
+
+    A subclass sets its fields once, in ``__init__``, through
+    ``object.__setattr__``.  Equality, hashing and the repr follow the fields
+    in slot order, as for a frozen dataclass; any later assignment raises
+    ``AttributeError``.  The fields double as the positional constructor
+    arguments, which is what ``copy`` and ``pickle`` call.  It stands in for
+    ``dataclasses``, whose import pulls ``inspect``, ``ast``, ``dis`` and
+    ``tokenize`` into every process start-up.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -9,6 +9,7 @@ are plain module state for a single thread, with no locks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .exact import binomial
@@ -126,6 +127,23 @@ def macmahon_row(n: int) -> tuple[int, ...]:
     return _MACMAHON_TRIANGLE.row(n)
 
 
+def macmahon_explicit(n: int, k: int) -> int:
+    """The type-B alternating sum
+    M(n,k) = sum_j (-1)^(k-1-j) C(n, k-1-j) (2j+1)^(n-1), j = 0..k-1.
+
+    Independent of the recurrence route above; the two must agree.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k out of range for row {n}: {k}")
+    total = 0
+    for j in range(k):
+        term = binomial(n, k - 1 - j) * (2 * j + 1) ** (n - 1)
+        total += -term if (k - 1 - j) % 2 else term
+    return total
+
+
 def _tangent_numbers(k_max: int) -> list[int]:
     """T_1..T_k_max (index 0 holds T_1): 1, 2, 16, 272, 7936, ...
 
@@ -146,14 +164,17 @@ def _bernoulli_cache(n_max: int) -> list[Fraction]:
 
     B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)) from the tangent numbers,
     B_1 = -1/2 and B_n = 0 for odd n >= 3; each value is one ``Fraction``
-    built at the end.  The memo keeps the longest list computed so far.
+    built at the end.  The memo keeps the longest list computed so far, and
+    a miss computes at least twice the memo's length, so a caller climbing
+    one index at a time builds the triangle O(log n) times, not n times.
     """
     global _BERNOULLI
     if n_max < 0:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     if len(_BERNOULLI) <= n_max:
-        bs = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n_max - 1)
-        for k, t in enumerate(_tangent_numbers(n_max // 2), 1):
+        m = max(n_max, 2 * len(_BERNOULLI))
+        bs = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (m - 1)
+        for k, t in enumerate(_tangent_numbers(m // 2), 1):
             four_k = 4 ** k
             bs[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t, four_k * (four_k - 1))
         _BERNOULLI = bs
@@ -170,14 +191,22 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 def bernoulli_poly(n: int) -> Poly:
-    """The n-th Bernoulli polynomial, via the addition formula off 0."""
+    """The n-th Bernoulli polynomial sum_k C(n,k) B_k x^(n-k), on ints.
+
+    Every coefficient is put over the lcm L of the denominators of B_0..B_n:
+    the numerator of x^(n-k) is C(n,k) num(B_k) (L / den(B_k)), and the
+    ``Poly`` is built from these integers over L, with no ``Fraction``
+    arithmetic.
+    """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     bs = bernoulli_numbers(n)
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = binomial(n, k) * bs[k]
-    return Poly(coeffs)
+    den = math.lcm(*(b.denominator for b in bs))
+    nums = [0] * (n + 1)
+    for k, b in enumerate(bs):
+        if b:
+            nums[n - k] = math.comb(n, k) * b.numerator * (den // b.denominator)
+    return Poly._over(nums, den)
 
 
 def bernoulli_value(n: int, x) -> Fraction:

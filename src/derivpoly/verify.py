@@ -12,10 +12,9 @@ package is the quadrature cross-check ``grosset_veselov_numeric``.
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -30,7 +29,7 @@ from .derivative_polys import (
     build_S,
     shifted,
 )
-from .exact import binomial, factorial, format_rational
+from .exact import Record, binomial, factorial, format_rational
 from .polyseries import Poly, Series, X, series_exp_linear
 from .special_numbers import (
     bernoulli_number,
@@ -39,6 +38,7 @@ from .special_numbers import (
     eulerian_explicit,
     eulerian_row,
     macmahon,
+    macmahon_explicit,
     macmahon_row,
 )
 
@@ -91,16 +91,23 @@ RELATION_PARAM_PAIRS = (
 EGF_SHIFTS = (Fraction(0), Fraction(1, 4), Fraction(-1, 2))
 
 
-@dataclass
-class Verdict:
+class Verdict(Record):
     """Outcome of one identity check; a failure always carries a witness."""
 
-    identity: str
-    params: dict
-    passed: bool
-    first_failure: Optional[int] = None
-    witness: Optional[dict] = None
-    inconclusive: bool = False
+    __slots__ = ("identity", "params", "passed", "first_failure", "witness",
+                 "inconclusive")
+    #: ``params`` and ``witness`` are dicts, so a verdict has no hash.
+    __hash__ = None
+
+    def __init__(self, identity: str, params: dict, passed: bool,
+                 first_failure: Optional[int] = None,
+                 witness: Optional[dict] = None, inconclusive: bool = False):
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "first_failure", first_failure)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "inconclusive", inconclusive)
 
     @property
     def status(self) -> str:
@@ -156,22 +163,22 @@ def _scan(identity: str, params: dict, pairs: Iterable[tuple]) -> Verdict:
     return Verdict(identity, params, True)
 
 
-@dataclass(frozen=True)
-class OracleInstance:
+class OracleInstance(Record):
     """Initial data for the series oracle: parameters plus u(0), v(0)."""
 
-    params: ShiftedParams
-    u0: Fraction
-    v0: Fraction = Fraction(1)
-    order: int = DEFAULT_ORACLE_ORDER
+    __slots__ = ("params", "u0", "v0", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "u0", Fraction(self.u0))
-        object.__setattr__(self, "v0", Fraction(self.v0))
-        if self.v0 == 0:
+    def __init__(self, params: ShiftedParams, u0, v0=Fraction(1),
+                 order: int = DEFAULT_ORACLE_ORDER):
+        u0, v0 = Fraction(u0), Fraction(v0)
+        if v0 == 0:
             raise ValueError("v0 must be nonzero")
-        if self.order < 1:
-            raise ValueError(f"oracle order must be >= 1, got {self.order}")
+        if order < 1:
+            raise ValueError(f"oracle order must be >= 1, got {order}")
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "u0", u0)
+        object.__setattr__(self, "v0", v0)
+        object.__setattr__(self, "order", order)
 
 
 def instance(r, a, b, u0, *, d=0, v0=1, order=DEFAULT_ORACLE_ORDER) -> OracleInstance:
@@ -188,14 +195,28 @@ def _scaled_parameters(inst: OracleInstance) -> tuple[int, ...]:
     return (q, *(v.numerator * (q // v.denominator) for v in values))
 
 
+def _pascal_next(row: list[int]) -> list[int]:
+    """Row n+1 of Pascal's triangle from row n."""
+    return [1, *map(operator.add, row, row[1:]), 1]
+
+
 def _riccati_numerators(alpha: int, beta: int, mu: int, order: int) -> list[int]:
     """x_0..x_order of the scaled Riccati recurrence, on ints:
     x_0 = mu, x_{n+1} = sum_i C(n,i) x_i x_{n-i} - (alpha+beta) x_n
-    + alpha*beta*[n=0]."""
-    s, x = alpha + beta, [mu]
+    + alpha*beta*[n=0].
+
+    The convolution is symmetric under i <-> n-i, so each product is formed
+    once: twice the sum over i < n/2, plus the middle term for even n.  The
+    binomials come from a running Pascal row.
+    """
+    s, x, row = alpha + beta, [mu], [1]
     for n in range(order):
-        conv = sum(math.comb(n, i) * x[i] * x[n - i] for i in range(n + 1))
+        half = (n + 1) // 2
+        conv = 2 * sum(c * xi * xj for c, xi, xj in zip(row[:half], x, x[n::-1]))
+        if n % 2 == 0:
+            conv += row[half] * x[half] ** 2
         x.append(conv - s * x[n] + (alpha * beta if n == 0 else 0))
+        row = _pascal_next(row)
     return x
 
 
@@ -233,10 +254,11 @@ def v_series(inst: OracleInstance) -> Series:
     """
     q, alpha, beta, mu, eta = _scaled_parameters(inst)
     x = _riccati_numerators(alpha, beta, mu, inst.order)
-    y = [1]
+    y, row = [1], [1]
     for n in range(inst.order):
-        conv = sum(math.comb(n, i) * y[i] * x[n - i] for i in range(n + 1))
+        conv = sum(c * yi * xj for c, yi, xj in zip(row, y, x[n::-1]))
         y.append(conv + eta * y[n])
+        row = _pascal_next(row)
     return _unscaled(y, inst.v0, inst.params.base.r, q)
 
 
@@ -675,7 +697,8 @@ def check_eulerian_triangle(n_max: int = DEFAULT_T23_N) -> Verdict:
 
 
 def check_macmahon_triangle(n_max: int = 20) -> Verdict:
-    """Triangle self-consistency: anchor rows, boundary ones, symmetry."""
+    """Triangle self-consistency: anchor rows, boundary ones, symmetry, and
+    each row of the recurrence against the explicit type-B sum."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
 
@@ -686,6 +709,7 @@ def check_macmahon_triangle(n_max: int = 20) -> Verdict:
             yield n, macmahon(n, 1), 1
             row = macmahon_row(n)
             yield n, row, _symmetric(row)
+            yield n, row, tuple(macmahon_explicit(n, k) for k in range(1, n + 1))
 
     return _scan("triangle_macmahon", {"n_max": n_max}, pairs())
 
@@ -836,7 +860,9 @@ def run_suite(name: str, **options) -> list[Verdict]:
     suite = _suite_all if name == "all" else SUITES.get(name)
     if suite is None:
         raise ValueError(f"unknown suite {name!r}")
-    ignored = [k for k in given if k not in inspect.signature(suite).parameters]
+    code = suite.__code__
+    takes = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+    ignored = [k for k in given if k not in takes]
     if ignored:
         raise ValueError(f"suite {name!r} does not take {', '.join(ignored)}")
     return sorted(suite(**given), key=_verdict_sort_key)

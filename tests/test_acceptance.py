@@ -193,6 +193,17 @@ def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
     assert {"theorem1", "theorem2", "theorem3"} <= failed
 
 
+@pytest.mark.parametrize("fault,failing", [("mutated_tangent_numbers", 79),
+                                           ("mutated_series_oracle", 13)])
+def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault, failing):
+    """The geometric Bernoulli memo and the halved oracle convolution reach
+    exactly as many ``verify all`` verdicts under a kernel fault as the
+    kernels they replaced."""
+    request.getfixturevalue(fault)
+    verdicts = V.run_suite("all")
+    assert (sum(not v.passed for v in verdicts), len(verdicts)) == (failing, 341)
+
+
 def test_mutation_reaches_warm_bernoulli_memo(request):
     """A tangent-number fault injected after the Bernoulli memo is warm
     still fails ``verify all``, and the correct numbers come back once the

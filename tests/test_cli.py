@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +339,17 @@ class TestVerify:
 
     def test_missing_subcommand_rejected(self, capsys):
         assert run_cli_error(capsys) == 2
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    """Start-up stays lean: importing the CLI pulls in neither ``dataclasses``
+    nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind them).
+    ``-S`` keeps site hooks of the environment out of the picture."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, derivpoly.cli; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == ""

@@ -1,11 +1,15 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from derivpoly.derivative_polys import RiccatiParams, ShiftedParams
 from derivpoly.exact import binomial, factorial, format_rational, parse_rational
+from derivpoly.verify import OracleInstance, Verdict
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 nonzero_fractions = small_fractions.filter(lambda x: x != 0)
@@ -126,3 +130,86 @@ class TestFactorial:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             factorial(-1)
+
+
+BASE = RiccatiParams(1, 0, 1)
+
+#: One sample of every ``Record`` type, with a second value that differs in
+#: exactly one field.
+RECORDS = [
+    (RiccatiParams(1, 0, 1), RiccatiParams(r=1, a=0, b=2)),
+    (ShiftedParams(BASE, Fraction(1, 4)), ShiftedParams(base=BASE, d=0)),
+    (OracleInstance(ShiftedParams(BASE), Fraction(1, 3)),
+     OracleInstance(ShiftedParams(BASE), Fraction(1, 3), order=5)),
+    (Verdict("demo", {"n": 1}, True),
+     Verdict("demo", {"n": 1}, False, 1, {"lhs": "1", "rhs": "2"})),
+]
+
+
+class TestRecords:
+    """The value records behave as the frozen dataclasses they replace:
+    field-wise ``==`` and ``hash``, the dataclass repr, validating
+    constructors, and no assignment after construction."""
+
+    @pytest.mark.parametrize("record,other", RECORDS)
+    def test_equality_is_field_wise(self, record, other):
+        twin = type(record)(*record._fields())
+        assert twin == record and not twin != record
+        assert record != other
+        assert record != record._fields()
+
+    @pytest.mark.parametrize("record,other", RECORDS[:3])
+    def test_hash_is_the_hash_of_the_fields(self, record, other):
+        assert hash(record) == hash(type(record)(*record._fields()))
+        assert hash(record) == hash(record._fields())
+        assert len({record, other, type(record)(*record._fields())}) == 2
+
+    def test_verdict_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(Verdict("demo", {"n": 1}, True))
+
+    def test_repr_lists_the_fields(self):
+        assert repr(RiccatiParams(1, 0, 1)) == (
+            "RiccatiParams(r=Fraction(1, 1), a=Fraction(0, 1), b=Fraction(1, 1))")
+        assert repr(ShiftedParams(BASE)) == (
+            f"ShiftedParams(base={BASE!r}, d=Fraction(0, 1))")
+        assert repr(OracleInstance(ShiftedParams(BASE), 0, order=3)) == (
+            f"OracleInstance(params={ShiftedParams(BASE)!r}, u0=Fraction(0, 1), "
+            "v0=Fraction(1, 1), order=3)")
+        assert repr(Verdict("demo", {"n": 1}, False, 1, {"lhs": "1"})) == (
+            "Verdict(identity='demo', params={'n': 1}, passed=False, "
+            "first_failure=1, witness={'lhs': '1'}, inconclusive=False)")
+
+    def test_constructors_coerce_and_validate(self):
+        params = RiccatiParams(r=Fraction(1, 2), a=2, b="1/3")
+        assert params._fields() == (Fraction(1, 2), Fraction(2), Fraction(1, 3))
+        assert all(type(v) is Fraction for v in params._fields())
+        with pytest.raises(ValueError, match="r must be nonzero"):
+            RiccatiParams(0, 0, 1)
+        with pytest.raises(ValueError, match="a and b must differ"):
+            RiccatiParams(1, 2, 2)
+        assert type(ShiftedParams(BASE, 3).d) is Fraction
+        inst = OracleInstance(ShiftedParams(BASE), 1, 2)
+        assert (inst.u0, inst.v0, inst.order) == (1, 2, 16)
+        assert type(inst.u0) is Fraction and type(inst.v0) is Fraction
+        with pytest.raises(ValueError, match="v0 must be nonzero"):
+            OracleInstance(ShiftedParams(BASE), 1, 0)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            OracleInstance(ShiftedParams(BASE), 1, order=0)
+
+    @pytest.mark.parametrize("record,other", RECORDS)
+    def test_no_field_can_be_assigned_or_deleted(self, record, other):
+        for name, value in zip(record.__slots__, other._fields()):
+            with pytest.raises(AttributeError):
+                setattr(record, name, value)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        assert record == type(record)(*record._fields())
+
+    @pytest.mark.parametrize("record,other", RECORDS)
+    def test_copy_and_pickle_round_trip(self, record, other):
+        assert copy.copy(record) == record
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record

@@ -9,6 +9,7 @@ from derivpoly.derivative_polys import RiccatiParams, build_P
 from derivpoly.exact import binomial, factorial
 from derivpoly.polyseries import Poly
 from derivpoly import special_numbers as sn
+from derivpoly import verify as V
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -116,6 +117,16 @@ class TestMacMahon:
             for k in range(1, n + 1):
                 assert sn.macmahon(n, k) == macmahon_explicit(n, k)
 
+    def test_library_explicit_sum(self):
+        for n in range(1, 31):
+            explicit = tuple(sn.macmahon_explicit(n, k) for k in range(1, n + 1))
+            assert explicit == sn.macmahon_row(n)
+            assert explicit == tuple(macmahon_explicit(n, k)
+                                     for k in range(1, n + 1))
+        for n, k in ((3, 0), (3, 4), (0, 1)):
+            with pytest.raises(ValueError):
+                sn.macmahon_explicit(n, k)
+
     def test_out_of_support_is_zero(self):
         assert sn.macmahon(4, 0) == 0
         assert sn.macmahon(4, 5) == 0
@@ -184,8 +195,38 @@ class TestBernoulliNumbers:
         sn.reset_caches()
         assert len(sn._bernoulli_cache(10)) < 61
 
+    @pytest.mark.parametrize("climb", [
+        lambda: sn.table_rows("bernoulli-poly", 120),
+        lambda: V.run_suite("grosset-veselov", m_max=40),
+    ])
+    def test_memo_grows_geometrically(self, monkeypatch, climb):
+        # Both callers climb one index at a time (through 120 and 80); the
+        # memo must not rebuild the tangent triangle for every index.
+        tangent_numbers, calls = sn._tangent_numbers, []
+
+        def counted(k_max):
+            calls.append(k_max)
+            return tangent_numbers(k_max)
+
+        sn.reset_caches()
+        monkeypatch.setattr(sn, "_tangent_numbers", counted)
+        try:
+            climb()
+        finally:
+            monkeypatch.undo()
+            sn.reset_caches()
+        assert 1 <= len(calls) <= 8
+
 
 class TestBernoulliPolynomials:
+    def test_matches_fraction_sum(self):
+        bs = fraction_recurrence_bernoulli(60)
+        for n in range(61):
+            coeffs = [Fraction(0)] * (n + 1)
+            for k in range(n + 1):
+                coeffs[n - k] = binomial(n, k) * bs[k]
+            assert sn.bernoulli_poly(n) == Poly(coeffs)
+
     def test_anchors(self):
         assert sn.bernoulli_poly(0) == Poly([1])
         assert sn.bernoulli_poly(1) == Poly([Fraction(-1, 2), 1])

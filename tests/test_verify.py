@@ -96,6 +96,18 @@ class TestIntegerOracle:
             Fraction(-3, 7), Fraction(5, 2), Fraction(-1, 3), Fraction(2, 9),
             Fraction(7, 5), Fraction(-4, 3), 40)
 
+    @given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+           st.integers(-10 ** 6, 10 ** 6), st.integers(0, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_halved_convolution_matches_full(self, alpha, beta, mu, order):
+        # The reference forms every product of the symmetric convolution.
+        x = [mu]
+        for n in range(order):
+            conv = sum(math.comb(n, i) * x[i] * x[n - i] for i in range(n + 1))
+            x.append(conv - (alpha + beta) * x[n]
+                     + (alpha * beta if n == 0 else 0))
+        assert V._riccati_numerators(alpha, beta, mu, order) == x
+
     def test_reaches_no_triangle_or_family(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("the oracle consulted a triangle or family")
@@ -321,6 +333,32 @@ class TestRelationChecks:
         verdict = V.check_eulerian_triangle(12)
         assert not verdict.passed
         assert verdict.witness is not None
+
+    def test_symmetric_macmahon_fault_detected(self, monkeypatch):
+        # M(n,2) and M(n,n-1) doubled from row 6 on: the rows stay symmetric
+        # and M(n,1) = 1, so only the explicit type-B sum can catch it.
+        step = special_numbers._macmahon_next_row
+
+        def doubled(n, prev):
+            row = step(n, prev)
+            if n >= 6:
+                row[1] *= 2
+                row[n - 2] *= 2
+            return row
+
+        special_numbers.reset_caches()
+        monkeypatch.setattr(special_numbers, "_macmahon_next_row", doubled)
+        try:
+            rows = [special_numbers.macmahon_row(n) for n in range(1, 21)]
+            verdict = V.check_macmahon_triangle(20)
+        finally:
+            monkeypatch.undo()
+            special_numbers.reset_caches()
+        assert all(row == row[::-1] and row[0] == 1 for row in rows)
+        assert rows[2:4] == [(1, 6, 1), (1, 23, 23, 1)]
+        assert rows[5] != special_numbers.macmahon_row(6)
+        assert not verdict.passed
+        assert verdict.first_failure == 6
 
 
 class TestVerdicts:
