@@ -19,9 +19,10 @@ member is an ordinary univariate ``Poly``.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
-from .exact import Record, binomial, format_rational
+from .exact import Record, format_rational
 from .polyseries import Poly, X
 from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
 
@@ -71,18 +72,24 @@ def shifted(r, a, b, d=0) -> ShiftedParams:
     return ShiftedParams(RiccatiParams(r, a, b), d)
 
 
-def _homogeneous(coeffs, x: Poly, y: Poly) -> Poly:
-    """sum_k coeffs[k] x^k y^(m-k), m = len(coeffs) - 1, by Horner's rule in x.
+def _homogeneous(coeffs, a: Fraction, b: Fraction) -> Poly:
+    """sum_k coeffs[k] (u-a)^k (u-b)^(m-k), m = len(coeffs) - 1, by Horner's
+    rule in u-a on integer numerators.
 
-    A running power of y supplies y^(m-k), so every step multiplies only by
-    one of the linear factors x and y: O(m^2) coefficient work in all.
+    Over one denominator q, u-a = (q*u - na)/q and u-b = (q*u - nb)/q, so
+    every step multiplies an integer list by one linear integer factor, and a
+    running power of q*u - nb supplies (u-b)^(m-k).  The ``Poly`` is
+    normalised once, over q^m: O(m^2) integer products in all.
     """
-    acc = Poly.constant(coeffs[-1])
-    y_pow = Poly.constant(1)
+    q = math.lcm(a.denominator, b.denominator)
+    na = a.numerator * (q // a.denominator)
+    nb = b.numerator * (q // b.denominator)
+    acc, b_pow = [coeffs[-1]], [1]
     for c in reversed(coeffs[:-1]):
-        y_pow = y_pow * y
-        acc = acc * x + c * y_pow
-    return acc
+        b_pow = [q * s - nb * t for s, t in zip([0, *b_pow], [*b_pow, 0])]
+        acc = [q * s - na * t + c * w
+               for s, t, w in zip([0, *acc], [*acc, 0], b_pow)]
+    return Poly._over(acc, q ** (len(coeffs) - 1))
 
 
 def _built_once(build):
@@ -113,8 +120,8 @@ def build_P(n: int, params: RiccatiParams) -> Poly:
     ua = X - params.a
     if n == 1:
         return ua
-    ub = X - params.b
-    return ua * ub * _homogeneous(eulerian_row(n - 1), ua, ub)
+    return ua * (X - params.b) * _homogeneous(eulerian_row(n - 1),
+                                               params.a, params.b)
 
 
 @_built_once
@@ -123,20 +130,31 @@ def build_Q(n: int, params: RiccatiParams) -> Poly:
     against (u-a)^(n+1-k) (u-b)^(k-1) are the MacMahon numbers of row n+1."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _homogeneous(macmahon_row(n + 1), X - params.b, X - params.a)
+    return _homogeneous(macmahon_row(n + 1), params.b, params.a)
+
+
+def _shift_transform(qs, two_d: Fraction) -> Poly:
+    """sum_k C(n,k) two_d^k qs[n-k], n = len(qs) - 1, on integer numerators.
+
+    With two_d = p/e, summand k is C(n,k) p^k e^(n-k) qs[n-k] / e^n, so every
+    weight is an integer and the sum is divided by e^n once.  The weight
+    steps exactly: C(n,k+1) p^(k+1) e^(n-k-1) = w p (n-k) / ((k+1) e).
+    """
+    n = len(qs) - 1
+    p, e = two_d.numerator, two_d.denominator
+    weights, w = [], e ** n
+    for k in range(n + 1):
+        weights.append(w)
+        w = w * p * (n - k) // ((k + 1) * e)
+    return Poly._combination(weights, reversed(qs), e ** n)
 
 
 def build_S(n: int, params: ShiftedParams) -> Poly:
     """S_n(u; a, b, d) = sum_k C(n,k) (2d)^k Q_{n-k}(u; a, b)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    two_d = 2 * params.d
-    total = Poly()
-    factor = Fraction(1)
-    for k in range(n + 1):
-        total = total + binomial(n, k) * factor * build_Q(n - k, params.base)
-        factor *= two_d
-    return total
+    return _shift_transform([build_Q(k, params.base) for k in range(n + 1)],
+                            2 * params.d)
 
 
 def build_E(n: int) -> Poly:

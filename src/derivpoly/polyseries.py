@@ -49,6 +49,21 @@ class Poly:
         return poly
 
     @classmethod
+    def _combination(cls, weights: Iterable[int], polys: Iterable["Poly"],
+                     den: int) -> "Poly":
+        """sum_k weights[k] * polys[k] / den for integer weights (den > 0):
+        each polynomial's numerators, scaled to the lcm of the denominators,
+        are added into one integer list, which is normalised once."""
+        terms = [(w, p) for w, p in zip(weights, polys) if w]
+        lcm = math.lcm(*(p._den for _, p in terms))
+        acc = [0] * max((len(p._coeffs) for _, p in terms), default=0)
+        for w, p in terms:
+            scale = w * (lcm // p._den)
+            acc[:len(p._coeffs)] = [x + scale * c
+                                    for x, c in zip(acc, p._coeffs)]
+        return cls._over(acc, lcm * den)
+
+    @classmethod
     def constant(cls, value: Scalar) -> "Poly":
         return cls((value,))
 

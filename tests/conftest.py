@@ -76,6 +76,24 @@ def mutated_horner_kernel(monkeypatch):
 
 
 @pytest.fixture
+def mutated_shift_transform(monkeypatch):
+    """Put the k = 2 weight of the S binomial transform off by one, C(n,2)
+    becoming C(n,2) + 1, so S_n gains (2d)^2 Q_{n-2}.
+
+    The triangles and the P/Q families stay correct, so only checks that
+    read S with d != 0 must fail.
+    """
+    transform = derivative_polys._shift_transform
+
+    def bad_transform(qs, two_d):
+        poly = transform(qs, two_d)
+        return poly + two_d ** 2 * qs[-3] if len(qs) >= 3 else poly
+
+    yield from _inject_fault(monkeypatch, derivative_polys, "_shift_transform",
+                             bad_transform)
+
+
+@pytest.fixture
 def mutated_poly_eval(monkeypatch):
     """Put ``Poly.eval`` off by one on polynomials of degree 8 and up.
 

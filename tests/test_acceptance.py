@@ -186,6 +186,14 @@ def test_mutation_of_tangent_numbers_fails_verify_all(mutated_tangent_numbers):
     assert {"integral_P", "integral_Q", "grosset_veselov_exact"} <= failed
 
 
+def test_mutation_of_shift_transform_fails_verify_all(mutated_shift_transform):
+    """An off-by-one k = 2 weight in the S binomial transform fails theorem 3
+    (S against the v oracle), the S integrals, the closed form of the S
+    generating function and the integrality of the reduced S family."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"theorem3", "integral_S", "closed_form_h", "integrality"} <= failed
+
+
 def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
     """An off-by-one scaled coefficient x_5 in the integer u oracle fails
     theorem 1, and theorems 2 and 3 through the v oracle that reuses it."""
@@ -194,11 +202,14 @@ def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
 
 
 @pytest.mark.parametrize("fault,failing", [("mutated_tangent_numbers", 79),
-                                           ("mutated_series_oracle", 13)])
+                                           ("mutated_series_oracle", 13),
+                                           ("mutated_horner_kernel", 295),
+                                           ("mutated_shift_transform", 51)])
 def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault, failing):
-    """The geometric Bernoulli memo and the halved oracle convolution reach
-    exactly as many ``verify all`` verdicts under a kernel fault as the
-    kernels they replaced."""
+    """The geometric Bernoulli memo, the halved oracle convolution and the
+    integer Horner kernel reach exactly as many ``verify all`` verdicts under
+    a kernel fault as the kernels they replaced; the count of the integer S
+    transform is pinned as first measured."""
     request.getfixturevalue(fault)
     verdicts = V.run_suite("all")
     assert (sum(not v.passed for v in verdicts), len(verdicts)) == (failing, 341)

@@ -237,6 +237,11 @@ def test_output_pinned(capsys, command, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+THEOREM3_20 = ("theorem3", "--n-max", "20")
+INTEGRALS_24 = ("integrals", "--n-max", "24", "--a", "2/3", "--b", "4/3",
+                "--d", "4/3")
+
+
 class TestVerify:
     def test_small_suite_passes(self, capsys):
         code, out = run_cli(capsys, "verify", "lemma1", "--n-max", "4")
@@ -281,6 +286,22 @@ class TestVerify:
     def test_verify_all_output_pinned(self, capsys, fmt, digest):
         """``verify all`` stdout is pinned byte for byte in every format."""
         code, out = run_cli(capsys, "verify", "all", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, fmt, digest", [
+        (THEOREM3_20, "plain", "4227ea1524743811958a13c4bdeea383022620df0c4d0431e979fffdfc520a8e"),
+        (THEOREM3_20, "json", "b2cb08a2242874374f3f685a554aac70d0aa1c6c3caa7842ba5593cb241b37c5"),
+        (THEOREM3_20, "csv", "8dac4504ef3ed42817a5a371a9dec72902256fb455e4785530d6b2fc7c4ecabc"),
+        (INTEGRALS_24, "plain", "71cc155f114af02fe82e5eb420ef5009f6cc98b4208d54dd50d9303358e54e74"),
+        (INTEGRALS_24, "json", "9c7d02f456e99ea164979eaf32af5f04b7804aa40332e00a8e8dfd05782c6002"),
+        (INTEGRALS_24, "csv", "ffec2a8f792c9f50254f7fc60b9f5d771746a52dfe6c04de87179bebfd84173b"),
+    ])
+    def test_builder_suites_output_pinned(self, capsys, argv, fmt, digest):
+        """Two suites that read the P/Q/S builders at raised bounds (the
+        verify-deep workload's theorem3 and integrals commands) are pinned
+        byte for byte in every format."""
+        code, out = run_cli(capsys, "verify", *argv, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

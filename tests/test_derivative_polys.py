@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from derivpoly import derivative_polys
 from derivpoly.derivative_polys import (
     RiccatiParams,
     ShiftedParams,
@@ -17,6 +18,7 @@ from derivpoly.derivative_polys import (
     family_poly,
     shifted,
 )
+from derivpoly.exact import binomial
 from derivpoly.polyseries import Poly, X
 from derivpoly.special_numbers import eulerian, macmahon
 
@@ -143,6 +145,75 @@ class TestBuildS:
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
             build_S(-1, shifted(1, 0, 1, 0))
+
+
+def derivative(poly):
+    """d/du, from the Fraction coefficients."""
+    return Poly([k * c for k, c in enumerate(poly.coeffs)][1:])
+
+
+def poly_horner(coeffs, x, y):
+    """Reference homogeneous sum sum_k coeffs[k] x^k y^(m-k): Horner's rule
+    on ``Poly`` objects, normalising after every product and sum."""
+    acc = Poly.constant(coeffs[-1])
+    y_pow = Poly.constant(1)
+    for c in reversed(coeffs[:-1]):
+        y_pow = y_pow * y
+        acc = acc * x + c * y_pow
+    return acc
+
+
+def poly_shift_transform(n, params):
+    """Reference S_n: the binomial transform as a sum of ``Poly`` objects
+    with ``Fraction`` weights C(n,k) (2d)^k."""
+    two_d = 2 * params.d
+    total = Poly()
+    factor = Fraction(1)
+    for k in range(n + 1):
+        total = total + binomial(n, k) * factor * build_Q(n - k, params.base)
+        factor *= two_d
+    return total
+
+
+# either sign, denominators up to 15; the tests below ask for a != b with
+# different denominators, so the kernels' common denominator is a real lcm
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 15))
+
+
+class TestIntegerKernelsSecondRoutes:
+    """The integer Horner and binomial-transform kernels against routes that
+    share no code with them: the derivative recurrences that define P and Q,
+    and ``Poly``-object copies of the kernels."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=rationals, b=rationals, n=st.integers(min_value=0, max_value=25))
+    def test_derivative_recurrences(self, a, b, n):
+        assume(a != b and a.denominator != b.denominator)
+        params = RiccatiParams(1, a, b)
+        ua_ub = (X - a) * (X - b)
+        if n >= 1:
+            assert build_P(n + 1, params) == \
+                ua_ub * derivative(build_P(n, params))
+        q = build_Q(n, params)
+        assert build_Q(n + 1, params) == \
+            (2 * X - a - b) * q + 2 * ua_ub * derivative(q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1,
+                           max_size=26),
+           a=rationals, b=rationals)
+    def test_horner_kernel(self, coeffs, a, b):
+        assume(a != b and a.denominator != b.denominator)
+        assert derivative_polys._homogeneous(coeffs, a, b) == \
+            poly_horner(coeffs, X - a, X - b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=rationals, b=rationals, d=rationals,
+           n=st.integers(min_value=0, max_value=25))
+    def test_shift_transform(self, a, b, d, n):
+        assume(a != b and a.denominator != b.denominator)
+        sp = ShiftedParams(RiccatiParams(1, a, b), d)
+        assert build_S(n, sp) == poly_shift_transform(n, sp)
 
 
 class TestCombinatorialPolynomials:

@@ -239,6 +239,16 @@ class TestBernoulliPolynomials:
     def test_half_value(self):
         assert sn.bernoulli_value(2, Fraction(1, 2)) == Fraction(-1, 12)
 
+    def test_value_matches_fraction_sum(self):
+        """B_n(x) against sum_k C(n,k) B_k x^(n-k) on Fractions, with the
+        B_k from the Fraction recurrence: no Poly and no tangent numbers."""
+        bs = fraction_recurrence_bernoulli(60)
+        for x in (0, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)):
+            for n in range(61):
+                expected = sum((binomial(n, k) * bs[k] * x ** (n - k)
+                                for k in range(n + 1)), Fraction(0))
+                assert sn.bernoulli_value(n, x) == expected
+
     @given(small_fractions, small_fractions)
     @settings(max_examples=30)
     def test_addition_formula(self, x, y):
