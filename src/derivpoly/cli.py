@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .derivative_polys import FAMILIES, family_json_obj, family_poly
 from .exact import parse_rational
-from .special_numbers import TABLE_KINDS, table_json_obj, table_rows
+from .special_numbers import TABLE_KINDS, table_rows
 from .verify import SUITE_NAMES, Verdict, instance, riccati_series, run_suite, v_series
 
 FORMATS = ("plain", "json", "csv")
@@ -115,7 +115,7 @@ def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
 
 def _cmd_table(args) -> int:
     rows = table_rows(args.kind, args.n)
-    _emit(args.format, lambda: rows, lambda: [table_json_obj(args.kind, rows)])
+    _emit(args.format, lambda: rows, lambda: [{"kind": args.kind, "rows": rows}])
     return 0
 
 
@@ -193,13 +193,18 @@ _COMMANDS = {"table": _cmd_table, "poly": _cmd_poly, "series": _cmd_series,
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; the library's ValueError on bad input is a usage
-    error (exit 2)."""
+    error (exit 2).  The command runs without CPython's int-to-str digit
+    limit, since exact output is the product; the caller's limit is restored."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         parser.error(str(exc))
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Iterable, Optional, Union
 
-from .exact import parse_rational
-
 Scalar = Union[int, Fraction]
 
 RATIONAL_RING = "rational"
@@ -221,10 +219,6 @@ class Poly:
             out.append(f"{c // g}/{den}" if den != 1 else str(c // g))
         return out
 
-    @classmethod
-    def from_coeff_strings(cls, items: Iterable[str]) -> "Poly":
-        return cls(parse_rational(s) for s in items)
-
     def __str__(self) -> str:
         return "[" + ", ".join(self.to_coeff_strings()) + "]"
 
@@ -244,39 +238,27 @@ def _exact(value: object) -> Scalar:
 X = Poly((0, 1))
 
 
-def _ring_zero(ring: str):
-    return Poly() if ring == POLY_RING else Fraction(0)
-
-
 class Series:
-    """Power series truncated at a fixed order over Fraction or Poly."""
+    """Truncated power series over Fraction, or over Poly if any coefficient is."""
 
-    __slots__ = ("_coeffs", "_ring")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable, ring: str | None = None):
+    def __init__(self, coeffs: Iterable):
         cs = list(coeffs)
         if not cs:
             raise ValueError("a series stores at least its constant coefficient")
-        if ring is None:
-            ring = POLY_RING if any(isinstance(c, Poly) for c in cs) else RATIONAL_RING
-        if ring == POLY_RING:
+        if any(isinstance(c, Poly) for c in cs):
             cs = [c if isinstance(c, Poly) else Poly.constant(c) for c in cs]
-        elif ring == RATIONAL_RING:
-            if any(isinstance(c, Poly) for c in cs):
-                raise ValueError("polynomial coefficient in a rational-ring series")
-            cs = [c if isinstance(c, Fraction) else Fraction(_exact(c)) for c in cs]
         else:
-            raise ValueError(f"unknown coefficient ring {ring!r}")
+            cs = [c if isinstance(c, Fraction) else Fraction(_exact(c)) for c in cs]
         self._coeffs = tuple(cs)
-        self._ring = ring
 
     @classmethod
     def constant(cls, value, order: int) -> "Series":
         """The constant series ``value`` with the given truncation order."""
         if order < 0:
             raise ValueError("series order must be >= 0")
-        zero = Poly() if isinstance(value, Poly) else Fraction(0)
-        return cls([value] + [zero] * order)
+        return cls([value] + [value * 0] * order)
 
     @property
     def order(self) -> int:
@@ -284,7 +266,7 @@ class Series:
 
     @property
     def ring(self) -> str:
-        return self._ring
+        return POLY_RING if isinstance(self._coeffs[0], Poly) else RATIONAL_RING
 
     @property
     def coeffs(self) -> tuple:
@@ -294,9 +276,9 @@ class Series:
         return self._coeffs[n]
 
     def _check_compatible(self, other: "Series") -> None:
-        if self._ring != other._ring:
+        if self.ring != other.ring:
             raise ValueError(
-                f"coefficient ring mismatch: {self._ring} vs {other._ring}"
+                f"coefficient ring mismatch: {self.ring} vs {other.ring}"
             )
         if len(self._coeffs) != len(other._coeffs):
             raise ValueError(
@@ -307,58 +289,46 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        return Series([a + b for a, b in zip(self._coeffs, other._coeffs)],
-                      ring=self._ring)
+        return Series([a + b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other: object) -> "Series":
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        return Series([a - b for a, b in zip(self._coeffs, other._coeffs)],
-                      ring=self._ring)
+        return Series([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __mul__(self, other: object) -> "Series":
         """Truncated convolution at the common order."""
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        zero = _ring_zero(self._ring)
-        out = [zero] * len(self._coeffs)
+        out = [self._coeffs[0] * 0] * len(self._coeffs)
         for i, a in enumerate(self._coeffs):
             for j in range(len(self._coeffs) - i):
                 out[i + j] = out[i + j] + a * other._coeffs[j]
-        return Series(out, ring=self._ring)
+        return Series(out)
 
     def scale(self, factor) -> "Series":
         """Multiply every coefficient by a fixed ring element."""
-        return Series([c * factor for c in self._coeffs], ring=self._ring)
+        return Series([c * factor for c in self._coeffs])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self._ring == other._ring and self._coeffs == other._coeffs
+        return self.ring == other.ring and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self._ring, self._coeffs))
+        return hash((self.ring, self._coeffs))
 
     def to_json_obj(self) -> dict:
-        if self._ring == POLY_RING:
+        if self.ring == POLY_RING:
             coeffs = [c.to_coeff_strings() for c in self._coeffs]
         else:
             coeffs = [str(c) for c in self._coeffs]
         return {"order": self.order, "coefficients": coeffs}
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "Series":
-        coeffs = obj["coefficients"]
-        if len(coeffs) != obj["order"] + 1:
-            raise ValueError("series coefficient count does not match order")
-        if coeffs and isinstance(coeffs[0], list):
-            return cls([Poly.from_coeff_strings(c) for c in coeffs])
-        return cls([parse_rational(c) for c in coeffs])
-
     def __repr__(self) -> str:
-        return f"Series(order={self.order}, ring={self._ring!r})"
+        return f"<Series over {self.ring}, order {self.order}>"
 
 
 def series_exp_linear(l, order: int) -> Series:

@@ -275,20 +275,11 @@ class TestTables:
         rows = sn.table_rows("bernoulli-poly", 2)
         assert rows == [["1"], ["-1/2", "1"], ["1/6", "-1", "1"]]
 
-    def test_json_round_trip(self):
-        for kind in sn.TABLE_KINDS:
-            obj = sn.table_json_obj(kind, sn.table_rows(kind, 5))
-            parsed_kind, parsed_rows = sn.parse_table_json_obj(obj)
-            assert parsed_kind == kind
-            assert parsed_rows == obj["rows"]
-
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             sn.table_rows("eulerian", 0)
         with pytest.raises(ValueError):
             sn.table_rows("fibonacci", 3)
-        with pytest.raises(ValueError):
-            sn.parse_table_json_obj({"kind": "nope", "rows": []})
 
 
 class TestMutationHook:
