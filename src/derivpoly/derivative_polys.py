@@ -92,12 +92,18 @@ def _homogeneous(coeffs, a: Fraction, b: Fraction) -> Poly:
     return Poly._over(acc, q ** (len(coeffs) - 1))
 
 
+def _key_part(x: Fraction):
+    """x as a memo key part that hashes and compares in C: the int itself
+    when x is integral, otherwise (numerator, denominator)."""
+    return x.numerator if x.denominator == 1 else (x.numerator, x.denominator)
+
+
 def _built_once(build):
     """Memoize an r-independent builder on (n, a, b) in ``FAMILY_CACHE``."""
 
     @functools.wraps(build)
     def cached(n: int, params: RiccatiParams) -> Poly:
-        key = (build.__name__, n, params.a, params.b)
+        key = (build.__name__, n, _key_part(params.a), _key_part(params.b))
         poly = FAMILY_CACHE.get(key)
         if poly is None:
             poly = FAMILY_CACHE[key] = build(n, params)
@@ -163,7 +169,7 @@ def build_E(n: int) -> Poly:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
         return Poly.constant(1)
-    return Poly((0, *eulerian_row(n)))
+    return Poly._over([0, *eulerian_row(n)], 1)
 
 
 def build_A(n: int) -> Poly:
@@ -172,14 +178,14 @@ def build_A(n: int) -> Poly:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
         return Poly.constant(1)
-    return Poly(eulerian_row(n))
+    return Poly._over(list(eulerian_row(n)), 1)
 
 
 def build_M(n: int) -> Poly:
     """MacMahon polynomial M_n: sum_{k=1..n+1} M_{n+1,k} x^(k-1)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return Poly(macmahon_row(n + 1))
+    return Poly._over(list(macmahon_row(n + 1)), 1)
 
 
 def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:

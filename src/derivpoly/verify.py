@@ -16,6 +16,7 @@ import json
 import math
 import operator
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .derivative_polys import (
@@ -432,25 +433,28 @@ def check_lemma1(n: int) -> Verdict:
 
 def check_classical(n: int) -> Verdict:
     """F_n == sum_{k<n} C(n,k) F_k (x-1)^(n-1-k) for the Eulerian polynomials
-    F = A, and F = E with E_1 standing in for E_0, summed by Horner in x-1.
+    F = A, and F = E with E_1 standing in for E_0, summed by Horner in x-1
+    on the integer coefficient lists of the triangle rows.
 
     The sides are compared as labelled text, the witness; a Poly's text is
     canonical, so equal texts mean equal polynomials.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    xm1 = Poly((-1, 1))
 
-    def convolution(family) -> Poly:
-        acc = family(0)
+    def convolution(row) -> Poly:
+        acc = list(row(0))
         for k in range(1, n):
-            acc = acc * xm1 + binomial(n, k) * family(k)
-        return acc
+            c = binomial(n, k)
+            acc = [s - t + c * f for s, t, f in
+                   zip_longest([0, *acc], [*acc, 0], row(k), fillvalue=0)]
+        return Poly._over(acc, 1)
 
-    families = (("E", lambda k: build_E(max(k, 1))), ("A", build_A))
+    families = (("E", build_E, lambda k: (0, *eulerian_row(max(k, 1)))),
+                ("A", build_A, lambda k: eulerian_row(k) if k else (1,)))
     return _scan("classical", {"n": n}, (
-        (None, f"{name}: {family(n)}", f"{name}: {convolution(family)}")
-        for name, family in families))
+        (None, f"{name}: {build(n)}", f"{name}: {convolution(row)}")
+        for name, build, row in families))
 
 
 def check_integral_P(n: int, a, b) -> Verdict:

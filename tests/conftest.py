@@ -112,6 +112,29 @@ def mutated_poly_eval(monkeypatch):
 
 
 @pytest.fixture
+def mutated_series_product(monkeypatch):
+    """Drop the term a_2 * b_1 from coefficient 3 of every ``Series``
+    product of order 3 or more.
+
+    Polynomials, the families and the triangles stay correct, so only the
+    checks that multiply two series (the generating-function identities and
+    closed forms) must fail.
+    """
+    multiply = polyseries.Series.__mul__
+
+    def bad_multiply(self, other):
+        product = multiply(self, other)
+        if product is NotImplemented or product.order < 3:
+            return product
+        coeffs = list(product.coeffs)
+        coeffs[3] = coeffs[3] - self[2] * other[1]
+        return polyseries.Series(coeffs)
+
+    yield from _inject_fault(monkeypatch, polyseries.Series, "__mul__",
+                             bad_multiply)
+
+
+@pytest.fixture
 def mutated_tangent_numbers(monkeypatch):
     """Double the tangent number T_3, so B_6 doubles.
 

@@ -194,6 +194,14 @@ def test_mutation_of_shift_transform_fails_verify_all(mutated_shift_transform):
     assert {"theorem3", "integral_S", "closed_form_h", "integrality"} <= failed
 
 
+def test_mutation_of_series_product_fails_verify_all(mutated_series_product):
+    """A dropped term in coefficient 3 of the series product fails the
+    generating-function identities and closed forms, and nothing else."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert failed == {"closed_form_f", "closed_form_h", "egf_a",
+                      "egf_eulerian", "egf_macmahon", "egf_macmahon_halved"}
+
+
 def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
     """An off-by-one scaled coefficient x_5 in the integer u oracle fails
     theorem 1, and theorems 2 and 3 through the v oracle that reuses it."""
@@ -204,12 +212,13 @@ def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
 @pytest.mark.parametrize("fault,failing", [("mutated_tangent_numbers", 79),
                                            ("mutated_series_oracle", 13),
                                            ("mutated_horner_kernel", 295),
-                                           ("mutated_shift_transform", 51)])
+                                           ("mutated_shift_transform", 51),
+                                           ("mutated_series_product", 8)])
 def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault, failing):
     """The geometric Bernoulli memo, the halved oracle convolution and the
     integer Horner kernel reach exactly as many ``verify all`` verdicts under
-    a kernel fault as the kernels they replaced; the count of the integer S
-    transform is pinned as first measured."""
+    a kernel fault as the kernels they replaced; the counts of the integer S
+    transform and of the series product are pinned as first measured."""
     request.getfixturevalue(fault)
     verdicts = V.run_suite("all")
     assert (sum(not v.passed for v in verdicts), len(verdicts)) == (failing, 341)

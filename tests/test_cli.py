@@ -262,6 +262,9 @@ def test_output_pinned(capsys, command, fmt, digest):
 THEOREM3_20 = ("theorem3", "--n-max", "20")
 INTEGRALS_24 = ("integrals", "--n-max", "24", "--a", "2/3", "--b", "4/3",
                 "--d", "4/3")
+CLASSICAL_40 = ("classical", "--n-max", "40")
+GV_40 = ("grosset-veselov", "--m-max", "40")
+EGF_16 = ("egf", "--order", "16", "--u0", "1/3")
 
 
 class TestVerify:
@@ -318,11 +321,21 @@ class TestVerify:
         (INTEGRALS_24, "plain", "71cc155f114af02fe82e5eb420ef5009f6cc98b4208d54dd50d9303358e54e74"),
         (INTEGRALS_24, "json", "9c7d02f456e99ea164979eaf32af5f04b7804aa40332e00a8e8dfd05782c6002"),
         (INTEGRALS_24, "csv", "ffec2a8f792c9f50254f7fc60b9f5d771746a52dfe6c04de87179bebfd84173b"),
+        (CLASSICAL_40, "plain", "3337e9b65da3fc414fe4f80a6871d4d7421bd6fd9a4b2814ef06fc9ac948a0db"),
+        (CLASSICAL_40, "json", "522baac1a6c8ec1f47444fee4450608b05aab0130913e8838688d097a54d6575"),
+        (CLASSICAL_40, "csv", "92c7734b395677033cbfc483e6b922fa857ed4ab8d15639e486142f09c93ec7d"),
+        (GV_40, "plain", "4e0696f50a0ce566ad01a3f3e4f95b7e468db47154ce008986347b12027b98a3"),
+        (GV_40, "json", "a0c3e02be86965e11e2172a7aeb54e9fa076c41e3016572272a8f6ab7ee88e08"),
+        (GV_40, "csv", "69cafa3d703ff7e58e77c9f6c4c8953cde64212dffd18309ab5b3aabb165d3de"),
+        (EGF_16, "plain", "8928c481e6047b66ea2c4613ec6ec3cb1812b2e94c568345437549a6571c771f"),
+        (EGF_16, "json", "2923935413e931a02f64ae8fb68048f2e9cb7a8cc8df620ca11ab96e9e1d0754"),
+        (EGF_16, "csv", "d8bc32f559c703441b0add62c57a560c405b5bac081a193f0b1bd935c6fb5573"),
     ])
     def test_builder_suites_output_pinned(self, capsys, argv, fmt, digest):
-        """Two suites that read the P/Q/S builders at raised bounds (the
-        verify-deep workload's theorem3 and integrals commands) are pinned
-        byte for byte in every format."""
+        """The verify-deep workload's commands that read the builders or the
+        Eulerian rows at raised bounds (theorem3, integrals, classical,
+        grosset-veselov and egf at one u0) are pinned byte for byte in every
+        format."""
         code, out = run_cli(capsys, "verify", *argv, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest

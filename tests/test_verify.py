@@ -223,6 +223,12 @@ class TestPolynomialIdentities:
         assert not all(V.check_lemma1(n).passed for n in range(1, 16))
         assert not all(V.check_classical(n).passed for n in range(1, 16))
 
+    def test_mutation_fails_classical_at_every_n(self, mutated_eulerian_recurrence):
+        """Row 1 is the only correct row left, so the integer-row sum must
+        fail every n from 2 to the verify-deep bound 40."""
+        failing = [n for n in range(1, 41) if not V.check_classical(n).passed]
+        assert failing == list(range(2, 41))
+
 
 class TestIntegralChecks:
     def test_p_family_anchors(self):
