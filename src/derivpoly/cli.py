@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_series.add_argument("--b", type=_rational_arg)
     p_series.add_argument("--d", type=_rational_arg, default=Fraction(0))
     p_series.add_argument("--u0", type=_rational_arg)
-    p_series.add_argument("--v0", type=_rational_arg, default=Fraction(1))
+    p_series.add_argument("--v0", type=_rational_arg)
     p_series.add_argument("--order", type=int, required=True)
     p_series.add_argument("--q", type=_rational_arg,
                           help="logistic carrying capacity (with --p, --s)")
@@ -128,10 +128,10 @@ def _cmd_poly(args) -> int:
 
 
 def _logistic_to_riccati(args):
-    """Map the logistic parameterization (q, p, s) to (r, a, b, u0, v0)."""
+    """Map the logistic form (q, p, s) to (r, a, b, u0, v0), with v0 = u0."""
     if args.r is not None or args.a is not None or args.b is not None \
-            or args.u0 is not None:
-        raise ValueError("give either --q/--p/--s or --r/--a/--b/--u0, not both")
+            or args.u0 is not None or args.v0 is not None:
+        raise ValueError("the logistic flags exclude --r/--a/--b/--u0/--v0")
     if args.q is None or args.p is None or args.s is None:
         raise ValueError("the logistic form needs all of --q, --p, --s")
     if args.q <= 0 or args.s <= 0 or args.p <= 0:
@@ -147,7 +147,8 @@ def _cmd_series(args) -> int:
     else:
         if args.r is None or args.a is None or args.b is None or args.u0 is None:
             raise ValueError("need --r, --a, --b and --u0 (or the logistic flags)")
-        r, a, b, u0, v0 = args.r, args.a, args.b, args.u0, args.v0
+        r, a, b, u0 = args.r, args.a, args.b, args.u0
+        v0 = Fraction(1) if args.v0 is None else args.v0
     inst = instance(r, a, b, u0, d=args.d, v0=v0, order=args.order)
     series = riccati_series(inst) if args.which == "riccati" else v_series(inst)
     _emit(args.format, lambda: [[str(c) for c in series.coeffs]],

@@ -23,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .exact import Record, format_rational
-from .polyseries import Poly, X
+from .polyseries import Poly
 from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
 
 FAMILIES = ("P", "Q", "S", "E", "A", "M")
@@ -117,17 +117,16 @@ def build_P(n: int, params: RiccatiParams) -> Poly:
     """P_n(u; a, b), degree n, independent of r.
 
     P_1 = u - a; for n >= 2 the coefficients against the factored basis
-    (u-a)^(k+1) (u-b)^(n-1-k) are the Eulerian numbers of row n-1.  Every
+    (u-a)^(k+1) (u-b)^(n-1-k) are the Eulerian numbers of row n-1, so P_n is
+    one Horner pass over that row padded with a zero at each end.  Every
     summand carries both factors, so P_n vanishes at u = a and, for n >= 2,
     at u = b.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    ua = X - params.a
     if n == 1:
-        return ua
-    return ua * (X - params.b) * _homogeneous(eulerian_row(n - 1),
-                                               params.a, params.b)
+        return Poly((-params.a, 1))
+    return _homogeneous((0, *eulerian_row(n - 1), 0), params.a, params.b)
 
 
 @_built_once

@@ -311,12 +311,11 @@ def check_theorem3(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict
 
 def _check_egf(identity: str, coeff, mult: Series, expected: Series,
                **params) -> Verdict:
-    """(sum_n coeff(n) t^n/n!) * mult == expected through order N-1, where
+    """(sum_n coeff(n) t^n/n!) * mult == expected through order N, where
     N >= 1 is the truncation order of ``mult``.
 
-    The top coefficient is discarded: the finite sum being multiplied is only
-    a truncation of the full generating function, so the product's top-order
-    coefficient is not meaningful evidence either way.
+    Coefficient k of a product truncated at order N reads only coefficients
+    up to k of each factor, so every coefficient 0..N is exact evidence.
     """
     order = mult.order
     if order < 1:
@@ -324,7 +323,7 @@ def _check_egf(identity: str, coeff, mult: Series, expected: Series,
     egf = Series([coeff(n) * Fraction(1, factorial(n)) for n in range(order + 1)])
     product = egf * mult
     return _scan(identity, _params(**params, order=order),
-                 ((n, product[n], expected[n]) for n in range(order)))
+                 ((n, product[n], expected[n]) for n in range(order + 1)))
 
 
 _ONE_MINUS_X = Poly((1, -1))
@@ -426,8 +425,8 @@ def check_lemma1(n: int) -> Verdict:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     lhs = build_P(n + 1, _BASE01)
-    acc = sum((binomial(n, k) * build_P(k + 1, _BASE01) for k in range(n)),
-              Poly())
+    acc = Poly._combination([binomial(n, k) for k in range(n)],
+                            [build_P(k + 1, _BASE01) for k in range(n)], 1)
     return _scan("lemma1", {"n": n}, [(None, lhs, (X - 1) * acc)])
 
 
@@ -572,10 +571,9 @@ def _adaptive_simpson(f, edges: list[float], tol: float) -> tuple[float, bool]:
 
 
 def _check_tol(tol: float) -> None:
-    if not math.isfinite(tol):
-        raise ValueError(f"tol must be finite, got {tol}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    # The targets are 4/3, 16/15, 64/21: tol >= 1 would pass a zero integral.
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be positive and below 1, got {tol}")
 
 
 def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:

@@ -112,6 +112,49 @@ def mutated_poly_eval(monkeypatch):
 
 
 @pytest.fixture
+def mutated_definite_integral(monkeypatch):
+    """Integrate the u^2 term of every ``Poly`` as u^3/4 instead of u^3/3.
+
+    Products, evaluation and the builders stay correct, so only the checks
+    that integrate a polynomial (the integral identities and the exact
+    Grosset-Veselov integrals) must fail.
+    """
+    integrate = polyseries.Poly.definite_integral
+
+    def bad_integral(poly, a, b):
+        # c (b^3 - a^3) / 4 in place of c (b^3 - a^3) / 3 takes 1/12 of it away
+        c = poly.coefficient(2)
+        return integrate(poly, a, b) - c * (b ** 3 - a ** 3) / 12
+
+    yield from _inject_fault(monkeypatch, polyseries.Poly, "definite_integral",
+                             bad_integral)
+
+
+@pytest.fixture
+def mutated_poly_product(monkeypatch):
+    """Add 1 to the numerator of coefficient 2 of every ``Poly`` x ``Poly``
+    product of degree 2 or more; products by a scalar stay correct.
+
+    The triangles and the Horner-built P and Q families never multiply two
+    polynomials, so only the checks that do (lemma 1, the Grosset-Veselov
+    squares, the generating-function series over polynomial coefficients)
+    must fail.
+    """
+    multiply = polyseries.Poly.__mul__
+
+    def bad_multiply(self, other):
+        product = multiply(self, other)
+        if not isinstance(other, polyseries.Poly) or product.degree < 2:
+            return product
+        nums = list(product._coeffs)
+        nums[2] += 1
+        return polyseries.Poly._over(nums, product._den)
+
+    yield from _inject_fault(monkeypatch, polyseries.Poly, "__mul__",
+                             bad_multiply)
+
+
+@pytest.fixture
 def mutated_series_product(monkeypatch):
     """Drop the term a_2 * b_1 from coefficient 3 of every ``Series``
     product of order 3 or more.

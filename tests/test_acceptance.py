@@ -213,12 +213,15 @@ def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
                                            ("mutated_series_oracle", 13),
                                            ("mutated_horner_kernel", 295),
                                            ("mutated_shift_transform", 51),
-                                           ("mutated_series_product", 8)])
+                                           ("mutated_series_product", 8),
+                                           ("mutated_definite_integral", 156),
+                                           ("mutated_poly_product", 27)])
 def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault, failing):
     """The geometric Bernoulli memo, the halved oracle convolution and the
     integer Horner kernel reach exactly as many ``verify all`` verdicts under
     a kernel fault as the kernels they replaced; the counts of the integer S
-    transform and of the series product are pinned as first measured."""
+    transform, the series product, the definite integral and the polynomial
+    product are pinned as first measured."""
     request.getfixturevalue(fault)
     verdicts = V.run_suite("all")
     assert (sum(not v.passed for v in verdicts), len(verdicts)) == (failing, 341)

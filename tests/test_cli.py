@@ -187,6 +187,8 @@ class TestSeries:
         assert run_cli_error(capsys, "series", "riccati", "--r", "1", "--a",
                              "0", "--b", "1", "--u0", "0", "--v0", "0",
                              "--order", "3") == 2
+        assert run_cli_error(capsys, "series", "v", "--q", "2", "--p", "3",
+                             "--s", "1", "--order", "3", "--v0", "5") == 2
 
     def test_decimal_input_rejected(self, capsys):
         assert run_cli_error(capsys, "series", "riccati", "--r", "0.5", "--a",
@@ -379,7 +381,7 @@ class TestVerify:
         assert run_cli_error(capsys, "verify", "integrals", "--a", "0") == 2
         assert run_cli_error(capsys, "verify", "integrals", "--a", "1",
                              "--b", "1") == 2
-        for tol in ("0", "nan", "inf"):
+        for tol in ("0", "nan", "inf", "1", "1e300"):
             assert run_cli_error(capsys, "verify", "grosset-veselov", "--tol",
                                  tol) == 2
         # options the suite does not honour

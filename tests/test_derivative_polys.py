@@ -20,7 +20,7 @@ from derivpoly.derivative_polys import (
 )
 from derivpoly.exact import binomial
 from derivpoly.polyseries import Poly, X
-from derivpoly.special_numbers import eulerian, macmahon
+from derivpoly.special_numbers import eulerian, eulerian_row, macmahon
 
 BASE01 = RiccatiParams(1, 0, 1)
 BASE_PM1 = RiccatiParams(-1, -1, 1)
@@ -206,6 +206,15 @@ class TestIntegerKernelsSecondRoutes:
         assume(a != b and a.denominator != b.denominator)
         assert derivative_polys._homogeneous(coeffs, a, b) == \
             poly_horner(coeffs, X - a, X - b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=rationals, b=rationals, n=st.integers(min_value=2, max_value=25))
+    def test_p_against_two_stage_build(self, a, b, n):
+        """The padded-row pass against the unpadded row's sum times
+        (u-a)(u-b), the two-stage build that the pass replaced."""
+        assume(a != b)
+        assert build_P(n, RiccatiParams(1, a, b)) == (X - a) * (X - b) * \
+            derivative_polys._homogeneous(eulerian_row(n - 1), a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(a=rationals, b=rationals, d=rationals,

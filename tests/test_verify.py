@@ -206,6 +206,13 @@ class TestEgfChecks:
         assert not V.check_egf_eulerian(10).passed
         assert not V.check_egf_A(10).passed
 
+    def test_top_coefficient_is_compared(self, mutated_eulerian_recurrence):
+        """At order 2 the first corrupted row, E_2, reaches only the top
+        coefficient of each product, so that coefficient must be compared."""
+        failed = {v.identity for v in V.run_suite("egf", order=2)
+                  if not v.passed}
+        assert failed == {"egf_eulerian", "egf_a", "closed_form_f"}
+
 
 class TestPolynomialIdentities:
     def test_lemma1_small_cases(self):
@@ -298,11 +305,11 @@ class TestGrossetVeselov:
     def test_numeric_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             V.grosset_veselov_numeric(4)
-        for tol in (0, math.inf, math.nan):
+        for tol in (0, math.inf, math.nan, 1.0):
             with pytest.raises(ValueError):
                 V.grosset_veselov_numeric(1, tol=tol)
 
-    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    @pytest.mark.parametrize("tol", [0.0, math.nan, 1.0])
     def test_suite_rejects_tol_before_exact_work(self, monkeypatch, tol):
         def exact_not_expected(m):
             raise AssertionError("exact verdicts ran before tol was checked")
