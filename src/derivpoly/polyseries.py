@@ -2,9 +2,9 @@
 series over one of two coefficient rings (Rational or Poly).
 
 Everything here is exact.  A Series stores exactly ``order + 1`` coefficients
-and refuses arithmetic with a series of a different order or ring: silent
-truncation mismatches are the main bug class in generating-function checks,
-so they are hard errors instead.
+and has a product and a scale; the product refuses a series of a different
+order or ring: silent truncation mismatches are the main bug class in
+generating-function checks, so they are hard errors instead.
 """
 
 from __future__ import annotations
@@ -253,13 +253,6 @@ class Series:
             cs = [c if isinstance(c, Fraction) else Fraction(_exact(c)) for c in cs]
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, value, order: int) -> "Series":
-        """The constant series ``value`` with the given truncation order."""
-        if order < 0:
-            raise ValueError("series order must be >= 0")
-        return cls([value] + [value * 0] * order)
-
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
@@ -284,18 +277,6 @@ class Series:
             raise ValueError(
                 f"series order mismatch: {self.order} vs {other.order}"
             )
-
-    def __add__(self, other: object) -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_compatible(other)
-        return Series([a + b for a, b in zip(self._coeffs, other._coeffs)])
-
-    def __sub__(self, other: object) -> "Series":
-        if not isinstance(other, Series):
-            return NotImplemented
-        self._check_compatible(other)
-        return Series([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __mul__(self, other: object) -> "Series":
         """Truncated convolution at the common order."""

@@ -263,76 +263,75 @@ def v_series(inst: OracleInstance) -> Series:
     return _unscaled(y, inst.v0, inst.params.base.r, q)
 
 
-def _check_oracle(identity: str, inst: OracleInstance, n_max: Optional[int],
-                  oracle, start: Fraction, ratio: Fraction, family,
-                  **extra) -> Verdict:
+def _check_oracle(identity: str, inst: OracleInstance, oracle,
+                  start: Fraction, ratio: Fraction, family, **extra) -> Verdict:
     """n! * [z^n]oracle(inst) == start * ratio^n * family(n)(u0), exactly,
-    for 1 <= n <= n_max (default: the oracle order).
+    for 1 <= n <= the oracle order (reported as ``n_max``).
 
     The shared comparison of theorems 1-3: the left side comes from the ODE
     oracle alone, the right side from a triangle-built polynomial family.
     """
-    n_max = inst.order if n_max is None else n_max
-    ns = _upto(n_max)
-    if n_max > inst.order:
-        raise ValueError(f"n_max {n_max} exceeds oracle order {inst.order}")
     base = inst.params.base
-    params = _params(r=base.r, a=base.a, b=base.b, u0=inst.u0, n_max=n_max,
-                     **extra)
+    params = _params(r=base.r, a=base.a, b=base.b, u0=inst.u0,
+                     n_max=inst.order, **extra)
     c = oracle(inst).coeffs
     return _scan(identity, params, (
         (n, factorial(n) * c[n], start * ratio ** n * family(n).eval(inst.u0))
-        for n in ns))
+        for n in range(1, inst.order + 1)))
 
 
-def check_theorem1(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
-    """n! * [z^n]u == r^n * P_{n+1}(u0), exactly, for 1 <= n <= n_max."""
+def check_theorem1(inst: OracleInstance) -> Verdict:
+    """n! * [z^n]u == r^n * P_{n+1}(u0), exactly, for 1 <= n <= order."""
     base = inst.params.base
-    return _check_oracle("theorem1", inst, n_max, riccati_series, Fraction(1),
+    return _check_oracle("theorem1", inst, riccati_series, Fraction(1),
                          base.r, lambda n: build_P(n + 1, base))
 
 
-def check_theorem2(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
+def check_theorem2(inst: OracleInstance) -> Verdict:
     """n! * [z^n]v == v0 * (r/2)^n * Q_n(u0) for the unshifted case d = 0."""
     if inst.params.d != 0:
         raise ValueError("the Q-family check applies to d = 0 instances")
     base = inst.params.base
-    return _check_oracle("theorem2", inst, n_max, v_series, inst.v0,
+    return _check_oracle("theorem2", inst, v_series, inst.v0,
                          base.r / 2, lambda n: build_Q(n, base), v0=inst.v0)
 
 
-def check_theorem3(inst: OracleInstance, n_max: Optional[int] = None) -> Verdict:
+def check_theorem3(inst: OracleInstance) -> Verdict:
     """n! * [z^n]v == v0 * (r/2)^n * S_n(u0) for any shift d."""
-    return _check_oracle("theorem3", inst, n_max, v_series, inst.v0,
+    return _check_oracle("theorem3", inst, v_series, inst.v0,
                          inst.params.base.r / 2,
                          lambda n: build_S(n, inst.params),
                          d=inst.params.d, v0=inst.v0)
 
 
-def _check_egf(identity: str, coeff, mult: Series, expected: Series,
-               **params) -> Verdict:
-    """(sum_n coeff(n) t^n/n!) * mult == expected through order N, where
-    N >= 1 is the truncation order of ``mult``.
+def _exp_sum(c, d, rate, order: int) -> Series:
+    """c + d e^(rate*t), truncated at ``order``; over Poly if any part is."""
+    s = series_exp_linear(rate, order).scale(d)
+    return Series((c + s[0], *s.coeffs[1:]))
 
+
+def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
+               **params) -> Verdict:
+    """(sum_n coeff(n) t^n/n!) * (c + d e^(rate t)) == c' + d' e^(rate' t)
+    through order N >= 1, where ``mult`` is (c, d, rate) and ``expected`` is
+    (c', d', rate').
+
+    Each generating function checked here is a Moebius function of one
+    exponential, like the Riccati solution itself, so cross-multiplying by
+    its denominator leaves one such triple on each side and no division.
     Coefficient k of a product truncated at order N reads only coefficients
     up to k of each factor, so every coefficient 0..N is exact evidence.
     """
-    order = mult.order
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     egf = Series([coeff(n) * Fraction(1, factorial(n)) for n in range(order + 1)])
-    product = egf * mult
+    product = egf * _exp_sum(*mult, order)
+    rhs = _exp_sum(*expected, order)
     return _scan(identity, _params(**params, order=order),
-                 ((n, product[n], expected[n]) for n in range(order + 1)))
+                 ((n, product[n], rhs[n]) for n in range(order + 1)))
 
 
 _ONE_MINUS_X = Poly((1, -1))
-
-
-def _egf_multiplier(rate: Poly, order: int) -> Series:
-    """1 - x e^(rate*y), the cross-multiplier of the E and M EGF checks."""
-    return Series.constant(Poly.constant(1), order) - \
-        series_exp_linear(rate, order).scale(X)
 
 
 def check_egf_eulerian(order: int = DEFAULT_EGF_ORDER) -> Verdict:
@@ -341,18 +340,14 @@ def check_egf_eulerian(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     Cross-multiplication avoids dividing by 1 - x e^((1-x)y), whose constant
     term 1 - x is not invertible over polynomial coefficients.
     """
-    return _check_egf("egf_eulerian", build_E,
-                      _egf_multiplier(_ONE_MINUS_X, order),
-                      Series.constant(_ONE_MINUS_X, order))
+    return _check_egf("egf_eulerian", build_E, order,
+                      (1, -X, _ONE_MINUS_X), (_ONE_MINUS_X, 0, 0))
 
 
 def check_egf_A(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """(sum A_n(x) y^n/n!) * (x - e^((x-1)y)) == x - 1, cross-multiplied."""
-    x_minus_one = Poly((-1, 1))
-    return _check_egf(
-        "egf_a", build_A,
-        Series.constant(X, order) - series_exp_linear(x_minus_one, order),
-        Series.constant(x_minus_one, order))
+    return _check_egf("egf_a", build_A, order,
+                      (X, -1, X - 1), (X - 1, 0, 0))
 
 
 def check_egf_macmahon(order: int = DEFAULT_EGF_ORDER) -> Verdict:
@@ -363,9 +358,8 @@ def check_egf_macmahon(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     the numerator exponent at half the denominator's, and rescaling y to
     absorb the 2^-n coefficient weights doubles the denominator exponent.
     """
-    return _check_egf("egf_macmahon", build_M,
-                      _egf_multiplier(_ONE_MINUS_X * 2, order),
-                      series_exp_linear(_ONE_MINUS_X, order).scale(_ONE_MINUS_X))
+    return _check_egf("egf_macmahon", build_M, order,
+                      (1, -X, _ONE_MINUS_X * 2), (0, _ONE_MINUS_X, _ONE_MINUS_X))
 
 
 def check_egf_macmahon_halved(order: int = DEFAULT_EGF_ORDER) -> Verdict:
@@ -375,10 +369,9 @@ def check_egf_macmahon_halved(order: int = DEFAULT_EGF_ORDER) -> Verdict:
     check); the unhalved variant above is this one with y doubled.
     """
     return _check_egf("egf_macmahon_halved",
-                      lambda n: build_M(n) * Fraction(1, 2 ** n),
-                      _egf_multiplier(_ONE_MINUS_X, order),
-                      series_exp_linear(_ONE_MINUS_X * Fraction(1, 2),
-                                        order).scale(_ONE_MINUS_X))
+                      lambda n: build_M(n) * Fraction(1, 2 ** n), order,
+                      (1, -X, _ONE_MINUS_X),
+                      (0, _ONE_MINUS_X, _ONE_MINUS_X * Fraction(1, 2)))
 
 
 _BASE01 = RiccatiParams(Fraction(1), Fraction(0), Fraction(1))
@@ -391,19 +384,12 @@ def _check_u0_open_unit(u0: Fraction) -> Fraction:
     return u0
 
 
-def _closed_form_multiplier(u0: Fraction, order: int) -> Series:
-    """u0 + (1-u0) e^t, the cross-multiplier of the F and H closed forms."""
-    return Series.constant(u0, order) + \
-        series_exp_linear(Fraction(1), order).scale(1 - u0)
-
-
 def check_F_closed_form(u0, order: int = DEFAULT_EGF_ORDER) -> Verdict:
     """(sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1."""
     u0 = _check_u0_open_unit(u0)
     return _check_egf("closed_form_f",
-                      lambda n: build_P(n + 1, _BASE01).eval(u0),
-                      _closed_form_multiplier(u0, order),
-                      Series.constant(u0, order), u0=u0)
+                      lambda n: build_P(n + 1, _BASE01).eval(u0), order,
+                      (u0, 1 - u0, 1), (u0, 0, 0), u0=u0)
 
 
 def check_H_closed_form(u0, d, order: int = DEFAULT_EGF_ORDER) -> Verdict:
@@ -416,8 +402,8 @@ def check_H_closed_form(u0, d, order: int = DEFAULT_EGF_ORDER) -> Verdict:
     sp = ShiftedParams(_BASE01, d)
     return _check_egf("closed_form_h",
                       lambda n: build_S(n, sp).eval(u0) * Fraction(1, 2 ** n),
-                      _closed_form_multiplier(u0, order),
-                      series_exp_linear(Fraction(1, 2) + d, order), u0=u0, d=d)
+                      order, (u0, 1 - u0, 1), (0, 1, Fraction(1, 2) + d),
+                      u0=u0, d=d)
 
 
 def check_lemma1(n: int) -> Verdict:
@@ -867,4 +853,6 @@ def run_suite(name: str, **options) -> list[Verdict]:
     ignored = [k for k in given if k not in takes]
     if ignored:
         raise ValueError(f"suite {name!r} does not take {', '.join(ignored)}")
-    return sorted(suite(**given), key=_verdict_sort_key)
+    # ``all`` joins sorted sub-suites of disjoint identities: sort by identity.
+    key = operator.attrgetter("identity") if name == "all" else _verdict_sort_key
+    return sorted(suite(**given), key=key)

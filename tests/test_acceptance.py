@@ -44,7 +44,7 @@ def test_criterion_2_theorem1_oracle():
     for r, a, b, u0 in ((1, 0, 1, Fraction(1, 3)),
                         (-1, -1, 1, Fraction(0)),
                         (Fraction(-1, 2), 2, 0, Fraction(1, 2))):
-        verdict = V.check_theorem1(V.instance(r, a, b, u0, order=15), 15)
+        verdict = V.check_theorem1(V.instance(r, a, b, u0, order=15))
         assert verdict.passed, verdict.to_json_obj()
     assert time.perf_counter() - start < 1.0
 
@@ -55,11 +55,11 @@ def test_criterion_3_theorem23_oracle():
                  (-1, -1, 1, Fraction(0)),
                  (Fraction(-1, 2), 2, 0, Fraction(1, 2)))
     for r, a, b, u0 in instances:
-        verdict = V.check_theorem2(V.instance(r, a, b, u0, order=12), 12)
+        verdict = V.check_theorem2(V.instance(r, a, b, u0, order=12))
         assert verdict.passed, verdict.to_json_obj()
     for d in (Fraction(1, 4), Fraction(-1, 2)):
         for r, a, b, u0 in instances:
-            verdict = V.check_theorem3(V.instance(r, a, b, u0, d=d, order=12), 12)
+            verdict = V.check_theorem3(V.instance(r, a, b, u0, d=d, order=12))
             assert verdict.passed, verdict.to_json_obj()
 
 
@@ -154,7 +154,7 @@ def test_criterion_9_mutation_sanity(mutated_eulerian_recurrence):
                for n in range(1, 13) for k in range(n))
     # criterion 2 collapses: the ODE oracle no longer matches the family
     assert not V.check_theorem1(
-        V.instance(1, 0, 1, Fraction(1, 3), order=15), 15).passed
+        V.instance(1, 0, 1, Fraction(1, 3), order=15)).passed
     # criterion 4 collapses for the checks that consume the triangle
     assert not V.check_egf_eulerian(10).passed
     assert not V.check_egf_A(10).passed
