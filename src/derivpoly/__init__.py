@@ -7,7 +7,7 @@ package is the optional quadrature cross-check of the even-Bernoulli integral
 formula.
 """
 
-from .exact import Rational, binomial, factorial, format_rational, parse_rational
+from .exact import binomial, factorial, format_rational, parse_rational
 from .polyseries import Poly, Series, X, series_exp_linear
 from .special_numbers import (
     Triangle,
@@ -25,26 +25,24 @@ from .special_numbers import (
 )
 from .derivative_polys import (
     RiccatiParams,
-    ShiftedParams,
     build_A,
     build_E,
     build_M,
     build_P,
     build_Q,
     build_S,
-    shifted,
 )
 from .verify import OracleInstance, Verdict, instance, riccati_series, run_suite, v_series
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Rational", "binomial", "factorial", "format_rational", "parse_rational",
+    "binomial", "factorial", "format_rational", "parse_rational",
     "Poly", "Series", "X", "series_exp_linear",
     "Triangle", "eulerian", "eulerian_explicit", "eulerian_row",
     "macmahon", "macmahon_explicit", "macmahon_row", "bernoulli_number",
     "bernoulli_numbers", "bernoulli_poly", "bernoulli_value", "table_rows",
-    "RiccatiParams", "ShiftedParams", "shifted",
+    "RiccatiParams",
     "build_P", "build_Q", "build_S", "build_E", "build_A", "build_M",
     "OracleInstance", "Verdict", "instance", "riccati_series", "v_series",
     "run_suite",

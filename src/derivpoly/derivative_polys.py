@@ -30,12 +30,13 @@ FAMILIES = ("P", "Q", "S", "E", "A", "M")
 
 
 class RiccatiParams(Record):
-    """(r, a, b) with r != 0 and a != b."""
+    """(r, a, b, d) with r != 0 and a != b; the companion-equation shift d
+    (unrestricted, default 0) is read only by S and the v oracle."""
 
-    __slots__ = ("r", "a", "b")
+    __slots__ = ("r", "a", "b", "d")
 
-    def __init__(self, r, a, b):
-        r, a, b = Fraction(r), Fraction(a), Fraction(b)
+    def __init__(self, r, a, b, d=0):
+        r, a, b, d = Fraction(r), Fraction(a), Fraction(b), Fraction(d)
         if r == 0:
             raise ValueError("r must be nonzero")
         if a == b:
@@ -43,33 +44,7 @@ class RiccatiParams(Record):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-
-
-class ShiftedParams(Record):
-    """A RiccatiParams plus the companion-equation shift d (unrestricted)."""
-
-    __slots__ = ("base", "d")
-
-    def __init__(self, base: RiccatiParams, d=Fraction(0)):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "d", Fraction(d))
-
-    @property
-    def r(self) -> Fraction:
-        return self.base.r
-
-    @property
-    def a(self) -> Fraction:
-        return self.base.a
-
-    @property
-    def b(self) -> Fraction:
-        return self.base.b
-
-
-def shifted(r, a, b, d=0) -> ShiftedParams:
-    """Convenience constructor from bare scalars."""
-    return ShiftedParams(RiccatiParams(r, a, b), d)
+        object.__setattr__(self, "d", d)
 
 
 def _homogeneous(coeffs, a: Fraction, b: Fraction) -> Poly:
@@ -154,11 +129,12 @@ def _shift_transform(qs, two_d: Fraction) -> Poly:
     return Poly._combination(weights, reversed(qs), e ** n)
 
 
-def build_S(n: int, params: ShiftedParams) -> Poly:
-    """S_n(u; a, b, d) = sum_k C(n,k) (2d)^k Q_{n-k}(u; a, b)."""
+def build_S(n: int, params: RiccatiParams) -> Poly:
+    """S_n(u; a, b, d) = sum_k C(n,k) (2d)^k Q_{n-k}(u; a, b), with the shift
+    d read from the record's ``d`` field."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _shift_transform([build_Q(k, params.base) for k in range(n + 1)],
+    return _shift_transform([build_Q(k, params) for k in range(n + 1)],
                             2 * params.d)
 
 
@@ -167,7 +143,7 @@ def build_E(n: int) -> Poly:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
-        return Poly.constant(1)
+        return Poly((1,))
     return Poly._over([0, *eulerian_row(n)], 1)
 
 
@@ -176,7 +152,7 @@ def build_A(n: int) -> Poly:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if n == 0:
-        return Poly.constant(1)
+        return Poly((1,))
     return Poly._over(list(eulerian_row(n)), 1)
 
 
@@ -201,14 +177,11 @@ def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
     if family in ("P", "Q", "S"):
         if a is None or b is None:
             raise ValueError(f"family {family} requires parameters a and b")
-        base = RiccatiParams(Fraction(1) if r is None else r, a, b)
-        if family == "P":
-            return build_P(n, base)
-        if family == "Q":
-            return build_Q(n, base)
-        if d is None:
+        params = RiccatiParams(Fraction(1) if r is None else r, a, b,
+                               0 if d is None else d)
+        if family == "S" and d is None:
             raise ValueError("family S requires parameter d")
-        return build_S(n, ShiftedParams(base, d))
+        return {"P": build_P, "Q": build_Q, "S": build_S}[family](n, params)
     if family == "E":
         return build_E(n)
     if family == "A":

@@ -13,9 +13,6 @@ import math
 import re
 from fractions import Fraction
 
-# The universal exact scalar.
-Rational = Fraction
-
 # Sign allowed on the numerator only; no decimals, no whitespace inside.
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 

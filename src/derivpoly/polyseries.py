@@ -1,5 +1,5 @@
 """Dense univariate polynomials over exact rationals, and truncated power
-series over one of two coefficient rings (Rational or Poly).
+series over one of two coefficient rings (Fraction or Poly).
 
 Everything here is exact.  A Series stores exactly ``order + 1`` coefficients
 and has a product and a scale; the product refuses a series of a different
@@ -60,10 +60,6 @@ class Poly:
             acc[:len(p._coeffs)] = [x + scale * c
                                     for x, c in zip(acc, p._coeffs)]
         return cls._over(acc, lcm * den)
-
-    @classmethod
-    def constant(cls, value: Scalar) -> "Poly":
-        return cls((value,))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -248,7 +244,7 @@ class Series:
         if not cs:
             raise ValueError("a series stores at least its constant coefficient")
         if any(isinstance(c, Poly) for c in cs):
-            cs = [c if isinstance(c, Poly) else Poly.constant(c) for c in cs]
+            cs = [c if isinstance(c, Poly) else Poly((c,)) for c in cs]
         else:
             cs = [c if isinstance(c, Fraction) else Fraction(_exact(c)) for c in cs]
         self._coeffs = tuple(cs)
@@ -321,7 +317,7 @@ def series_exp_linear(l, order: int) -> Series:
     if order < 0:
         raise ValueError("series order must be >= 0")
     if isinstance(l, Poly):
-        one = Poly.constant(1)
+        one = Poly((1,))
     else:
         l = Fraction(_exact(l))
         one = Fraction(1)

@@ -21,14 +21,12 @@ from typing import Iterable, Optional
 
 from .derivative_polys import (
     RiccatiParams,
-    ShiftedParams,
     build_A,
     build_E,
     build_M,
     build_P,
     build_Q,
     build_S,
-    shifted,
 )
 from .exact import Record, binomial, factorial, format_rational
 from .polyseries import Poly, Series, X, series_exp_linear
@@ -169,7 +167,7 @@ class OracleInstance(Record):
 
     __slots__ = ("params", "u0", "v0", "order")
 
-    def __init__(self, params: ShiftedParams, u0, v0=Fraction(1),
+    def __init__(self, params: RiccatiParams, u0, v0=Fraction(1),
                  order: int = DEFAULT_ORACLE_ORDER):
         u0, v0 = Fraction(u0), Fraction(v0)
         if v0 == 0:
@@ -184,14 +182,14 @@ class OracleInstance(Record):
 
 def instance(r, a, b, u0, *, d=0, v0=1, order=DEFAULT_ORACLE_ORDER) -> OracleInstance:
     """Convenience constructor from bare scalars."""
-    return OracleInstance(shifted(r, a, b, d), u0, v0, order)
+    return OracleInstance(RiccatiParams(r, a, b, d), u0, v0, order)
 
 
 def _scaled_parameters(inst: OracleInstance) -> tuple[int, ...]:
     """(q, alpha, beta, mu, eta): one denominator q with a = alpha/q,
     b = beta/q, u0 = mu/q and h = d - (a+b)/2 = eta/q."""
-    base = inst.params.base
-    values = (base.a, base.b, inst.u0, inst.params.d - (base.a + base.b) / 2)
+    p = inst.params
+    values = (p.a, p.b, inst.u0, p.d - (p.a + p.b) / 2)
     q = math.lcm(*(v.denominator for v in values))
     return (q, *(v.numerator * (q // v.denominator) for v in values))
 
@@ -243,7 +241,7 @@ def riccati_series(inst: OracleInstance) -> Series:
     """
     q, alpha, beta, mu, _ = _scaled_parameters(inst)
     return _unscaled(_riccati_numerators(alpha, beta, mu, inst.order),
-                     Fraction(1, q), inst.params.base.r, q)
+                     Fraction(1, q), inst.params.r, q)
 
 
 def v_series(inst: OracleInstance) -> Series:
@@ -260,7 +258,7 @@ def v_series(inst: OracleInstance) -> Series:
         conv = sum(c * yi * xj for c, yi, xj in zip(row, y, x[n::-1]))
         y.append(conv + eta * y[n])
         row = _pascal_next(row)
-    return _unscaled(y, inst.v0, inst.params.base.r, q)
+    return _unscaled(y, inst.v0, inst.params.r, q)
 
 
 def _check_oracle(identity: str, inst: OracleInstance, oracle,
@@ -271,8 +269,8 @@ def _check_oracle(identity: str, inst: OracleInstance, oracle,
     The shared comparison of theorems 1-3: the left side comes from the ODE
     oracle alone, the right side from a triangle-built polynomial family.
     """
-    base = inst.params.base
-    params = _params(r=base.r, a=base.a, b=base.b, u0=inst.u0,
+    p = inst.params
+    params = _params(r=p.r, a=p.a, b=p.b, u0=inst.u0,
                      n_max=inst.order, **extra)
     c = oracle(inst).coeffs
     return _scan(identity, params, (
@@ -282,24 +280,24 @@ def _check_oracle(identity: str, inst: OracleInstance, oracle,
 
 def check_theorem1(inst: OracleInstance) -> Verdict:
     """n! * [z^n]u == r^n * P_{n+1}(u0), exactly, for 1 <= n <= order."""
-    base = inst.params.base
+    p = inst.params
     return _check_oracle("theorem1", inst, riccati_series, Fraction(1),
-                         base.r, lambda n: build_P(n + 1, base))
+                         p.r, lambda n: build_P(n + 1, p))
 
 
 def check_theorem2(inst: OracleInstance) -> Verdict:
     """n! * [z^n]v == v0 * (r/2)^n * Q_n(u0) for the unshifted case d = 0."""
     if inst.params.d != 0:
         raise ValueError("the Q-family check applies to d = 0 instances")
-    base = inst.params.base
+    p = inst.params
     return _check_oracle("theorem2", inst, v_series, inst.v0,
-                         base.r / 2, lambda n: build_Q(n, base), v0=inst.v0)
+                         p.r / 2, lambda n: build_Q(n, p), v0=inst.v0)
 
 
 def check_theorem3(inst: OracleInstance) -> Verdict:
     """n! * [z^n]v == v0 * (r/2)^n * S_n(u0) for any shift d."""
     return _check_oracle("theorem3", inst, v_series, inst.v0,
-                         inst.params.base.r / 2,
+                         inst.params.r / 2,
                          lambda n: build_S(n, inst.params),
                          d=inst.params.d, v0=inst.v0)
 
@@ -398,12 +396,11 @@ def check_H_closed_form(u0, d, order: int = DEFAULT_EGF_ORDER) -> Verdict:
     The d = 0 case is the generating function of the Q family itself.
     """
     u0 = _check_u0_open_unit(u0)
-    d = Fraction(d)
-    sp = ShiftedParams(_BASE01, d)
+    sp = RiccatiParams(1, 0, 1, d)
     return _check_egf("closed_form_h",
                       lambda n: build_S(n, sp).eval(u0) * Fraction(1, 2 ** n),
-                      order, (u0, 1 - u0, 1), (0, 1, Fraction(1, 2) + d),
-                      u0=u0, d=d)
+                      order, (u0, 1 - u0, 1), (0, 1, Fraction(1, 2) + sp.d),
+                      u0=u0, d=sp.d)
 
 
 def check_lemma1(n: int) -> Verdict:
@@ -462,8 +459,8 @@ def check_integral_S(n: int, a, b, d) -> Verdict:
     """integral_a^b S_n du == 2^n (b-a)^(n+1) B_n(1/2 + d/(b-a)), exactly."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    a, b, d = Fraction(a), Fraction(b), Fraction(d)
-    sp = ShiftedParams(RiccatiParams(Fraction(1), a, b), d)
+    sp = RiccatiParams(1, a, b, d)
+    a, b, d = sp.a, sp.b, sp.d
     lhs = build_S(n, sp).definite_integral(a, b)
     rhs = 2 ** n * (b - a) ** (n + 1) * bernoulli_value(
         n, Fraction(1, 2) + d / (b - a))
@@ -647,7 +644,7 @@ def check_integrality(n: int) -> Verdict:
     if quotient is None:
         return _fail("integrality", params, n,
                      "nonzero remainder dividing P_{n+1} by u", "exact division")
-    s = build_S(n, ShiftedParams(_BASE01, Fraction(-1, 2)))
+    s = build_S(n, RiccatiParams(1, 0, 1, Fraction(-1, 2)))
     verdict = _scan("integrality", params, [(n, s, 2 ** n * quotient)])
     if verdict.passed:
         reduced = s * Fraction(1, 2 ** n)

@@ -17,7 +17,7 @@ import pytest
 import derivpoly.verify as V
 from derivpoly import special_numbers as sn
 from derivpoly.derivative_polys import (RiccatiParams, build_P, build_Q,
-                                       build_S, shifted)
+                                       build_S)
 from derivpoly.polyseries import Poly, X
 
 
@@ -119,7 +119,7 @@ def test_criterion_7_grosset_veselov():
 @criterion("criterion 8 (integer coefficients of the reduced shifted family)")
 def test_criterion_8_integrality():
     base = RiccatiParams(1, 0, 1)
-    sp = shifted(1, 0, 1, Fraction(-1, 2))
+    sp = RiccatiParams(1, 0, 1, Fraction(-1, 2))
     for n in range(1, 21):
         quotient = build_P(n + 1, base).exact_div(X)
         assert quotient is not None

@@ -1,13 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from derivpoly import derivative_polys
 from derivpoly.derivative_polys import (
     RiccatiParams,
-    ShiftedParams,
     build_A,
     build_E,
     build_M,
@@ -16,7 +15,6 @@ from derivpoly.derivative_polys import (
     build_S,
     family_json_obj,
     family_poly,
-    shifted,
 )
 from derivpoly.exact import binomial
 from derivpoly.polyseries import Poly, X
@@ -33,10 +31,10 @@ class TestParams:
         with pytest.raises(ValueError):
             RiccatiParams(1, 2, 2)
         # d is unrestricted
-        ShiftedParams(BASE01, Fraction(-7, 3))
+        RiccatiParams(1, 0, 1, Fraction(-7, 3))
 
     def test_coercion_and_accessors(self):
-        sp = shifted(1, 0, 1, Fraction(1, 4))
+        sp = RiccatiParams(1, 0, 1, Fraction(1, 4))
         assert (sp.r, sp.a, sp.b, sp.d) == (1, 0, 1, Fraction(1, 4))
         assert isinstance(sp.d, Fraction)
 
@@ -128,23 +126,39 @@ class TestHornerBuildersMatchPowerTables:
 
 
 class TestBuildS:
-    def test_zero_shift_is_q(self):
-        sp = ShiftedParams(BASE01, 0)
+    @settings(max_examples=20, deadline=None)
+    @given(a=st.fractions(min_value=-5, max_value=5, max_denominator=12),
+           b=st.fractions(min_value=-5, max_value=5, max_denominator=12))
+    @example(a=Fraction(0), b=Fraction(1))
+    def test_zero_shift_is_q(self, a, b):
+        assume(a != b)
+        params = RiccatiParams(1, a, b, 0)
         for n in range(0, 13):
-            assert build_S(n, sp) == build_Q(n, BASE01)
+            assert build_S(n, params) == build_Q(n, params)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.fractions(min_value=-5, max_value=5, max_denominator=12),
+           b=st.fractions(min_value=-5, max_value=5, max_denominator=12),
+           d=st.fractions(min_value=-5, max_value=5, max_denominator=12),
+           n=st.integers(min_value=0, max_value=12))
+    def test_p_and_q_memo_ignores_d(self, a, b, d, n):
+        assume(a != b)
+        plain, shifted = RiccatiParams(1, a, b), RiccatiParams(1, a, b, d)
+        assert build_P(n + 1, shifted) is build_P(n + 1, plain)
+        assert build_Q(n, shifted) is build_Q(n, plain)
 
     def test_anchors(self):
-        assert build_S(0, shifted(1, 0, 1, Fraction(9, 4))) == Poly([1])
-        assert build_S(1, shifted(1, 0, 1, Fraction(-1, 2))) == Poly([-2, 2])
+        assert build_S(0, RiccatiParams(1, 0, 1, Fraction(9, 4))) == Poly([1])
+        assert build_S(1, RiccatiParams(1, 0, 1, Fraction(-1, 2))) == Poly([-2, 2])
 
     def test_degree(self):
-        sp = shifted(1, 0, 1, Fraction(1, 3))
+        sp = RiccatiParams(1, 0, 1, Fraction(1, 3))
         for n in range(0, 21):
             assert build_S(n, sp).degree == n
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            build_S(-1, shifted(1, 0, 1, 0))
+            build_S(-1, RiccatiParams(1, 0, 1, 0))
 
 
 def derivative(poly):
@@ -155,8 +169,8 @@ def derivative(poly):
 def poly_horner(coeffs, x, y):
     """Reference homogeneous sum sum_k coeffs[k] x^k y^(m-k): Horner's rule
     on ``Poly`` objects, normalising after every product and sum."""
-    acc = Poly.constant(coeffs[-1])
-    y_pow = Poly.constant(1)
+    acc = Poly((coeffs[-1],))
+    y_pow = Poly((1,))
     for c in reversed(coeffs[:-1]):
         y_pow = y_pow * y
         acc = acc * x + c * y_pow
@@ -170,7 +184,7 @@ def poly_shift_transform(n, params):
     total = Poly()
     factor = Fraction(1)
     for k in range(n + 1):
-        total = total + binomial(n, k) * factor * build_Q(n - k, params.base)
+        total = total + binomial(n, k) * factor * build_Q(n - k, params)
         factor *= two_d
     return total
 
@@ -221,7 +235,7 @@ class TestIntegerKernelsSecondRoutes:
            n=st.integers(min_value=0, max_value=25))
     def test_shift_transform(self, a, b, d, n):
         assume(a != b and a.denominator != b.denominator)
-        sp = ShiftedParams(RiccatiParams(1, a, b), d)
+        sp = RiccatiParams(1, a, b, d)
         assert build_S(n, sp) == poly_shift_transform(n, sp)
 
 
@@ -289,7 +303,7 @@ class TestHomogeneity:
 
 class TestIntegrality:
     def test_reduced_shifted_family_is_integral(self):
-        sp = shifted(1, 0, 1, Fraction(-1, 2))
+        sp = RiccatiParams(1, 0, 1, Fraction(-1, 2))
         for n in range(0, 21):
             quotient = build_P(n + 1, BASE01).exact_div(X)
             assert quotient is not None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from derivpoly.derivative_polys import RiccatiParams, ShiftedParams
+from derivpoly.derivative_polys import RiccatiParams
 from derivpoly.exact import binomial, factorial, format_rational, parse_rational
 from derivpoly.verify import OracleInstance, Verdict
 
@@ -138,9 +138,9 @@ BASE = RiccatiParams(1, 0, 1)
 #: exactly one field.
 RECORDS = [
     (RiccatiParams(1, 0, 1), RiccatiParams(r=1, a=0, b=2)),
-    (ShiftedParams(BASE, Fraction(1, 4)), ShiftedParams(base=BASE, d=0)),
-    (OracleInstance(ShiftedParams(BASE), Fraction(1, 3)),
-     OracleInstance(ShiftedParams(BASE), Fraction(1, 3), order=5)),
+    (RiccatiParams(1, 0, 1, Fraction(1, 4)), RiccatiParams(r=1, a=0, b=1, d=0)),
+    (OracleInstance(BASE, Fraction(1, 3)),
+     OracleInstance(BASE, Fraction(1, 3), order=5)),
     (Verdict("demo", {"n": 1}, True),
      Verdict("demo", {"n": 1}, False, 1, {"lhs": "1", "rhs": "2"})),
 ]
@@ -170,11 +170,10 @@ class TestRecords:
 
     def test_repr_lists_the_fields(self):
         assert repr(RiccatiParams(1, 0, 1)) == (
-            "RiccatiParams(r=Fraction(1, 1), a=Fraction(0, 1), b=Fraction(1, 1))")
-        assert repr(ShiftedParams(BASE)) == (
-            f"ShiftedParams(base={BASE!r}, d=Fraction(0, 1))")
-        assert repr(OracleInstance(ShiftedParams(BASE), 0, order=3)) == (
-            f"OracleInstance(params={ShiftedParams(BASE)!r}, u0=Fraction(0, 1), "
+            "RiccatiParams(r=Fraction(1, 1), a=Fraction(0, 1), b=Fraction(1, 1), "
+            "d=Fraction(0, 1))")
+        assert repr(OracleInstance(BASE, 0, order=3)) == (
+            f"OracleInstance(params={BASE!r}, u0=Fraction(0, 1), "
             "v0=Fraction(1, 1), order=3)")
         assert repr(Verdict("demo", {"n": 1}, False, 1, {"lhs": "1"})) == (
             "Verdict(identity='demo', params={'n': 1}, passed=False, "
@@ -182,20 +181,21 @@ class TestRecords:
 
     def test_constructors_coerce_and_validate(self):
         params = RiccatiParams(r=Fraction(1, 2), a=2, b="1/3")
-        assert params._fields() == (Fraction(1, 2), Fraction(2), Fraction(1, 3))
+        assert params._fields() == (Fraction(1, 2), Fraction(2), Fraction(1, 3),
+                                  Fraction(0))
         assert all(type(v) is Fraction for v in params._fields())
         with pytest.raises(ValueError, match="r must be nonzero"):
             RiccatiParams(0, 0, 1)
         with pytest.raises(ValueError, match="a and b must differ"):
             RiccatiParams(1, 2, 2)
-        assert type(ShiftedParams(BASE, 3).d) is Fraction
-        inst = OracleInstance(ShiftedParams(BASE), 1, 2)
+        assert type(RiccatiParams(1, 0, 1, 3).d) is Fraction
+        inst = OracleInstance(BASE, 1, 2)
         assert (inst.u0, inst.v0, inst.order) == (1, 2, 16)
         assert type(inst.u0) is Fraction and type(inst.v0) is Fraction
         with pytest.raises(ValueError, match="v0 must be nonzero"):
-            OracleInstance(ShiftedParams(BASE), 1, 0)
+            OracleInstance(BASE, 1, 0)
         with pytest.raises(ValueError, match="order must be >= 1"):
-            OracleInstance(ShiftedParams(BASE), 1, order=0)
+            OracleInstance(BASE, 1, order=0)
 
     @pytest.mark.parametrize("record,other", RECORDS)
     def test_no_field_can_be_assigned_or_deleted(self, record, other):

@@ -199,7 +199,7 @@ class TestEgfChecks:
         # at d = -1/2 the H-series coefficients are P_{n+1}(u0)/u0
         u0 = Fraction(1, 3)
         base = RiccatiParams(1, 0, 1)
-        sp = V.ShiftedParams(base, Fraction(-1, 2))
+        sp = RiccatiParams(1, 0, 1, Fraction(-1, 2))
         for n in range(0, 10):
             lhs = V.build_S(n, sp).eval(u0) * Fraction(1, 2 ** n)
             assert lhs == build_P(n + 1, base).eval(u0) / u0
