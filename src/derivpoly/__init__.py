@@ -8,7 +8,7 @@ formula.
 """
 
 from .exact import binomial, factorial, format_rational, parse_rational
-from .polyseries import Poly, Series, X, series_exp_linear
+from .polyseries import Poly, Series, X
 from .special_numbers import (
     Triangle,
     bernoulli_number,
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "binomial", "factorial", "format_rational", "parse_rational",
-    "Poly", "Series", "X", "series_exp_linear",
+    "Poly", "Series", "X",
     "Triangle", "eulerian", "eulerian_explicit", "eulerian_row",
     "macmahon", "macmahon_explicit", "macmahon_row", "bernoulli_number",
     "bernoulli_numbers", "bernoulli_poly", "bernoulli_value", "table_rows",

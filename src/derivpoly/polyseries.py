@@ -1,10 +1,8 @@
-"""Dense univariate polynomials over exact rationals, and truncated power
-series over one of two coefficient rings (Fraction or Poly).
+"""Dense univariate polynomials over exact rationals, and the truncated
+power series over Fraction that the series oracle returns.
 
-Everything here is exact.  A Series stores exactly ``order + 1`` coefficients
-and has a product and a scale; the product refuses a series of a different
-order or ring: silent truncation mismatches are the main bug class in
-generating-function checks, so they are hard errors instead.
+Everything here is exact.  A Series stores exactly ``order + 1`` Fraction
+coefficients; a Poly, a float or any other value is a TypeError.
 """
 
 from __future__ import annotations
@@ -15,9 +13,6 @@ from itertools import zip_longest
 from typing import Iterable, Optional, Union
 
 Scalar = Union[int, Fraction]
-
-RATIONAL_RING = "rational"
-POLY_RING = "poly"
 
 
 class Poly:
@@ -235,95 +230,52 @@ X = Poly((0, 1))
 
 
 class Series:
-    """Truncated power series over Fraction, or over Poly if any coefficient is."""
+    """Truncated power series over Fraction: the series oracle's result."""
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable):
-        cs = list(coeffs)
+    def __init__(self, coeffs: Iterable[Scalar]):
+        cs = tuple(c if isinstance(c, Fraction) else Fraction(_exact(c))
+                   for c in coeffs)
         if not cs:
             raise ValueError("a series stores at least its constant coefficient")
-        if any(isinstance(c, Poly) for c in cs):
-            cs = [c if isinstance(c, Poly) else Poly((c,)) for c in cs]
-        else:
-            cs = [c if isinstance(c, Fraction) else Fraction(_exact(c)) for c in cs]
-        self._coeffs = tuple(cs)
+        self._coeffs = cs
 
     @property
     def order(self) -> int:
         return len(self._coeffs) - 1
 
     @property
-    def ring(self) -> str:
-        return POLY_RING if isinstance(self._coeffs[0], Poly) else RATIONAL_RING
-
-    @property
-    def coeffs(self) -> tuple:
+    def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
 
-    def __getitem__(self, n: int):
+    def __getitem__(self, n: int) -> Fraction:
         return self._coeffs[n]
 
-    def _check_compatible(self, other: "Series") -> None:
-        if self.ring != other.ring:
-            raise ValueError(
-                f"coefficient ring mismatch: {self.ring} vs {other.ring}"
-            )
-        if len(self._coeffs) != len(other._coeffs):
-            raise ValueError(
-                f"series order mismatch: {self.order} vs {other.order}"
-            )
-
+    # No library code multiplies series: kept while perfbench/tracing.py wraps it.
     def __mul__(self, other: object) -> "Series":
         """Truncated convolution at the common order."""
         if not isinstance(other, Series):
             return NotImplemented
-        self._check_compatible(other)
-        out = [self._coeffs[0] * 0] * len(self._coeffs)
-        for i, a in enumerate(self._coeffs):
-            for j in range(len(self._coeffs) - i):
-                out[i + j] = out[i + j] + a * other._coeffs[j]
-        return Series(out)
-
-    def scale(self, factor) -> "Series":
-        """Multiply every coefficient by a fixed ring element."""
-        return Series([c * factor for c in self._coeffs])
+        if len(self._coeffs) != len(other._coeffs):
+            raise ValueError(
+                f"series order mismatch: {self.order} vs {other.order}"
+            )
+        a, b = self._coeffs, other._coeffs
+        return Series([sum(a[i] * b[n - i] for i in range(n + 1))
+                       for n in range(len(a))])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Series):
             return NotImplemented
-        return self.ring == other.ring and self._coeffs == other._coeffs
+        return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash((self.ring, self._coeffs))
+        return hash(self._coeffs)
 
     def to_json_obj(self) -> dict:
-        if self.ring == POLY_RING:
-            coeffs = [c.to_coeff_strings() for c in self._coeffs]
-        else:
-            coeffs = [str(c) for c in self._coeffs]
-        return {"order": self.order, "coefficients": coeffs}
+        return {"order": self.order,
+                "coefficients": [str(c) for c in self._coeffs]}
 
     def __repr__(self) -> str:
-        return f"<Series over {self.ring}, order {self.order}>"
-
-
-def series_exp_linear(l, order: int) -> Series:
-    """exp(l*t) truncated: coefficient n is l**n / n!.
-
-    The ring is a rational algebra, so dividing the running power by n is
-    exact; l may be a Fraction/int (rational ring) or a Poly (poly ring).
-    """
-    if order < 0:
-        raise ValueError("series order must be >= 0")
-    if isinstance(l, Poly):
-        one = Poly((1,))
-    else:
-        l = Fraction(_exact(l))
-        one = Fraction(1)
-    coeffs = [one]
-    term = one
-    for n in range(1, order + 1):
-        term = term * l * Fraction(1, n)
-        coeffs.append(term)
-    return Series(coeffs)
+        return f"<Series of order {self.order}>"

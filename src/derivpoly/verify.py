@@ -29,7 +29,7 @@ from .derivative_polys import (
     build_S,
 )
 from .exact import Record, binomial, factorial, format_rational
-from .polyseries import Poly, Series, X, series_exp_linear
+from .polyseries import Poly, Series, X
 from .special_numbers import (
     bernoulli_number,
     bernoulli_value,
@@ -302,31 +302,46 @@ def check_theorem3(inst: OracleInstance) -> Verdict:
                          d=inst.params.d, v0=inst.v0)
 
 
-def _exp_sum(c, d, rate, order: int) -> Series:
-    """c + d e^(rate*t), truncated at ``order``; over Poly if any part is."""
-    s = series_exp_linear(rate, order).scale(d)
-    return Series((c + s[0], *s.coeffs[1:]))
+def _exp_transform(fs: list, rate) -> list:
+    """g_n = sum_k C(n,k) rate^(n-k) F_k for every n < len(fs), by Pascal's
+    rule: from the row t_0 = F, t_{j+1}(k) = t_j(k+1) + rate * t_j(k), and
+    g_n = t_n(0).  No binomial is formed and no power of the rate."""
+    row, out = fs, []
+    while row:
+        out.append(row[0])
+        row = [b + rate * a for a, b in zip(row, row[1:])]
+    return out
 
 
 def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
                **params) -> Verdict:
-    """(sum_n coeff(n) t^n/n!) * (c + d e^(rate t)) == c' + d' e^(rate' t)
-    through order N >= 1, where ``mult`` is (c, d, rate) and ``expected`` is
-    (c', d', rate').
+    """(sum_n F_n t^n/n!) * (c + d e^(rate t)) == c' + d' e^(rate' t) through
+    order N >= 1, where F_n is ``coeff(n)``, ``mult`` is (c, d, rate) and
+    ``expected`` is (c', d', rate').
 
     Each generating function checked here is a Moebius function of one
     exponential, like the Riccati solution itself, so cross-multiplying by
     its denominator leaves one such triple on each side and no division.
-    Coefficient k of a product truncated at order N reads only coefficients
-    up to k of each factor, so every coefficient 0..N is exact evidence.
+    Coefficient n of the left side is (c F_n + d g_n)/n!, with the binomial
+    sum g_n = sum_k C(n,k) rate^(n-k) F_k from ``_exp_transform`` (Pascal's
+    rule); coefficient n of the right side is (c' [n = 0] + d' rate'^n)/n!.
+    Coefficient n reads F_0..F_n only, so every coefficient 0..N is exact
+    evidence.  If any datum is a Poly, both sides are compared and printed
+    as Poly, a zero side as ``[]``.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    egf = Series([coeff(n) * Fraction(1, factorial(n)) for n in range(order + 1)])
-    product = egf * _exp_sum(*mult, order)
-    rhs = _exp_sum(*expected, order)
-    return _scan(identity, _params(**params, order=order),
-                 ((n, product[n], rhs[n]) for n in range(order + 1)))
+    (c, d, rate), (c1, d1, rate1) = mult, expected
+    fs = [coeff(n) for n in range(order + 1)]
+    gs = _exp_transform(fs, rate)
+    if any(isinstance(v, Poly) for v in (*fs, *mult, *expected)):
+        side = Poly._coerce
+    else:
+        side = Fraction
+    return _scan(identity, _params(**params, order=order), (
+        (n, side((c * fs[n] + d * gs[n]) * Fraction(1, factorial(n))),
+         side(((c1 if n == 0 else 0) + d1 * rate1 ** n) * Fraction(1, factorial(n))))
+        for n in range(order + 1)))
 
 
 _ONE_MINUS_X = Poly((1, -1))

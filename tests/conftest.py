@@ -137,7 +137,7 @@ def mutated_poly_product(monkeypatch):
 
     The triangles and the Horner-built P and Q families never multiply two
     polynomials, so only the checks that do (lemma 1, the Grosset-Veselov
-    squares, the generating-function series over polynomial coefficients)
+    squares, the generating-function checks over polynomial coefficients)
     must fail.
     """
     multiply = polyseries.Poly.__mul__
@@ -155,26 +155,22 @@ def mutated_poly_product(monkeypatch):
 
 
 @pytest.fixture
-def mutated_series_product(monkeypatch):
-    """Drop the term a_2 * b_1 from coefficient 3 of every ``Series``
-    product of order 3 or more.
+def mutated_exp_transform(monkeypatch):
+    """Put the k = 2 weight of the generating-function binomial sum off by
+    one, C(n,2) becoming C(n,2) + 1, so g_n gains rate^(n-2) F_2 for n >= 2.
 
     Polynomials, the families and the triangles stay correct, so only the
-    checks that multiply two series (the generating-function identities and
-    closed forms) must fail.
+    checks that multiply a generating function by c + d e^(rate t) (the
+    generating-function identities and closed forms) must fail.
     """
-    multiply = polyseries.Series.__mul__
+    transform = verify._exp_transform
 
-    def bad_multiply(self, other):
-        product = multiply(self, other)
-        if product is NotImplemented or product.order < 3:
-            return product
-        coeffs = list(product.coeffs)
-        coeffs[3] = coeffs[3] - self[2] * other[1]
-        return polyseries.Series(coeffs)
+    def bad_transform(fs, rate):
+        return [g + rate ** (n - 2) * fs[2] if n >= 2 else g
+                for n, g in enumerate(transform(fs, rate))]
 
-    yield from _inject_fault(monkeypatch, polyseries.Series, "__mul__",
-                             bad_multiply)
+    yield from _inject_fault(monkeypatch, verify, "_exp_transform",
+                             bad_transform)
 
 
 @pytest.fixture

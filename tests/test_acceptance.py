@@ -194,9 +194,10 @@ def test_mutation_of_shift_transform_fails_verify_all(mutated_shift_transform):
     assert {"theorem3", "integral_S", "closed_form_h", "integrality"} <= failed
 
 
-def test_mutation_of_series_product_fails_verify_all(mutated_series_product):
-    """A dropped term in coefficient 3 of the series product fails the
-    generating-function identities and closed forms, and nothing else."""
+def test_mutation_of_exp_transform_fails_verify_all(mutated_exp_transform):
+    """An off-by-one k = 2 weight in the binomial sum of the generating-function
+    checks fails the generating-function identities and closed forms, and
+    nothing else."""
     failed = {v.identity for v in V.run_suite("all") if not v.passed}
     assert failed == {"closed_form_f", "closed_form_h", "egf_a",
                       "egf_eulerian", "egf_macmahon", "egf_macmahon_halved"}
@@ -213,15 +214,15 @@ def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
                                            ("mutated_series_oracle", 13),
                                            ("mutated_horner_kernel", 295),
                                            ("mutated_shift_transform", 51),
-                                           ("mutated_series_product", 8),
+                                           ("mutated_exp_transform", 8),
                                            ("mutated_definite_integral", 156),
                                            ("mutated_poly_product", 27)])
 def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault, failing):
     """The geometric Bernoulli memo, the halved oracle convolution and the
     integer Horner kernel reach exactly as many ``verify all`` verdicts under
     a kernel fault as the kernels they replaced; the counts of the integer S
-    transform, the series product, the definite integral and the polynomial
-    product are pinned as first measured."""
+    transform, the generating-function binomial sum, the definite integral
+    and the polynomial product are pinned as first measured."""
     request.getfixturevalue(fault)
     verdicts = V.run_suite("all")
     assert (sum(not v.passed for v in verdicts), len(verdicts)) == (failing, 341)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import derivpoly.verify as V
 from derivpoly import derivative_polys, special_numbers
 from derivpoly.derivative_polys import RiccatiParams, build_P
-from derivpoly.polyseries import (POLY_RING, RATIONAL_RING, Poly, X,
-                                  series_exp_linear)
+from derivpoly.polyseries import Poly, X
 
 
 class TestOracleSeries:
@@ -205,22 +204,13 @@ class TestEgfChecks:
             assert lhs == build_P(n + 1, base).eval(u0) / u0
 
     @settings(max_examples=60, deadline=None)
-    @given(c=_RING_ELEMENTS, d=_RING_ELEMENTS, rate=_RING_ELEMENTS,
-           order=st.integers(0, 4))
-    def test_exp_sum_coefficients(self, c, d, rate, order):
-        s = V._exp_sum(c, d, rate, order)
-        e = series_exp_linear(rate, order)
-        poly = any(isinstance(v, Poly) for v in (c, d, rate))
-        assert s.ring == (POLY_RING if poly else RATIONAL_RING)
-        assert s.order == order
-        for n in range(order + 1):
-            assert s[n] == (c if n == 0 else 0) + d * e[n]
-
-    def test_exp_sum_constant_poly_is_poly_series(self):
-        # the right sides of the Eulerian and A checks: d = 0 with a Poly c
-        s = V._exp_sum(1 - X, 0, 0, 3)
-        assert s.ring == POLY_RING
-        assert s.coeffs == (1 - X, Poly(), Poly(), Poly())
+    @given(fs=st.lists(_RING_ELEMENTS, max_size=6), rate=_RING_ELEMENTS)
+    def test_exp_transform_is_the_binomial_sum(self, fs, rate):
+        gs = V._exp_transform(fs, rate)
+        assert len(gs) == len(fs)
+        for n, g in enumerate(gs):
+            assert g == sum((math.comb(n, k) * rate ** (n - k) * fs[k]
+                             for k in range(n + 1)), Fraction(0))
 
     def test_macmahon_needs_the_doubled_exponent(self):
         """The README's note: without the doubled exponent the MacMahon EGF
