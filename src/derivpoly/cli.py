@@ -9,8 +9,6 @@ command line; decimal input is rejected to keep everything exact.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import re
 import sys
 from fractions import Fraction
@@ -101,12 +99,15 @@ def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
     ``plain`` and ``as_csv`` (default: ``plain``) return rows of strings,
     printed space-separated or as csv lines; ``as_json`` returns objects,
     printed one sorted-key JSON object per line.  Each is a zero-argument
-    callable, and only the one for ``fmt`` runs.
+    callable, and only the one for ``fmt`` runs.  ``json`` and ``csv`` are
+    imported where they are used, so a plain command never loads them.
     """
     if fmt == "json":
+        import json
         for obj in as_json():
             print(json.dumps(obj, sort_keys=True))
     elif fmt == "csv":
+        import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows((as_csv or plain)())
     else:
         for row in plain():
@@ -168,6 +169,7 @@ def _plain_verdict(v: Verdict) -> list[str]:
 
 
 def _csv_verdict(v: Verdict) -> list[str]:
+    import json
     return [
         v.identity,
         json.dumps(v.params, sort_keys=True),

@@ -12,7 +12,6 @@ package is the quadrature cross-check ``grosset_veselov_numeric``.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from fractions import Fraction
@@ -843,6 +842,7 @@ def _suite_all() -> list[Verdict]:
 
 
 def _verdict_sort_key(v: Verdict) -> tuple[str, str]:
+    import json  # here, not at the top: table and series commands never sort
     return (v.identity, json.dumps(v.params, sort_keys=True, default=str))
 
 

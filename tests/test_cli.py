@@ -11,7 +11,7 @@ import pytest
 import derivpoly.cli as cli
 import derivpoly.verify as verify_mod
 from derivpoly.exact import parse_rational
-from derivpoly.special_numbers import bernoulli_number
+from derivpoly.special_numbers import TABLE_KINDS, TABLE_LIMITS, bernoulli_number
 
 
 def run_cli(capsys, *argv):
@@ -62,11 +62,18 @@ class TestTable:
         assert run_cli_error(capsys, "table", "fibonacci", "--n", "3") == 2
         assert run_cli_error(capsys, "table", "eulerian") == 2
 
+    @pytest.mark.parametrize("kind", TABLE_KINDS)
+    def test_n_past_limit_rejected(self, capsys, kind):
+        limit = TABLE_LIMITS[kind]
+        assert run_cli_error(capsys, "table", kind, "--n", str(limit + 1)) == 2
+
     def test_output_past_int_str_digit_limit(self, capsys):
         """B_448 is the first Bernoulli number whose numerator has more than
         640 digits, the lowest int-to-str limit CPython accepts.  ``main``
         prints it anyway and gives the caller back its own limit, also after
-        a usage error."""
+        a usage error.  The README's ``table bernoulli --n 2300`` stays within
+        the table's own limit."""
+        assert TABLE_LIMITS["bernoulli"] >= 2300
         old = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
@@ -213,13 +220,16 @@ PINNED_COMMANDS = {
     # the large outputs of the benchmark's tables workload, at its seed-1
     # parameters (perfbench/workloads.draw_params(1))
     "bernoulli-400": ["table", "bernoulli", "--n", "400"],
+    "bernoulli-poly-120": ["table", "bernoulli-poly", "--n", "120"],
+    "eulerian-200": ["table", "eulerian", "--n", "200"],
+    "macmahon-200": ["table", "macmahon", "--n", "200"],
     **{f"series-{which}-200": ["series", which, "--order", "200", "--r=1/3",
                                "--a=2/3", "--b=4/3", "--d=4/3", "--u0=1/3"]
        for which in ("riccati", "v")},
 }
 
 
-@pytest.mark.parametrize("command, fmt, digest", [
+PINNED_DIGESTS = [
     ("eulerian", "plain", "6197337cfff1a76207005b8ddb9b2925ae29c8f239ba27acdf21c776c21c6651"),
     ("eulerian", "json", "d652e901b24ef0665bb390b5f02912e5c557a80fe03ed60ea5ea9b65d10ce0b4"),
     ("eulerian", "csv", "a280bd8200172d9cf172c3ebb7654e0fd9757e7d90363dfe6dfa1e673d6679a9"),
@@ -247,18 +257,40 @@ PINNED_COMMANDS = {
     ("bernoulli-400", "plain", "a77333109bde33d8040f7587d7c904deb23c6e9334373cdb30ab749394077e59"),
     ("bernoulli-400", "json", "d8e2eac39f59571d4b3d1a84bd705b73c0d3c69069bca39a1c5cace8f2306bbb"),
     ("bernoulli-400", "csv", "a77333109bde33d8040f7587d7c904deb23c6e9334373cdb30ab749394077e59"),
+    ("bernoulli-poly-120", "plain", "5d2b88e1957a03a40c9d7e1bb90adad9c3c9dfd5e8a7ed4155a4caa3a6bfa37a"),
+    ("bernoulli-poly-120", "json", "d161df2b3451874685d0a9df417affe3da751e13661ce3908bf2904594c3de7f"),
+    ("bernoulli-poly-120", "csv", "21860e8894e2167105733179c6f53e45169f84e8ed69e489cbfb4201998889c3"),
+    ("eulerian-200", "plain", "9805bd997b9645f3f20a9eca805c5e5aa940854784630c35a1cb2ad9dc8472db"),
+    ("eulerian-200", "json", "48f8630fa1af11b311a8b31802c150b2419108d41bb80fde7e54b9629fe620b0"),
+    ("eulerian-200", "csv", "13ab466330367e015638a1dcdf18a60ed86728ff81e77a5feddc638832c20f01"),
+    ("macmahon-200", "plain", "14056c0cc63bd3122e578ef119bf230f8a91045224ed9439fd949e050b5b74b3"),
+    ("macmahon-200", "json", "4077ad22565beca7581adcf53dcf6b897a34d99b87e775b6a7625e1f766310d9"),
+    ("macmahon-200", "csv", "52fa8569a9f9b486cf6b6e417fd2583f86be9458db3e769fd8c4ac836588b060"),
     ("series-riccati-200", "plain", "da9805b687c94a5e75651d464b0d132dd585ec58262aa5236b4b236835febea7"),
     ("series-riccati-200", "json", "8eb19624a11a334138cf3732b9ecc376c8578af80ebf813cd65d6c044ad249dd"),
     ("series-riccati-200", "csv", "3a63907d126a80a711580af4f6ddbe762a4de0c1634d214a6a697e8a45de2d75"),
     ("series-v-200", "plain", "28635174700f6e86a6fa1b64b387368151a780d1c88878096a19c36f346e503b"),
     ("series-v-200", "json", "2e99a889431db150a3bb80802efa7a1112022dd88f9822979758742911f421ec"),
     ("series-v-200", "csv", "37f82d128e5701adb36d63ad1da815fe51d94fa82b922a7ae50c7a371f6a53b5"),
-])
+]
+
+
+@pytest.mark.parametrize("command, fmt, digest", PINNED_DIGESTS)
 def test_output_pinned(capsys, command, fmt, digest):
     """``table``, ``poly`` and ``series`` stdout is pinned byte for byte."""
     code, out = run_cli(capsys, *PINNED_COMMANDS[command], "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_benchmark_table_digests_are_pinned():
+    """Every table digest the benchmark checks (``perfbench/digests.json``)
+    is the plain pin of the same command here."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    bench = json.loads(path.read_text())
+    plain = {" ".join(PINNED_COMMANDS[command]): digest
+             for command, fmt, digest in PINNED_DIGESTS if fmt == "plain"}
+    assert bench == {command: plain.get(command) for command in bench}
 
 
 THEOREM3_20 = ("theorem3", "--n-max", "20")
@@ -399,13 +431,15 @@ class TestVerify:
         assert run_cli_error(capsys) == 2
 
 
-def test_import_loads_no_dataclasses_or_inspect():
+def test_import_loads_no_dataclasses_inspect_json_or_csv():
     """Start-up stays lean: importing the CLI pulls in neither ``dataclasses``
-    nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind them).
-    ``-S`` keeps site hooks of the environment out of the picture."""
+    nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind them), and
+    neither ``json`` nor ``csv``, which only their own formats and the verdict
+    sort load.  ``-S`` keeps site hooks of the environment out of the
+    picture."""
     src = Path(cli.__file__).resolve().parents[1]
     code = ("import sys, derivpoly.cli; "
-            "print(' '.join(m for m in ('dataclasses', 'inspect') "
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', 'csv') "
             "if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env={"PYTHONPATH": str(src)},

@@ -281,6 +281,34 @@ class TestTables:
         with pytest.raises(ValueError):
             sn.table_rows("fibonacci", 3)
 
+    @pytest.mark.parametrize("kind", sn.TABLE_KINDS)
+    def test_limit_checked_before_any_work(self, monkeypatch, kind):
+        """The limit itself is accepted and limit + 1 refused, with no row,
+        number or polynomial computed for the refusal."""
+        def work(*args):
+            raise RuntimeError("work started")
+
+        for name in ("eulerian_row", "macmahon_row", "bernoulli_numbers",
+                     "bernoulli_poly"):
+            monkeypatch.setattr(sn, name, work)
+        with pytest.raises(RuntimeError):
+            sn.table_rows(kind, sn.TABLE_LIMITS[kind])
+        with pytest.raises(ValueError):
+            sn.table_rows(kind, sn.TABLE_LIMITS[kind] + 1)
+
+    @pytest.mark.parametrize("kind, fixture", [
+        ("eulerian", "mutated_eulerian_recurrence"),
+        ("macmahon", "mutated_macmahon_recurrence"),
+    ])
+    def test_strings_do_not_assume_symmetric_rows(self, request, kind, fixture):
+        """Under a faulty recurrence the rows are not palindromes, and every
+        entry still prints as its own value."""
+        request.getfixturevalue(fixture)
+        row = sn.eulerian_row if kind == "eulerian" else sn.macmahon_row
+        rows = [row(n) for n in range(1, 31)]
+        assert any(r != r[::-1] for r in rows)
+        assert sn.table_rows(kind, 30) == [[str(v) for v in r] for r in rows]
+
 
 class TestMutationHook:
     def test_patched_recurrence_changes_rows(self, mutated_eulerian_recurrence):
