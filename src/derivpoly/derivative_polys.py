@@ -22,7 +22,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import Record, format_rational
+from .exact import Record, as_fraction, format_rational
 from .polyseries import Poly
 from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
 
@@ -35,8 +35,8 @@ class RiccatiParams(Record):
 
     __slots__ = ("r", "a", "b", "d")
 
-    def __init__(self, r, a, b, d=0):
-        r, a, b, d = Fraction(r), Fraction(a), Fraction(b), Fraction(d)
+    def __init__(self, r, a, b, d=Fraction(0)):
+        r, a, b, d = map(as_fraction, (r, a, b, d))
         if r == 0:
             raise ValueError("r must be nonzero")
         if a == b:
@@ -73,12 +73,16 @@ def _key_part(x: Fraction):
     return x.numerator if x.denominator == 1 else (x.numerator, x.denominator)
 
 
-def _built_once(build):
-    """Memoize an r-independent builder on (n, a, b) in ``FAMILY_CACHE``."""
+def _built_once(build, *, keyed_on_d: bool = False):
+    """Memoize an r-independent builder on (n, a, b) in ``FAMILY_CACHE``,
+    and on d too with ``keyed_on_d`` (only S reads d, so P and Q members
+    are shared across shifts)."""
 
     @functools.wraps(build)
     def cached(n: int, params: RiccatiParams) -> Poly:
         key = (build.__name__, n, _key_part(params.a), _key_part(params.b))
+        if keyed_on_d:
+            key += (_key_part(params.d),)
         poly = FAMILY_CACHE.get(key)
         if poly is None:
             poly = FAMILY_CACHE[key] = build(n, params)
@@ -129,9 +133,11 @@ def _shift_transform(qs, two_d: Fraction) -> Poly:
     return Poly._combination(weights, reversed(qs), e ** n)
 
 
+@functools.partial(_built_once, keyed_on_d=True)
 def build_S(n: int, params: RiccatiParams) -> Poly:
     """S_n(u; a, b, d) = sum_k C(n,k) (2d)^k Q_{n-k}(u; a, b), with the shift
-    d read from the record's ``d`` field."""
+    d read from the record's ``d`` field.  Memoized on (n, a, b, d); a miss
+    looks ``_shift_transform`` up when it runs."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     return _shift_transform([build_Q(k, params) for k in range(n + 1)],

@@ -30,9 +30,14 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
+def as_fraction(value) -> Fraction:
+    """``value`` itself when it is a ``Fraction``, else ``Fraction(value)``."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def format_rational(value: Fraction | int) -> str:
     """Encode as ``p/q``, or just ``p`` when the denominator is 1."""
-    return str(Fraction(value))
+    return str(as_fraction(value))
 
 
 def binomial(n: int, k: int) -> int:

@@ -156,12 +156,28 @@ class Poly:
         return Fraction(acc * q, self._den * q_pow)
 
     def definite_integral(self, a: Scalar, b: Scalar) -> Fraction:
-        """Exact integral over [a, b]; swapping the endpoints negates it."""
-        scale = math.lcm(*range(1, len(self._coeffs) + 1))
-        antiderivative = Poly._over(
-            [0, *(c * (scale // k) for k, c in enumerate(self._coeffs, 1))],
-            self._den * scale)
-        return antiderivative.eval(b) - antiderivative.eval(a)
+        """Exact integral over [a, b]; swapping the endpoints negates it.
+
+        With L = lcm(1..m) for m coefficients, the antiderivative has the
+        integer numerators ``c_k (L / (k+1))`` over ``den L``.  With both
+        endpoints over one denominator q, one integer Horner pass per
+        endpoint gives the antiderivative's value there times q^m, and the
+        difference is one ``Fraction`` built at the end: no antiderivative
+        ``Poly`` and no ``Fraction`` arithmetic.
+        """
+        m = len(self._coeffs)
+        scale = math.lcm(*range(1, m + 1))
+        q = math.lcm(_exact(a).denominator, _exact(b).denominator)
+        pa = a.numerator * (q // a.denominator)
+        pb = b.numerator * (q // b.denominator)
+        acc_a = acc_b = 0
+        q_pow = 1
+        for k, c in zip(range(m, 0, -1), reversed(self._coeffs)):
+            w = c * (scale // k) * q_pow
+            acc_a = acc_a * pa + w
+            acc_b = acc_b * pb + w
+            q_pow *= q
+        return Fraction(acc_b * pb - acc_a * pa, q_pow * self._den * scale)
 
     def __divmod__(self, other: object) -> tuple["Poly", "Poly"]:
         """Long division on the numerators, fraction-free: the dividend is

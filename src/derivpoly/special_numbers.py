@@ -72,15 +72,19 @@ class Triangle:
 _EULERIAN_TRIANGLE = Triangle(EULERIAN)
 _MACMAHON_TRIANGLE = Triangle(MACMAHON)
 _BERNOULLI: list[Fraction] = [Fraction(1)]
-#: The P and Q families of ``derivative_polys``, built from the triangles and
-#: dropped with their rows.  It pays: in-process ``verify all`` takes about
-#: 1.55x the CPU time without it (median of 30 rounds, each the best of 7 cold
-#: runs per setting; 2-vCPU Xeon, CPython 3.11).
+#: B_n(x) per n, for ``bernoulli_value``.
+_BERNOULLI_POLYS: dict[int, Poly] = {}
+#: The P, Q and S families of ``derivative_polys``, built from the triangles
+#: and dropped with their rows.  It pays: in-process ``verify all`` takes
+#: about 1.55x the CPU time without the P/Q memo (median of 30 rounds, each
+#: the best of 7 cold runs per setting; 2-vCPU Xeon, CPython 3.11).
 FAMILY_CACHE: dict[tuple, Poly] = {}
 
 
 def reset_caches() -> None:
-    """Drop all memoized rows, values and family polynomials.
+    """Drop all memoized rows, values and polynomials: the triangle rows,
+    the Bernoulli numbers, the Bernoulli polynomials of ``bernoulli_value``
+    and the P/Q/S family members.
 
     Only tests that patch a recurrence need this; normal use never does.
     """
@@ -88,6 +92,7 @@ def reset_caches() -> None:
     _EULERIAN_TRIANGLE = Triangle(EULERIAN)
     _MACMAHON_TRIANGLE = Triangle(MACMAHON)
     _BERNOULLI = [Fraction(1)]
+    _BERNOULLI_POLYS.clear()
     FAMILY_CACHE.clear()
 
 
@@ -208,8 +213,15 @@ def bernoulli_poly(n: int) -> Poly:
 
 
 def bernoulli_value(n: int, x) -> Fraction:
-    """Exact value of the n-th Bernoulli polynomial at a rational point."""
-    return bernoulli_poly(n).eval(x)
+    """Exact value of the n-th Bernoulli polynomial at a rational point.
+
+    B_n(x) is built once per n and memoized until ``reset_caches()``; each
+    call is one ``Poly.eval``.
+    """
+    poly = _BERNOULLI_POLYS.get(n)
+    if poly is None:
+        poly = _BERNOULLI_POLYS[n] = bernoulli_poly(n)
+    return poly.eval(x)
 
 
 def _row_strings(row: tuple[int, ...]) -> list[str]:

@@ -27,7 +27,7 @@ from .derivative_polys import (
     build_Q,
     build_S,
 )
-from .exact import Record, binomial, factorial, format_rational
+from .exact import Record, as_fraction, binomial, factorial, format_rational
 from .polyseries import Poly, Series, X
 from .special_numbers import (
     bernoulli_number,
@@ -168,7 +168,7 @@ class OracleInstance(Record):
 
     def __init__(self, params: RiccatiParams, u0, v0=Fraction(1),
                  order: int = DEFAULT_ORACLE_ORDER):
-        u0, v0 = Fraction(u0), Fraction(v0)
+        u0, v0 = as_fraction(u0), as_fraction(v0)
         if v0 == 0:
             raise ValueError("v0 must be nonzero")
         if order < 1:
@@ -267,14 +267,20 @@ def _check_oracle(identity: str, inst: OracleInstance, oracle,
 
     The shared comparison of theorems 1-3: the left side comes from the ODE
     oracle alone, the right side from a triangle-built polynomial family.
+    The factor start * ratio^n is stepped by one product per n.
     """
     p = inst.params
     params = _params(r=p.r, a=p.a, b=p.b, u0=inst.u0,
                      n_max=inst.order, **extra)
     c = oracle(inst).coeffs
-    return _scan(identity, params, (
-        (n, factorial(n) * c[n], start * ratio ** n * family(n).eval(inst.u0))
-        for n in range(1, inst.order + 1)))
+
+    def pairs():
+        scale = start
+        for n in range(1, inst.order + 1):
+            scale *= ratio
+            yield n, factorial(n) * c[n], scale * family(n).eval(inst.u0)
+
+    return _scan(identity, params, pairs())
 
 
 def check_theorem1(inst: OracleInstance) -> Verdict:
@@ -324,9 +330,10 @@ def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
     Coefficient n of the left side is (c F_n + d g_n)/n!, with the binomial
     sum g_n = sum_k C(n,k) rate^(n-k) F_k from ``_exp_transform`` (Pascal's
     rule); coefficient n of the right side is (c' [n = 0] + d' rate'^n)/n!.
-    Coefficient n reads F_0..F_n only, so every coefficient 0..N is exact
-    evidence.  If any datum is a Poly, both sides are compared and printed
-    as Poly, a zero side as ``[]``.
+    The running power rate'^n and the running factorial n! each take one
+    product per n.  Coefficient n reads F_0..F_n only, so every coefficient
+    0..N is exact evidence.  If any datum is a Poly, both sides are compared
+    and printed as Poly, a zero side as ``[]``.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -337,10 +344,17 @@ def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
         side = Poly._coerce
     else:
         side = Fraction
-    return _scan(identity, _params(**params, order=order), (
-        (n, side((c * fs[n] + d * gs[n]) * Fraction(1, factorial(n))),
-         side(((c1 if n == 0 else 0) + d1 * rate1 ** n) * Fraction(1, factorial(n))))
-        for n in range(order + 1)))
+
+    def pairs():
+        power, fact = 1, 1
+        yield 0, side(c * fs[0] + d * gs[0]), side(c1 + d1)
+        for n in range(1, order + 1):
+            power, fact = power * rate1, fact * n
+            inverse = Fraction(1, fact)
+            yield (n, side((c * fs[n] + d * gs[n]) * inverse),
+                   side(d1 * power * inverse))
+
+    return _scan(identity, _params(**params, order=order), pairs())
 
 
 _ONE_MINUS_X = Poly((1, -1))
@@ -634,15 +648,25 @@ def check_substitution_M(n: int, params: RiccatiParams) -> Verdict:
 
 
 def check_homogeneity_Q(n: int, params: RiccatiParams) -> Verdict:
-    """Q_n(lam*u; lam*a, lam*b) == lam^n * Q_n(u; a, b) at sample points."""
+    """Q_n(lam*u; lam*a, lam*b) == lam^n * Q_n(u; a, b) at sample points.
+
+    Q_n(u) is evaluated once per sample and lam^n formed once per lam; the
+    pairs run over lam, then over the samples.
+    """
     a, b = params.a, params.b
     q = build_Q(n, params)
-    scaled = ((lam, build_Q(n, RiccatiParams(params.r, lam * a, lam * b)))
-              for lam in HOMOGENEITY_LAMBDAS)
+    values = [q.eval(u) for u in SUBSTITUTION_SAMPLES]
+
+    def pairs():
+        for lam in HOMOGENEITY_LAMBDAS:
+            q_lam = build_Q(n, RiccatiParams(params.r, lam * a, lam * b))
+            lam_n = lam ** n
+            for u, value in zip(SUBSTITUTION_SAMPLES, values):
+                yield None, q_lam.eval(lam * u), lam_n * value
+
     return _scan("homogeneity_Q",
                  _params(r=params.r, a=a, b=b, n=n, lambdas=HOMOGENEITY_LAMBDAS),
-                 ((None, q_lam.eval(lam * u), lam ** n * q.eval(u))
-                  for lam, q_lam in scaled for u in SUBSTITUTION_SAMPLES))
+                 pairs())
 
 
 def check_integrality(n: int) -> Verdict:
@@ -767,8 +791,9 @@ def suite_integrals(n_max: Optional[int] = None,
     With an explicit (a, b) only that pair is exercised (and only P/Q/S, with
     shift d, default 0); otherwise the default pairs, including a
     reversed-orientation one, plus the symmetric-interval reduction on
-    (-1, 1).  Every family runs to n_max, except that without n_max and
-    without a pair P/Q run to DEFAULT_INTEGRAL_N and S to DEFAULT_INTEGRAL_S_N.
+    (-1, 1).  A given n_max bounds every verdict.  Without it, P/Q run to
+    DEFAULT_INTEGRAL_N, S to DEFAULT_INTEGRAL_S_N (DEFAULT_INTEGRAL_N with a
+    pair) and the symmetric reduction to DEFAULT_SYMMETRIC_N.
     """
     if (a is None) != (b is None):
         raise ValueError("a and b must be given together")
@@ -777,18 +802,19 @@ def suite_integrals(n_max: Optional[int] = None,
     explicit = a is not None
     pairs = [(a, b)] if explicit else INTEGRAL_PAIRS
     triples = [(a, b, 0 if d is None else d)] if explicit else INTEGRAL_S_TRIPLES
-    s_n = n_max
     if n_max is None:
         n_max = DEFAULT_INTEGRAL_N
         s_n = n_max if explicit else DEFAULT_INTEGRAL_S_N
+        sym_n = DEFAULT_SYMMETRIC_N
+    else:
+        s_n = sym_n = n_max
     ns = _upto(n_max)
     out = [check_integral_P(n, pa, pb) for pa, pb in pairs for n in ns]
     out += [check_integral_Q(n, pa, pb) for pa, pb in pairs for n in (0, *ns)]
     out += [check_integral_S(n, pa, pb, pd)
             for pa, pb, pd in triples for n in _upto(s_n)]
     if not explicit:
-        out += [check_integral_P_symmetric(n)
-                for n in range(1, DEFAULT_SYMMETRIC_N + 1)]
+        out += [check_integral_P_symmetric(n) for n in _upto(sym_n)]
     return out
 
 
@@ -801,19 +827,28 @@ def suite_grosset_veselov(m_max: int = DEFAULT_GV_M,
     return out
 
 
-def suite_relations(n_max: int = DEFAULT_RELATION_N) -> list[Verdict]:
-    ns = _upto(n_max)
+def suite_relations(n_max: Optional[int] = None) -> list[Verdict]:
+    """Triangle self-consistency at fixed rows, and the substitution,
+    homogeneity and integrality relations.  A given n_max bounds every
+    relation; without it, substitution runs to DEFAULT_RELATION_N,
+    homogeneity to DEFAULT_HOMOGENEITY_N and integrality to
+    DEFAULT_INTEGRAL_N."""
+    if n_max is None:
+        sub_n, hom_n, int_n = (DEFAULT_RELATION_N, DEFAULT_HOMOGENEITY_N,
+                               DEFAULT_INTEGRAL_N)
+    else:
+        sub_n = hom_n = int_n = n_max
+    sub_ns = _upto(sub_n)
     out: list[Verdict] = [
         check_eulerian_triangle(DEFAULT_T23_N),
         check_macmahon_triangle(20),
     ]
     for pa, pb in RELATION_PARAM_PAIRS:
         params = RiccatiParams(Fraction(1), pa, pb)
-        out.extend(check_substitution_E(n, params) for n in ns)
-        out.extend(check_substitution_M(n, params) for n in (0, *ns))
-        out.extend(check_homogeneity_Q(n, params)
-                   for n in range(1, DEFAULT_HOMOGENEITY_N + 1))
-    out.extend(check_integrality(n) for n in range(1, DEFAULT_INTEGRAL_N + 1))
+        out.extend(check_substitution_E(n, params) for n in sub_ns)
+        out.extend(check_substitution_M(n, params) for n in (0, *sub_ns))
+        out.extend(check_homogeneity_Q(n, params) for n in _upto(hom_n))
+    out.extend(check_integrality(n) for n in _upto(int_n))
     return out
 
 

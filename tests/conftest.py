@@ -100,8 +100,8 @@ def mutated_poly_eval(monkeypatch):
     Products, sums and the builders stay correct, so only checks that read
     a polynomial's value at a point (the series oracles, the Bernoulli
     values on the right of the integral identities, the substitution
-    relations) must fail.  An antiderivative evaluated at both endpoints
-    carries the error twice, and it cancels.
+    relations) must fail.  ``definite_integral`` runs its own Horner pass,
+    so the integrals themselves stay correct.
     """
     evaluate = polyseries.Poly.eval
 

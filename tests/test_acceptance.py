@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import derivpoly.verify as V
+from derivpoly import derivative_polys
 from derivpoly import special_numbers as sn
 from derivpoly.derivative_polys import (RiccatiParams, build_P, build_Q,
                                        build_S)
@@ -229,38 +230,86 @@ def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault, failing):
 
 
 def test_mutation_reaches_warm_bernoulli_memo(request):
-    """A tangent-number fault injected after the Bernoulli memo is warm
-    still fails ``verify all``, and the correct numbers come back once the
-    fault is removed."""
+    """A tangent-number fault injected after the Bernoulli memos are warm
+    still fails ``verify all`` and changes a Bernoulli polynomial's value,
+    and the correct numbers come back once the fault is removed."""
     assert all(v.passed for v in V.run_suite("all"))
     good = sn.bernoulli_numbers(20)
+    assert 6 in sn._BERNOULLI_POLYS
+    good_value = sn.bernoulli_value(6, Fraction(1, 2))
 
     def numbers_restored():
         assert sn.bernoulli_numbers(20) == good
+        assert sn.bernoulli_value(6, Fraction(1, 2)) == good_value
 
     request.addfinalizer(numbers_restored)
     request.getfixturevalue("mutated_tangent_numbers")
     assert sn.bernoulli_number(6) == 2 * good[6]
+    assert sn.bernoulli_value(6, Fraction(1, 2)) != good_value
     assert any(not v.passed for v in V.run_suite("all"))
 
 
-@pytest.mark.parametrize("fault", ["mutated_eulerian_recurrence",
-                                   "mutated_macmahon_recurrence",
-                                   "mutated_horner_kernel"])
+#: The shift of theorem 3's first instance, so S_6 at (0, 1) is memoized.
+S_PARAMS = RiccatiParams(1, 0, 1, Fraction(1, 4))
+#: Fault -> a family member it corrupts.
+CORRUPTED = {"mutated_eulerian_recurrence": "P",
+             "mutated_macmahon_recurrence": "Q",
+             "mutated_horner_kernel": "P",
+             "mutated_shift_transform": "S"}
+
+
+@pytest.mark.parametrize("fault", CORRUPTED)
 def test_mutation_reaches_warm_family_memo(request, fault):
-    """A fault injected after the P/Q memo is warm still fails ``verify all``,
-    and the correct families come back once the fault is removed."""
+    """A fault injected after the P/Q/S memo is warm still fails ``verify
+    all`` and changes the member it corrupts, and the correct families come
+    back once the fault is removed."""
     assert all(v.passed for v in V.run_suite("all"))
     params = RiccatiParams(1, 0, 1)
     assert ("build_Q", 6, 0, 1) in sn.FAMILY_CACHE
-    good = (build_P(6, params), build_Q(6, params))
+    assert ("build_S", 6, 0, 1, (1, 4)) in sn.FAMILY_CACHE
+
+    def members():
+        return {"P": build_P(6, params), "Q": build_Q(6, params),
+                "S": build_S(6, S_PARAMS)}
+
+    good = members()
 
     def families_restored():
-        assert (build_P(6, params), build_Q(6, params)) == good
+        assert members() == good
 
     # finalizers run last-in first-out, so this one runs after the fault's
     # teardown has undone the patch and reset the caches
     request.addfinalizer(families_restored)
     request.getfixturevalue(fault)
-    assert (build_P(6, params), build_Q(6, params)) != good
+    changed = CORRUPTED[fault]
+    assert members()[changed] != good[changed]
     assert any(not v.passed for v in V.run_suite("all"))
+
+
+def test_verify_all_builds_each_value_once(monkeypatch):
+    """A cold ``verify all`` builds each Bernoulli polynomial and each S
+    binomial transform once: every call has a key no earlier call had."""
+    keys = {"bernoulli_poly": [], "_shift_transform": []}
+    bernoulli_poly = sn.bernoulli_poly
+    shift_transform = derivative_polys._shift_transform
+
+    def counted_bernoulli_poly(n):
+        keys["bernoulli_poly"].append(n)
+        return bernoulli_poly(n)
+
+    def counted_shift_transform(qs, two_d):
+        keys["_shift_transform"].append((tuple(qs), two_d))
+        return shift_transform(qs, two_d)
+
+    sn.reset_caches()
+    monkeypatch.setattr(sn, "bernoulli_poly", counted_bernoulli_poly)
+    monkeypatch.setattr(derivative_polys, "_shift_transform",
+                        counted_shift_transform)
+    try:
+        assert all(v.passed for v in V.run_suite("all"))
+    finally:
+        monkeypatch.undo()
+        sn.reset_caches()
+    for name, calls in keys.items():
+        assert calls, name
+        assert len(calls) == len(set(calls)), name

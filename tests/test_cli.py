@@ -315,6 +315,20 @@ class TestVerify:
         assert code == 0
         assert len(out.splitlines()) == 37
 
+    @pytest.mark.parametrize("suite, bound, bounded", [
+        ("relations", 1, {"substitution_E", "substitution_M", "homogeneity_Q",
+                          "integrality"}),
+        ("integrals", 2, {"integral_P", "integral_Q", "integral_S",
+                          "integral_P_symmetric"}),
+    ])
+    def test_n_max_bounds_every_verdict(self, capsys, suite, bound, bounded):
+        code, out = run_cli(capsys, "verify", suite, "--n-max", str(bound),
+                            "--format", "json")
+        assert code == 0
+        verdicts = [json.loads(line) for line in out.splitlines()]
+        assert {v["identity"] for v in verdicts if "n" in v["params"]} == bounded
+        assert max(v["params"].get("n", 0) for v in verdicts) == bound
+
     def test_json_lines_schema(self, capsys):
         code, out = run_cli(capsys, "verify", "egf", "--format", "json")
         assert code == 0

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from derivpoly.exact import parse_rational
@@ -74,6 +74,7 @@ kernel_coeffs = st.one_of(
     st.builds(Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**25)),
 )
 kernel_lists = st.lists(kernel_coeffs, max_size=8)
+endpoints = st.one_of(st.integers(-30, 30), kernel_coeffs)
 
 
 def reference_sum(a, b, sign=1):
@@ -152,9 +153,17 @@ class TestProductKernel:
     def test_eval_matches_reference(self, a, x):
         assert Poly(a).eval(x) == reference_eval(a, x)
 
-    @given(kernel_lists, kernel_coeffs, kernel_coeffs)
+    @given(kernel_lists, endpoints, endpoints)
+    @example([], 0, 1)
+    @example([Fraction(1, 3)] * 8, -1, Fraction(5, 2))
     def test_integral_matches_reference(self, a, lo, hi):
-        assert Poly(a).definite_integral(lo, hi) == reference_integral(a, lo, hi)
+        """The integer Horner pass against the antiderivative summed in
+        Fractions, at int and Fraction endpoints in either order."""
+        value = Poly(a).definite_integral(lo, hi)
+        assert type(value) is Fraction
+        assert value == reference_integral(a, lo, hi)
+        assert Poly(a).definite_integral(hi, lo) == -value
+        assert Poly(a).definite_integral(lo, lo) == 0
 
     @given(kernel_lists, nonzero_kernel_lists)
     def test_divmod_matches_reference(self, a, b):
