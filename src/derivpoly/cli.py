@@ -4,93 +4,25 @@ the identity-verification suites.
 Exit codes: 0 on success (all verdicts passing for ``verify``), 1 when any
 verification fails, 2 on usage errors.  Rationals are written ``p/q`` on the
 command line; decimal input is rejected to keep everything exact.
+
+The command line is parsed from one table, ``COMMANDS``, which also writes
+the ``--help`` text.  It stands in for ``argparse`` because most commands
+finish in well under a tenth of a second: importing ``argparse`` (with
+``gettext``), building a parser per command and parsing cost each process
+about 8 ms, more than the package's own modules take to import.
 """
 
 from __future__ import annotations
 
-import argparse
-import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .derivative_polys import FAMILIES, family_json_obj, family_poly
-from .exact import parse_rational
+from .exact import UsageError, parse_rational
 from .special_numbers import TABLE_KINDS, table_rows
 from .verify import SUITE_NAMES, Verdict, instance, riccati_series, run_suite, v_series
-
-FORMATS = ("plain", "json", "csv")
-
-
-def _rational_arg(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-# Lets bare negative rationals like -1/2 pass as option values; without this
-# argparse would read them as option strings (--r=-1/2 works either way).
-_NEGATIVE_RATIONAL = re.compile(r"^-\d+(?:/\d+)?$")
-
-
-def _allow_negative_rationals(parser: argparse.ArgumentParser) -> None:
-    parser._negative_number_matcher = _NEGATIVE_RATIONAL
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="derivpoly",
-        description="Exact special-number triangles, derivative polynomials, "
-                    "and identity verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="print a number table")
-    p_table.add_argument("kind", choices=TABLE_KINDS)
-    p_table.add_argument("--n", type=int, required=True,
-                         help="largest row (triangles) or index (Bernoulli)")
-
-    p_poly = sub.add_parser("poly", help="print one polynomial of a family")
-    p_poly.add_argument("family", choices=FAMILIES)
-    p_poly.add_argument("--n", type=int, required=True)
-    p_poly.add_argument("--r", type=_rational_arg)
-    p_poly.add_argument("--a", type=_rational_arg)
-    p_poly.add_argument("--b", type=_rational_arg)
-    p_poly.add_argument("--d", type=_rational_arg)
-
-    p_series = sub.add_parser(
-        "series", help="Taylor coefficients of u or its companion v")
-    p_series.add_argument("which", choices=("riccati", "v"))
-    p_series.add_argument("--r", type=_rational_arg)
-    p_series.add_argument("--a", type=_rational_arg)
-    p_series.add_argument("--b", type=_rational_arg)
-    p_series.add_argument("--d", type=_rational_arg, default=Fraction(0))
-    p_series.add_argument("--u0", type=_rational_arg)
-    p_series.add_argument("--v0", type=_rational_arg)
-    p_series.add_argument("--order", type=int, required=True)
-    p_series.add_argument("--q", type=_rational_arg,
-                          help="logistic carrying capacity (with --p, --s)")
-    p_series.add_argument("--p", type=_rational_arg,
-                          help="logistic offset coefficient")
-    p_series.add_argument("--s", type=_rational_arg,
-                          help="logistic rate")
-
-    p_verify = sub.add_parser("verify", help="run identity suites")
-    p_verify.add_argument("suite", choices=SUITE_NAMES)
-    p_verify.add_argument("--n-max", type=int)
-    p_verify.add_argument("--m-max", type=int)
-    p_verify.add_argument("--order", type=int)
-    p_verify.add_argument("--u0", type=_rational_arg)
-    p_verify.add_argument("--a", type=_rational_arg)
-    p_verify.add_argument("--b", type=_rational_arg)
-    p_verify.add_argument("--d", type=_rational_arg)
-    p_verify.add_argument("--tol", type=float)
-
-    for p in (p_table, p_poly, p_series, p_verify):
-        p.add_argument("--format", choices=FORMATS, default="plain")
-    for p in (parser, p_table, p_poly, p_series, p_verify):
-        _allow_negative_rationals(p)
-    return parser
 
 
 def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
@@ -132,11 +64,11 @@ def _logistic_to_riccati(args):
     """Map the logistic form (q, p, s) to (r, a, b, u0, v0), with v0 = u0."""
     if args.r is not None or args.a is not None or args.b is not None \
             or args.u0 is not None or args.v0 is not None:
-        raise ValueError("the logistic flags exclude --r/--a/--b/--u0/--v0")
+        raise UsageError("the logistic flags exclude --r/--a/--b/--u0/--v0")
     if args.q is None or args.p is None or args.s is None:
-        raise ValueError("the logistic form needs all of --q, --p, --s")
+        raise UsageError("the logistic form needs all of --q, --p, --s")
     if args.q <= 0 or args.s <= 0 or args.p <= 0:
-        raise ValueError("logistic parameters require q > 0, p > 0, s > 0")
+        raise UsageError("logistic parameters require q > 0, p > 0, s > 0")
     r = -args.s / args.q
     u0 = args.q / (1 + args.p)
     return r, args.q, Fraction(0), u0, u0
@@ -147,7 +79,7 @@ def _cmd_series(args) -> int:
         r, a, b, u0, v0 = _logistic_to_riccati(args)
     else:
         if args.r is None or args.a is None or args.b is None or args.u0 is None:
-            raise ValueError("need --r, --a, --b and --u0 (or the logistic flags)")
+            raise UsageError("need --r, --a, --b and --u0 (or the logistic flags)")
         r, a, b, u0 = args.r, args.a, args.b, args.u0
         v0 = Fraction(1) if args.v0 is None else args.v0
     inst = instance(r, a, b, u0, d=args.d, v0=v0, order=args.order)
@@ -190,24 +122,118 @@ def _cmd_verify(args) -> int:
     return 0 if all(v.passed for v in verdicts) else 1
 
 
-_COMMANDS = {"table": _cmd_table, "poly": _cmd_poly, "series": _cmd_series,
-             "verify": _cmd_verify}
+FORMATS = ("plain", "json", "csv")
+_RATIONAL = (parse_rational, None, False)
+_INT = (int, None, False)
+_FORMAT = (FORMATS, "plain", False)
+
+# -h, and --help or a prefix of it that names no other option.
+_HELP = ("-h", "--h", "--he", "--hel", "--help")
+
+#: Command -> (its function, help line, positional argument, the choices of
+#: the positional, {option: (converter or choices, default, required)}).
+COMMANDS = {
+    "table": (_cmd_table, "print a number table", "kind", TABLE_KINDS,
+              {"--n": (int, None, True), "--format": _FORMAT}),
+    "poly": (_cmd_poly, "print one polynomial of a family", "family", FAMILIES,
+             {"--n": (int, None, True), "--r": _RATIONAL, "--a": _RATIONAL,
+              "--b": _RATIONAL, "--d": _RATIONAL, "--format": _FORMAT}),
+    "series": (_cmd_series, "Taylor coefficients of u or its companion v, from "
+               "--r/--a/--b/--u0 or logistic --q/--p/--s", "which", ("riccati", "v"),
+               {"--r": _RATIONAL, "--a": _RATIONAL, "--b": _RATIONAL,
+                "--d": (parse_rational, Fraction(0), False), "--u0": _RATIONAL,
+                "--v0": _RATIONAL, "--order": (int, None, True), "--q": _RATIONAL,
+                "--p": _RATIONAL, "--s": _RATIONAL, "--format": _FORMAT}),
+    "verify": (_cmd_verify, "run identity suites", "suite", SUITE_NAMES,
+               {"--n-max": _INT, "--m-max": _INT, "--order": _INT,
+                "--u0": _RATIONAL, "--a": _RATIONAL, "--b": _RATIONAL,
+                "--d": _RATIONAL, "--tol": (float, None, False),
+                "--format": _FORMAT}),
+}
+
+
+def _help(command: str) -> str:
+    """The ``--help`` text of ``command``: usage, choices and options."""
+    _, what, positional, choices, options = COMMANDS[command]
+    lines = [f"usage: derivpoly {command} {positional.upper()} [options]",
+             f"  {what}", f"  {positional.upper()}: one of {', '.join(choices)}"]
+    for flag, (convert, default, required) in options.items():
+        kind = ("{" + ",".join(convert) + "}" if isinstance(convert, tuple)
+                else {int: "INT", float: "FLOAT"}.get(convert, "P/Q"))
+        lines.append(f"  {flag} {kind}" + (" (required)" if required else ""
+                     if default is None else f" (default {default})"))
+    return "\n".join(lines)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """Read ``argv`` (after ``derivpoly``) by ``COMMANDS``.
+
+    Options take ``--opt value`` or ``--opt=value``, before or after the
+    positional; a unique prefix names an option, the last of a repeated
+    option wins and a value may start with ``-`` (``--r -1/2``).  ``-h`` or
+    ``--help`` prints the help and exits 0; anything else that the table does
+    not accept raises ``UsageError``.
+    """
+    command = argv[0] if argv else ""
+    if command not in COMMANDS:
+        if command in _HELP:
+            print("\n\n".join(map(_help, COMMANDS)))
+            raise SystemExit(0)
+        raise UsageError(f"no command {command!r} (see -h)")
+    _, _, positional, choices, options = COMMANDS[command]
+    specs = {positional: (choices, None, True), **options}
+    values = {name: spec[1] for name, spec in specs.items()}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            print(_help(command))
+            raise SystemExit(0)
+        if token.startswith("-"):
+            name, eq, text = token.partition("=")
+            matches = [flag for flag in options if flag.startswith(name)]
+            if name not in options and len(matches) != 1:
+                raise UsageError(f"unknown or ambiguous option {token!r}")
+            name = name if name in options else matches[0]
+            if not eq:
+                text = next(tokens, None)
+                if text is None:
+                    raise UsageError(f"{name} expects a value")
+        elif values[positional] is None:
+            name, text = positional, token
+        else:
+            raise UsageError(f"unexpected argument {token!r}")
+        convert = specs[name][0]
+        try:
+            values[name] = (convert(text) if callable(convert)
+                            else convert[convert.index(text)])
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"invalid {name} {text!r} (see -h)") from None
+    missing = [name for name, spec in specs.items() if spec[2] and values[name] is None]
+    if missing:
+        raise UsageError(f"missing {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{
+        name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; the library's ValueError on bad input is a usage
-    error (exit 2).  The command runs without CPython's int-to-str digit
-    limit, since exact output is the product; the caller's limit is restored."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    """Run one command of ``argv`` (default ``sys.argv[1:]``).  Bad input,
+    from the parser or as the library's ValueError, is a usage error: a
+    message on stderr and exit 2.  The command runs without CPython's
+    int-to-str digit limit, since exact output is the product; the caller's
+    limit is restored."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        return _COMMANDS[args.command](args)
+        args = parse_args(argv)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return COMMANDS[args.command][0](args)
+        finally:
+            sys.set_int_max_str_digits(limit)
     except ValueError as exc:
-        parser.error(str(exc))
-    finally:
-        sys.set_int_max_str_digits(limit)
+        prog = f"derivpoly {argv[0]}" if argv and argv[0] in COMMANDS else "derivpoly"
+        print(f"{prog}: error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,9 @@
 Python ints are already arbitrary precision and ``fractions.Fraction`` keeps
 rationals in reduced canonical form (positive denominator, gcd 1, zero stored
 as 0/1), so this module mostly pins down conventions the rest of the package
-relies on: the ``p/q`` string encoding, the combinatorial scalars and the
-``Record`` base of the package's small immutable value types.
+relies on: the ``p/q`` string encoding, the combinatorial scalars, the
+``Record`` base of the package's small immutable value types and the
+``UsageError`` of bad command-line input.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ from fractions import Fraction
 
 # Sign allowed on the numerator only; no decimals, no whitespace inside.
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+
+class UsageError(ValueError):
+    """Bad command-line input: the command line reports it and exits 2.
+
+    It is a ``ValueError``, so a caller that catches ``ValueError`` catches
+    it too.
+    """
 
 
 def parse_rational(text: str) -> Fraction:

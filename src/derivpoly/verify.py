@@ -12,6 +12,7 @@ package is the quadrature cross-check ``grosset_veselov_numeric``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -624,13 +625,20 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
                    inconclusive=not converged)
 
 
+@functools.cache
+def _substitution_points(a: Fraction, b: Fraction) -> tuple:
+    """(u, (u-a)/(u-b), u-b) for each sample point u != b, in sample order;
+    the substitution checks of one (a, b) all share them."""
+    return tuple((u, (u - a) / (u - b), u - b)
+                 for u in SUBSTITUTION_SAMPLES if u != b)
+
+
 def _check_substitution(identity: str, n: int, params: RiccatiParams,
                         in_x: Poly, in_u: Poly, power: int) -> Verdict:
     """in_x((u-a)/(u-b)) == in_u(u) / (u-b)^power at sample points u != b."""
-    a, b = params.a, params.b
-    return _scan(identity, _params(r=params.r, a=a, b=b, n=n), (
-        (None, in_x.eval((u - a) / (u - b)), in_u.eval(u) / (u - b) ** power)
-        for u in SUBSTITUTION_SAMPLES if u != b))
+    return _scan(identity, _params(r=params.r, a=params.a, b=params.b, n=n), (
+        (None, in_x.eval(x), in_u.eval(u) / u_b ** power)
+        for u, x, u_b in _substitution_points(params.a, params.b)))
 
 
 def check_substitution_E(n: int, params: RiccatiParams) -> Verdict:

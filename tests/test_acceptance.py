@@ -288,7 +288,8 @@ def test_mutation_reaches_warm_family_memo(request, fault):
 
 def test_verify_all_builds_each_value_once(monkeypatch):
     """A cold ``verify all`` builds each Bernoulli polynomial and each S
-    binomial transform once: every call has a key no earlier call had."""
+    binomial transform once: every call has a key no earlier call had.  The
+    substitution checks compute their sample points once per (a, b)."""
     keys = {"bernoulli_poly": [], "_shift_transform": []}
     bernoulli_poly = sn.bernoulli_poly
     shift_transform = derivative_polys._shift_transform
@@ -302,6 +303,7 @@ def test_verify_all_builds_each_value_once(monkeypatch):
         return shift_transform(qs, two_d)
 
     sn.reset_caches()
+    V._substitution_points.cache_clear()
     monkeypatch.setattr(sn, "bernoulli_poly", counted_bernoulli_poly)
     monkeypatch.setattr(derivative_polys, "_shift_transform",
                         counted_shift_transform)
@@ -313,3 +315,5 @@ def test_verify_all_builds_each_value_once(monkeypatch):
     for name, calls in keys.items():
         assert calls, name
         assert len(calls) == len(set(calls)), name
+    points = V._substitution_points.cache_info()
+    assert points.misses == len(V.RELATION_PARAM_PAIRS) and points.hits > 0

@@ -10,8 +10,10 @@ import pytest
 
 import derivpoly.cli as cli
 import derivpoly.verify as verify_mod
-from derivpoly.exact import parse_rational
+from derivpoly.derivative_polys import FAMILIES
+from derivpoly.exact import UsageError, parse_rational
 from derivpoly.special_numbers import TABLE_KINDS, TABLE_LIMITS, bernoulli_number
+from derivpoly.verify import SUITE_NAMES
 
 
 def run_cli(capsys, *argv):
@@ -445,17 +447,164 @@ class TestVerify:
         assert run_cli_error(capsys) == 2
 
 
+SERIES_ARGS = ("--r", "1", "--a", "0", "--b", "1", "--u0", "1/3")
+
+
+class TestParser:
+    """The parser reads every option form the README documents, and rejects
+    bad input as a usage error (exit 2)."""
+
+    @pytest.mark.parametrize("argv, spelled_out", [
+        # --opt=value
+        (("table", "eulerian", "--n=5", "--format=json"),
+         ("table", "eulerian", "--n", "5", "--format", "json")),
+        # options before the positional
+        (("verify", "--n-max", "2", "lemma1"), ("verify", "lemma1", "--n-max", "2")),
+        (("poly", "--n", "3", "--a", "0", "--b", "1", "P"),
+         ("poly", "P", "--n", "3", "--a", "0", "--b", "1")),
+        # bare negative rationals as values
+        (("poly", "S", "--n", "4", "--a", "0", "--b", "1", "--d", "-1/2"),
+         ("poly", "S", "--n", "4", "--a", "0", "--b", "1", "--d=-1/2")),
+        (("poly", "P", "--n", "3", "--a", "-2", "--b", "1", "--r", "-1/2"),
+         ("poly", "P", "--n", "3", "--a=-2", "--b", "1", "--r=-1/2")),
+        # a unique prefix names an option
+        (("verify", "lemma1", "--n", "2"), ("verify", "lemma1", "--n-max", "2")),
+        (("series", "riccati", *SERIES_ARGS, "--ord", "3", "--form", "json"),
+         ("series", "riccati", *SERIES_ARGS, "--order", "3", "--format", "json")),
+        (("verify", "grosset-veselov", "--m", "2", "--t=1e-6"),
+         ("verify", "grosset-veselov", "--m-max", "2", "--tol", "1e-6")),
+        # the last of a repeated option wins
+        (("table", "macmahon", "--n", "9", "--format", "csv", "--n", "4",
+          "--format", "plain"), ("table", "macmahon", "--n", "4")),
+    ])
+    def test_form_matches_spelled_out_command(self, capsys, argv, spelled_out):
+        code, out = run_cli(capsys, *argv)
+        assert (code, out) == run_cli(capsys, *spelled_out)
+        assert code == 0 and out
+
+    @pytest.mark.parametrize("argv", [
+        ("-h",), ("--help",), ("--he",), ("table", "-h"), ("poly", "--help"),
+        ("series", "riccati", "--h"), ("verify", "lemma1", "--n-max", "2", "-h"),
+    ])
+    def test_help_exits_0_and_names_the_whole_table(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 0 and captured.err == ""
+        commands = [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+        for command in commands:
+            _, _, _, choices, options = cli.COMMANDS[command]
+            assert f"derivpoly {command} " in captured.out
+            assert all(choice in captured.out for choice in choices)
+            assert all(f"{flag} " in captured.out for flag in options)
+            assert all(fmt in captured.out for fmt in cli.FORMATS)
+
+    def test_table_is_the_command_line(self):
+        """The table holds the commands, options and choices of the README,
+        so the help generated from it cannot drift from what is parsed."""
+        shape = {command: (spec[2], spec[3], list(spec[4]))
+                 for command, spec in cli.COMMANDS.items()}
+        assert shape == {
+            "table": ("kind", TABLE_KINDS, ["--n", "--format"]),
+            "poly": ("family", FAMILIES,
+                     ["--n", "--r", "--a", "--b", "--d", "--format"]),
+            "series": ("which", ("riccati", "v"),
+                       ["--r", "--a", "--b", "--d", "--u0", "--v0", "--order",
+                        "--q", "--p", "--s", "--format"]),
+            "verify": ("suite", SUITE_NAMES,
+                       ["--n-max", "--m-max", "--order", "--u0", "--a", "--b",
+                        "--d", "--tol", "--format"]),
+        }
+
+    REJECTED = [
+        (),                                               # no command
+        ("tables", "eulerian", "--n", "3"),               # unknown command
+        ("--format", "json", "table", "eulerian", "--n", "3"),
+        ("table", "eulerian", "--n", "3", "--frobnicate"),  # unknown option
+        ("table", "eulerian", "--n", "3", "-x"),
+        ("table", "eulerian", "--n", "3", "--=1"),       # ambiguous prefix
+        ("table", "eulerian", "--n"),                     # missing value
+        ("table", "eulerian", "--n", "three"),            # bad int
+        ("table", "eulerian", "--n", "2.0"),
+        ("verify", "grosset-veselov", "--tol", "small"),  # bad float
+        ("poly", "S", "--n", "2", "--a", "0", "--b", "1", "--d", "0.5"),
+        ("poly", "S", "--n", "2", "--a", "0", "--b", "1", "--d", "1/0"),
+        ("table", "fibonacci", "--n", "3"),               # choice outside the list
+        ("table", "eulerian", "--n", "3", "--format", "xml"),
+        ("table", "eulerian", "eulerian", "--n", "3"),    # a second positional
+        ("table", "eulerian"),                            # missing required option
+        ("series", "riccati", *SERIES_ARGS),
+        ("table", "--n", "3"),                            # missing positional
+    ]
+
+    @pytest.mark.parametrize("argv", REJECTED + [
+        ("table", "eulerian", "--n", "0"),                # the library's ValueError
+        ("series", "riccati", "--q", "2", "--order", "3"),  # the CLI's own check
+    ])
+    def test_rejection_exits_2_with_empty_stdout(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        prog = f"derivpoly {argv[0]}" if argv and argv[0] in cli.COMMANDS \
+            else "derivpoly"
+        assert captured.err.startswith(f"{prog}: error: ")
+
+    @pytest.mark.parametrize("argv", REJECTED)
+    def test_parser_errors_are_usage_errors(self, argv):
+        with pytest.raises(UsageError):
+            cli.parse_args(argv)
+
+    def test_cli_checks_raise_usage_errors(self):
+        assert issubclass(UsageError, ValueError)
+        for argv in (("series", "riccati", "--order", "3"),
+                     ("series", "v", "--q", "2", "--p", "3", "--s", "-1",
+                      "--order", "3"),
+                     ("series", "v", "--q", "2", "--p", "3", "--s", "1",
+                      "--u0", "1/2", "--order", "3")):
+            args = cli.parse_args(argv)
+            with pytest.raises(UsageError):
+                cli.COMMANDS[args.command][0](args)
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        """The console script calls ``main()`` with no argument."""
+        monkeypatch.setattr(sys, "argv", ["derivpoly", "table", "eulerian",
+                                          "--n", "3"])
+        assert cli.main() == 0
+        assert capsys.readouterr().out == "1\n1 1\n1 4 1\n"
+
+
+def _python(*args):
+    """Run ``python -S args`` on the package sources; ``-S`` keeps site hooks
+    of the environment out of the picture."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-S", *args],
+                          env={"PYTHONPATH": str(src)},
+                          capture_output=True, text=True)
+
+
+def test_module_usage_error_exits_2():
+    """``python -m derivpoly`` with bad input: exit 2, an error on stderr,
+    nothing on stdout."""
+    proc = _python("-m", "derivpoly", "table", "eulerian", "--n", "0")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "derivpoly table: error:" in proc.stderr
+
+
 def test_import_loads_no_dataclasses_inspect_json_or_csv():
     """Start-up stays lean: importing the CLI pulls in neither ``dataclasses``
-    nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind them), and
+    nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind them),
     neither ``json`` nor ``csv``, which only their own formats and the verdict
-    sort load.  ``-S`` keeps site hooks of the environment out of the
-    picture."""
-    src = Path(cli.__file__).resolve().parents[1]
+    sort load, and neither ``argparse`` nor the ``gettext`` and ``locale``
+    behind it; a whole plain ``table`` command loads none of them either."""
     code = ("import sys, derivpoly.cli; "
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'json', 'csv') "
-            "if m in sys.modules))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code],
-                          env={"PYTHONPATH": str(src)},
-                          capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == ""
+            "lean = ('dataclasses', 'inspect', 'json', 'csv', 'argparse', "
+            "'gettext', 'locale'); "
+            "print(*[m for m in lean if m in sys.modules], sep=','); "
+            "derivpoly.cli.main(['table', 'eulerian', '--n', '1']); "
+            "print(*[m for m in lean if m in sys.modules], sep=',')")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "1", ""]
