@@ -74,7 +74,16 @@ def _logistic_to_riccati(args):
     return r, args.q, Fraction(0), u0, u0
 
 
+#: The largest ``series --order``: at the limit, ``series riccati`` and
+#: ``series v`` compute and print in about 10 s (9.5-11.0 s at the
+#: benchmark's parameters r = 1/3, a = 2/3, b = 4/3, d = 4/3, u0 = 1/3 on a
+#: 2-vCPU Xeon, CPython 3.11); the u recurrence's convolution dominates.
+SERIES_ORDER_LIMIT = 1300
+
+
 def _cmd_series(args) -> int:
+    if args.order > SERIES_ORDER_LIMIT:
+        raise UsageError(f"need --order <= {SERIES_ORDER_LIMIT}, got {args.order}")
     if args.q is not None or args.p is not None or args.s is not None:
         r, a, b, u0, v0 = _logistic_to_riccati(args)
     else:

@@ -20,7 +20,9 @@ MACMAHON = "macmahon"
 
 #: The largest ``n_max`` that ``table_rows`` (the ``table --n`` option) takes
 #: per kind: at the limit, ``derivpoly table`` builds and prints its table in
-#: about 10 s (9.2-9.8 s on a 2-vCPU Xeon, CPython 3.11).
+#: about 10 s (eulerian 900 and macmahon 850 in 8.1-8.5 s with the half-row
+#: conversion of ``_row_strings``, two runs each on a 2-vCPU Xeon, CPython
+#: 3.11.7).
 TABLE_LIMITS = {"eulerian": 900, "macmahon": 850, "bernoulli": 4000,
                 "bernoulli-poly": 900}
 TABLE_KINDS = tuple(TABLE_LIMITS)
@@ -225,20 +227,28 @@ def bernoulli_value(n: int, x) -> Fraction:
 
 
 def _row_strings(row: tuple[int, ...]) -> list[str]:
-    """The row's values as decimal strings, each distinct value converted once."""
-    text = {v: str(v) for v in set(row)}
-    return [text[v] for v in row]
+    """The row's values as decimal strings.
+
+    A symmetric row converts its first half (with the middle value) once and
+    mirrors the strings; any other row, such as one built under an injected
+    fault, converts every value, so a faulty row prints as it was computed.
+    """
+    if row != row[::-1]:
+        return list(map(str, row))
+    n = len(row)
+    head = list(map(str, row[:(n + 1) // 2]))
+    return head + head[:n // 2][::-1]
 
 
 def table_rows(kind: str, n_max: int) -> list[list[str]]:
     """Rows of the requested table with every value as an exact string.
 
     Triangle kinds list rows 1..n_max; the Bernoulli kinds list indices
-    0..n_max (single values, respectively coefficient vectors).  Each distinct
-    value of a triangle row is converted to decimal once: CPython's int-to-str
-    takes time quadratic in the digits, and a triangle row is symmetric, so
-    about half of its values repeat.  n_max above ``TABLE_LIMITS[kind]`` is
-    refused before any work.
+    0..n_max (single values, respectively coefficient vectors).  A triangle
+    row goes through ``_row_strings``: CPython's int-to-str takes time
+    quadratic in the digits, and a triangle row is symmetric, so only its
+    first half is converted.  n_max above ``TABLE_LIMITS[kind]`` is refused
+    before any work.
     """
     if kind not in TABLE_LIMITS:
         raise ValueError(f"unknown table kind {kind!r}")

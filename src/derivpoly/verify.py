@@ -247,18 +247,30 @@ def riccati_series(inst: OracleInstance) -> Series:
 def v_series(inst: OracleInstance) -> Series:
     """Taylor coefficients of v from v' = r v (u - (a+b)/2 + d), v(0) = v0.
 
-    On the same scale as ``riccati_series``, reusing its integers x_n:
-    w_n = v0 r^n y_n / (n! q^n) with y_0 = 1 and
-    y_{n+1} = sum_i C(n,i) y_i x_{n-i} + eta y_n, where h = eta/q.
+    By the first integral, from the integers x_n of ``riccati_series``: in
+    s = r z / q the scaled X = q u obeys X' = (X - alpha)(X - beta), so
+    (X - beta)'/(X - beta) = X - alpha, while v'/v = X + eta with h = eta/q.
+    Hence v = v0 e^((eta+alpha) s) (X - beta)/(mu - beta), that is
+    w_n = v0 r^n y_n / ((mu - beta) n! q^n) with
+    y_n = sum_k C(n,k) (eta+alpha)^(n-k) x'_k, where x'_0 = mu - beta and
+    x'_k = x_k for k >= 1.  The sum is one Pascal pass of additions and
+    small-int products, written out here rather than taken from
+    ``_exp_transform`` so that a fault in that transform stays off theorems
+    2 and 3; 1/(mu - beta) goes into the lead, so no integer is divided.
+    If mu = beta, u is constant and y_n = (eta+beta)^n.
     """
     q, alpha, beta, mu, eta = _scaled_parameters(inst)
-    x = _riccati_numerators(alpha, beta, mu, inst.order)
-    y, row = [1], [1]
-    for n in range(inst.order):
-        conv = sum(c * yi * xj for c, yi, xj in zip(row, y, x[n::-1]))
-        y.append(conv + eta * y[n])
-        row = _pascal_next(row)
-    return _unscaled(y, inst.v0, inst.params.r, q)
+    if mu == beta:
+        lead, y = inst.v0, [(eta + beta) ** n for n in range(inst.order + 1)]
+    else:
+        rate, lead = eta + alpha, inst.v0 / (mu - beta)
+        row = _riccati_numerators(alpha, beta, mu, inst.order)
+        row[0] = mu - beta
+        y = []
+        while row:
+            y.append(row[0])
+            row = [s + rate * t for t, s in zip(row, row[1:])]
+    return _unscaled(y, lead, inst.params.r, q)
 
 
 def _check_oracle(identity: str, inst: OracleInstance, oracle,

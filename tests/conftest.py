@@ -197,8 +197,9 @@ def mutated_tangent_numbers(monkeypatch):
 @pytest.fixture
 def mutated_series_oracle(monkeypatch):
     """Put x_5, the scaled integer coefficient of z^5 in the u oracle, off by
-    one.  The v oracle reuses the same integers, so theorems 1-3 must fail
-    while the families they are compared with stay correct.
+    one.  The v oracle builds its series from the same integers by the first
+    integral, so theorems 1-3 must fail while the families they are compared
+    with stay correct.
     """
     numerators = verify._riccati_numerators
 

@@ -199,6 +199,23 @@ class TestSeries:
         assert run_cli_error(capsys, "series", "v", "--q", "2", "--p", "3",
                              "--s", "1", "--order", "3", "--v0", "5") == 2
 
+    @pytest.mark.parametrize("which", ["riccati", "v"])
+    def test_order_past_limit_rejected_before_any_work(self, capsys,
+                                                       monkeypatch, which):
+        """The limit itself reaches the oracle; limit + 1 exits 2 without
+        building an instance or a series."""
+        def work(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        for name in ("instance", "riccati_series", "v_series"):
+            monkeypatch.setattr(cli, name, work)
+        argv = ["series", which, "--r", "1", "--a", "0", "--b", "1",
+                "--u0", "1/3", "--order"]
+        with pytest.raises(RuntimeError):
+            cli.main([*argv, str(cli.SERIES_ORDER_LIMIT)])
+        assert run_cli_error(capsys, *argv,
+                             str(cli.SERIES_ORDER_LIMIT + 1)) == 2
+
     def test_decimal_input_rejected(self, capsys):
         assert run_cli_error(capsys, "series", "riccati", "--r", "0.5", "--a",
                              "0", "--b", "1", "--u0", "0", "--order", "3") == 2

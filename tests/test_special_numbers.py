@@ -296,6 +296,24 @@ class TestTables:
         with pytest.raises(ValueError):
             sn.table_rows(kind, sn.TABLE_LIMITS[kind] + 1)
 
+    @pytest.mark.parametrize("values, converted", [
+        ((7,), 1), ((7, 7), 1), ((3, 9, 3), 2), ((3, 9, 9, 3), 2),
+        ((3, 9, 9, 4), 4), ((5, 5, 5, 5), 2),
+    ])
+    def test_row_strings_convert_half_a_symmetric_row(self, values, converted):
+        """A palindromic row converts its first half, with the middle value,
+        and mirrors the strings; any other row converts every value."""
+        calls = []
+
+        class Counted(int):
+            def __str__(self):
+                calls.append(int(self))
+                return int.__str__(self)
+
+        row = tuple(map(Counted, values))
+        assert sn._row_strings(row) == [str(v) for v in values]
+        assert len(calls) == converted
+
     @pytest.mark.parametrize("kind, fixture", [
         ("eulerian", "mutated_eulerian_recurrence"),
         ("macmahon", "mutated_macmahon_recurrence"),

@@ -66,11 +66,13 @@ oracle_rationals = st.one_of(
     st.integers(-5, 5).map(Fraction),
     st.fractions(min_value=-5, max_value=5, max_denominator=12),
 )
+# (r, a, b, d, u0, v0, order); u0 is drawn free or set to a or b, the
+# constant solutions, which random rationals almost never hit.
 oracle_instances = st.tuples(
     oracle_rationals.filter(bool), oracle_rationals, oracle_rationals,
     oracle_rationals, oracle_rationals, oracle_rationals.filter(bool),
-    st.integers(1, 40),
-).filter(lambda t: t[1] != t[2])
+    st.integers(1, 40), st.sampled_from((4, 1, 2)),
+).filter(lambda t: t[1] != t[2]).map(lambda t: (*t[:4], t[t[7]], *t[5:7]))
 
 
 class TestIntegerOracle:
@@ -107,6 +109,21 @@ class TestIntegerOracle:
             x.append(conv - (alpha + beta) * x[n]
                      + (alpha * beta if n == 0 else 0))
         assert V._riccati_numerators(alpha, beta, mu, order) == x
+
+    @pytest.mark.parametrize("at", ["a", "b"])
+    def test_constant_u_gives_exponential_v(self, at):
+        """At u0 = a or u0 = b, u stays constant, so v = v0 e^(kz) with
+        k = r(u0 - (a+b)/2 + d): k = r((a-b)/2 + d) at a, r((b-a)/2 + d) at b.
+        u0 = b is the oracle's mu = beta branch, u0 = a the other one."""
+        r, a, b, d, v0 = (Fraction(-3, 2), Fraction(2, 5), Fraction(-7, 3),
+                          Fraction(5, 4), Fraction(-2, 3))
+        u0 = a if at == "a" else b
+        k = r * (u0 - (a + b) / 2 + d)
+        inst = V.instance(r, a, b, u0, d=d, v0=v0, order=12)
+        assert V.riccati_series(inst).coeffs == (u0,) + (0,) * 12
+        w = V.v_series(inst).coeffs
+        assert w == tuple(v0 * k ** n / math.factorial(n) for n in range(13))
+        assert w == fraction_v_series(r, a, b, d, u0, v0, 12)
 
     def test_reaches_no_triangle_or_family(self, monkeypatch):
         def forbidden(*args, **kwargs):
