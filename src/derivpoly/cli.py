@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 from .derivative_polys import FAMILIES, family_json_obj, family_poly
 from .exact import UsageError, parse_rational
 from .special_numbers import TABLE_KINDS, table_rows
-from .verify import SUITE_NAMES, Verdict, instance, riccati_series, run_suite, v_series
+from .verify import (SUITE_NAMES, Verdict, instance, riccati_series, run_suite,
+                     series_height, v_series)
 
 
 def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
@@ -78,12 +79,34 @@ def _logistic_to_riccati(args):
 #: ``series v`` compute and print in about 10 s (9.5-11.0 s at the
 #: benchmark's parameters r = 1/3, a = 2/3, b = 4/3, d = 4/3, u0 = 1/3 on a
 #: 2-vCPU Xeon, CPython 3.11); the u recurrence's convolution dominates.
+#: It holds up to ``SERIES_SMALL_HEIGHT``; taller parameters get the lower
+#: limit of ``_series_order_limit``.
 SERIES_ORDER_LIMIT = 1300
+#: The largest ``verify.series_height`` at which ``SERIES_ORDER_LIMIT``
+#: holds: every parameter set drawn from thirds up to 5/3, as the
+#: benchmark's are.
+SERIES_SMALL_HEIGHT = 7
+
+
+def _series_cost(order: int, height: int) -> int:
+    """Estimated cost of a ``series`` command: coefficient n has about
+    n (log2 n + height) bits, and the convolution, the reduction of each
+    ``Fraction`` and its printing each cost about the square of that per
+    coefficient."""
+    return order ** 3 * (order.bit_length() + height) ** 2
+
+
+def _series_order_limit(height: int) -> int:
+    """The largest order, at most ``SERIES_ORDER_LIMIT``, whose estimated
+    cost at ``height`` is within that of the limit at small heights."""
+    budget = _series_cost(SERIES_ORDER_LIMIT, SERIES_SMALL_HEIGHT)
+    order = SERIES_ORDER_LIMIT
+    while order and _series_cost(order, height) > budget:
+        order -= 1
+    return order
 
 
 def _cmd_series(args) -> int:
-    if args.order > SERIES_ORDER_LIMIT:
-        raise UsageError(f"need --order <= {SERIES_ORDER_LIMIT}, got {args.order}")
     if args.q is not None or args.p is not None or args.s is not None:
         r, a, b, u0, v0 = _logistic_to_riccati(args)
     else:
@@ -91,6 +114,11 @@ def _cmd_series(args) -> int:
             raise UsageError("need --r, --a, --b and --u0 (or the logistic flags)")
         r, a, b, u0 = args.r, args.a, args.b, args.u0
         v0 = Fraction(1) if args.v0 is None else args.v0
+    height = series_height(r, a, b, u0, args.d)
+    limit = _series_order_limit(height)
+    if args.order > limit:
+        raise UsageError(f"need --order <= {limit} at parameters of height "
+                         f"{height}, got {args.order}")
     inst = instance(r, a, b, u0, d=args.d, v0=v0, order=args.order)
     series = riccati_series(inst) if args.which == "riccati" else v_series(inst)
     _emit(args.format, lambda: [[str(c) for c in series.coeffs]],

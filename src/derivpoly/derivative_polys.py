@@ -47,24 +47,55 @@ class RiccatiParams(Record):
         object.__setattr__(self, "d", d)
 
 
+def _digits(packed: int, width: int, count: int) -> list[int]:
+    """The ``count`` signed digits of ``packed`` in base 2^(8 width), lowest
+    first, each in [-2^(8 width - 1), 2^(8 width - 1)).
+
+    Adding the bias 2^(8 width - 1) to every digit makes them all
+    nonnegative, and XOR with the same bias turns each biased digit into the
+    two's complement of the signed one, so one ``to_bytes`` pass and one
+    signed ``from_bytes`` per digit read them off.
+    """
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    raw = ((packed + bias) ^ bias).to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little", signed=True)
+            for i in range(0, width * count, width)]
+
+
 def _homogeneous(coeffs, a: Fraction, b: Fraction) -> Poly:
     """sum_k coeffs[k] (u-a)^k (u-b)^(m-k), m = len(coeffs) - 1, by Horner's
-    rule in u-a on integer numerators.
+    rule on integers that each pack a whole polynomial (Kronecker
+    substitution).
 
-    Over one denominator q, u-a = (q*u - na)/q and u-b = (q*u - nb)/q, so
-    every step multiplies an integer list by one linear integer factor, and a
-    running power of q*u - nb supplies (u-b)^(m-k).  The ``Poly`` is
-    normalised once, over q^m: O(m^2) integer products in all.
+    Over one denominator q, with na = q a, nb = q b and delta = nb - na,
+    t = q u - nb gives q u - na = t + delta, so the numerator over q^m is
+    F(t) = sum_k c_k (t + delta)^k t^(m-k).  Two passes, each a Horner rule
+    at 2^K of shifts, adds and products by small integers (no big x big
+    product), build it:
+
+    1. t^m F(1/t) = sum_k c_k (1 + delta t)^k at t = 2^K, so each step is
+       acc + (delta acc << K) + c_k; its digits, lowest first, are the
+       coefficients of F from t^m down;
+    2. F(q u - nb) at u = 2^K, each step (out q << K) - out nb + e; its
+       digits are the numerators of the result, normalised once over q^m.
+
+    K = 8 width is a whole number of bytes with
+    8 width - 1 >= bitlen(sum |c_k|) + m bitlen(q + |na| + |nb|).  Every
+    digit of either pass is below sum |c_k| (q + |na| + |nb|)^m in size, so
+    the signed digits read back exactly.
     """
     q = math.lcm(a.denominator, b.denominator)
     na = a.numerator * (q // a.denominator)
     nb = b.numerator * (q // b.denominator)
-    acc, b_pow = [coeffs[-1]], [1]
-    for c in reversed(coeffs[:-1]):
-        b_pow = [q * s - nb * t for s, t in zip([0, *b_pow], [*b_pow, 0])]
-        acc = [q * s - na * t + c * w
-               for s, t, w in zip([0, *acc], [*acc, 0], b_pow)]
-    return Poly._over(acc, q ** (len(coeffs) - 1))
+    m = len(coeffs) - 1
+    width = (sum(map(abs, coeffs)).bit_length()
+             + m * (q + abs(na) + abs(nb)).bit_length()) // 8 + 1
+    k, delta, acc, out = 8 * width, nb - na, 0, 0
+    for c in reversed(coeffs):
+        acc += (delta * acc << k) + c
+    for e in _digits(acc, width, m + 1):
+        out = (out * q << k) - out * nb + e
+    return Poly._over(_digits(out, width, m + 1), q ** m)
 
 
 def _key_part(x: Fraction):

@@ -185,13 +185,23 @@ def instance(r, a, b, u0, *, d=0, v0=1, order=DEFAULT_ORACLE_ORDER) -> OracleIns
     return OracleInstance(RiccatiParams(r, a, b, d), u0, v0, order)
 
 
-def _scaled_parameters(inst: OracleInstance) -> tuple[int, ...]:
+def _scaled_parameters(a: Fraction, b: Fraction, u0: Fraction,
+                       d: Fraction) -> tuple[int, ...]:
     """(q, alpha, beta, mu, eta): one denominator q with a = alpha/q,
     b = beta/q, u0 = mu/q and h = d - (a+b)/2 = eta/q."""
-    p = inst.params
-    values = (p.a, p.b, inst.u0, p.d - (p.a + p.b) / 2)
+    values = (a, b, u0, d - (a + b) / 2)
     q = math.lcm(*(v.denominator for v in values))
     return (q, *(v.numerator * (q // v.denominator) for v in values))
+
+
+def series_height(r: Fraction, a: Fraction, b: Fraction, u0: Fraction,
+                  d: Fraction) -> int:
+    """About how many bits coefficient n of either series oracle gains per
+    step of n, beyond the log2(n) of n!: the bit length of the largest of
+    ``_scaled_parameters``' integers, which set the growth of x_n, plus that
+    of r's numerator or denominator, which r^n multiplies in."""
+    top = max(map(abs, _scaled_parameters(a, b, u0, d)))
+    return top.bit_length() + max(abs(r.numerator), r.denominator).bit_length()
 
 
 def _pascal_next(row: list[int]) -> list[int]:
@@ -239,9 +249,10 @@ def riccati_series(inst: OracleInstance) -> Series:
     built at the end.  It never consults the polynomial families it is used
     to check.
     """
-    q, alpha, beta, mu, _ = _scaled_parameters(inst)
+    p = inst.params
+    q, alpha, beta, mu, _ = _scaled_parameters(p.a, p.b, inst.u0, p.d)
     return _unscaled(_riccati_numerators(alpha, beta, mu, inst.order),
-                     Fraction(1, q), inst.params.r, q)
+                     Fraction(1, q), p.r, q)
 
 
 def v_series(inst: OracleInstance) -> Series:
@@ -259,7 +270,8 @@ def v_series(inst: OracleInstance) -> Series:
     2 and 3; 1/(mu - beta) goes into the lead, so no integer is divided.
     If mu = beta, u is constant and y_n = (eta+beta)^n.
     """
-    q, alpha, beta, mu, eta = _scaled_parameters(inst)
+    p = inst.params
+    q, alpha, beta, mu, eta = _scaled_parameters(p.a, p.b, inst.u0, p.d)
     if mu == beta:
         lead, y = inst.v0, [(eta + beta) ** n for n in range(inst.order + 1)]
     else:
@@ -270,7 +282,7 @@ def v_series(inst: OracleInstance) -> Series:
         while row:
             y.append(row[0])
             row = [s + rate * t for t, s in zip(row, row[1:])]
-    return _unscaled(y, lead, inst.params.r, q)
+    return _unscaled(y, lead, p.r, q)
 
 
 def _check_oracle(identity: str, inst: OracleInstance, oracle,
@@ -639,18 +651,23 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
 
 @functools.cache
 def _substitution_points(a: Fraction, b: Fraction) -> tuple:
-    """(u, (u-a)/(u-b), u-b) for each sample point u != b, in sample order;
-    the substitution checks of one (a, b) all share them."""
-    return tuple((u, (u - a) / (u - b), u - b)
+    """(u, (u-a)/(u-b), [1, u-b, (u-b)^2, ...]) for each sample point
+    u != b, in sample order; the substitution checks of one (a, b) all share
+    them, and each list of powers grows by one product per new power."""
+    return tuple((u, (u - a) / (u - b), [Fraction(1), u - b])
                  for u in SUBSTITUTION_SAMPLES if u != b)
 
 
 def _check_substitution(identity: str, n: int, params: RiccatiParams,
                         in_x: Poly, in_u: Poly, power: int) -> Verdict:
     """in_x((u-a)/(u-b)) == in_u(u) / (u-b)^power at sample points u != b."""
+    points = _substitution_points(params.a, params.b)
+    for _, _, powers in points:
+        while len(powers) <= power:
+            powers.append(powers[-1] * powers[1])
     return _scan(identity, _params(r=params.r, a=params.a, b=params.b, n=n), (
-        (None, in_x.eval(x), in_u.eval(u) / u_b ** power)
-        for u, x, u_b in _substitution_points(params.a, params.b)))
+        (None, in_x.eval(x), in_u.eval(u) / powers[power])
+        for u, x, powers in points))
 
 
 def check_substitution_E(n: int, params: RiccatiParams) -> Verdict:

@@ -76,6 +76,26 @@ def mutated_horner_kernel(monkeypatch):
 
 
 @pytest.fixture
+def mutated_digit_unpacking(monkeypatch):
+    """Put the lowest digit that the P/Q kernel reads off a packed integer
+    off by one, in both of its passes: the top coefficient in t = q*u - nb
+    after the first, the constant numerator of the member after the second.
+
+    The triangles and the Horner steps stay correct, so only the families
+    built by the kernel (and every check that reads P, Q or S) must fail.
+    """
+    digits = derivative_polys._digits
+
+    def bad_digits(packed, width, count):
+        out = digits(packed, width, count)
+        out[0] += 1
+        return out
+
+    yield from _inject_fault(monkeypatch, derivative_polys, "_digits",
+                             bad_digits)
+
+
+@pytest.fixture
 def mutated_shift_transform(monkeypatch):
     """Put the k = 2 weight of the S binomial transform off by one, C(n,2)
     becoming C(n,2) + 1, so S_n gains (2d)^2 Q_{n-2}.

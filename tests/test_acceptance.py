@@ -229,6 +229,18 @@ def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault, failing):
     assert (sum(not v.passed for v in verdicts), len(verdicts)) == (failing, 341)
 
 
+def test_digit_unpacking_fault_fails_pinned_share_of_verify_all(
+        mutated_digit_unpacking):
+    """The step that reads a packed integer's digits back is its own seam:
+    a lowest digit off by one in both passes of the P/Q kernel reaches 310
+    of the 341 ``verify all`` verdicts.  That is the 295 of the kernel's
+    constant-coefficient fault plus 15 ``homogeneity_Q`` verdicts: an error
+    of 1/q^m in a numerator does not scale as lam^n under a -> lam a,
+    b -> lam b."""
+    verdicts = V.run_suite("all")
+    assert (sum(not v.passed for v in verdicts), len(verdicts)) == (310, 341)
+
+
 def test_mutation_reaches_warm_bernoulli_memo(request):
     """A tangent-number fault injected after the Bernoulli memos are warm
     still fails ``verify all`` and changes a Bernoulli polynomial's value,

@@ -216,6 +216,27 @@ class TestSeries:
         assert run_cli_error(capsys, *argv,
                              str(cli.SERIES_ORDER_LIMIT + 1)) == 2
 
+    @pytest.mark.parametrize("which", ["riccati", "v"])
+    def test_order_bound_falls_with_height(self, capsys, monkeypatch, which):
+        """At u0 = 123456/370367 (height 23, against 7 for thirds) order 800
+        reaches the oracle and order 1000, below the small-height limit,
+        exits 2 without building an instance or a series, naming the
+        lower limit."""
+        def work(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        for name in ("instance", "riccati_series", "v_series"):
+            monkeypatch.setattr(cli, name, work)
+        argv = ["series", which, "--r=1/3", "--a=2/3", "--b=4/3", "--d=4/3",
+                "--u0=123456/370367", "--order"]
+        with pytest.raises(RuntimeError):
+            cli.main([*argv, "800"])
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "1000"])
+        assert excinfo.value.code == 2
+        assert "need --order <= 867 at parameters of height 23" in \
+            capsys.readouterr().err
+
     def test_decimal_input_rejected(self, capsys):
         assert run_cli_error(capsys, "series", "riccati", "--r", "0.5", "--a",
                              "0", "--b", "1", "--u0", "0", "--order", "3") == 2

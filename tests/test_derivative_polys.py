@@ -192,6 +192,9 @@ def poly_shift_transform(n, params):
 # either sign, denominators up to 15; the tests below ask for a != b with
 # different denominators, so the kernels' common denominator is a real lcm
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 15))
+# numerators up to 10^12 over denominators up to 10^9: wide packed digits
+tall_rationals = st.builds(Fraction, st.integers(-10**12, 10**12),
+                           st.integers(1, 10**9))
 
 
 class TestIntegerKernelsSecondRoutes:
@@ -220,6 +223,34 @@ class TestIntegerKernelsSecondRoutes:
         assume(a != b and a.denominator != b.denominator)
         assert derivative_polys._homogeneous(coeffs, a, b) == \
             poly_horner(coeffs, X - a, X - b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.integers(-10**40, 10**40), min_size=1,
+                           max_size=60),
+           a=tall_rationals, b=tall_rationals)
+    @example(coeffs=[0] * 60, a=Fraction(10**12, 7), b=Fraction(-1, 10**9))
+    @example(coeffs=[0], a=Fraction(1, 3), b=Fraction(5, 3))
+    @example(coeffs=[-10**40], a=Fraction(-10**12, 10**9 - 1),
+             b=Fraction(10**12 - 1, 10**9))
+    @example(coeffs=[10**40, -10**40] * 30, a=Fraction(0),
+             b=Fraction(10**12, 10**9 - 7))
+    @example(coeffs=[-10**40, 10**40] * 30, a=Fraction(-10**12, 10**9 - 7),
+             b=Fraction(0))
+    @example(coeffs=[10**40] * 60, a=Fraction(10**12, 10**9 - 7),
+             b=Fraction(-10**12, 10**9 - 7))
+    def test_horner_kernel_at_the_packing_bound(self, coeffs, a, b):
+        """The packed kernel against ``poly_horner`` where its digits are
+        widest: coefficients up to 10^40 of either sign, up to 60 of them,
+        and roots with numerators up to 10^12 over denominators up to 10^9,
+        with a = 0, b = 0 and a = -b among the examples."""
+        assert derivative_polys._homogeneous(coeffs, a, b) == \
+            poly_horner(coeffs, X - a, X - b)
+
+    def test_p_derivative_recurrence_at_n_160(self):
+        a, b = Fraction(1, 3), Fraction(5, 3)
+        params = RiccatiParams(1, a, b)
+        assert build_P(161, params) == \
+            (X - a) * (X - b) * derivative(build_P(160, params))
 
     @settings(max_examples=40, deadline=None)
     @given(a=rationals, b=rationals, n=st.integers(min_value=2, max_value=25))
