@@ -40,8 +40,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def as_fraction(value) -> Fraction:
-    """``value`` itself when it is a ``Fraction``, else ``Fraction(value)``."""
-    return value if type(value) is Fraction else Fraction(value)
+    """``value`` itself when it is a ``Fraction``, else ``Fraction(value)``,
+    so an int or a string such as ``"1/3"`` is accepted.  A float is a
+    ``TypeError``: a binary float is not the decimal it shows."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"exact rational expected, got the float {value!r}")
+    return Fraction(value)
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -255,6 +255,29 @@ def riccati_series(inst: OracleInstance) -> Series:
                      Fraction(1, q), p.r, q)
 
 
+def _v_numerators(alpha: int, beta: int, mu: int, eta: int,
+                  order: int) -> list[int]:
+    """y_0..y_order of the scaled v series, on ints:
+    y_n = sum_k C(n,k) (eta+alpha)^(n-k) x'_k, where x'_0 = mu - beta and
+    x'_k = x_k of ``_riccati_numerators`` for k >= 1; y_n = (eta+beta)^n
+    if mu = beta.
+
+    The sum is one Pascal pass of additions and small-int products, written
+    out here rather than taken from ``_exp_transform`` so that a fault in
+    that transform stays off theorems 2 and 3.
+    """
+    if mu == beta:
+        return [(eta + beta) ** n for n in range(order + 1)]
+    rate = eta + alpha
+    row = _riccati_numerators(alpha, beta, mu, order)
+    row[0] = mu - beta
+    y = []
+    while row:
+        y.append(row[0])
+        row = [s + rate * t for t, s in zip(row, row[1:])]
+    return y
+
+
 def v_series(inst: OracleInstance) -> Series:
     """Taylor coefficients of v from v' = r v (u - (a+b)/2 + d), v(0) = v0.
 
@@ -262,27 +285,15 @@ def v_series(inst: OracleInstance) -> Series:
     s = r z / q the scaled X = q u obeys X' = (X - alpha)(X - beta), so
     (X - beta)'/(X - beta) = X - alpha, while v'/v = X + eta with h = eta/q.
     Hence v = v0 e^((eta+alpha) s) (X - beta)/(mu - beta), that is
-    w_n = v0 r^n y_n / ((mu - beta) n! q^n) with
-    y_n = sum_k C(n,k) (eta+alpha)^(n-k) x'_k, where x'_0 = mu - beta and
-    x'_k = x_k for k >= 1.  The sum is one Pascal pass of additions and
-    small-int products, written out here rather than taken from
-    ``_exp_transform`` so that a fault in that transform stays off theorems
-    2 and 3; 1/(mu - beta) goes into the lead, so no integer is divided.
-    If mu = beta, u is constant and y_n = (eta+beta)^n.
+    w_n = v0 r^n y_n / ((mu - beta) n! q^n) for the integers y_n of
+    ``_v_numerators``; 1/(mu - beta) goes into the lead, so no integer is
+    divided.  If mu = beta, u is constant and the lead is v0.
     """
     p = inst.params
     q, alpha, beta, mu, eta = _scaled_parameters(p.a, p.b, inst.u0, p.d)
-    if mu == beta:
-        lead, y = inst.v0, [(eta + beta) ** n for n in range(inst.order + 1)]
-    else:
-        rate, lead = eta + alpha, inst.v0 / (mu - beta)
-        row = _riccati_numerators(alpha, beta, mu, inst.order)
-        row[0] = mu - beta
-        y = []
-        while row:
-            y.append(row[0])
-            row = [s + rate * t for t, s in zip(row, row[1:])]
-    return _unscaled(y, lead, p.r, q)
+    lead = inst.v0 if mu == beta else inst.v0 / (mu - beta)
+    return _unscaled(_v_numerators(alpha, beta, mu, eta, inst.order),
+                     lead, p.r, q)
 
 
 def _check_oracle(identity: str, inst: OracleInstance, oracle,
@@ -429,7 +440,7 @@ _BASE01 = RiccatiParams(Fraction(1), Fraction(0), Fraction(1))
 
 
 def _check_u0_open_unit(u0: Fraction) -> Fraction:
-    u0 = Fraction(u0)
+    u0 = as_fraction(u0)
     if not 0 < u0 < 1:
         raise ValueError(f"u0 must lie strictly between 0 and 1, got {u0}")
     return u0
@@ -494,7 +505,7 @@ def check_classical(n: int) -> Verdict:
 
 def check_integral_P(n: int, a, b) -> Verdict:
     """integral_a^b P_n du == -(b-a)^(n+1) * B_n, exactly."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = as_fraction(a), as_fraction(b)
     lhs = build_P(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
     rhs = -((b - a) ** (n + 1)) * bernoulli_number(n)
     return _scan("integral_P", _params(n=n, a=a, b=b), [(n, lhs, rhs)])
@@ -502,7 +513,7 @@ def check_integral_P(n: int, a, b) -> Verdict:
 
 def check_integral_Q(n: int, a, b) -> Verdict:
     """integral_a^b Q_n du == 2^n * B_n(1/2) * (b-a)^(n+1), exactly."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = as_fraction(a), as_fraction(b)
     lhs = build_Q(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
     rhs = 2 ** n * bernoulli_value(n, Fraction(1, 2)) * (b - a) ** (n + 1)
     return _scan("integral_Q", _params(n=n, a=a, b=b), [(n, lhs, rhs)])
@@ -540,7 +551,9 @@ def grosset_veselov_exact(m: int) -> Verdict:
     the sech^2-derivative integral, and
     B_{2m} == (-1)^(m-1) 2^-(2m+1) * integral_{-1}^{1} quotient du.
     A failed division would falsify the divisibility itself and is reported
-    as a hard failure.
+    as a hard failure.  The exact quotient is even, so the integral over
+    [-1, 1] cannot see an odd coefficient: a second pair compares the
+    quotient's odd part with zero.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -552,8 +565,10 @@ def grosset_veselov_exact(m: int) -> Verdict:
                      "nonzero remainder dividing P^2 by 1-u^2", "exact division")
     sign = 1 if (m - 1) % 2 == 0 else -1
     lhs = sign * Fraction(1, 2 ** (2 * m + 1)) * quotient.definite_integral(-1, 1)
+    odd = Poly._over([c if k % 2 else 0
+                      for k, c in enumerate(quotient._coeffs)], quotient._den)
     return _scan("grosset_veselov_exact", params,
-                 [(m, lhs, bernoulli_number(2 * m))])
+                 [(m, lhs, bernoulli_number(2 * m)), (m, odd, Poly())])
 
 
 #: Refinement depth cap and evaluation budget of one quadrature.

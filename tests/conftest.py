@@ -2,235 +2,233 @@ import pytest
 
 from derivpoly import derivative_polys, polyseries, special_numbers, verify
 
+Poly, X = polyseries.Poly, polyseries.X
 
-def _inject_fault(monkeypatch, module, name, faulty):
-    """Patch one module attribute between two cache resets.
 
-    Resetting drops the triangle rows and the P/Q memo built from them, so the
-    fault reaches every cached layer, and the correct values come back after.
-    """
-    special_numbers.reset_caches()
-    monkeypatch.setattr(module, name, faulty)
-    try:
-        yield
-    finally:
-        monkeypatch.undo()
+def _at(seq, k, edit):
+    """``seq`` as a list with item k replaced by ``edit(item)``; unchanged if
+    shorter."""
+    return [*seq[:k], edit(seq[k]), *seq[k + 1:]] if k < len(seq) else seq
+
+
+def _plus(seq, k, delta=1):
+    """``seq`` as a list with ``delta`` added to item k; unchanged if
+    shorter."""
+    return _at(seq, k, lambda x: x + delta)
+
+
+def _poly_plus(poly, k):
+    """``poly`` with 1 added to the numerator of its coefficient k."""
+    return Poly._over(_plus(list(poly._coeffs), k), poly._den)
+
+
+#: Fixture name -> (owner, attribute, wrap, failing, identities): the fixture
+#: replaces ``owner.attribute`` by ``wrap(owner.attribute)``, and a cold
+#: ``verify all`` then fails exactly ``failing`` of its 341 verdicts, whose
+#: identities are exactly ``identities``.  Adding a fault is adding a row.
+FAULTS = {
+    # Row 1 stays [1]; every later row gains its left parent once more, so
+    # anything built from the Eulerian triangle must fail while independent
+    # routes (explicit sums, ODE series, exponential factors) hold.
+    "mutated_eulerian_recurrence": (
+        special_numbers, "_eulerian_next_row",
+        lambda step: lambda n, prev: [x + left for x, left in
+                                      zip(step(n, prev), (*prev, 0))],
+        131, {"classical", "closed_form_f", "egf_a", "egf_eulerian",
+              "grosset_veselov_exact", "grosset_veselov_numeric", "integral_P",
+              "integral_P_symmetric", "integrality", "lemma1", "theorem1",
+              "triangle_eulerian"}),
+    # The same off-by-one in the MacMahon recurrence: from row 2 on the
+    # anchor M(n, 1) = 1 breaks, so the Q and S families must fail.
+    "mutated_macmahon_recurrence": (
+        special_numbers, "_macmahon_next_row",
+        lambda step: lambda n, prev: [x + left for x, left in
+                                      zip(step(n, prev), (*prev, 0))],
+        168, {"closed_form_h", "egf_macmahon", "egf_macmahon_halved",
+              "integral_Q", "integral_S", "integrality", "substitution_M",
+              "theorem2", "theorem3", "triangle_macmahon"}),
+    # The constant coefficient of the P/Q Horner kernel off by one: the
+    # triangles stay correct, so only checks that read P, Q or S fail.
+    "mutated_horner_kernel": (
+        derivative_polys, "_homogeneous",
+        lambda kernel: lambda c, x, y: kernel((c[0] + 1, *c[1:]), x, y),
+        295, {"closed_form_f", "closed_form_h", "grosset_veselov_exact",
+              "grosset_veselov_numeric", "integral_P", "integral_P_symmetric",
+              "integral_Q", "integral_S", "integrality", "lemma1",
+              "substitution_E", "substitution_M", "theorem1", "theorem2",
+              "theorem3"}),
+    # The lowest digit read off a packed integer off by one, in both passes
+    # of the P/Q kernel: the triangles and the Horner steps stay correct.
+    "mutated_digit_unpacking": (
+        derivative_polys, "_digits",
+        lambda digits: lambda *args: _plus(digits(*args), 0),
+        310, {"closed_form_f", "closed_form_h", "grosset_veselov_exact",
+              "grosset_veselov_numeric", "homogeneity_Q", "integral_P",
+              "integral_P_symmetric", "integral_Q", "integral_S",
+              "integrality", "lemma1", "substitution_E", "substitution_M",
+              "theorem1", "theorem2", "theorem3"}),
+    # The k = 2 weight of the S binomial transform off by one, so S_n gains
+    # (2d)^2 Q_{n-2}: only checks that read S with d != 0 fail.
+    "mutated_shift_transform": (
+        derivative_polys, "_shift_transform",
+        lambda shift: lambda qs, two_d: shift(qs, two_d) + (
+            two_d ** 2 * qs[-3] if len(qs) >= 3 else 0),
+        51, {"closed_form_h", "integral_S", "integrality", "theorem3"}),
+    # Poly.eval off by one from degree 8 on: only checks that read a value
+    # at a point fail (the oracles, the Bernoulli values, the substitution
+    # relations); definite_integral runs its own Horner pass.
+    "mutated_poly_eval": (
+        Poly, "eval",
+        lambda evaluate: lambda p, x: evaluate(p, x) + (p.degree >= 8),
+        104, {"closed_form_f", "closed_form_h", "homogeneity_Q", "integral_Q",
+              "integral_S", "substitution_E", "substitution_M", "theorem1",
+              "theorem2", "theorem3"}),
+    # The u^2 term integrated as u^3/4 instead of u^3/3, taking
+    # c (b^3 - a^3) / 12 away: only the checks that integrate fail.
+    "mutated_definite_integral": (
+        Poly, "definite_integral",
+        lambda integrate: lambda p, a, b: (
+            integrate(p, a, b) - p.coefficient(2) * (b ** 3 - a ** 3) / 12),
+        156, {"grosset_veselov_exact", "integral_P", "integral_P_symmetric",
+              "integral_Q", "integral_S"}),
+    # Numerator 2 of every Poly x Poly product of degree 2 or more plus 1;
+    # products by a scalar stay correct, and the Horner-built P and Q never
+    # multiply two polynomials.
+    "mutated_poly_product": (
+        Poly, "__mul__",
+        lambda multiply: lambda p, o: (
+            _poly_plus(multiply(p, o), 2) if isinstance(o, Poly)
+            else multiply(p, o)),
+        27, {"egf_a", "egf_eulerian", "egf_macmahon", "egf_macmahon_halved",
+             "grosset_veselov_exact", "lemma1"}),
+    # The k = 2 weight of the generating-function binomial sum off by one,
+    # so g_n gains rate^(n-2) F_2: only the generating-function checks fail.
+    "mutated_exp_transform": (
+        verify, "_exp_transform",
+        lambda transform: lambda fs, rate: [
+            g + rate ** (n - 2) * fs[2] if n >= 2 else g
+            for n, g in enumerate(transform(fs, rate))],
+        8, {"closed_form_f", "closed_form_h", "egf_a", "egf_eulerian",
+            "egf_macmahon", "egf_macmahon_halved"}),
+    # T_3 = 16 doubled, so B_6 doubles: only checks that read a Bernoulli
+    # number from B_6 on fail.  The reset drops the Bernoulli memo too.
+    "mutated_tangent_numbers": (
+        special_numbers, "_tangent_numbers",
+        lambda tangents: lambda k_max: _plus(tangents(k_max), 2, 16),
+        79, {"grosset_veselov_exact", "grosset_veselov_numeric", "integral_P",
+             "integral_P_symmetric", "integral_Q", "integral_S"}),
+    # x_5 of the integer u oracle off by one; the v oracle reads the same
+    # integers, so theorems 1-3 fail while the families stay correct.
+    "mutated_series_oracle": (
+        verify, "_riccati_numerators",
+        lambda numerators: lambda *args: _plus(numerators(*args), 5),
+        13, {"theorem1", "theorem2", "theorem3"}),
+    # y_5 of the integer v oracle off by one: the u oracle stays correct,
+    # so theorems 2 and 3 fail and theorem 1 holds.
+    "mutated_v_numerators": (
+        verify, "_v_numerators",
+        lambda numerators: lambda *args: _plus(numerators(*args), 5),
+        10, {"theorem2", "theorem3"}),
+    # eta, the scaled h = d - (a+b)/2, off by one: only the v oracle reads
+    # it, so theorems 2 and 3 fail and theorem 1 holds.
+    "mutated_scaled_shift": (
+        verify, "_scaled_parameters",
+        lambda scale: lambda *args: _plus(scale(*args), 4),
+        10, {"theorem2", "theorem3"}),
+    # Entry 2 of every Pascal row from row 4 on off by one: the binomials of
+    # the oracle's convolution, so only theorems 1-3 fail.
+    "mutated_pascal_row": (
+        verify, "_pascal_next",
+        lambda step: lambda row: _plus(step(row), 2, len(row) >= 4),
+        13, {"theorem1", "theorem2", "theorem3"}),
+    # Numerator 6 of either oracle off by one before it is scaled back.
+    "mutated_unscaling": (
+        verify, "_unscaled",
+        lambda unscale: lambda nums, *args: unscale(_plus(nums, 6), *args),
+        13, {"theorem1", "theorem2", "theorem3"}),
+    # The k = 2 weight of every integer combination of polynomials off by
+    # one: the S transform and lemma 1's right side.
+    "mutated_combination_weight": (
+        Poly, "_combination",
+        lambda combine: lambda w, polys, den: combine(_plus(list(w), 2),
+                                                      polys, den),
+        65, {"closed_form_h", "integral_S", "integrality", "lemma1",
+             "theorem3"}),
+    # Numerator 3 of every Poly sum of degree 3 or more plus 1: the products
+    # by c + d e^(rate t) of the polynomial generating functions.
+    "mutated_poly_sum": (
+        Poly, "__add__",
+        lambda add: lambda p, o: _poly_plus(add(p, o), 3),
+        4, {"egf_a", "egf_eulerian", "egf_macmahon", "egf_macmahon_halved"}),
+    # Numerator 2 of every quotient plus 1: the exact divisions of the
+    # Grosset-Veselov squares and of the integrality check.
+    "mutated_quotient_coefficient_2": (
+        Poly, "__divmod__",
+        lambda divide: lambda p, o: _at(divide(p, o), 0,
+                                        lambda q: _poly_plus(q, 2)),
+        27, {"grosset_veselov_exact", "integrality"}),
+    # Numerator 1 of every quotient plus 1: the even Grosset-Veselov
+    # quotient shows it only in its odd-part pair.
+    "mutated_quotient_coefficient_1": (
+        Poly, "__divmod__",
+        lambda divide: lambda p, o: _at(divide(p, o), 0,
+                                        lambda q: _poly_plus(q, 1)),
+        28, {"grosset_veselov_exact", "integrality"}),
+    # Every remainder plus 1, so no division is exact.
+    "mutated_remainder": (
+        Poly, "__divmod__",
+        lambda divide: lambda p, o: _plus(divide(p, o), 1),
+        28, {"grosset_veselov_exact", "integrality"}),
+    # The quadrature's value off by 1e-3, far above its tolerance: only the
+    # numeric Grosset-Veselov cross-checks integrate numerically.
+    "mutated_quadrature": (
+        verify, "_adaptive_simpson",
+        lambda simpson: lambda *args: _plus(simpson(*args), 0, 1e-3),
+        3, {"grosset_veselov_numeric"}),
+    # x^1 of B_n(x) plus 1 from n = 4 on: the Bernoulli values on the right
+    # of the Q and S integrals.
+    "mutated_bernoulli_poly": (
+        special_numbers, "bernoulli_poly",
+        lambda bernoulli: lambda n: bernoulli(n) + X * (n >= 4),
+        87, {"integral_Q", "integral_S"}),
+    # B_1 = +1/2, the other sign convention: the integrals read B_1.
+    "mutated_bernoulli_b1": (
+        special_numbers, "_bernoulli_cache",
+        lambda numbers: lambda n_max: _plus(numbers(n_max), 1),
+        112, {"integral_P", "integral_P_symmetric", "integral_Q",
+              "integral_S"}),
+    # The explicit sums as verify reads them, off by one at a single entry:
+    # each is the second route of its triangle check only.
+    "mutated_eulerian_explicit": (
+        verify, "eulerian_explicit",
+        lambda explicit: lambda n, k: explicit(n, k) + (n >= 4 and k == 1),
+        1, {"triangle_eulerian"}),
+    "mutated_macmahon_explicit": (
+        verify, "macmahon_explicit",
+        lambda explicit: lambda n, k: explicit(n, k) + (n >= 4 and k == 2),
+        1, {"triangle_macmahon"}),
+}
+
+
+def _fault_fixture(name, owner, attribute, wrap, *_):
+    @pytest.fixture(name=name)
+    def inject(monkeypatch):
+        """Patch one kernel between two cache resets: the reset drops the
+        triangle rows and the memos built from them, so the fault reaches
+        every cached layer, and the correct values come back after."""
         special_numbers.reset_caches()
+        monkeypatch.setattr(owner, attribute, wrap(getattr(owner, attribute)))
+        try:
+            yield
+        finally:
+            monkeypatch.undo()
+            special_numbers.reset_caches()
+
+    return inject
 
 
-@pytest.fixture
-def mutated_eulerian_recurrence(monkeypatch):
-    """Inject an off-by-one into the ascent recurrence, with isolated caches.
-
-    Row 1 stays [1]; every later row is corrupted, so anything built from the
-    Eulerian triangle must stop verifying while independent routes (explicit
-    sums, ODE series, exponential factors) are unaffected.
-    """
-
-    def bad_row(n, prev):
-        row = []
-        for k in range(n):
-            left = prev[k] if k < n - 1 else 0
-            right = prev[k - 1] if k >= 1 else 0
-            row.append((k + 2) * left + (n - k) * right)
-        return row
-
-    yield from _inject_fault(monkeypatch, special_numbers,
-                             "_eulerian_next_row", bad_row)
-
-
-@pytest.fixture
-def mutated_macmahon_recurrence(monkeypatch):
-    """Inject an off-by-one into the MacMahon recurrence, with isolated caches.
-
-    Row 1 stays [1]; from row 2 on the anchor M(n, 1) = 1 breaks, so the Q
-    and S families and everything built on them must stop verifying.
-    """
-
-    def bad_row(n, prev):
-        row = []
-        for k in range(1, n + 1):
-            left = prev[k - 1] if k <= n - 1 else 0
-            right = prev[k - 2] if k >= 2 else 0
-            row.append(2 * k * left + (2 * n - 2 * k + 1) * right)
-        return row
-
-    yield from _inject_fault(monkeypatch, special_numbers,
-                             "_macmahon_next_row", bad_row)
-
-
-@pytest.fixture
-def mutated_horner_kernel(monkeypatch):
-    """Put the constant coefficient of the P/Q Horner kernel off by one.
-
-    The triangles stay correct, so only the families built from them (and
-    every check that reads P, Q or S) must stop verifying.
-    """
-    kernel = derivative_polys._homogeneous
-
-    def bad_kernel(coeffs, x, y):
-        return kernel((coeffs[0] + 1, *coeffs[1:]), x, y)
-
-    yield from _inject_fault(monkeypatch, derivative_polys, "_homogeneous",
-                             bad_kernel)
-
-
-@pytest.fixture
-def mutated_digit_unpacking(monkeypatch):
-    """Put the lowest digit that the P/Q kernel reads off a packed integer
-    off by one, in both of its passes: the top coefficient in t = q*u - nb
-    after the first, the constant numerator of the member after the second.
-
-    The triangles and the Horner steps stay correct, so only the families
-    built by the kernel (and every check that reads P, Q or S) must fail.
-    """
-    digits = derivative_polys._digits
-
-    def bad_digits(packed, width, count):
-        out = digits(packed, width, count)
-        out[0] += 1
-        return out
-
-    yield from _inject_fault(monkeypatch, derivative_polys, "_digits",
-                             bad_digits)
-
-
-@pytest.fixture
-def mutated_shift_transform(monkeypatch):
-    """Put the k = 2 weight of the S binomial transform off by one, C(n,2)
-    becoming C(n,2) + 1, so S_n gains (2d)^2 Q_{n-2}.
-
-    The triangles and the P/Q families stay correct, so only checks that
-    read S with d != 0 must fail.
-    """
-    transform = derivative_polys._shift_transform
-
-    def bad_transform(qs, two_d):
-        poly = transform(qs, two_d)
-        return poly + two_d ** 2 * qs[-3] if len(qs) >= 3 else poly
-
-    yield from _inject_fault(monkeypatch, derivative_polys, "_shift_transform",
-                             bad_transform)
-
-
-@pytest.fixture
-def mutated_poly_eval(monkeypatch):
-    """Put ``Poly.eval`` off by one on polynomials of degree 8 and up.
-
-    Products, sums and the builders stay correct, so only checks that read
-    a polynomial's value at a point (the series oracles, the Bernoulli
-    values on the right of the integral identities, the substitution
-    relations) must fail.  ``definite_integral`` runs its own Horner pass,
-    so the integrals themselves stay correct.
-    """
-    evaluate = polyseries.Poly.eval
-
-    def bad_eval(poly, x):
-        return evaluate(poly, x) + (poly.degree >= 8)
-
-    yield from _inject_fault(monkeypatch, polyseries.Poly, "eval", bad_eval)
-
-
-@pytest.fixture
-def mutated_definite_integral(monkeypatch):
-    """Integrate the u^2 term of every ``Poly`` as u^3/4 instead of u^3/3.
-
-    Products, evaluation and the builders stay correct, so only the checks
-    that integrate a polynomial (the integral identities and the exact
-    Grosset-Veselov integrals) must fail.
-    """
-    integrate = polyseries.Poly.definite_integral
-
-    def bad_integral(poly, a, b):
-        # c (b^3 - a^3) / 4 in place of c (b^3 - a^3) / 3 takes 1/12 of it away
-        c = poly.coefficient(2)
-        return integrate(poly, a, b) - c * (b ** 3 - a ** 3) / 12
-
-    yield from _inject_fault(monkeypatch, polyseries.Poly, "definite_integral",
-                             bad_integral)
-
-
-@pytest.fixture
-def mutated_poly_product(monkeypatch):
-    """Add 1 to the numerator of coefficient 2 of every ``Poly`` x ``Poly``
-    product of degree 2 or more; products by a scalar stay correct.
-
-    The triangles and the Horner-built P and Q families never multiply two
-    polynomials, so only the checks that do (lemma 1, the Grosset-Veselov
-    squares, the generating-function checks over polynomial coefficients)
-    must fail.
-    """
-    multiply = polyseries.Poly.__mul__
-
-    def bad_multiply(self, other):
-        product = multiply(self, other)
-        if not isinstance(other, polyseries.Poly) or product.degree < 2:
-            return product
-        nums = list(product._coeffs)
-        nums[2] += 1
-        return polyseries.Poly._over(nums, product._den)
-
-    yield from _inject_fault(monkeypatch, polyseries.Poly, "__mul__",
-                             bad_multiply)
-
-
-@pytest.fixture
-def mutated_exp_transform(monkeypatch):
-    """Put the k = 2 weight of the generating-function binomial sum off by
-    one, C(n,2) becoming C(n,2) + 1, so g_n gains rate^(n-2) F_2 for n >= 2.
-
-    Polynomials, the families and the triangles stay correct, so only the
-    checks that multiply a generating function by c + d e^(rate t) (the
-    generating-function identities and closed forms) must fail.
-    """
-    transform = verify._exp_transform
-
-    def bad_transform(fs, rate):
-        return [g + rate ** (n - 2) * fs[2] if n >= 2 else g
-                for n, g in enumerate(transform(fs, rate))]
-
-    yield from _inject_fault(monkeypatch, verify, "_exp_transform",
-                             bad_transform)
-
-
-@pytest.fixture
-def mutated_tangent_numbers(monkeypatch):
-    """Double the tangent number T_3, so B_6 doubles.
-
-    The triangles and families stay correct, so only checks that read a
-    Bernoulli number from B_6 on (the integral identities and the even
-    Bernoulli integrals) must fail.  The memoized Bernoulli list is dropped
-    with the other caches, or a warm memo would hide the fault.
-    """
-    tangent_numbers = special_numbers._tangent_numbers
-
-    def bad_tangent_numbers(k_max):
-        t = tangent_numbers(k_max)
-        if k_max >= 3:
-            t[2] *= 2
-        return t
-
-    yield from _inject_fault(monkeypatch, special_numbers, "_tangent_numbers",
-                             bad_tangent_numbers)
-
-
-@pytest.fixture
-def mutated_series_oracle(monkeypatch):
-    """Put x_5, the scaled integer coefficient of z^5 in the u oracle, off by
-    one.  The v oracle builds its series from the same integers by the first
-    integral, so theorems 1-3 must fail while the families they are compared
-    with stay correct.
-    """
-    numerators = verify._riccati_numerators
-
-    def bad_numerators(alpha, beta, mu, order):
-        x = numerators(alpha, beta, mu, order)
-        if order >= 5:
-            x[5] += 1
-        return x
-
-    yield from _inject_fault(monkeypatch, verify, "_riccati_numerators",
-                             bad_numerators)
+for _name, _row in FAULTS.items():
+    globals()[_name] = _fault_fixture(_name, *_row)
 
 
 @pytest.hookimpl(hookwrapper=True)

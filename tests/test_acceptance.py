@@ -11,15 +11,18 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
 import derivpoly.verify as V
-from derivpoly import derivative_polys
+from derivpoly import derivative_polys, polyseries
 from derivpoly import special_numbers as sn
 from derivpoly.derivative_polys import (RiccatiParams, build_P, build_Q,
                                        build_S)
 from derivpoly.polyseries import Poly, X
+
+from conftest import FAULTS
 
 
 def criterion(label):
@@ -164,81 +167,110 @@ def test_criterion_9_mutation_sanity(mutated_eulerian_recurrence):
     assert not all(V.check_classical(n).passed for n in range(1, 16))
 
 
-def test_mutation_of_horner_kernel_fails_theorems(mutated_horner_kernel):
-    """An off-by-one coefficient in the P/Q Horner kernel fails theorem 1
-    (P against the u oracle) and theorem 2 (Q against the v oracle)."""
-    failed = {v.identity for v in V.run_suite("all") if not v.passed}
-    assert {"theorem1", "theorem2"} <= failed
-
-
-def test_mutation_of_poly_eval_fails_verify_all(mutated_poly_eval):
-    """An off-by-one ``Poly.eval`` from degree 8 on fails ``verify all``:
-    the integer evaluation layer is reached by some verdict."""
-    failed = [v for v in V.run_suite("all") if not v.passed]
-    assert failed
-    assert {"theorem1", "integral_Q", "substitution_E"} <= {
-        v.identity for v in failed}
-
-
-def test_mutation_of_tangent_numbers_fails_verify_all(mutated_tangent_numbers):
-    """A doubled T_3 (so a doubled B_6) fails the integral identities, whose
-    right sides read Bernoulli numbers, and the even Bernoulli integrals."""
-    failed = {v.identity for v in V.run_suite("all") if not v.passed}
-    assert {"integral_P", "integral_Q", "grosset_veselov_exact"} <= failed
-
-
-def test_mutation_of_shift_transform_fails_verify_all(mutated_shift_transform):
-    """An off-by-one k = 2 weight in the S binomial transform fails theorem 3
-    (S against the v oracle), the S integrals, the closed form of the S
-    generating function and the integrality of the reduced S family."""
-    failed = {v.identity for v in V.run_suite("all") if not v.passed}
-    assert {"theorem3", "integral_S", "closed_form_h", "integrality"} <= failed
-
-
-def test_mutation_of_exp_transform_fails_verify_all(mutated_exp_transform):
-    """An off-by-one k = 2 weight in the binomial sum of the generating-function
-    checks fails the generating-function identities and closed forms, and
-    nothing else."""
-    failed = {v.identity for v in V.run_suite("all") if not v.passed}
-    assert failed == {"closed_form_f", "closed_form_h", "egf_a",
-                      "egf_eulerian", "egf_macmahon", "egf_macmahon_halved"}
-
-
-def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
-    """An off-by-one scaled coefficient x_5 in the integer u oracle fails
-    theorem 1, and theorems 2 and 3 through the v oracle that reuses it."""
-    failed = {v.identity for v in V.run_suite("all") if not v.passed}
-    assert {"theorem1", "theorem2", "theorem3"} <= failed
-
-
-@pytest.mark.parametrize("fault,failing", [("mutated_tangent_numbers", 79),
-                                           ("mutated_series_oracle", 13),
-                                           ("mutated_horner_kernel", 295),
-                                           ("mutated_shift_transform", 51),
-                                           ("mutated_exp_transform", 8),
-                                           ("mutated_definite_integral", 156),
-                                           ("mutated_poly_product", 27)])
-def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault, failing):
-    """The geometric Bernoulli memo, the halved oracle convolution and the
-    integer Horner kernel reach exactly as many ``verify all`` verdicts under
-    a kernel fault as the kernels they replaced; the counts of the integer S
-    transform, the generating-function binomial sum, the definite integral
-    and the polynomial product are pinned as first measured."""
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_fails_pinned_verdicts(request, fault):
+    """Each fault of ``FAULTS`` fails exactly its pinned number of the 341
+    ``verify all`` verdicts, in exactly its pinned identities."""
+    *_, failing, identities = FAULTS[fault]
     request.getfixturevalue(fault)
     verdicts = V.run_suite("all")
-    assert (sum(not v.passed for v in verdicts), len(verdicts)) == (failing, 341)
+    failed = [v.identity for v in verdicts if not v.passed]
+    assert (len(failed), len(verdicts)) == (failing, 341)
+    assert set(failed) == identities
 
 
-def test_digit_unpacking_fault_fails_pinned_share_of_verify_all(
-        mutated_digit_unpacking):
-    """The step that reads a packed integer's digits back is its own seam:
-    a lowest digit off by one in both passes of the P/Q kernel reaches 310
-    of the 341 ``verify all`` verdicts.  That is the 295 of the kernel's
-    constant-coefficient fault plus 15 ``homogeneity_Q`` verdicts: an error
-    of 1/q^m in a numerator does not scale as lam^n under a -> lam a,
-    b -> lam b."""
-    verdicts = V.run_suite("all")
-    assert (sum(not v.passed for v in verdicts), len(verdicts)) == (310, 341)
+def _qualified(member) -> str:
+    """``module.qualname`` of a function, method or property."""
+    member = getattr(member, "fget", getattr(member, "__func__", member))
+    return f"{member.__module__.rpartition('.')[2]}.{member.__qualname__}"
+
+
+def _census() -> set:
+    """Every module-level function and ``Poly`` method of the modules that
+    compute, as ``module.qualname``."""
+    members = [obj for module in (polyseries, sn, derivative_polys, V)
+               for obj in vars(module).values()
+               if callable(obj) and not isinstance(obj, type)
+               and getattr(obj, "__module__", None) == module.__name__]
+    members += [obj for obj in vars(Poly).values()
+                if isinstance(obj, (FunctionType, classmethod, staticmethod,
+                                    property))]
+    return {_qualified(obj) for obj in members}
+
+
+#: Every member of the census that no row of ``FAULTS`` patches, with the
+#: reason it needs no row of its own.
+UNFAULTED = {
+    **dict.fromkeys([
+        *(f"verify.check_{name}" for name in (
+            "theorem1", "theorem2", "theorem3", "egf_eulerian", "egf_A",
+            "egf_macmahon", "egf_macmahon_halved", "F_closed_form",
+            "H_closed_form", "lemma1", "classical", "integral_P",
+            "integral_Q", "integral_S", "integral_P_symmetric",
+            "substitution_E", "substitution_M", "homogeneity_Q",
+            "integrality", "eulerian_triangle", "macmahon_triangle")),
+        "verify.grosset_veselov_exact", "verify.grosset_veselov_numeric",
+        "verify._check_oracle", "verify._check_egf",
+        "verify._check_substitution", "verify._substitution_points",
+        "verify._symmetric", "verify._scan", "verify._fail",
+    ], "a check or its comparison: it states what a fault must break"),
+    **dict.fromkeys([
+        *(f"verify.suite_{name}" for name in (
+            "theorem1", "theorem2", "theorem3", "egf", "lemma1", "classical",
+            "integrals", "grosset_veselov", "relations")),
+        "verify.run_suite", "verify._suite_all", "verify._verdict_sort_key",
+        "verify.instance", "verify._params", "verify._upto",
+        "verify._check_tol", "verify._check_u0_open_unit",
+    ], "runs, labels or validates checks: the count of 341 pins it"),
+    **dict.fromkeys([
+        "special_numbers.eulerian", "special_numbers.eulerian_row",
+        "special_numbers.macmahon", "special_numbers.macmahon_row",
+        "special_numbers.bernoulli_number", "special_numbers.bernoulli_numbers",
+        "special_numbers.bernoulli_value", "derivative_polys.build_P",
+        "derivative_polys.build_Q", "derivative_polys.build_S",
+        "derivative_polys._built_once", "derivative_polys._key_part",
+        "verify.riccati_series", "verify.v_series",
+    ], "a memo, lookup or scaling around kernels that have rows"),
+    **dict.fromkeys([
+        "derivative_polys.build_E", "derivative_polys.build_A",
+        "derivative_polys.build_M",
+    ], "a triangle row as a Poly: the recurrence rows reach it"),
+    **dict.fromkeys([
+        "polyseries.Poly.__sub__", "polyseries.Poly.__rsub__",
+        "polyseries.Poly.__pow__", "polyseries.Poly.exact_div",
+    ], "built on a Poly operation that has a row"),
+    **dict.fromkeys([
+        "polyseries.Poly.__new__", "polyseries.Poly._over",
+        "polyseries.Poly._coerce", "polyseries._exact",
+        "polyseries.Poly.__neg__", "polyseries.Poly.coefficient",
+        "polyseries.Poly.coeffs", "polyseries.Poly.degree",
+        "polyseries.Poly.is_zero",
+    ], "the canonical form, its accessors and sign: test_polyseries pins them"),
+    "polyseries.Poly.__eq__":
+        "equality: a laxer one still passes correct kernels, so no verdict "
+        "can fail; test_polyseries pins it",
+    "polyseries.Poly.__hash__": "no verdict hashes a polynomial",
+    **dict.fromkeys([
+        "polyseries.Poly.to_coeff_strings", "polyseries.Poly.__str__",
+        "polyseries.Poly.__repr__", "special_numbers.table_rows",
+        "derivative_polys.family_poly", "derivative_polys.family_json_obj",
+        "verify.series_height",
+    ], "command-line input, bounds or output: test_cli's digests pin it"),
+    "special_numbers._row_strings":
+        "output only, with its own fault test "
+        "(test_strings_do_not_assume_symmetric_rows)",
+    "special_numbers.reset_caches": "the cache reset that every fault uses",
+}
+
+
+def test_every_kernel_has_a_fault_or_a_reason():
+    """The census of computing functions is exactly the members that a row
+    of ``FAULTS`` patches plus those ``UNFAULTED`` gives a reason for, so a
+    new helper needs a fault row or a stated reason."""
+    faulted = {_qualified(vars(owner)[attribute])
+               for owner, attribute, *_ in FAULTS.values()}
+    assert not faulted & UNFAULTED.keys()
+    assert _census() == faulted | UNFAULTED.keys()
 
 
 def test_mutation_reaches_warm_bernoulli_memo(request):

@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from derivpoly.derivative_polys import RiccatiParams
-from derivpoly.exact import binomial, factorial, format_rational, parse_rational
+from derivpoly import verify
+from derivpoly.exact import (as_fraction, binomial, factorial, format_rational,
+                             parse_rational)
 from derivpoly.verify import OracleInstance, Verdict
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -46,6 +48,27 @@ class TestParseFormat:
     @given(small_fractions)
     def test_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x
+
+    @pytest.mark.parametrize("call", [
+        lambda: as_fraction(0.5),
+        lambda: RiccatiParams(0.1, 0, 1),
+        lambda: OracleInstance(RiccatiParams(1, 0, 1), 0.25),
+        lambda: verify.check_integral_P(2, 0.0, 1),
+        lambda: verify.check_integral_Q(2, 0, 1.0),
+        lambda: verify.check_F_closed_form(0.3),
+        lambda: verify.run_suite("egf", u0=0.3),
+    ])
+    def test_float_refused(self, call):
+        """A binary float is not the decimal it shows: ``RiccatiParams(0.1,
+        0, 1).r`` would be 3602879701896397/36028797018963968, and a float
+        u0 would print its binary value in the verdict params."""
+        with pytest.raises(TypeError, match="float"):
+            call()
+
+    def test_strings_accepted(self):
+        assert as_fraction("1/3") == Fraction(1, 3)
+        assert verify.check_integral_P(3, "0", "1/2").passed
+        assert verify.check_F_closed_form("1/3").params["u0"] == "1/3"
 
 
 class TestCanonicalForm:
