@@ -167,11 +167,62 @@ def test_criterion_9_mutation_sanity(mutated_eulerian_recurrence):
     assert not all(V.check_classical(n).passed for n in range(1, 16))
 
 
-@pytest.mark.parametrize("fault", FAULTS)
-def test_fault_fails_pinned_verdicts(request, fault):
+def test_mutation_of_horner_kernel_fails_theorems(mutated_horner_kernel):
+    """An off-by-one coefficient in the P/Q Horner kernel fails theorem 1
+    (P against the u oracle) and theorem 2 (Q against the v oracle)."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"theorem1", "theorem2"} <= failed
+
+
+def test_mutation_of_poly_eval_fails_verify_all(mutated_poly_eval):
+    """An off-by-one ``Poly.eval`` from degree 8 on fails ``verify all``:
+    the integer evaluation layer is reached by some verdict."""
+    failed = [v for v in V.run_suite("all") if not v.passed]
+    assert failed
+    assert {"theorem1", "integral_Q", "substitution_E"} <= {
+        v.identity for v in failed}
+
+
+def test_mutation_of_tangent_numbers_fails_verify_all(mutated_tangent_numbers):
+    """A doubled T_3 (so a doubled B_6) fails the integral identities, whose
+    right sides read Bernoulli numbers, and the even Bernoulli integrals."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"integral_P", "integral_Q", "grosset_veselov_exact"} <= failed
+
+
+def test_mutation_of_shift_transform_fails_verify_all(mutated_shift_transform):
+    """An off-by-one k = 2 weight in the S binomial transform fails theorem 3
+    (S against the v oracle), the S integrals, the closed form of the S
+    generating function and the integrality of the reduced S family."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"theorem3", "integral_S", "closed_form_h", "integrality"} <= failed
+
+
+def test_mutation_of_exp_transform_fails_verify_all(mutated_exp_transform):
+    """An off-by-one k = 2 weight in the binomial sum of the generating-function
+    checks fails the generating-function identities and closed forms, and
+    nothing else."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert failed == {"closed_form_f", "closed_form_h", "egf_a",
+                      "egf_eulerian", "egf_macmahon", "egf_macmahon_halved"}
+
+
+def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
+    """An off-by-one scaled coefficient x_5 in the integer u oracle fails
+    theorem 1, and theorems 2 and 3 through the v oracle that reuses it."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"theorem1", "theorem2", "theorem3"} <= failed
+
+
+@pytest.mark.parametrize("fault,failing",
+                         [(name, row[3]) for name, row in FAULTS.items()])
+def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault,
+                                                       failing):
     """Each fault of ``FAULTS`` fails exactly its pinned number of the 341
-    ``verify all`` verdicts, in exactly its pinned identities."""
-    *_, failing, identities = FAULTS[fault]
+    ``verify all`` verdicts, in exactly its pinned identities.  The
+    ``test_mutation_of_*`` tests above state, apart from these measured
+    pins, the identities a fault must reach by what each check reads."""
+    identities = FAULTS[fault][4]
     request.getfixturevalue(fault)
     verdicts = V.run_suite("all")
     failed = [v.identity for v in verdicts if not v.passed]
