@@ -7,7 +7,7 @@ package is the optional quadrature cross-check of the even-Bernoulli integral
 formula.
 """
 
-from .exact import binomial, factorial, format_rational, parse_rational
+from .exact import parse_rational
 from .polyseries import Poly, Series, X
 from .special_numbers import (
     Triangle,
@@ -37,7 +37,7 @@ from .verify import OracleInstance, Verdict, instance, riccati_series, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "binomial", "factorial", "format_rational", "parse_rational",
+    "parse_rational",
     "Poly", "Series", "X",
     "Triangle", "eulerian", "eulerian_explicit", "eulerian_row",
     "macmahon", "macmahon_explicit", "macmahon_row", "bernoulli_number",

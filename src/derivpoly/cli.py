@@ -19,7 +19,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from .derivative_polys import FAMILIES, family_json_obj, family_poly
+from .derivative_polys import FAMILIES, family_poly
 from .exact import UsageError, parse_rational
 from .special_numbers import TABLE_KINDS, table_rows
 from .verify import (SUITE_NAMES, Verdict, instance, riccati_series, run_suite,
@@ -55,9 +55,12 @@ def _cmd_table(args) -> int:
 
 def _cmd_poly(args) -> int:
     params = {"r": args.r, "a": args.a, "b": args.b, "d": args.d}
-    poly = family_poly(args.family, args.n, **params)
-    _emit(args.format, lambda: [poly.to_coeff_strings() or ["0"]],
-          lambda: [family_json_obj(args.family, args.n, poly, **params)])
+    coefficients = family_poly(args.family, args.n, **params).to_coeff_strings()
+    _emit(args.format, lambda: [coefficients or ["0"]],
+          lambda: [{"family": args.family, "n": args.n,
+                    "params": {k: None if v is None else str(v)
+                               for k, v in params.items()},
+                    "coefficients": coefficients}])
     return 0
 
 
@@ -121,8 +124,9 @@ def _cmd_series(args) -> int:
                          f"{height}, got {args.order}")
     inst = instance(r, a, b, u0, d=args.d, v0=v0, order=args.order)
     series = riccati_series(inst) if args.which == "riccati" else v_series(inst)
-    _emit(args.format, lambda: [[str(c) for c in series.coeffs]],
-          lambda: [series.to_json_obj()])
+    coefficients = [str(c) for c in series.coeffs]
+    _emit(args.format, lambda: [coefficients],
+          lambda: [{"order": args.order, "coefficients": coefficients}])
     return 0
 
 

@@ -22,7 +22,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import Record, as_fraction, format_rational
+from .exact import Record, as_fraction
 from .polyseries import Poly
 from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
 
@@ -224,18 +224,3 @@ def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
     if family == "A":
         return build_A(n)
     return build_M(n)
-
-
-def family_json_obj(family: str, n: int, poly: Poly, *,
-                    r=None, a=None, b=None, d=None) -> dict:
-    """CLI-facing JSON: family, index, parameters, coefficient strings."""
-
-    def fmt(v):
-        return None if v is None else format_rational(v)
-
-    return {
-        "family": family,
-        "n": n,
-        "params": {"r": fmt(r), "a": fmt(a), "b": fmt(b), "d": fmt(d)},
-        "coefficients": poly.to_coeff_strings(),
-    }

@@ -3,14 +3,13 @@
 Python ints are already arbitrary precision and ``fractions.Fraction`` keeps
 rationals in reduced canonical form (positive denominator, gcd 1, zero stored
 as 0/1), so this module mostly pins down conventions the rest of the package
-relies on: the ``p/q`` string encoding, the combinatorial scalars, the
-``Record`` base of the package's small immutable value types and the
-``UsageError`` of bad command-line input.
+relies on: the ``p/q`` string encoding, the ``Record`` base of the
+package's small immutable value types and the ``UsageError`` of bad
+command-line input.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
@@ -48,27 +47,6 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError(f"exact rational expected, got the float {value!r}")
     return Fraction(value)
-
-
-def format_rational(value: Fraction | int) -> str:
-    """Encode as ``p/q``, or just ``p`` when the denominator is 1."""
-    return str(as_fraction(value))
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for n >= 0; zero outside 0 <= k <= n."""
-    if n < 0:
-        raise ValueError(f"binomial needs n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial needs n >= 0, got {n}")
-    return math.factorial(n)
 
 
 class Record:

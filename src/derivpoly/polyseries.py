@@ -102,12 +102,6 @@ class Poly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other: object) -> "Poly":
-        o = Poly._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other: object) -> "Poly":
         if isinstance(other, (int, Fraction)):
             return Poly._over([c * other.numerator for c in self._coeffs],
@@ -258,40 +252,16 @@ class Series:
         self._coeffs = cs
 
     @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
-
-    @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self._coeffs[n]
 
     # No library code multiplies series: kept while perfbench/tracing.py wraps it.
     def __mul__(self, other: object) -> "Series":
         """Truncated convolution at the common order."""
         if not isinstance(other, Series):
             return NotImplemented
-        if len(self._coeffs) != len(other._coeffs):
-            raise ValueError(
-                f"series order mismatch: {self.order} vs {other.order}"
-            )
         a, b = self._coeffs, other._coeffs
+        if len(a) != len(b):
+            raise ValueError(f"series order mismatch: {len(a) - 1} vs {len(b) - 1}")
         return Series([sum(a[i] * b[n - i] for i in range(n + 1))
                        for n in range(len(a))])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Series):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def to_json_obj(self) -> dict:
-        return {"order": self.order,
-                "coefficients": [str(c) for c in self._coeffs]}
-
-    def __repr__(self) -> str:
-        return f"<Series of order {self.order}>"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import binomial
 from .polyseries import Poly
 
 EULERIAN = "eulerian"
@@ -88,7 +87,11 @@ def reset_caches() -> None:
     the Bernoulli numbers, the Bernoulli polynomials of ``bernoulli_value``
     and the P/Q/S family members.
 
-    Only tests that patch a recurrence need this; normal use never does.
+    A run that must start cold calls it first: each fault of the test
+    suite's fault table, around its patch, and each in-process command of
+    the benchmark.  It leaves ``verify._substitution_points`` alone, which
+    holds only sample-point ``Fraction``s (u, (u-a)/(u-b) and the powers of
+    u-b), no value that a kernel computes.
     """
     global _EULERIAN_TRIANGLE, _MACMAHON_TRIANGLE, _BERNOULLI
     _EULERIAN_TRIANGLE = Triangle(EULERIAN)
@@ -118,7 +121,7 @@ def eulerian_explicit(n: int, k: int) -> int:
         raise ValueError(f"k out of range for row {n}: {k}")
     total = 0
     for j in range(k + 1):
-        term = binomial(n + 1, j) * (k - j + 1) ** n
+        term = math.comb(n + 1, j) * (k - j + 1) ** n
         total += -term if j % 2 else term
     return total
 
@@ -144,7 +147,7 @@ def macmahon_explicit(n: int, k: int) -> int:
         raise ValueError(f"k out of range for row {n}: {k}")
     total = 0
     for j in range(k):
-        term = binomial(n, k - 1 - j) * (2 * j + 1) ** (n - 1)
+        term = math.comb(n, k - 1 - j) * (2 * j + 1) ** (n - 1)
         total += -term if (k - 1 - j) % 2 else term
     return total
 

@@ -28,7 +28,7 @@ from .derivative_polys import (
     build_Q,
     build_S,
 )
-from .exact import Record, as_fraction, binomial, factorial, format_rational
+from .exact import Record, as_fraction
 from .polyseries import Poly, Series, X
 from .special_numbers import (
     bernoulli_number,
@@ -132,7 +132,7 @@ def _params(**fields) -> dict:
     """Verdict parameters, with every Fraction (also inside a tuple) as ``p/q``."""
 
     def fmt(v):
-        return format_rational(v) if isinstance(v, Fraction) else v
+        return str(v) if isinstance(v, Fraction) else v
 
     return {k: [fmt(x) for x in v] if isinstance(v, tuple) else fmt(v)
             for k, v in fields.items()}
@@ -314,7 +314,7 @@ def _check_oracle(identity: str, inst: OracleInstance, oracle,
         scale = start
         for n in range(1, inst.order + 1):
             scale *= ratio
-            yield n, factorial(n) * c[n], scale * family(n).eval(inst.u0)
+            yield n, math.factorial(n) * c[n], scale * family(n).eval(inst.u0)
 
     return _scan(identity, params, pairs())
 
@@ -472,7 +472,7 @@ def check_lemma1(n: int) -> Verdict:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     lhs = build_P(n + 1, _BASE01)
-    acc = Poly._combination([binomial(n, k) for k in range(n)],
+    acc = Poly._combination([math.comb(n, k) for k in range(n)],
                             [build_P(k + 1, _BASE01) for k in range(n)], 1)
     return _scan("lemma1", {"n": n}, [(None, lhs, (X - 1) * acc)])
 
@@ -491,7 +491,7 @@ def check_classical(n: int) -> Verdict:
     def convolution(row) -> Poly:
         acc = list(row(0))
         for k in range(1, n):
-            c = binomial(n, k)
+            c = math.comb(n, k)
             acc = [s - t + c * f for s, t, f in
                    zip_longest([0, *acc], [*acc, 0], row(k), fillvalue=0)]
         return Poly._over(acc, 1)
@@ -763,7 +763,7 @@ def check_eulerian_triangle(n_max: int = DEFAULT_T23_N) -> Verdict:
                 rec = eulerian(n, k)
                 yield n, rec, eulerian_explicit(n, k)
                 yield n, rec, eulerian(n, n - k - 1)
-            yield n, sum(eulerian_row(n)), factorial(n)
+            yield n, sum(eulerian_row(n)), math.factorial(n)
         for n in range(n_max + 1, 26):
             row = eulerian_row(n)
             yield n, row, _symmetric(row)

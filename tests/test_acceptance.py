@@ -237,13 +237,14 @@ def _qualified(member) -> str:
 
 
 def _census() -> set:
-    """Every module-level function and ``Poly`` method of the modules that
-    compute, as ``module.qualname``."""
+    """Every module-level function and ``Poly`` and ``Series`` method of the
+    modules that compute, as ``module.qualname``."""
     members = [obj for module in (polyseries, sn, derivative_polys, V)
                for obj in vars(module).values()
                if callable(obj) and not isinstance(obj, type)
                and getattr(obj, "__module__", None) == module.__name__]
-    members += [obj for obj in vars(Poly).values()
+    members += [obj for cls in (Poly, polyseries.Series)
+                for obj in vars(cls).values()
                 if isinstance(obj, (FunctionType, classmethod, staticmethod,
                                     property))]
     return {_qualified(obj) for obj in members}
@@ -263,8 +264,12 @@ UNFAULTED = {
         "verify.grosset_veselov_exact", "verify.grosset_veselov_numeric",
         "verify._check_oracle", "verify._check_egf",
         "verify._check_substitution", "verify._substitution_points",
-        "verify._symmetric", "verify._scan", "verify._fail",
+        "verify._symmetric", "verify._fail",
     ], "a check or its comparison: it states what a fault must break"),
+    "verify._scan":
+        "the comparison of every check: a laxer one still passes correct "
+        "kernels, so test_scan_stops_at_first_mismatch pins it on unequal "
+        "pairs",
     **dict.fromkeys([
         *(f"verify.suite_{name}" for name in (
             "theorem1", "theorem2", "theorem3", "egf", "lemma1", "classical",
@@ -287,8 +292,8 @@ UNFAULTED = {
         "derivative_polys.build_M",
     ], "a triangle row as a Poly: the recurrence rows reach it"),
     **dict.fromkeys([
-        "polyseries.Poly.__sub__", "polyseries.Poly.__rsub__",
-        "polyseries.Poly.__pow__", "polyseries.Poly.exact_div",
+        "polyseries.Poly.__sub__", "polyseries.Poly.__pow__",
+        "polyseries.Poly.exact_div",
     ], "built on a Poly operation that has a row"),
     **dict.fromkeys([
         "polyseries.Poly.__new__", "polyseries.Poly._over",
@@ -299,18 +304,28 @@ UNFAULTED = {
     ], "the canonical form, its accessors and sign: test_polyseries pins them"),
     "polyseries.Poly.__eq__":
         "equality: a laxer one still passes correct kernels, so no verdict "
-        "can fail; test_polyseries pins it",
-    "polyseries.Poly.__hash__": "no verdict hashes a polynomial",
+        "can fail; test_scan_stops_at_first_mismatch pins it on unequal "
+        "pairs",
+    "polyseries.Poly.__hash__":
+        "no verdict hashes a polynomial; "
+        "test_verify_all_builds_each_value_once does",
     **dict.fromkeys([
         "polyseries.Poly.to_coeff_strings", "polyseries.Poly.__str__",
-        "polyseries.Poly.__repr__", "special_numbers.table_rows",
-        "derivative_polys.family_poly", "derivative_polys.family_json_obj",
+        "special_numbers.table_rows", "derivative_polys.family_poly",
         "verify.series_height",
     ], "command-line input, bounds or output: test_cli's digests pin it"),
+    "polyseries.Poly.__repr__":
+        "no command prints it; pytest's failure messages do",
     "special_numbers._row_strings":
         "output only, with its own fault test "
         "(test_strings_do_not_assume_symmetric_rows)",
     "special_numbers.reset_caches": "the cache reset that every fault uses",
+    **dict.fromkeys([
+        "polyseries.Series.__init__", "polyseries.Series.coeffs",
+    ], "holds the oracle's coefficients: the oracle rows reach it"),
+    "polyseries.Series.__mul__":
+        "no library code multiplies series: kept for perfbench/tracing.py's "
+        "series_mul target until ROADMAP item 1 drops it",
 }
 
 

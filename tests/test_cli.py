@@ -103,9 +103,12 @@ class TestPoly:
         code, out = run_cli(capsys, "poly", "Q", "--n", "2", "--a", "0",
                             "--b", "1", "--format", "json")
         assert code == 0
-        obj = json.loads(out)
-        assert obj["coefficients"] == ["1", "-8", "8"]
-        assert obj["params"]["a"] == "0"
+        assert json.loads(out) == {
+            "family": "Q",
+            "n": 2,
+            "params": {"r": None, "a": "0", "b": "1", "d": None},
+            "coefficients": ["1", "-8", "8"],
+        }
 
     def test_json_round_trip(self, capsys):
         from derivpoly.derivative_polys import family_poly
@@ -177,9 +180,12 @@ class TestSeries:
                             "--format", "json")
         assert code == 0
         obj = json.loads(out)
-        assert obj["order"] == 3
-        assert obj["coefficients"][0] == "1"
-        assert obj["coefficients"][1] == "-1/6"
+        assert obj == {"order": 3,
+                       "coefficients": ["1", "-1/6", "-7/72", "13/432"]}
+        series = verify_mod.v_series(
+            verify_mod.instance(1, 0, 1, Fraction(1, 3), order=3))
+        assert [parse_rational(c) for c in obj["coefficients"]] == \
+            list(series.coeffs)
 
     def test_usage_errors(self, capsys):
         assert run_cli_error(capsys, "series", "riccati", "--r", "1", "--a",

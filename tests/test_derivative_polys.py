@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,10 +14,8 @@ from derivpoly.derivative_polys import (
     build_P,
     build_Q,
     build_S,
-    family_json_obj,
     family_poly,
 )
-from derivpoly.exact import binomial
 from derivpoly.polyseries import Poly, X
 from derivpoly.special_numbers import eulerian, eulerian_row, macmahon
 
@@ -184,7 +183,7 @@ def poly_shift_transform(n, params):
     total = Poly()
     factor = Fraction(1)
     for k in range(n + 1):
-        total = total + binomial(n, k) * factor * build_Q(n - k, params)
+        total = total + math.comb(n, k) * factor * build_Q(n - k, params)
         factor *= two_d
     return total
 
@@ -370,13 +369,3 @@ class TestFamilyDispatch:
         for family in ("P", "Q"):
             with pytest.raises(ValueError, match="does not take d"):
                 family_poly(family, 2, a=0, b=1, d=Fraction(5))
-
-    def test_json_shape(self):
-        poly = family_poly("P", 2, a=0, b=1)
-        obj = family_json_obj("P", 2, poly, a=Fraction(0), b=Fraction(1))
-        assert obj == {
-            "family": "P",
-            "n": 2,
-            "params": {"r": None, "a": "0", "b": "1", "d": None},
-            "coefficients": ["0", "-1", "1"],
-        }

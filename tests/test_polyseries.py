@@ -323,11 +323,11 @@ class TestSeries:
     def test_truncated_product(self):
         one_plus = Series([1, 1, 0])
         one_minus = Series([1, -1, 0])
-        assert one_plus * one_minus == Series([1, 0, -1])
+        assert (one_plus * one_minus).coeffs == (1, 0, -1)
 
     def test_multiplicative_identity(self):
         s = Series([Fraction(2, 3), 5, Fraction(-1, 7)])
-        assert s * Series([1] + [0] * 2) == s
+        assert (s * Series([1] + [0] * 2)).coeffs == s.coeffs
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -355,7 +355,7 @@ class TestSeries:
     def test_exp_times_exp_inverse(self):
         e = Series([Fraction(1, math.factorial(n)) for n in range(9)])
         e_inv = Series([Fraction((-1) ** n, math.factorial(n)) for n in range(9)])
-        assert e * e_inv == Series([1] + [0] * 8)
+        assert (e * e_inv).coeffs == (1,) + (0,) * 8
 
     @given(small_fractions, small_fractions, st.integers(0, 12))
     @settings(max_examples=40)
@@ -363,7 +363,7 @@ class TestSeries:
         def exp(l):
             return Series([l ** n / math.factorial(n) for n in range(order + 1)])
 
-        assert exp(l1 + l2) == exp(l1) * exp(l2)
+        assert exp(l1 + l2).coeffs == (exp(l1) * exp(l2)).coeffs
 
     @given(st.lists(small_fractions, min_size=1, max_size=5),
            st.lists(small_fractions, min_size=1, max_size=5),
@@ -373,17 +373,9 @@ class TestSeries:
         order = max(len(a), len(b), len(c)) - 1
         pad = lambda v: Series(v + [0] * (order + 1 - len(v)))
         s, t, u = pad(a), pad(b), pad(c)
-        assert s * t == t * s
-        assert (s * t) * u == s * (t * u)
+        assert (s * t).coeffs == (t * s).coeffs
+        assert ((s * t) * u).coeffs == (s * (t * u)).coeffs
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             Series([])
-
-
-class TestSeriesSerialization:
-    def test_rational_ring_round_trip(self):
-        s = Series([Fraction(1, 2), -2, 0])
-        obj = s.to_json_obj()
-        assert obj == {"order": 2, "coefficients": ["1/2", "-2", "0"]}
-        assert [parse_rational(c) for c in obj["coefficients"]] == list(s.coeffs)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from derivpoly.derivative_polys import RiccatiParams, build_P
-from derivpoly.exact import binomial, factorial
 from derivpoly.polyseries import Poly
 from derivpoly import special_numbers as sn
 from derivpoly import verify as V
@@ -28,7 +28,7 @@ def macmahon_explicit(n, k):
     recurrence: sum_j (-1)^j C(n,j) (2k-2j-1)^(n-1)."""
     total = 0
     for j in range(k):
-        term = binomial(n, j) * (2 * k - 2 * j - 1) ** (n - 1)
+        term = math.comb(n, j) * (2 * k - 2 * j - 1) ** (n - 1)
         total += -term if j % 2 else term
     return total
 
@@ -39,9 +39,9 @@ def fraction_recurrence_bernoulli(n_max):
     reference route for the integer tangent-number kernel."""
     bs = [Fraction(1)]
     for n in range(1, n_max + 1):
-        acc = sum((bs[k] / (factorial(k) * factorial(n - k + 1))
+        acc = sum((bs[k] / (math.factorial(k) * math.factorial(n - k + 1))
                    for k in range(n)), Fraction(0))
-        bs.append(-acc * factorial(n))
+        bs.append(-acc * math.factorial(n))
     return bs
 
 
@@ -91,7 +91,7 @@ class TestEulerian:
 
     def test_row_sums_are_factorials(self):
         for n in range(1, 13):
-            assert sum(sn.eulerian_row(n)) == factorial(n)
+            assert sum(sn.eulerian_row(n)) == math.factorial(n)
 
 
 class TestMacMahon:
@@ -163,7 +163,7 @@ class TestBernoulliNumbers:
                 inner = Fraction(0)
                 for v in range(k + 1):
                     power = 1 if (v == 0 and n == 0) else v ** n
-                    inner += (-1) ** v * binomial(k, v) * power
+                    inner += (-1) ** v * math.comb(k, v) * power
                 total += inner / (k + 1)
             assert sn.bernoulli_number(n) == total
 
@@ -224,7 +224,7 @@ class TestBernoulliPolynomials:
         for n in range(61):
             coeffs = [Fraction(0)] * (n + 1)
             for k in range(n + 1):
-                coeffs[n - k] = binomial(n, k) * bs[k]
+                coeffs[n - k] = math.comb(n, k) * bs[k]
             assert sn.bernoulli_poly(n) == Poly(coeffs)
 
     def test_anchors(self):
@@ -245,7 +245,7 @@ class TestBernoulliPolynomials:
         bs = fraction_recurrence_bernoulli(60)
         for x in (0, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)):
             for n in range(61):
-                expected = sum((binomial(n, k) * bs[k] * x ** (n - k)
+                expected = sum((math.comb(n, k) * bs[k] * x ** (n - k)
                                 for k in range(n + 1)), Fraction(0))
                 assert sn.bernoulli_value(n, x) == expected
 
@@ -254,7 +254,7 @@ class TestBernoulliPolynomials:
     def test_addition_formula(self, x, y):
         for n in range(13):
             lhs = sn.bernoulli_value(n, x + y)
-            rhs = sum(binomial(n, k) * sn.bernoulli_value(k, x) * y ** (n - k)
+            rhs = sum(math.comb(n, k) * sn.bernoulli_value(k, x) * y ** (n - k)
                       for k in range(n + 1))
             assert lhs == rhs
 

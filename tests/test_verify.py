@@ -26,15 +26,15 @@ class TestOracleSeries:
 
     def test_logistic_anchor(self):
         inst = V.instance(Fraction(-1, 2), 2, 0, Fraction(1, 2), order=1)
-        assert V.riccati_series(inst)[1] == Fraction(3, 8)
+        assert V.riccati_series(inst).coeffs[1] == Fraction(3, 8)
 
     def test_v_series_shift_vanishes_at_midpoint(self):
         inst = V.instance(1, 0, 1, Fraction(1, 2), order=3)
-        assert V.v_series(inst)[1] == 0
+        assert V.v_series(inst).coeffs[1] == 0
 
     def test_v_series_first_coefficient(self):
         inst = V.instance(1, 0, 1, Fraction(1, 3), order=3)
-        assert V.v_series(inst)[1] == Fraction(-1, 6)
+        assert V.v_series(inst).coeffs[1] == Fraction(-1, 6)
 
     def test_instance_validation(self):
         with pytest.raises(ValueError):
@@ -233,7 +233,7 @@ class TestEgfChecks:
         """The README's note: without the doubled exponent the MacMahon EGF
         check fails already at order 1, since M_1(x) = 1 + x."""
         verdict = V._check_egf("egf_macmahon", V.build_M, 10,
-                               (1, -X, 1 - X), (0, 1 - X, 1 - X))
+                               (1, -X, -X + 1), (0, -X + 1, -X + 1))
         assert not verdict.passed
         assert verdict.first_failure == 1
         assert verdict.witness == {"lhs": "[1, -1]", "rhs": "[1, -2, 1]"}
@@ -430,6 +430,19 @@ class TestVerdicts:
         assert verdict.first_failure == 2
         assert verdict.witness == {"lhs": "1/2", "rhs": "1/3"}
         assert V._scan("demo", {}, iter([(1, 2, 2)])).passed
+        # One known-unequal pair of each kind the checks compare: each
+        # fails, with that pair as its witness, after an equal pair passes.
+        unequal = [
+            (Poly([1, 2]), Poly([Fraction(1, 2), 1])),  # numerators (1, 2)
+            (Poly([1, 2, 3]), Poly([1, 2, 4])),  # only the top differs
+            (X, Poly()),
+            ((1, 4, 1), (1, 4, 2)),  # triangle rows
+            ("A: [1, 4, 1]", "A: [1, 4, 2]"),  # labelled texts
+        ]
+        for lhs, rhs in unequal:
+            verdict = V._scan("demo", {}, iter([(1, lhs, lhs), (2, lhs, rhs)]))
+            assert (verdict.passed, verdict.first_failure) == (False, 2)
+            assert verdict.witness == {"lhs": str(lhs), "rhs": str(rhs)}
 
     def test_failure_carries_witness(self, mutated_eulerian_recurrence):
         verdict = V.check_egf_eulerian(6)
