@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from derivpoly import derivative_polys
+from derivpoly import cli, derivative_polys
 from derivpoly.derivative_polys import (
     RiccatiParams,
     build_A,
@@ -369,3 +370,14 @@ class TestFamilyDispatch:
         for family in ("P", "Q"):
             with pytest.raises(ValueError, match="does not take d"):
                 family_poly(family, 2, a=0, b=1, d=Fraction(5))
+
+    def test_json_shape(self, capsys):
+        code = cli.main(["poly", "P", "--n", "2", "--a", "0", "--b", "1",
+                         "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "family": "P",
+            "n": 2,
+            "params": {"r": None, "a": "0", "b": "1", "d": None},
+            "coefficients": ["0", "-1", "1"],
+        }

@@ -379,3 +379,14 @@ class TestSeries:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             Series([])
+
+
+class TestSeriesSerialization:
+    def test_rational_ring_round_trip(self):
+        # the series command writes a series as its order and the str of
+        # each coefficient; an int coefficient must come back as a rational
+        s = Series([Fraction(1, 2), -2, 0])
+        strings = [str(c) for c in s.coeffs]
+        assert len(s.coeffs) - 1 == 2
+        assert strings == ["1/2", "-2", "0"]
+        assert [parse_rational(c) for c in strings] == list(s.coeffs)
