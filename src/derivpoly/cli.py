@@ -117,13 +117,14 @@ def _cmd_series(args) -> int:
             raise UsageError("need --r, --a, --b and --u0 (or the logistic flags)")
         r, a, b, u0 = args.r, args.a, args.b, args.u0
         v0 = Fraction(1) if args.v0 is None else args.v0
-    height = series_height(r, a, b, u0, args.d)
+    riccati = args.which == "riccati"
+    height = series_height(r, a, b, u0, None if riccati else args.d)
     limit = _series_order_limit(height)
     if args.order > limit:
         raise UsageError(f"need --order <= {limit} at parameters of height "
                          f"{height}, got {args.order}")
     inst = instance(r, a, b, u0, d=args.d, v0=v0, order=args.order)
-    series = riccati_series(inst) if args.which == "riccati" else v_series(inst)
+    series = riccati_series(inst) if riccati else v_series(inst)
     coefficients = [str(c) for c in series.coeffs]
     _emit(args.format, lambda: [coefficients],
           lambda: [{"order": args.order, "coefficients": coefficients}])

@@ -243,6 +243,24 @@ class TestSeries:
         assert "need --order <= 867 at parameters of height 23" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("which,limit", [("riccati", 1300), ("v", 867)])
+    def test_order_bound_reads_d_for_v_only(self, capsys, monkeypatch, which,
+                                            limit):
+        """u never reads d, so a tall d lowers the limit of ``series v``
+        alone: order 1301 exits 2 without any work, naming each form's
+        limit."""
+        def work(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        for name in ("instance", "riccati_series", "v_series"):
+            monkeypatch.setattr(cli, name, work)
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["series", which, "--r=1/3", "--a=2/3", "--b=4/3",
+                      "--u0=1/3", "--d=123456/370367", "--order", "1301"])
+        assert excinfo.value.code == 2
+        assert f"need --order <= {limit} at parameters of height" in \
+            capsys.readouterr().err
+
     def test_decimal_input_rejected(self, capsys):
         assert run_cli_error(capsys, "series", "riccati", "--r", "0.5", "--a",
                              "0", "--b", "1", "--u0", "0", "--order", "3") == 2

@@ -1,5 +1,4 @@
 import copy
-import math
 import pickle
 from fractions import Fraction
 
@@ -13,7 +12,6 @@ from derivpoly.exact import as_fraction, parse_rational
 from derivpoly.verify import OracleInstance, Verdict
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=12)
-nonzero_fractions = small_fractions.filter(lambda x: x != 0)
 
 
 class TestParseFormat:
@@ -63,49 +61,6 @@ class TestParseFormat:
         assert as_fraction("1/3") == Fraction(1, 3)
         assert verify.check_integral_P(3, "0", "1/2").passed
         assert verify.check_F_closed_form("1/3").params["u0"] == "1/3"
-
-
-class TestCanonicalForm:
-    def test_reduction(self):
-        assert Fraction(2, 4) == Fraction(1, 2)
-        assert Fraction(2, 4).numerator == 1
-        assert Fraction(2, 4).denominator == 2
-
-    def test_zero_is_zero_over_one(self):
-        z = Fraction(0, 7)
-        assert (z.numerator, z.denominator) == (0, 1)
-
-    @given(st.integers(-1000, 1000), st.integers(-1000, 1000).filter(bool))
-    def test_always_canonical(self, p, q):
-        x = Fraction(p, q)
-        assert x.denominator > 0
-        assert math.gcd(abs(x.numerator), x.denominator) == 1
-
-    def test_division_by_zero_signalled(self):
-        with pytest.raises(ZeroDivisionError):
-            Fraction(1, 0)
-        with pytest.raises(ZeroDivisionError):
-            Fraction(1, 2) / Fraction(0)
-
-
-class TestArithmetic:
-    def test_textbook_values(self):
-        assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
-        assert Fraction(-1, 6) ** 2 == Fraction(1, 36)
-        assert -Fraction(3, 7) == Fraction(-3, 7)
-        assert Fraction(1, 2) < Fraction(2, 3)
-
-    @given(small_fractions, small_fractions, small_fractions)
-    def test_field_axioms(self, x, y, z):
-        assert (x + y) + z == x + (y + z)
-        assert (x * y) * z == x * (y * z)
-        assert x * (y + z) == x * y + x * z
-        assert x + y == y + x
-        assert x * y == y * x
-
-    @given(nonzero_fractions)
-    def test_multiplicative_inverse(self, x):
-        assert x * (1 / x) == 1
 
 
 BASE = RiccatiParams(1, 0, 1)
