@@ -26,9 +26,6 @@ from .exact import Record, as_fraction
 from .polyseries import Poly
 from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
 
-FAMILIES = ("P", "Q", "S", "E", "A", "M")
-
-
 class RiccatiParams(Record):
     """(r, a, b, d) with r != 0 and a != b; the companion-equation shift d
     (unrestricted, default 0) is read only by S and the v oracle."""
@@ -200,12 +197,29 @@ def build_M(n: int) -> Poly:
     return Poly._over(list(macmahon_row(n + 1)), 1)
 
 
+#: The largest ``n`` that ``family_poly`` (the ``poly --n`` option) takes
+#: per family.  At the P, Q and S limits ``derivpoly poly`` builds and prints
+#: its polynomial in about 10 s at a = 1/3, b = 5/3, d = 2/3 (P 1300 in
+#: 9.2-10.9 s, Q 1300 in 8.9 s, S 360 in 8.1-9.8 s, two runs each on a
+#: 2-vCPU Xeon, CPython 3.11.7).  E, A and M take 1.7-2.1 s at 1300 but
+#: hold the same memoized triangle rows as P and Q, whose size grows as n^3
+#: (0.75-0.85 GB at n = 1300), so they share the P/Q limit rather than
+#: reach 10 s near n = 2300 with about 4 GB.
+FAMILY_LIMITS = {"P": 1300, "Q": 1300, "S": 360, "E": 1300, "A": 1300,
+                 "M": 1300}
+FAMILIES = tuple(FAMILY_LIMITS)
+
+
 def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
     """Build one member of a named family; raises ValueError on bad input,
     including a parameter the family does not depend on (E/A/M take none of
-    r, a, b, d; P and Q take no d)."""
+    r, a, b, d; P and Q take no d).  n above ``FAMILY_LIMITS[family]`` is
+    refused before any work."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if n > FAMILY_LIMITS[family]:
+        raise ValueError(f"need n <= {FAMILY_LIMITS[family]} for family "
+                         f"{family}, got {n}")
     takes = {"P": "rab", "Q": "rab", "S": "rabd"}.get(family, "")
     ignored = [k for k, v in zip("rabd", (r, a, b, d))
                if v is not None and k not in takes]

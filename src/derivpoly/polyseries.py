@@ -201,15 +201,6 @@ class Poly:
         return (Poly._over([sign * o._den * c for c in quot], sign * den),
                 Poly._over([sign * c for c in rem], sign * den))
 
-    def exact_div(self, other: object) -> Optional["Poly"]:
-        """Quotient when the division leaves no remainder, else None.
-
-        Division by the zero polynomial still raises; a nonzero remainder is
-        an expected outcome, not an error.
-        """
-        q, r = divmod(self, other)
-        return q if r.is_zero() else None
-
     def to_coeff_strings(self) -> list[str]:
         """Serialized form: coefficient strings, lowest degree first, each
         as ``str(Fraction)`` prints it (``p`` or ``p/q`` in lowest terms)."""

@@ -5,9 +5,11 @@ ODE oracle that knows nothing about the polynomial families, and the families
 themselves built from the triangles.  Each check states its two routes (or
 two exact closed forms) as a lazy stream of ``(index, lhs, rhs)`` pairs, and
 ``_scan`` is the one place where they are compared: it fails at the first
-pair that differs, with that pair as the witness, and passes otherwise.
-Exact paths carry no tolerance knobs; the single floating-point path in the
-package is the quadrature cross-check ``grosset_veselov_numeric``.
+pair that differs, with that pair as the witness, and passes otherwise.  A
+property (an exact division, integer coefficients, a symmetric row) is a
+pair too, its right side from ``_claim``.  Exact paths carry no tolerance
+knobs; the one verdict decided outside ``_scan`` is the floating-point
+quadrature cross-check ``grosset_veselov_numeric``.
 """
 
 from __future__ import annotations
@@ -145,11 +147,6 @@ def _upto(bound: int, name: str = "n_max") -> range:
     return range(1, bound + 1)
 
 
-def _fail(identity: str, params: dict, index: Optional[int], lhs, rhs) -> Verdict:
-    return Verdict(identity, params, False, index,
-                   {"lhs": str(lhs), "rhs": str(rhs)})
-
-
 def _scan(identity: str, params: dict, pairs: Iterable[tuple]) -> Verdict:
     """Compare two routes pair by pair: fail at the first ``(index, lhs,
     rhs)`` whose sides differ, with that pair as the witness; pass otherwise.
@@ -158,8 +155,16 @@ def _scan(identity: str, params: dict, pairs: Iterable[tuple]) -> Verdict:
     """
     for index, lhs, rhs in pairs:
         if lhs != rhs:
-            return _fail(identity, params, index, lhs, rhs)
+            return Verdict(identity, params, False, index,
+                           {"lhs": str(lhs), "rhs": str(rhs)})
     return Verdict(identity, params, True)
+
+
+def _claim(value, holds: bool, text: str):
+    """The right side of a property pair ``(index, value, _claim(...))``:
+    ``value`` itself when the property holds, so the pair is equal, and
+    otherwise ``text``, which names the property and equals no value."""
+    return value if holds else text
 
 
 class OracleInstance(Record):
@@ -552,25 +557,26 @@ def grosset_veselov_exact(m: int) -> Verdict:
     divisible by 1-u^2; the quotient is the tanh-substituted integrand of
     the sech^2-derivative integral, and
     B_{2m} == (-1)^(m-1) 2^-(2m+1) * integral_{-1}^{1} quotient du.
-    A failed division would falsify the divisibility itself and is reported
-    as a hard failure.  The exact quotient is even, so the integral over
-    [-1, 1] cannot see an odd coefficient: a second pair compares the
-    quotient's odd part with zero.
+    The first pair claims the division exact: a nonzero remainder fails it,
+    with the remainder as the witness, before the integral is formed.  The
+    exact quotient is even, so the integral over [-1, 1] cannot see an odd
+    coefficient: a last pair compares the quotient's odd part with zero.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    params = {"m": m}
-    p = build_P(m + 1, _PM1)
-    quotient = (p * p).exact_div(_ONE_MINUS_U2)
-    if quotient is None:
-        return _fail("grosset_veselov_exact", params, m,
-                     "nonzero remainder dividing P^2 by 1-u^2", "exact division")
-    sign = 1 if (m - 1) % 2 == 0 else -1
-    lhs = sign * Fraction(1, 2 ** (2 * m + 1)) * quotient.definite_integral(-1, 1)
-    odd = Poly._over([c if k % 2 else 0
-                      for k, c in enumerate(quotient._coeffs)], quotient._den)
-    return _scan("grosset_veselov_exact", params,
-                 [(m, lhs, bernoulli_number(2 * m)), (m, odd, Poly())])
+
+    def pairs():
+        p = build_P(m + 1, _PM1)
+        quotient, rem = divmod(p * p, _ONE_MINUS_U2)
+        yield m, rem, _claim(rem, rem.is_zero(), "exact division")
+        sign = 1 if (m - 1) % 2 == 0 else -1
+        lhs = sign * Fraction(1, 2 ** (2 * m + 1)) * quotient.definite_integral(-1, 1)
+        yield m, lhs, bernoulli_number(2 * m)
+        odd = Poly._over([c if k % 2 else 0
+                          for k, c in enumerate(quotient._coeffs)], quotient._den)
+        yield m, odd, Poly()
+
+    return _scan("grosset_veselov_exact", {"m": m}, pairs())
 
 
 #: The finest grid of one quadrature: 40 unit steps halved 12 times.
@@ -702,30 +708,23 @@ def check_homogeneity_Q(n: int, params: RiccatiParams) -> Verdict:
 def check_integrality(n: int) -> Verdict:
     """S_n(u;0,1,-1/2) == 2^n * (P_{n+1}(u;0,1) / u), with integer S_n/2^n.
 
-    The division by u must be exact, the two families must agree after the
-    2^n rescaling, and every coefficient of S_n/2^n must be an integer.
+    Three pairs, in order: the division by u is exact (a nonzero remainder
+    fails first, as the witness), the two families agree after the 2^n
+    rescaling, and every coefficient of S_n/2^n is an integer.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    params = {"n": n}
-    quotient = build_P(n + 1, _BASE01).exact_div(X)
-    if quotient is None:
-        return _fail("integrality", params, n,
-                     "nonzero remainder dividing P_{n+1} by u", "exact division")
-    s = build_S(n, RiccatiParams(1, 0, 1, Fraction(-1, 2)))
-    verdict = _scan("integrality", params, [(n, s, 2 ** n * quotient)])
-    if verdict.passed:
+
+    def pairs():
+        quotient, rem = divmod(build_P(n + 1, _BASE01), X)
+        yield n, rem, _claim(rem, rem.is_zero(), "exact division")
+        s = build_S(n, RiccatiParams(1, 0, 1, Fraction(-1, 2)))
+        yield n, s, 2 ** n * quotient
         reduced = s * Fraction(1, 2 ** n)
-        if any(c.denominator != 1 for c in reduced.coeffs):
-            return _fail("integrality", params, n, reduced,
-                         "integer coefficients")
-    return verdict
+        yield n, reduced, _claim(reduced, reduced._den == 1,
+                                 "integer coefficients")
 
-
-def _symmetric(row: tuple):
-    """The right side of a symmetry pair: the row itself when it reads the
-    same reversed, otherwise a description that cannot equal it."""
-    return row if row == row[::-1] else "symmetric row"
+    return _scan("integrality", {"n": n}, pairs())
 
 
 def check_eulerian_triangle(n_max: int = DEFAULT_T23_N) -> Verdict:
@@ -744,7 +743,7 @@ def check_eulerian_triangle(n_max: int = DEFAULT_T23_N) -> Verdict:
             yield n, sum(eulerian_row(n)), math.factorial(n)
         for n in range(n_max + 1, 26):
             row = eulerian_row(n)
-            yield n, row, _symmetric(row)
+            yield n, row, _claim(row, row == row[::-1], "symmetric row")
 
     return _scan("triangle_eulerian", {"n_max": n_max}, pairs())
 
@@ -761,7 +760,7 @@ def check_macmahon_triangle(n_max: int = 20) -> Verdict:
         for n in range(1, n_max + 1):
             yield n, macmahon(n, 1), 1
             row = macmahon_row(n)
-            yield n, row, _symmetric(row)
+            yield n, row, _claim(row, row == row[::-1], "symmetric row")
             yield n, row, tuple(macmahon_explicit(n, k) for k in range(1, n + 1))
 
     return _scan("triangle_macmahon", {"n_max": n_max}, pairs())

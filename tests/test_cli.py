@@ -10,7 +10,8 @@ import pytest
 
 import derivpoly.cli as cli
 import derivpoly.verify as verify_mod
-from derivpoly.derivative_polys import FAMILIES
+from derivpoly import derivative_polys
+from derivpoly.derivative_polys import FAMILIES, FAMILY_LIMITS
 from derivpoly.exact import UsageError, parse_rational
 from derivpoly.special_numbers import TABLE_KINDS, TABLE_LIMITS, bernoulli_number
 from derivpoly.verify import SUITE_NAMES
@@ -149,6 +150,26 @@ class TestPoly:
         assert run_cli_error(capsys, "poly", "M", "--n", "2", "--r", "3") == 2
         assert run_cli_error(capsys, "poly", "Q", "--n", "2", "--a", "0",
                              "--b", "1", "--d", "5", "--format", "json") == 2
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_n_past_limit_rejected_before_any_work(self, capsys, monkeypatch,
+                                                   family):
+        """The limit itself reaches the family's builder; limit + 1 exits 2
+        without calling it, naming the limit."""
+        def work(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(derivative_polys, f"build_{family}", work)
+        params = {"P": ["--a=0", "--b=1"], "Q": ["--a=0", "--b=1"],
+                  "S": ["--a=0", "--b=1", "--d=0"]}.get(family, [])
+        limit = FAMILY_LIMITS[family]
+        with pytest.raises(RuntimeError):
+            cli.main(["poly", family, *params, "--n", str(limit)])
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["poly", family, *params, "--n", str(limit + 1)])
+        assert excinfo.value.code == 2
+        assert f"need n <= {limit} for family {family}" in \
+            capsys.readouterr().err
 
 
 class TestSeries:

@@ -323,8 +323,8 @@ class TestGrossetVeselov:
         # P_2(u;-1,1) = u^2 - 1; quotient is 1 - u^2 with integral 4/3
         p = build_P(2, RiccatiParams(-1, -1, 1))
         assert p == Poly([-1, 0, 1])
-        quotient = (p * p).exact_div(Poly([1, 0, -1]))
-        assert quotient == Poly([1, 0, -1])
+        quotient, rem = divmod(p * p, Poly([1, 0, -1]))
+        assert (quotient, rem) == (Poly([1, 0, -1]), Poly())
         assert quotient.definite_integral(-1, 1) == Fraction(4, 3)
         assert Fraction(1, 8) * Fraction(4, 3) == Fraction(1, 6)
         assert V.grosset_veselov_exact(1).passed
@@ -441,6 +441,7 @@ class TestVerdicts:
             (X, Poly()),
             ((1, 4, 1), (1, 4, 2)),  # triangle rows
             ("A: [1, 4, 1]", "A: [1, 4, 2]"),  # labelled texts
+            (Poly([1]), V._claim(Poly([1]), False, "exact division")),
         ]
         for lhs, rhs in unequal:
             verdict = V._scan("demo", {}, iter([(1, lhs, lhs), (2, lhs, rhs)]))
@@ -454,6 +455,27 @@ class TestVerdicts:
         obj = verdict.to_json_obj()
         assert obj["pass"] is False
         assert obj["first_failure"] is not None
+
+    def test_scan_decides_every_exact_verdict(self, monkeypatch,
+                                              mutated_remainder):
+        """With no division exact, every verdict of ``all`` but the three
+        numeric cross-checks is one that ``_scan`` returned, and each of the
+        28 failures shows the remainder against the claim it breaks."""
+        scanned, scan = [], V._scan
+
+        def recording_scan(*args):
+            scanned.append(scan(*args))
+            return scanned[-1]
+
+        monkeypatch.setattr(V, "_scan", recording_scan)
+        verdicts = V.run_suite("all")
+        exact = [v for v in verdicts if v.identity != "grosset_veselov_numeric"]
+        assert len(verdicts) - len(exact) == 3
+        assert {id(v) for v in exact} <= {id(v) for v in scanned}
+        failed = [v for v in verdicts if not v.passed]
+        assert len(failed) == 28
+        assert all(v.witness == {"lhs": "[1]", "rhs": "exact division"}
+                   for v in failed)
 
 
 class TestSuites:
