@@ -7,7 +7,8 @@ For concrete rational parameters:
   r^n * P_{n+1}(u).  Coefficients come from the Eulerian triangle.
 * ``build_Q(n)``  -- Q_n, with Q_0 = 1; the n-th derivative of v (d = 0)
   equals v * (r/2)^n * Q_n(u).  Coefficients come from the MacMahon triangle.
-* ``build_S(n)``  -- the d-shifted family, a binomial transform of the Q's.
+* ``build_S(n)``  -- S_n, Q_n for any d.  Coefficients come from the
+  MacMahon triangle shifted by 2d/(b-a).
 * ``build_E/A/M`` -- the Eulerian polynomials (both indexings) and the
   MacMahon row polynomials; P and Q collapse onto E and M under the
   substitution x = (u-a)/(u-b).
@@ -59,9 +60,9 @@ def _digits(packed: int, width: int, count: int) -> list[int]:
             for i in range(0, width * count, width)]
 
 
-def _homogeneous(coeffs, a: Fraction, b: Fraction) -> Poly:
-    """sum_k coeffs[k] (u-a)^k (u-b)^(m-k), m = len(coeffs) - 1, by Horner's
-    rule on integers that each pack a whole polynomial (Kronecker
+def _homogeneous(coeffs, a: Fraction, b: Fraction, den: int = 1) -> Poly:
+    """sum_k coeffs[k] (u-a)^k (u-b)^(m-k) / den, m = len(coeffs) - 1, by
+    Horner's rule on integers that each pack a whole polynomial (Kronecker
     substitution).
 
     Over one denominator q, with na = q a, nb = q b and delta = nb - na,
@@ -74,7 +75,8 @@ def _homogeneous(coeffs, a: Fraction, b: Fraction) -> Poly:
        acc + (delta acc << K) + c_k; its digits, lowest first, are the
        coefficients of F from t^m down;
     2. F(q u - nb) at u = 2^K, each step (out q << K) - out nb + e; its
-       digits are the numerators of the result, normalised once over q^m.
+       digits are the numerators of the result, normalised once over
+       q^m den.
 
     K = 8 width is a whole number of bytes with
     8 width - 1 >= bitlen(sum |c_k|) + m bitlen(q + |na| + |nb|).  Every
@@ -92,7 +94,7 @@ def _homogeneous(coeffs, a: Fraction, b: Fraction) -> Poly:
         acc += (delta * acc << k) + c
     for e in _digits(acc, width, m + 1):
         out = (out * q << k) - out * nb + e
-    return Poly._over(_digits(out, width, m + 1), q ** m)
+    return Poly._over(_digits(out, width, m + 1), q ** m * den)
 
 
 def _key_part(x: Fraction):
@@ -145,31 +147,18 @@ def build_Q(n: int, params: RiccatiParams) -> Poly:
     return _homogeneous(macmahon_row(n + 1), params.b, params.a)
 
 
-def _shift_transform(qs, two_d: Fraction) -> Poly:
-    """sum_k C(n,k) two_d^k qs[n-k], n = len(qs) - 1, on integer numerators.
-
-    With two_d = p/e, summand k is C(n,k) p^k e^(n-k) qs[n-k] / e^n, so every
-    weight is an integer and the sum is divided by e^n once.  The weight
-    steps exactly: C(n,k+1) p^(k+1) e^(n-k-1) = w p (n-k) / ((k+1) e).
-    """
-    n = len(qs) - 1
-    p, e = two_d.numerator, two_d.denominator
-    weights, w = [], e ** n
-    for k in range(n + 1):
-        weights.append(w)
-        w = w * p * (n - k) // ((k + 1) * e)
-    return Poly._combination(weights, reversed(qs), e ** n)
-
-
 @functools.partial(_built_once, keyed_on_d=True)
 def build_S(n: int, params: RiccatiParams) -> Poly:
-    """S_n(u; a, b, d) = sum_k C(n,k) (2d)^k Q_{n-k}(u; a, b), with the shift
-    d read from the record's ``d`` field.  Memoized on (n, a, b, d); a miss
-    looks ``_shift_transform`` up when it runs."""
+    """S_n(u; a, b, d), independent of r, with d from the record; S_0 = 1.
+    S_{n+1} = (2u - a - b + 2d) S_n + 2(u-a)(u-b) S_n' is Q's recurrence
+    plus the shift, so with 2d = c (b - a) and c = p/e, e^n times S_n's
+    coefficients against (u-a)^(n+1-k) (u-b)^(k-1) are row n+1 of the
+    MacMahon triangle shifted by c.  Memoized on (n, a, b, d)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return _shift_transform([build_Q(k, params) for k in range(n + 1)],
-                            2 * params.d)
+    c = 2 * params.d / (params.b - params.a)
+    return _homogeneous(macmahon_row(n + 1, c), params.b, params.a,
+                        c.denominator ** n)
 
 
 def build_E(n: int) -> Poly:
@@ -200,12 +189,12 @@ def build_M(n: int) -> Poly:
 #: The largest ``n`` that ``family_poly`` (the ``poly --n`` option) takes
 #: per family.  At the P, Q and S limits ``derivpoly poly`` builds and prints
 #: its polynomial in about 10 s at a = 1/3, b = 5/3, d = 2/3 (P 1300 in
-#: 9.2-10.9 s, Q 1300 in 8.9 s, S 360 in 8.1-9.8 s, two runs each on a
-#: 2-vCPU Xeon, CPython 3.11.7).  E, A and M take 1.7-2.1 s at 1300 but
-#: hold the same memoized triangle rows as P and Q, whose size grows as n^3
-#: (0.75-0.85 GB at n = 1300), so they share the P/Q limit rather than
+#: 9.2-10.9 s, Q 1300 in 7.7-9.8 s, S 1300 in 8.2-12.0 s, 2-6 runs each on
+#: a 2-vCPU Xeon, CPython 3.11.7).  E, A and M take 1.7-2.1 s at 1300 but
+#: hold the same memoized triangle rows as P, Q and S, whose size grows as
+#: n^3 (0.75-0.86 GB at n = 1300), so they share that limit rather than
 #: reach 10 s near n = 2300 with about 4 GB.
-FAMILY_LIMITS = {"P": 1300, "Q": 1300, "S": 360, "E": 1300, "A": 1300,
+FAMILY_LIMITS = {"P": 1300, "Q": 1300, "S": 1300, "E": 1300, "A": 1300,
                  "M": 1300}
 FAMILIES = tuple(FAMILY_LIMITS)
 

@@ -33,23 +33,28 @@ def _eulerian_next_row(n: int, prev: tuple[int, ...]) -> list[int]:
             for k, left, right in zip(range(n), (*prev, 0), (0, *prev))]
 
 
-def _macmahon_next_row(n: int, prev: tuple[int, ...]) -> list[int]:
-    """Row n (entries k = 1..n) from row n-1; zero outside 1 <= k <= n-1."""
-    return [(2 * k - 1) * left + (2 * n - 2 * k + 1) * right
-            for k, left, right in zip(range(1, n + 1), (*prev, 0), (0, *prev))]
+def _macmahon_next_row(n: int, prev: tuple[int, ...], p=0, e=1) -> list[int]:
+    """Row n (entries k = 1..n) from row n-1 of the MacMahon triangle shifted
+    by c = p/e (e > 0), times e^(n-1); zero outside 1 <= k <= n-1.  Entry k
+    weighs its parents by e(2k-1) + p and e(2n-2k+1) - p."""
+    return [x * left + y * right for x, y, left, right in zip(
+        range(e + p, 2 * n * e + p, 2 * e),
+        range((2 * n - 1) * e - p, -e - p, -2 * e), (*prev, 0), (0, *prev))]
 
 
 class Triangle:
     """Memoized triangular array of exact integers.
 
     Row 1 is [1] for both kinds; ``row(n)`` extends the stored rows through
-    row n on first use.  Not thread-safe.
+    row n on first use, a MacMahon triangle at its rational ``shift`` (see
+    ``macmahon_row``).  Not thread-safe.
     """
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, shift=0):
         if kind not in (EULERIAN, MACMAHON):
             raise ValueError(f"unknown triangle kind {kind!r}")
         self.kind = kind
+        self._shift = (shift.numerator, shift.denominator) if shift else ()
         self._rows: list[tuple[int, ...]] = [(1,)]
 
     def row(self, n: int) -> tuple[int, ...]:
@@ -59,19 +64,14 @@ class Triangle:
             step = _eulerian_next_row if self.kind == EULERIAN else _macmahon_next_row
             while len(self._rows) < n:
                 m = len(self._rows) + 1
-                self._rows.append(tuple(step(m, self._rows[-1])))
+                self._rows.append(tuple(step(m, self._rows[-1], *self._shift)))
         return self._rows[n - 1]
-
-    def value(self, n: int, k: int) -> int:
-        """Entry at (n, k); zero outside the triangular support."""
-        row = self.row(n)
-        if self.kind == EULERIAN:
-            return row[k] if 0 <= k <= n - 1 else 0
-        return row[k - 1] if 1 <= k <= n else 0
 
 
 _EULERIAN_TRIANGLE = Triangle(EULERIAN)
-_MACMAHON_TRIANGLE = Triangle(MACMAHON)
+#: The triangles of ``macmahon_row`` per shift c = p/e, keyed on (p, e): (0, 1)
+#: is the MacMahon triangle of Q and M, and any other key holds S's rows.
+_MACMAHON_TRIANGLES: dict[tuple[int, int], Triangle] = {}
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 #: B_n(x) per n, for ``bernoulli_value``.
 _BERNOULLI_POLYS: dict[int, Poly] = {}
@@ -83,9 +83,9 @@ FAMILY_CACHE: dict[tuple, Poly] = {}
 
 
 def reset_caches() -> None:
-    """Drop all memoized rows, values and polynomials: the triangle rows,
-    the Bernoulli numbers, the Bernoulli polynomials of ``bernoulli_value``
-    and the P/Q/S family members.
+    """Drop all memoized rows, values and polynomials: the triangle rows at
+    every shift, the Bernoulli numbers, the Bernoulli polynomials of
+    ``bernoulli_value`` and the P/Q/S family members.
 
     A run that must start cold calls it first: each fault of the test
     suite's fault table, around its patch, and each in-process command of
@@ -93,9 +93,9 @@ def reset_caches() -> None:
     holds only sample-point ``Fraction``s (u, (u-a)/(u-b) and the powers of
     u-b), no value that a kernel computes.
     """
-    global _EULERIAN_TRIANGLE, _MACMAHON_TRIANGLE, _BERNOULLI
+    global _EULERIAN_TRIANGLE, _BERNOULLI
     _EULERIAN_TRIANGLE = Triangle(EULERIAN)
-    _MACMAHON_TRIANGLE = Triangle(MACMAHON)
+    _MACMAHON_TRIANGLES.clear()
     _BERNOULLI = [Fraction(1)]
     _BERNOULLI_POLYS.clear()
     FAMILY_CACHE.clear()
@@ -103,7 +103,8 @@ def reset_caches() -> None:
 
 def eulerian(n: int, k: int) -> int:
     """Number of permutations of {1..n} with exactly k ascents (n >= 1)."""
-    return _EULERIAN_TRIANGLE.value(n, k)
+    row = eulerian_row(n)
+    return row[k] if 0 <= k <= n - 1 else 0
 
 
 def eulerian_row(n: int) -> tuple[int, ...]:
@@ -128,11 +129,18 @@ def eulerian_explicit(n: int, k: int) -> int:
 
 def macmahon(n: int, k: int) -> int:
     """MacMahon number at (n, k); support is 1 <= k <= n with M(n,1) = 1."""
-    return _MACMAHON_TRIANGLE.value(n, k)
+    row = macmahon_row(n)
+    return row[k - 1] if 1 <= k <= n else 0
 
 
-def macmahon_row(n: int) -> tuple[int, ...]:
-    return _MACMAHON_TRIANGLE.row(n)
+def macmahon_row(n: int, shift=0) -> tuple[int, ...]:
+    """Row n of the MacMahon triangle, or with a rational ``shift`` c = p/e
+    row n of the triangle shifted by c times e^(n-1), all integers."""
+    key = shift.numerator, shift.denominator
+    triangle = _MACMAHON_TRIANGLES.get(key)
+    if triangle is None:
+        triangle = _MACMAHON_TRIANGLES[key] = Triangle(MACMAHON, shift)
+    return triangle.row(n)
 
 
 def macmahon_explicit(n: int, k: int) -> int:

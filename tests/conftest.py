@@ -38,12 +38,13 @@ FAULTS = {
               "grosset_veselov_exact", "grosset_veselov_numeric", "integral_P",
               "integral_P_symmetric", "integrality", "lemma1", "theorem1",
               "triangle_eulerian"}),
-    # The same off-by-one in the MacMahon recurrence: from row 2 on the
-    # anchor M(n, 1) = 1 breaks, so the Q and S families must fail.
+    # The same off-by-one in the MacMahon recurrence, at every shift: from
+    # row 2 on the anchor M(n, 1) = 1 breaks, so the Q and S families must
+    # fail.
     "mutated_macmahon_recurrence": (
         special_numbers, "_macmahon_next_row",
-        lambda step: lambda n, prev: [x + left for x, left in
-                                      zip(step(n, prev), (*prev, 0))],
+        lambda step: lambda n, prev, *shift: [
+            x + left for x, left in zip(step(n, prev, *shift), (*prev, 0))],
         168, {"closed_form_h", "egf_macmahon", "egf_macmahon_halved",
               "integral_Q", "integral_S", "integrality", "substitution_M",
               "theorem2", "theorem3", "triangle_macmahon"}),
@@ -51,8 +52,8 @@ FAULTS = {
     # triangles stay correct, so only checks that read P, Q or S fail.
     "mutated_horner_kernel": (
         derivative_polys, "_homogeneous",
-        lambda kernel: lambda c, x, y: kernel((c[0] + 1, *c[1:]), x, y),
-        295, {"closed_form_f", "closed_form_h", "grosset_veselov_exact",
+        lambda kernel: lambda c, *args: kernel((c[0] + 1, *c[1:]), *args),
+        296, {"closed_form_f", "closed_form_h", "grosset_veselov_exact",
               "grosset_veselov_numeric", "integral_P", "integral_P_symmetric",
               "integral_Q", "integral_S", "integrality", "lemma1",
               "substitution_E", "substitution_M", "theorem1", "theorem2",
@@ -62,18 +63,18 @@ FAULTS = {
     "mutated_digit_unpacking": (
         derivative_polys, "_digits",
         lambda digits: lambda *args: _plus(digits(*args), 0),
-        310, {"closed_form_f", "closed_form_h", "grosset_veselov_exact",
+        311, {"closed_form_f", "closed_form_h", "grosset_veselov_exact",
               "grosset_veselov_numeric", "homogeneity_Q", "integral_P",
               "integral_P_symmetric", "integral_Q", "integral_S",
               "integrality", "lemma1", "substitution_E", "substitution_M",
               "theorem1", "theorem2", "theorem3"}),
-    # The k = 2 weight of the S binomial transform off by one, so S_n gains
-    # (2d)^2 Q_{n-2}: only checks that read S with d != 0 fail.
-    "mutated_shift_transform": (
-        derivative_polys, "_shift_transform",
-        lambda shift: lambda qs, two_d: shift(qs, two_d) + (
-            two_d ** 2 * qs[-3] if len(qs) >= 3 else 0),
-        51, {"closed_form_h", "integral_S", "integrality", "theorem3"}),
+    # The shift numerator p of the shifted MacMahon row step off by one when
+    # p != 0: the MacMahon rows stay correct, so only checks that read S
+    # with d != 0 fail.
+    "mutated_shift_weight": (
+        special_numbers, "_macmahon_next_row",
+        lambda step: lambda n, prev, p=0, e=1: step(n, prev, p + (p != 0), e),
+        76, {"closed_form_h", "integral_S", "integrality", "theorem3"}),
     # Poly.eval off by one from degree 8 on: only checks that read a value
     # at a point fail (the oracles, the Bernoulli values, the substitution
     # relations); definite_integral runs its own Horner pass.
@@ -147,13 +148,12 @@ FAULTS = {
         lambda unscale: lambda nums, *args: unscale(_plus(nums, 6), *args),
         13, {"theorem1", "theorem2", "theorem3"}),
     # The k = 2 weight of every integer combination of polynomials off by
-    # one: the S transform and lemma 1's right side.
+    # one: lemma 1's right side, its only caller.
     "mutated_combination_weight": (
         Poly, "_combination",
         lambda combine: lambda w, polys, den: combine(_plus(list(w), 2),
                                                       polys, den),
-        65, {"closed_form_h", "integral_S", "integrality", "lemma1",
-             "theorem3"}),
+        13, {"lemma1"}),
     # Numerator 3 of every Poly sum of degree 3 or more plus 1: the products
     # by c + d e^(rate t) of the polynomial generating functions.
     "mutated_poly_sum": (

@@ -191,10 +191,11 @@ def test_mutation_of_tangent_numbers_fails_verify_all(mutated_tangent_numbers):
     assert {"integral_P", "integral_Q", "grosset_veselov_exact"} <= failed
 
 
-def test_mutation_of_shift_transform_fails_verify_all(mutated_shift_transform):
-    """An off-by-one k = 2 weight in the S binomial transform fails theorem 3
-    (S against the v oracle), the S integrals, the closed form of the S
-    generating function and the integrality of the reduced S family."""
+def test_mutation_of_shift_transform_fails_verify_all(mutated_shift_weight):
+    """An off-by-one shift numerator in the shifted MacMahon row step, from
+    which S is built, fails theorem 3 (S against the v oracle), the S
+    integrals, the closed form of the S generating function and the
+    integrality of the reduced S family."""
     failed = {v.identity for v in V.run_suite("all") if not v.passed}
     assert {"theorem3", "integral_S", "closed_form_h", "integrality"} <= failed
 
@@ -365,7 +366,7 @@ S_PARAMS = RiccatiParams(1, 0, 1, Fraction(1, 4))
 CORRUPTED = {"mutated_eulerian_recurrence": "P",
              "mutated_macmahon_recurrence": "Q",
              "mutated_horner_kernel": "P",
-             "mutated_shift_transform": "S"}
+             "mutated_shift_weight": "S"}
 
 
 @pytest.mark.parametrize("fault", CORRUPTED)
@@ -397,26 +398,26 @@ def test_mutation_reaches_warm_family_memo(request, fault):
 
 
 def test_verify_all_builds_each_value_once(monkeypatch):
-    """A cold ``verify all`` builds each Bernoulli polynomial and each S
-    binomial transform once: every call has a key no earlier call had.  The
-    substitution checks compute their sample points once per (a, b)."""
-    keys = {"bernoulli_poly": [], "_shift_transform": []}
+    """A cold ``verify all`` builds each Bernoulli polynomial and each row of
+    each shifted MacMahon triangle once: every call has a key no earlier
+    call had, and some rows are shifted.  The substitution checks compute
+    their sample points once per (a, b)."""
+    keys = {"bernoulli_poly": [], "_macmahon_next_row": []}
     bernoulli_poly = sn.bernoulli_poly
-    shift_transform = derivative_polys._shift_transform
+    next_row = sn._macmahon_next_row
 
     def counted_bernoulli_poly(n):
         keys["bernoulli_poly"].append(n)
         return bernoulli_poly(n)
 
-    def counted_shift_transform(qs, two_d):
-        keys["_shift_transform"].append((tuple(qs), two_d))
-        return shift_transform(qs, two_d)
+    def counted_next_row(n, prev, *shift):
+        keys["_macmahon_next_row"].append((n, *shift))
+        return next_row(n, prev, *shift)
 
     sn.reset_caches()
     V._substitution_points.cache_clear()
     monkeypatch.setattr(sn, "bernoulli_poly", counted_bernoulli_poly)
-    monkeypatch.setattr(derivative_polys, "_shift_transform",
-                        counted_shift_transform)
+    monkeypatch.setattr(sn, "_macmahon_next_row", counted_next_row)
     try:
         assert all(v.passed for v in V.run_suite("all"))
     finally:
@@ -425,5 +426,6 @@ def test_verify_all_builds_each_value_once(monkeypatch):
     for name, calls in keys.items():
         assert calls, name
         assert len(calls) == len(set(calls)), name
+    assert any(len(key) == 3 for key in keys["_macmahon_next_row"])
     points = V._substitution_points.cache_info()
     assert points.misses == len(V.RELATION_PARAM_PAIRS) and points.hits > 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from derivpoly import cli, derivative_polys
+from derivpoly import cli, derivative_polys, special_numbers
 from derivpoly.derivative_polys import (
     RiccatiParams,
     build_A,
@@ -160,6 +160,13 @@ class TestBuildS:
         with pytest.raises(ValueError):
             build_S(-1, RiccatiParams(1, 0, 1, 0))
 
+    def test_reads_no_q_member(self):
+        """S comes from its own shifted MacMahon row: from cold caches,
+        building S_12 memoizes no family member but S_12."""
+        special_numbers.reset_caches()
+        build_S(12, RiccatiParams(1, 0, 1, Fraction(1, 4)))
+        assert {key[0] for key in special_numbers.FAMILY_CACHE} == {"build_S"}
+
 
 def derivative(poly):
     """d/du, from the Fraction coefficients."""
@@ -198,13 +205,15 @@ tall_rationals = st.builds(Fraction, st.integers(-10**12, 10**12),
 
 
 class TestIntegerKernelsSecondRoutes:
-    """The integer Horner and binomial-transform kernels against routes that
-    share no code with them: the derivative recurrences that define P and Q,
-    and ``Poly``-object copies of the kernels."""
+    """The integer Horner kernel and the shifted MacMahon rows against
+    routes that share no code with them: the derivative recurrences that
+    define P, Q and S, ``Poly``-object copies of the kernels and S's
+    binomial transform of the Q's."""
 
     @settings(max_examples=40, deadline=None)
-    @given(a=rationals, b=rationals, n=st.integers(min_value=0, max_value=25))
-    def test_derivative_recurrences(self, a, b, n):
+    @given(a=rationals, b=rationals, d=rationals,
+           n=st.integers(min_value=0, max_value=25))
+    def test_derivative_recurrences(self, a, b, d, n):
         assume(a != b and a.denominator != b.denominator)
         params = RiccatiParams(1, a, b)
         ua_ub = (X - a) * (X - b)
@@ -214,6 +223,10 @@ class TestIntegerKernelsSecondRoutes:
         q = build_Q(n, params)
         assert build_Q(n + 1, params) == \
             (2 * X - a - b) * q + 2 * ua_ub * derivative(q)
+        shifted = RiccatiParams(1, a, b, d)
+        s = build_S(n, shifted)
+        assert build_S(n + 1, shifted) == \
+            (2 * X - a - b + 2 * d) * s + 2 * ua_ub * derivative(s)
 
     @settings(max_examples=40, deadline=None)
     @given(coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1,

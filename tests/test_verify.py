@@ -572,7 +572,7 @@ def _verdicts_digest(verdicts) -> str:
 
 @pytest.mark.parametrize("fault,digest", [
     ("mutated_eulerian_recurrence", "2742a72793f830f004a3b6395144303b59c78863556f9e95417864faab892a04"),
-    ("mutated_macmahon_recurrence", "8d9e97a150ed8322a176377cb94f307630579d598482daedde82ae41e3a9324b"),
+    ("mutated_macmahon_recurrence", "f09ae2101e4537a1e288897a2cd6ad75aa31807d3129cede448c7234580fc8e9"),
 ])
 def test_verdicts_under_fault_pinned(request, fault, digest):
     """Every verdict and witness of ``all`` under an injected fault is pinned."""
