@@ -7,8 +7,9 @@ For concrete rational parameters:
   r^n * P_{n+1}(u).  Coefficients come from the Eulerian triangle.
 * ``build_Q(n)``  -- Q_n, with Q_0 = 1; the n-th derivative of v (d = 0)
   equals v * (r/2)^n * Q_n(u).  Coefficients come from the MacMahon triangle.
-* ``build_S(n)``  -- S_n, Q_n for any d.  Coefficients come from the
-  MacMahon triangle shifted by 2d/(b-a).
+* ``build_S(n)``  -- S_n, with S_0 = 1; the n-th derivative of v at any d
+  equals v * (r/2)^n * S_n(u), and S_n = Q_n at d = 0.  Coefficients come
+  from the MacMahon triangle shifted by 2d/(b-a).
 * ``build_E/A/M`` -- the Eulerian polynomials (both indexings) and the
   MacMahon row polynomials; P and Q collapse onto E and M under the
   substitution x = (u-a)/(u-b).
