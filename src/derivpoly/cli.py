@@ -10,14 +10,23 @@ the ``--help`` text.  It stands in for ``argparse`` because most commands
 finish in well under a tenth of a second: importing ``argparse`` (with
 ``gettext``), building a parser per command and parsing cost each process
 about 8 ms, more than the package's own modules take to import.
-"""
+
+For the same reason a process ends through ``run``, the entry point of both
+the ``derivpoly`` script and ``python -m derivpoly``: after ``main`` it runs
+the ``atexit`` handlers, flushes stdout and stderr and ends the process with
+``os._exit``.  CPython's teardown, which would clear every module, run the
+final garbage collections and free every memoized row and polynomial after
+the last byte of output, is skipped: it cost 4-6 ms of CPU, about an eighth
+of a command that does no work (2-vCPU host, CPython 3.11.7)."""
 
 from __future__ import annotations
 
+import atexit
+import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .derivative_polys import FAMILIES, family_poly
 from .exact import UsageError, parse_rational
@@ -259,10 +268,10 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command of ``argv`` (default ``sys.argv[1:]``).  Bad input,
-    from the parser or as the library's ValueError, is a usage error: a
-    message on stderr and exit 2.  The command runs without CPython's
-    int-to-str digit limit, since exact output is the product; the caller's
-    limit is restored."""
+    from the parser or as the library's ``UsageError``, is a usage error: a
+    message on stderr and exit 2; any other exception propagates.  The
+    command runs without CPython's int-to-str digit limit, since exact
+    output is the product; the caller's limit is restored."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = parse_args(argv)
@@ -272,11 +281,39 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return COMMANDS[args.command][0](args)
         finally:
             sys.set_int_max_str_digits(limit)
-    except ValueError as exc:
+    except UsageError as exc:
         prog = f"derivpoly {argv[0]}" if argv and argv[0] in COMMANDS else "derivpoly"
         print(f"{prog}: error: {exc}", file=sys.stderr)
         raise SystemExit(2)
 
 
+def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
+    """Run ``main`` as a whole process and end it, without CPython's teardown.
+
+    The exit code is what ``main`` returns or the code of its
+    ``SystemExit``.  The ``atexit`` handlers run and stdout and stderr are
+    flushed, in the order of the interpreter's own shutdown, and then
+    ``os._exit`` ends the process.  If a flush fails (a closed pipe), or the
+    code is neither an int nor None, ``sys.exit`` leaves the process to the
+    interpreter's own exit, which reports it as it always does.  Any other
+    exception from ``main`` propagates.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    if code is None or isinstance(code, int):
+        atexit._run_exitfuncs()
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None when the descriptor was closed
+                    stream.flush()
+        except (OSError, ValueError):
+            pass
+        else:
+            os._exit(code or 0)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -24,7 +24,7 @@ import functools
 import math
 from fractions import Fraction
 
-from .exact import Record, as_fraction
+from .exact import Record, UsageError, as_fraction
 from .polyseries import Poly
 from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
 
@@ -37,9 +37,9 @@ class RiccatiParams(Record):
     def __init__(self, r, a, b, d=Fraction(0)):
         r, a, b, d = map(as_fraction, (r, a, b, d))
         if r == 0:
-            raise ValueError("r must be nonzero")
+            raise UsageError("r must be nonzero")
         if a == b:
-            raise ValueError("a and b must differ")
+            raise UsageError("a and b must differ")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -201,30 +201,31 @@ FAMILIES = tuple(FAMILY_LIMITS)
 
 
 def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
-    """Build one member of a named family; raises ValueError on bad input,
+    """Build one member of a named family; raises UsageError on bad input,
     including a parameter the family does not depend on (E/A/M take none of
     r, a, b, d; P and Q take no d).  n above ``FAMILY_LIMITS[family]`` is
     refused before any work."""
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+        raise UsageError(f"unknown family {family!r}")
     if n > FAMILY_LIMITS[family]:
-        raise ValueError(f"need n <= {FAMILY_LIMITS[family]} for family "
+        raise UsageError(f"need n <= {FAMILY_LIMITS[family]} for family "
                          f"{family}, got {n}")
     takes = {"P": "rab", "Q": "rab", "S": "rabd"}.get(family, "")
     ignored = [k for k, v in zip("rabd", (r, a, b, d))
                if v is not None and k not in takes]
     if ignored:
-        raise ValueError(f"family {family} does not take {', '.join(ignored)}")
+        raise UsageError(f"family {family} does not take {', '.join(ignored)}")
+    params = ()
     if family in ("P", "Q", "S"):
         if a is None or b is None:
-            raise ValueError(f"family {family} requires parameters a and b")
-        params = RiccatiParams(Fraction(1) if r is None else r, a, b,
-                               0 if d is None else d)
+            raise UsageError(f"family {family} requires parameters a and b")
+        params = (RiccatiParams(Fraction(1) if r is None else r, a, b,
+                                0 if d is None else d),)
         if family == "S" and d is None:
-            raise ValueError("family S requires parameter d")
-        return {"P": build_P, "Q": build_Q, "S": build_S}[family](n, params)
-    if family == "E":
-        return build_E(n)
-    if family == "A":
-        return build_A(n)
-    return build_M(n)
+            raise UsageError("family S requires parameter d")
+    least = 1 if family == "P" else 0
+    if n < least:
+        raise UsageError(f"need n >= {least}, got {n}")
+    build = {"P": build_P, "Q": build_Q, "S": build_S, "E": build_E,
+             "A": build_A, "M": build_M}[family]
+    return build(n, *params)

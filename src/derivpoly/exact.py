@@ -18,7 +18,9 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 class UsageError(ValueError):
-    """Bad command-line input: the command line reports it and exits 2.
+    """Bad input: every argument check that a command line can reach
+    raises it, and the command line reports it and exits 2.  Any other
+    exception is a fault of the program, not of its input.
 
     It is a ``ValueError``, so a caller that catches ``ValueError`` catches
     it too.

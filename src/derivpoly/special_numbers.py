@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .exact import UsageError
 from .polyseries import Poly
 
 EULERIAN = "eulerian"
@@ -262,9 +263,9 @@ def table_rows(kind: str, n_max: int) -> list[list[str]]:
     before any work.
     """
     if kind not in TABLE_LIMITS:
-        raise ValueError(f"unknown table kind {kind!r}")
+        raise UsageError(f"unknown table kind {kind!r}")
     if not 1 <= n_max <= TABLE_LIMITS[kind]:
-        raise ValueError(f"need 1 <= n_max <= {TABLE_LIMITS[kind]} for {kind}, "
+        raise UsageError(f"need 1 <= n_max <= {TABLE_LIMITS[kind]} for {kind}, "
                          f"got {n_max}")
     if kind == EULERIAN:
         return [_row_strings(eulerian_row(n)) for n in range(1, n_max + 1)]

@@ -30,7 +30,7 @@ from .derivative_polys import (
     build_Q,
     build_S,
 )
-from .exact import Record, as_fraction
+from .exact import Record, UsageError, as_fraction
 from .polyseries import Poly, Series, X
 from .special_numbers import (
     bernoulli_number,
@@ -143,7 +143,7 @@ def _params(**fields) -> dict:
 def _upto(bound: int, name: str = "n_max") -> range:
     """1..bound, refusing an empty range: a check over nothing is no check."""
     if bound < 1:
-        raise ValueError(f"{name} must be >= 1, got {bound}")
+        raise UsageError(f"{name} must be >= 1, got {bound}")
     return range(1, bound + 1)
 
 
@@ -176,9 +176,9 @@ class OracleInstance(Record):
                  order: int = DEFAULT_ORACLE_ORDER):
         u0, v0 = as_fraction(u0), as_fraction(v0)
         if v0 == 0:
-            raise ValueError("v0 must be nonzero")
+            raise UsageError("v0 must be nonzero")
         if order < 1:
-            raise ValueError(f"oracle order must be >= 1, got {order}")
+            raise UsageError(f"oracle order must be >= 1, got {order}")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "u0", u0)
         object.__setattr__(self, "v0", v0)
@@ -379,7 +379,7 @@ def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
     and printed as Poly, a zero side as ``[]``.
     """
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise UsageError(f"order must be >= 1, got {order}")
     (c, d, rate), (c1, d1, rate1) = mult, expected
     fs = [coeff(n) for n in range(order + 1)]
     gs = _exp_transform(fs, rate)
@@ -449,7 +449,7 @@ _BASE01 = RiccatiParams(Fraction(1), Fraction(0), Fraction(1))
 def _check_u0_open_unit(u0: Fraction) -> Fraction:
     u0 = as_fraction(u0)
     if not 0 < u0 < 1:
-        raise ValueError(f"u0 must lie strictly between 0 and 1, got {u0}")
+        raise UsageError(f"u0 must lie strictly between 0 and 1, got {u0}")
     return u0
 
 
@@ -609,7 +609,7 @@ def _trapezoid(f, tol: float) -> tuple[float, bool]:
 def _check_tol(tol: float) -> None:
     # The targets are 4/3, 16/15, 64/21: tol >= 1 would pass a zero integral.
     if not 0 < tol < 1:
-        raise ValueError(f"tol must be positive and below 1, got {tol}")
+        raise UsageError(f"tol must be positive and below 1, got {tol}")
 
 
 def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
@@ -825,9 +825,9 @@ def suite_integrals(n_max: Optional[int] = None,
     pair) and the symmetric reduction to DEFAULT_SYMMETRIC_N.
     """
     if (a is None) != (b is None):
-        raise ValueError("a and b must be given together")
+        raise UsageError("a and b must be given together")
     if d is not None and a is None:
-        raise ValueError("d applies only together with a and b")
+        raise UsageError("d applies only together with a and b")
     explicit = a is not None
     pairs = [(a, b)] if explicit else INTEGRAL_PAIRS
     triples = [(a, b, 0 if d is None else d)] if explicit else INTEGRAL_S_TRIPLES
@@ -917,18 +917,18 @@ def run_suite(name: str, **options) -> list[Verdict]:
     order, u0, a, b, d, tol).  Only the options that are given (not None)
     reach the suite function, so each default lives once, in that function's
     signature.  An option that is not a parameter of the suite function
-    raises ValueError; each suite rejects its own bounds below 1.  ``all``
+    raises UsageError; each suite rejects its own bounds below 1.  ``all``
     runs every sub-suite at its defaults, in turn, and takes no options.
     """
     given = {k: v for k, v in options.items() if v is not None}
     suite = _suite_all if name == "all" else SUITES.get(name)
     if suite is None:
-        raise ValueError(f"unknown suite {name!r}")
+        raise UsageError(f"unknown suite {name!r}")
     code = suite.__code__
     takes = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
     ignored = [k for k in given if k not in takes]
     if ignored:
-        raise ValueError(f"suite {name!r} does not take {', '.join(ignored)}")
+        raise UsageError(f"suite {name!r} does not take {', '.join(ignored)}")
     # ``all`` joins sorted sub-suites of disjoint identities: sort by identity.
     key = operator.attrgetter("identity") if name == "all" else _verdict_sort_key
     return sorted(suite(**given), key=key)

@@ -1,6 +1,9 @@
+import ast
 import csv
 import hashlib
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -621,7 +624,10 @@ class TestParser:
     ]
 
     @pytest.mark.parametrize("argv", REJECTED + [
-        ("table", "eulerian", "--n", "0"),                # the library's ValueError
+        ("table", "eulerian", "--n", "0"),                # the library's UsageError
+        ("poly", "E", "--n", "-1"),
+        ("verify", "egf", "--order", "0"),
+        ("verify", "egf", "--u0", "1"),
         ("series", "riccati", "--q", "2", "--order", "3"),  # the CLI's own check
     ])
     def test_rejection_exits_2_with_empty_stdout(self, capsys, argv):
@@ -651,20 +657,23 @@ class TestParser:
                 cli.COMMANDS[args.command][0](args)
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
-        """The console script calls ``main()`` with no argument."""
+        """``run``, the process entry, calls ``main()`` with no argument."""
         monkeypatch.setattr(sys, "argv", ["derivpoly", "table", "eulerian",
                                           "--n", "3"])
         assert cli.main() == 0
         assert capsys.readouterr().out == "1\n1 1\n1 4 1\n"
 
 
-def _python(*args):
-    """Run ``python -S args`` on the package sources; ``-S`` keeps site hooks
-    of the environment out of the picture."""
-    src = Path(cli.__file__).resolve().parents[1]
-    return subprocess.run([sys.executable, "-S", *args],
-                          env={"PYTHONPATH": str(src)},
-                          capture_output=True, text=True)
+ROOT = Path(cli.__file__).resolve().parents[2]
+
+
+def _python(*args, site=False, **kwargs):
+    """Run ``python args`` on the package sources and capture the bytes of
+    stdout and stderr.  Without ``site``, ``-S`` keeps site hooks of the
+    environment out of the picture."""
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **kwargs}
+    return subprocess.run([sys.executable, *([] if site else ["-S"]), *args],
+                          env={"PYTHONPATH": str(ROOT / "src")}, **kwargs)
 
 
 def test_module_usage_error_exits_2():
@@ -672,8 +681,127 @@ def test_module_usage_error_exits_2():
     nothing on stdout."""
     proc = _python("-m", "derivpoly", "table", "eulerian", "--n", "0")
     assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert "derivpoly table: error:" in proc.stderr
+    assert proc.stdout == b""
+    assert b"derivpoly table: error:" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, head", [
+    (("table", "eulerian", "--n", "3"), b"1\n1 1\n1 4 1\n"),
+    (("-h",), b"usage: derivpoly table KIND [options]\n"),
+], ids=["table", "help"])
+def test_module_success_exits_0(argv, head):
+    """A table and the help: exit 0, the output, nothing on stderr."""
+    proc = _python("-m", "derivpoly", *argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.startswith(head)
+
+
+#: Run the package as ``python -m derivpoly`` does, after a -c script's setup.
+RUN_MODULE = "runpy.run_module('derivpoly', run_name='__main__', alter_sys=True)"
+
+
+def _with_patched_eulerian_step(patch, *argv):
+    """Run ``python -m derivpoly argv`` with the Eulerian recurrence's step
+    replaced by ``patch``, an expression of the correct ``step``."""
+    script = ("import runpy\nfrom derivpoly import special_numbers\n"
+              "step = special_numbers._eulerian_next_row\n"
+              f"special_numbers._eulerian_next_row = {patch}\n{RUN_MODULE}")
+    return _python("-c", script, *argv)
+
+
+def test_module_failing_verify_exits_1():
+    """The off-by-one Eulerian recurrence of the fault table fails a
+    verdict."""
+    proc = _with_patched_eulerian_step(
+        "lambda n, prev: [x + left for x, left in zip(step(n, prev), (*prev, 0))]",
+        "verify", "classical")
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert proc.stdout.startswith(b"FAIL classical")
+
+
+def test_module_internal_value_error_exits_1():
+    """A ValueError inside the library ends in a traceback and exit 1, not
+    in a usage error's exit 2."""
+    proc = _with_patched_eulerian_step("lambda n, prev: int('kernel fault')",
+                                       "table", "eulerian", "--n", "3")
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.startswith(b"Traceback (most recent call last):")
+    assert proc.stderr.endswith(b"ValueError: invalid literal for int() "
+                                b"with base 10: 'kernel fault'\n")
+
+
+def test_module_runs_atexit_handlers_before_flushing():
+    """A handler registered before the run still writes, also text that a
+    line-buffered stderr holds until it is flushed."""
+    script = ("import atexit, runpy, sys\n"
+              "atexit.register(sys.stderr.write, 'atexit handler ran')\n"
+              + RUN_MODULE)
+    proc = _python("-c", script, "table", "eulerian", "--n", "3")
+    assert proc.returncode == 0
+    assert proc.stdout == b"1\n1 1\n1 4 1\n"
+    assert proc.stderr == b"atexit handler ran"
+
+
+def test_module_writes_long_output_whole(capsys):
+    """Several MB of stdout reach the reader in full before the process
+    ends, the same bytes as from ``main`` in process."""
+    argv = ["table", "macmahon", "--n", "200"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    proc = _python("-m", "derivpoly", *argv)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(proc.stdout) > 4_000_000
+    assert hashlib.sha256(proc.stdout).digest() == \
+        hashlib.sha256(expected).digest()
+
+
+def test_module_closed_pipe_exits_120():
+    """A reader gone before the first write: the flush fails, and the
+    interpreter's own exit reports it with code 120."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _python("-m", "derivpoly", "table", "eulerian", "--n", "3",
+                       stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 120
+    assert b"BrokenPipeError" in proc.stderr
+
+
+def test_benchmark_commands_match_main_in_process(capsys):
+    """Every command of the benchmark's workloads at seed 1, and its no-work
+    command, run as the benchmark runs them (``python -m derivpoly`` with
+    site hooks on): the same stdout bytes and exit code as ``main`` in
+    process."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [argv for name in workloads.NAMES
+             for argv in workloads.commands(name, 1)]
+    for argv in [*argvs, workloads.SETUP_COMMAND]:
+        code = cli.main(argv)
+        out = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        proc = _python("-m", "derivpoly", *argv, site=True)
+        assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == \
+            (code, out), argv
+
+
+def test_console_script_and_module_share_one_entry():
+    """The ``derivpoly`` script of ``pyproject.toml`` names the function
+    that ``python -m derivpoly`` calls, so both end a process one way."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    script = pyproject["project"]["scripts"]["derivpoly"]
+    tree = ast.parse(Path(cli.__file__).with_name("__main__.py").read_text())
+    imported = {alias.asname or alias.name: f"derivpoly.{node.module}:{alias.name}"
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    called = [imported.get(node.value.func.id) for node in tree.body
+              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)]
+    assert called == [script] == ["derivpoly.cli:run"]
 
 
 def test_import_loads_no_dataclasses_inspect_json_or_csv():
@@ -690,4 +818,4 @@ def test_import_loads_no_dataclasses_inspect_json_or_csv():
             "print(*[m for m in lean if m in sys.modules], sep=',')")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["", "1", ""]
+    assert proc.stdout.splitlines() == [b"", b"1", b""]
