@@ -31,8 +31,8 @@ from typing import NoReturn, Optional, Sequence
 from .derivative_polys import FAMILIES, family_poly
 from .exact import UsageError, parse_rational
 from .special_numbers import TABLE_KINDS, table_rows
-from .verify import (SUITE_NAMES, Verdict, instance, riccati_series, run_suite,
-                     series_height, v_series)
+from .verify import (SUITE_NAMES, Verdict, instance, params_json, riccati_series,
+                     run_suite, series_height, v_series)
 
 
 def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
@@ -42,7 +42,9 @@ def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
     printed space-separated or as csv lines; ``as_json`` returns objects,
     printed one sorted-key JSON object per line.  Each is a zero-argument
     callable, and only the one for ``fmt`` runs.  ``json`` and ``csv`` are
-    imported where they are used, so a plain command never loads them.
+    imported where they are used, so a plain command never loads them and a
+    csv command only ``csv``: ``verify.params_json`` writes the JSON text
+    that orders verdicts and fills their csv params column without ``json``.
     """
     if fmt == "json":
         import json
@@ -152,10 +154,9 @@ def _plain_verdict(v: Verdict) -> list[str]:
 
 
 def _csv_verdict(v: Verdict) -> list[str]:
-    import json
     return [
         v.identity,
-        json.dumps(v.params, sort_keys=True),
+        params_json(v.params),
         v.status,
         "" if v.first_failure is None else v.first_failure,
         v.witness["lhs"] if v.witness else "",
@@ -287,31 +288,46 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         raise SystemExit(2)
 
 
+def _drop_stdout() -> int:
+    """Point fd 1 at ``os.devnull`` once its reader is gone, so that no later
+    write or flush fails again, and return the exit code 1 (the advice of
+    the ``signal`` module's documentation on SIGPIPE)."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
+
+
 def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
     """Run ``main`` as a whole process and end it, without CPython's teardown.
 
     The exit code is what ``main`` returns or the code of its
     ``SystemExit``.  The ``atexit`` handlers run and stdout and stderr are
     flushed, in the order of the interpreter's own shutdown, and then
-    ``os._exit`` ends the process.  If a flush fails (a closed pipe), or the
-    code is neither an int nor None, ``sys.exit`` leaves the process to the
-    interpreter's own exit, which reports it as it always does.  Any other
-    exception from ``main`` propagates.
+    ``os._exit`` ends the process.  A reader that closed the pipe, before
+    the first write or in the middle of the output, raises
+    ``BrokenPipeError`` from ``main`` or the flush: stdout then goes to
+    ``os.devnull`` and the process exits 1 with nothing on stderr.  If a
+    flush fails otherwise, or the code is neither an int nor None,
+    ``sys.exit`` leaves the process to the interpreter's own exit, which
+    reports it as it always does.  Any other exception from ``main``
+    propagates.
     """
     try:
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
+    except BrokenPipeError:
+        code = _drop_stdout()
     if code is None or isinstance(code, int):
         atexit._run_exitfuncs()
         try:
             for stream in (sys.stdout, sys.stderr):
                 if stream is not None:  # None when the descriptor was closed
                     stream.flush()
+        except BrokenPipeError:
+            code = _drop_stdout()
         except (OSError, ValueError):
-            pass
-        else:
-            os._exit(code or 0)
+            sys.exit(code)
+        os._exit(code or 0)
     sys.exit(code)
 
 

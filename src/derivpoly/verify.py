@@ -489,8 +489,8 @@ def check_classical(n: int) -> Verdict:
     F = A, and F = E with E_1 standing in for E_0, summed by Horner in x-1
     on the integer coefficient lists of the triangle rows.
 
-    The sides are compared as labelled text, the witness; a Poly's text is
-    canonical, so equal texts mean equal polynomials.
+    The sides are compared as polynomials; only when they differ are they
+    written as the labelled texts ``E: [...]`` or ``A: [...]``, the witness.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -503,11 +503,14 @@ def check_classical(n: int) -> Verdict:
                    zip_longest([0, *acc], [*acc, 0], row(k), fillvalue=0)]
         return Poly._over(acc, 1)
 
+    def sides(name, lhs, rhs):
+        return ((None, lhs, rhs) if lhs == rhs
+                else (None, f"{name}: {lhs}", f"{name}: {rhs}"))
+
     families = (("E", build_E, lambda k: (0, *eulerian_row(max(k, 1)))),
                 ("A", build_A, lambda k: eulerian_row(k) if k else (1,)))
     return _scan("classical", {"n": n}, (
-        (None, f"{name}: {build(n)}", f"{name}: {convolution(row)}")
-        for name, build, row in families))
+        sides(name, build(n), convolution(row)) for name, build, row in families))
 
 
 def check_integral_P(n: int, a, b) -> Verdict:
@@ -905,13 +908,42 @@ def _suite_all() -> list[Verdict]:
     return [v for sub in _SUB_SUITES for v in run_suite(sub)]
 
 
+def _json_value(value) -> str:
+    """``json.dumps(value)`` for an int, a finite float, a str that JSON
+    writes unescaped (printable ASCII without ``"`` or ``\\``) or a list of
+    those; any other value raises, since its text would be a guess."""
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is float and math.isfinite(value):
+        return repr(value)
+    if kind is str and value.isascii() and value.isprintable() \
+            and '"' not in value and "\\" not in value:
+        return f'"{value}"'
+    if kind is list:
+        return "[" + ", ".join(map(_json_value, value)) + "]"
+    raise ValueError(f"no exact JSON text for verdict parameter {value!r}")
+
+
+def params_json(params: dict) -> str:
+    """``json.dumps(params, sort_keys=True)`` for verdict parameters, without
+    importing ``json``: string keys in sorted order, ``", "`` and ``": "``
+    separators, values as ``_json_value`` writes them."""
+    keys = sorted(params)
+    if any(type(k) is not str for k in keys):
+        raise ValueError(f"verdict parameter keys must be strings, got {keys!r}")
+    return "{" + ", ".join(f"{_json_value(k)}: {_json_value(params[k])}"
+                           for k in keys) + "}"
+
+
 def _verdict_sort_key(v: Verdict) -> tuple[str, str]:
-    import json  # here, not at the top: table and series commands never sort
-    return (v.identity, json.dumps(v.params, sort_keys=True, default=str))
+    return (v.identity, params_json(v.params))
 
 
 def run_suite(name: str, **options) -> list[Verdict]:
-    """Run one named suite (or all of them) and return sorted verdicts.
+    """Run one named suite (or all of them) and return its verdicts in
+    canonical order: by identity, then by the params' JSON text with sorted
+    keys (``params_json``), so ``n=10`` sorts before ``n=2``.
 
     The options are the parameters of the suite functions (n_max, m_max,
     order, u0, a, b, d, tol).  Only the options that are given (not None)

@@ -755,9 +755,9 @@ def test_module_writes_long_output_whole(capsys):
         hashlib.sha256(expected).digest()
 
 
-def test_module_closed_pipe_exits_120():
-    """A reader gone before the first write: the flush fails, and the
-    interpreter's own exit reports it with code 120."""
+def test_module_closed_pipe_exits_1():
+    """A reader gone before the first write: the final flush fails, stdout
+    goes to ``os.devnull`` and the process exits 1 with nothing on stderr."""
     read, write = os.pipe()
     os.close(read)
     try:
@@ -765,8 +765,21 @@ def test_module_closed_pipe_exits_120():
                        stdout=write)
     finally:
         os.close(write)
-    assert proc.returncode == 120
-    assert b"BrokenPipeError" in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_module_pipe_closed_mid_output_exits_1():
+    """A reader gone after 10 bytes of 4.6 MB (``| head -c 10``): a write
+    inside ``main`` fails, and the process exits 1 with nothing on stderr."""
+    proc = subprocess.Popen(
+        [sys.executable, "-S", "-m", "derivpoly", "table", "macmahon", "--n", "200"],
+        env={"PYTHONPATH": str(ROOT / "src")}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (head, proc.wait(), stderr) == (b"1\n1 1\n1 6 ", 1, b"")
 
 
 def test_benchmark_commands_match_main_in_process(capsys):
@@ -807,15 +820,22 @@ def test_console_script_and_module_share_one_entry():
 def test_import_loads_no_dataclasses_inspect_json_or_csv():
     """Start-up stays lean: importing the CLI pulls in neither ``dataclasses``
     nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind them),
-    neither ``json`` nor ``csv``, which only their own formats and the verdict
-    sort load, and neither ``argparse`` nor the ``gettext`` and ``locale``
-    behind it; a whole plain ``table`` command loads none of them either."""
+    neither ``json`` nor ``csv``, which only their own formats load, and
+    neither ``argparse`` nor the ``gettext`` and ``locale`` behind it.  Whole
+    plain ``table`` and ``verify`` commands, run in turn, load none of them
+    either (the verdicts' order needs no ``json``), and a csv ``verify``
+    after them loads only ``csv``."""
     code = ("import sys, derivpoly.cli; "
             "lean = ('dataclasses', 'inspect', 'json', 'csv', 'argparse', "
             "'gettext', 'locale'); "
-            "print(*[m for m in lean if m in sys.modules], sep=','); "
-            "derivpoly.cli.main(['table', 'eulerian', '--n', '1']); "
-            "print(*[m for m in lean if m in sys.modules], sep=',')")
+            "report = lambda: print(*[m for m in lean if m in sys.modules], "
+            "sep=',', file=sys.stderr); "
+            "report(); "
+            "derivpoly.cli.main(['table', 'eulerian', '--n', '1']); report(); "
+            "derivpoly.cli.main(['verify', 'classical', '--n-max', '3']); report(); "
+            "derivpoly.cli.main(['verify', 'classical', '--n-max', '3', "
+            "'--format', 'csv']); report()")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [b"", b"1", b""]
+    assert proc.stderr.splitlines() == [b"", b"", b"", b"csv"]
+    assert proc.stdout.splitlines()[:2] == [b"1", b"PASS classical n=1"]

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -496,10 +498,16 @@ class TestSuites:
         assert all(v.passed for v in verdicts)
 
     def test_canonical_ordering(self):
-        verdicts = V.run_suite("lemma1", n_max=5)
-        keys = [(v.identity, json.dumps(v.params, sort_keys=True, default=str))
-                for v in verdicts]
-        assert keys == sorted(keys)
+        """By identity, then by the params' JSON text with sorted keys: in
+        ``integrals``, n=10, 11 and 12 come before n=1."""
+        for verdicts in (V.run_suite("lemma1", n_max=5),
+                         V.run_suite("integrals", n_max=12)):
+            keys = [(v.identity, json.dumps(v.params, sort_keys=True))
+                    for v in verdicts]
+            assert keys == sorted(keys)
+        assert [(v.identity, v.params["n"]) for v in verdicts[:4]] == \
+            [("integral_P", 10), ("integral_P", 11), ("integral_P", 12),
+             ("integral_P", 1)]
 
     def test_all_passes(self):
         verdicts = V.run_suite("all")
@@ -578,3 +586,57 @@ def test_verdicts_under_fault_pinned(request, fault, digest):
     """Every verdict and witness of ``all`` under an injected fault is pinned."""
     request.getfixturevalue(fault)
     assert _verdicts_digest(V.run_suite("all")) == digest
+
+
+_JSON_PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                    blacklist_characters='"\\'))
+_JSON_SCALARS = (st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+                 | _JSON_PLAIN)
+
+
+class TestParamsJson:
+    """``params_json`` writes the text of ``json.dumps(params,
+    sort_keys=True)``, the reference, without importing ``json``."""
+
+    def test_every_default_verdict(self):
+        for v in V.run_suite("all"):
+            assert V.params_json(v.params) == json.dumps(v.params, sort_keys=True)
+
+    def test_verify_deep_commands(self):
+        """The five verify-deep commands of ``perfbench/workloads.py`` at
+        seeds 1-3, read without editing it."""
+        from derivpoly import cli
+        spec = importlib.util.spec_from_file_location(
+            "workloads", Path(cli.__file__).resolve().parents[2]
+            / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for seed in (1, 2, 3):
+            for argv in workloads.commands("verify-deep", seed):
+                args = cli.parse_args(argv)
+                verdicts = V.run_suite(
+                    args.suite, n_max=args.n_max, m_max=args.m_max,
+                    order=args.order, u0=args.u0, a=args.a, b=args.b, d=args.d,
+                    tol=args.tol)
+                for v in verdicts:
+                    assert V.params_json(v.params) == \
+                        json.dumps(v.params, sort_keys=True), argv
+
+    @given(st.dictionaries(_JSON_PLAIN,
+                           _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=4),
+                           max_size=5))
+    def test_property(self, params):
+        assert V.params_json(params) == json.dumps(params, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        True, None, {"n": 1}, 'a"b', "a\\b", "\u00e9", "\n", float("nan"),
+        float("inf"), (1, 2), Fraction(1, 2)])
+    def test_refuses_what_it_would_guess(self, value):
+        with pytest.raises(ValueError):
+            V.params_json({"x": value})
+        with pytest.raises(ValueError):
+            V.params_json({"x": [value]})
+
+    def test_refuses_keys_that_are_not_strings(self):
+        with pytest.raises(ValueError):
+            V.params_json({1: 1})
