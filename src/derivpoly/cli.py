@@ -31,25 +31,25 @@ from typing import NoReturn, Optional, Sequence
 from .derivative_polys import FAMILIES, family_poly
 from .exact import UsageError, parse_rational
 from .special_numbers import TABLE_KINDS, table_rows
-from .verify import (SUITE_NAMES, Verdict, instance, params_json, riccati_series,
-                     run_suite, series_height, v_series)
+from .verify import (SUITE_NAMES, Verdict, instance, json_object, params_json,
+                     riccati_series, run_suite, series_height, v_series)
 
 
 def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
     """Print a command's output in format ``fmt``.
 
     ``plain`` and ``as_csv`` (default: ``plain``) return rows of strings,
-    printed space-separated or as csv lines; ``as_json`` returns objects,
-    printed one sorted-key JSON object per line.  Each is a zero-argument
-    callable, and only the one for ``fmt`` runs.  ``json`` and ``csv`` are
-    imported where they are used, so a plain command never loads them and a
-    csv command only ``csv``: ``verify.params_json`` writes the JSON text
-    that orders verdicts and fills their csv params column without ``json``.
+    printed space-separated or as csv lines; ``as_json`` returns JSON texts,
+    printed one per line.  Each is a zero-argument callable, and only the
+    one for ``fmt`` runs.  ``json`` and ``csv`` are imported where they are
+    used, so a plain command never loads them and a csv command only
+    ``csv``: ``verify.params_json`` writes the JSON text that orders
+    verdicts and fills their csv params column, and ``verify.json_object``
+    the JSON lines of ``verify``, without ``json``.
     """
     if fmt == "json":
-        import json
-        for obj in as_json():
-            print(json.dumps(obj, sort_keys=True))
+        for text in as_json():
+            print(text)
     elif fmt == "csv":
         import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows((as_csv or plain)())
@@ -58,9 +58,16 @@ def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
             print(" ".join(row))
 
 
+def _json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True)``, importing ``json`` on first use."""
+    import json
+    return json.dumps(obj, sort_keys=True)
+
+
 def _cmd_table(args) -> int:
     rows = table_rows(args.kind, args.n)
-    _emit(args.format, lambda: rows, lambda: [{"kind": args.kind, "rows": rows}])
+    _emit(args.format, lambda: rows,
+          lambda: [_json({"kind": args.kind, "rows": rows})])
     return 0
 
 
@@ -68,10 +75,10 @@ def _cmd_poly(args) -> int:
     params = {"r": args.r, "a": args.a, "b": args.b, "d": args.d}
     coefficients = family_poly(args.family, args.n, **params).to_coeff_strings()
     _emit(args.format, lambda: [coefficients or ["0"]],
-          lambda: [{"family": args.family, "n": args.n,
-                    "params": {k: None if v is None else str(v)
-                               for k, v in params.items()},
-                    "coefficients": coefficients}])
+          lambda: [_json({"family": args.family, "n": args.n,
+                          "params": {k: None if v is None else str(v)
+                                     for k, v in params.items()},
+                          "coefficients": coefficients})])
     return 0
 
 
@@ -138,7 +145,7 @@ def _cmd_series(args) -> int:
     series = riccati_series(inst) if riccati else v_series(inst)
     coefficients = [str(c) for c in series.coeffs]
     _emit(args.format, lambda: [coefficients],
-          lambda: [{"order": args.order, "coefficients": coefficients}])
+          lambda: [_json({"order": args.order, "coefficients": coefficients})])
     return 0
 
 
@@ -151,6 +158,17 @@ def _plain_verdict(v: Verdict) -> list[str]:
             parts.append(f"lhs={v.witness['lhs']}")
             parts.append(f"rhs={v.witness['rhs']}")
     return parts
+
+
+def _json_verdict(v: Verdict) -> str:
+    """The verdict's JSON line.  ``json_object`` writes it; a value it has
+    no exact text for (a witness that JSON escapes) sends that line
+    through ``json.dumps``."""
+    obj = v.to_json_obj()
+    try:
+        return json_object(obj)
+    except ValueError:
+        return _json(obj)
 
 
 def _csv_verdict(v: Verdict) -> list[str]:
@@ -169,7 +187,7 @@ def _cmd_verify(args) -> int:
                          order=args.order, u0=args.u0, a=args.a, b=args.b,
                          d=args.d, tol=args.tol)
     _emit(args.format, lambda: map(_plain_verdict, verdicts),
-          lambda: map(Verdict.to_json_obj, verdicts),
+          lambda: map(_json_verdict, verdicts),
           lambda: map(_csv_verdict, verdicts))
     return 0 if all(v.passed for v in verdicts) else 1
 

@@ -22,17 +22,28 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .exact import Record, UsageError, as_fraction
 from .polyseries import Poly
 from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
 
+
+def _key_part(x: Fraction):
+    """x as a memo key part that hashes and compares in C: the int itself
+    when x is integral, otherwise (numerator, denominator)."""
+    return x.numerator if x.denominator == 1 else (x.numerator, x.denominator)
+
+
 class RiccatiParams(Record):
     """(r, a, b, d) with r != 0 and a != b; the companion-equation shift d
-    (unrestricted, default 0) is read only by S and the v oracle."""
+    (unrestricted, default 0) is read only by S and the v oracle.
 
-    __slots__ = ("r", "a", "b", "d")
+    ``_ab`` and ``_abd`` are the memo key parts of (a, b) and (a, b, d),
+    built once here, so a family lookup only joins tuples."""
+
+    __slots__ = ("r", "a", "b", "d", "_ab", "_abd")
 
     def __init__(self, r, a, b, d=Fraction(0)):
         r, a, b, d = map(as_fraction, (r, a, b, d))
@@ -44,6 +55,9 @@ class RiccatiParams(Record):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
+        ab = (_key_part(a), _key_part(b))
+        object.__setattr__(self, "_ab", ab)
+        object.__setattr__(self, "_abd", (*ab, _key_part(d)))
 
 
 def _digits(packed: int, width: int, count: int) -> list[int]:
@@ -72,48 +86,56 @@ def _homogeneous(coeffs, a: Fraction, b: Fraction, den: int = 1) -> Poly:
     at 2^K of shifts, adds and products by small integers (no big x big
     product), build it:
 
-    1. t^m F(1/t) = sum_k c_k (1 + delta t)^k at t = 2^K, so each step is
-       acc + (delta acc << K) + c_k; its digits, lowest first, are the
+    1. t^m F(1/t) = sum_k c_k (1 + delta t)^k at t = 2^K1, so each step is
+       acc + (delta acc << K1) + c_k; its digits, lowest first, are the
        coefficients of F from t^m down;
-    2. F(q u - nb) at u = 2^K, each step (out q << K) - out nb + e; its
+    2. F(q u - nb) at u = 2^K2, each step (out q << K2) - out nb + e; its
        digits are the numerators of the result, normalised once over
        q^m den.
 
-    K = 8 width is a whole number of bytes with
-    8 width - 1 >= bitlen(sum |c_k|) + m bitlen(q + |na| + |nb|).  Every
-    digit of either pass is below sum |c_k| (q + |na| + |nb|)^m in size, so
-    the signed digits read back exactly.
+    Each pass has its own digit width, K = 8 width bits (whole bytes), and
+    its digits read back exactly when every one lies in [-2^(K-1),
+    2^(K-1)), that is when K - 1 >= bitlen(B) for a bound B on their size.
+    With s = sum |c_k|:
+
+    1. coefficient j of sum_k c_k (1 + delta t)^k is sum_k c_k C(k, j)
+       delta^j, at most sum_k |c_k| (1 + |delta|)^k <= s (1 + |delta|)^m;
+    2. F(q u - nb) = sum_k c_k (q u - na)^k (q u - nb)^(m-k), and the
+       coefficients of each product sum in size to at most (q + |na|)^k
+       (q + |nb|)^(m-k) <= (q + max(|na|, |nb|))^m, so every coefficient is
+       at most s (q + max(|na|, |nb|))^m.
+
+    bitlen(s x^m) <= bitlen(s) + m bitlen(x), so
+    width = (bitlen(s) + m bitlen(x)) // 8 + 1 with x = 1 + |delta| for
+    pass 1 and x = q + max(|na|, |nb|) for pass 2 meets K - 1 >= bitlen(B).
     """
     q = math.lcm(a.denominator, b.denominator)
     na = a.numerator * (q // a.denominator)
     nb = b.numerator * (q // b.denominator)
     m = len(coeffs) - 1
-    width = (sum(map(abs, coeffs)).bit_length()
-             + m * (q + abs(na) + abs(nb)).bit_length()) // 8 + 1
-    k, delta, acc, out = 8 * width, nb - na, 0, 0
+    delta, acc, out = nb - na, 0, 0
+    size = sum(map(abs, coeffs)).bit_length()
+    width1 = (size + m * (1 + abs(delta)).bit_length()) // 8 + 1
+    width2 = (size + m * (q + max(abs(na), abs(nb))).bit_length()) // 8 + 1
+    k1, k2 = 8 * width1, 8 * width2
     for c in reversed(coeffs):
-        acc += (delta * acc << k) + c
-    for e in _digits(acc, width, m + 1):
-        out = (out * q << k) - out * nb + e
-    return Poly._over(_digits(out, width, m + 1), q ** m * den)
-
-
-def _key_part(x: Fraction):
-    """x as a memo key part that hashes and compares in C: the int itself
-    when x is integral, otherwise (numerator, denominator)."""
-    return x.numerator if x.denominator == 1 else (x.numerator, x.denominator)
+        acc += (delta * acc << k1) + c
+    for e in _digits(acc, width1, m + 1):
+        out = (out * q << k2) - out * nb + e
+    return Poly._over(_digits(out, width2, m + 1), q ** m * den)
 
 
 def _built_once(build, *, keyed_on_d: bool = False):
     """Memoize an r-independent builder on (n, a, b) in ``FAMILY_CACHE``,
     and on d too with ``keyed_on_d`` (only S reads d, so P and Q members
-    are shared across shifts)."""
+    are shared across shifts).  The key is the flat tuple (name, n, a, b[,
+    d]) of the record's key parts."""
+    name = build.__name__
+    parts = operator.attrgetter("_abd" if keyed_on_d else "_ab")
 
     @functools.wraps(build)
     def cached(n: int, params: RiccatiParams) -> Poly:
-        key = (build.__name__, n, _key_part(params.a), _key_part(params.b))
-        if keyed_on_d:
-            key += (_key_part(params.d),)
+        key = (name, n) + parts(params)
         poly = FAMILY_CACHE.get(key)
         if poly is None:
             poly = FAMILY_CACHE[key] = build(n, params)

@@ -58,15 +58,23 @@ class Record:
     ``object.__setattr__``.  Equality, hashing and the repr follow the fields
     in slot order, as for a frozen dataclass; any later assignment raises
     ``AttributeError``.  The fields double as the positional constructor
-    arguments, which is what ``copy`` and ``pickle`` call.  It stands in for
-    ``dataclasses``, whose import pulls ``inspect``, ``ast``, ``dis`` and
-    ``tokenize`` into every process start-up.
+    arguments, which is what ``copy`` and ``pickle`` call.  A slot whose
+    name starts with ``_`` is no field: ``__init__`` fills it with a value
+    derived from the fields, and it takes no part in equality, hashing, the
+    repr or the constructor arguments.  It stands in for ``dataclasses``,
+    whose import pulls ``inspect``, ``ast``, ``dis`` and ``tokenize`` into
+    every process start-up.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._field_names = tuple(name for name in cls.__slots__
+                                 if not name.startswith("_"))
+
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._field_names)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -78,7 +86,7 @@ class Record:
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self._field_names)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -372,7 +372,9 @@ def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
     its denominator leaves one such triple on each side and no division.
     Coefficient n of the left side is (c F_n + d g_n)/n!, with the binomial
     sum g_n = sum_k C(n,k) rate^(n-k) F_k from ``_exp_transform`` (Pascal's
-    rule); coefficient n of the right side is (c' [n = 0] + d' rate'^n)/n!.
+    rule), which rational data enter as integer numerators over one common
+    denominator; coefficient n of the right side is (c' [n = 0] + d'
+    rate'^n)/n!.
     The running power rate'^n and the running factorial n! each take one
     product per n.  Coefficient n reads F_0..F_n only, so every coefficient
     0..N is exact evidence.  If any datum is a Poly, both sides are compared
@@ -382,11 +384,14 @@ def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
         raise UsageError(f"order must be >= 1, got {order}")
     (c, d, rate), (c1, d1, rate1) = mult, expected
     fs = [coeff(n) for n in range(order + 1)]
-    gs = _exp_transform(fs, rate)
     if any(isinstance(v, Poly) for v in (*fs, *mult, *expected)):
         side = Poly._coerce
+        gs = _exp_transform(fs, rate)
     else:
         side = Fraction
+        den = math.lcm(*(f.denominator for f in fs))
+        gs = [Fraction(g, den) for g in _exp_transform(
+            [f.numerator * (den // f.denominator) for f in fs], rate)]
 
     def pairs():
         power, fact = 1, 1
@@ -513,32 +518,65 @@ def check_classical(n: int) -> Verdict:
         sides(name, build(n), convolution(row)) for name, build, row in families))
 
 
+def _integral_steps(ns: range, params: RiccatiParams, *names: str):
+    """(n, verdict params, (b-a)^(n+1)) for each n of ns, ascending, at the
+    (a, b) of ``params``: the text of its fields ``names`` is written once
+    and the power advances by one product per n."""
+    text = {name: str(getattr(params, name)) for name in names}
+    width = params.b - params.a
+    power = width ** (ns.start + 1)
+    for n in ns:
+        yield n, {"n": n, **text}, power
+        power *= width
+
+
+def _integral_P_verdicts(ns: range, a, b):
+    """The integral_P verdict at (a, b) for each n of ns, ascending."""
+    params = RiccatiParams(Fraction(1), a, b)
+    a, b = params.a, params.b
+    for n, fields, power in _integral_steps(ns, params, "a", "b"):
+        lhs = build_P(n, params).definite_integral(a, b)
+        yield _scan("integral_P", fields,
+                    [(n, lhs, -power * bernoulli_number(n))])
+
+
+def _integral_Q_verdicts(ns: range, a, b):
+    """The integral_Q verdict at (a, b) for each n of ns, ascending."""
+    params = RiccatiParams(Fraction(1), a, b)
+    a, b = params.a, params.b
+    for n, fields, power in _integral_steps(ns, params, "a", "b"):
+        lhs = build_Q(n, params).definite_integral(a, b)
+        rhs = 2 ** n * bernoulli_value(n, Fraction(1, 2)) * power
+        yield _scan("integral_Q", fields, [(n, lhs, rhs)])
+
+
+def _integral_S_verdicts(ns: range, a, b, d):
+    """The integral_S verdict at (a, b, d) for each n of ns, ascending; the
+    Bernoulli point 1/2 + d/(b-a) is formed once."""
+    if ns.start < 1:
+        raise ValueError(f"need n >= 1, got {ns.start}")
+    params = RiccatiParams(1, a, b, d)
+    a, b = params.a, params.b
+    point = Fraction(1, 2) + params.d / (b - a)
+    for n, fields, power in _integral_steps(ns, params, "a", "b", "d"):
+        lhs = build_S(n, params).definite_integral(a, b)
+        rhs = 2 ** n * power * bernoulli_value(n, point)
+        yield _scan("integral_S", fields, [(n, lhs, rhs)])
+
+
 def check_integral_P(n: int, a, b) -> Verdict:
     """integral_a^b P_n du == -(b-a)^(n+1) * B_n, exactly."""
-    a, b = as_fraction(a), as_fraction(b)
-    lhs = build_P(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
-    rhs = -((b - a) ** (n + 1)) * bernoulli_number(n)
-    return _scan("integral_P", _params(n=n, a=a, b=b), [(n, lhs, rhs)])
+    return next(_integral_P_verdicts(range(n, n + 1), a, b))
 
 
 def check_integral_Q(n: int, a, b) -> Verdict:
     """integral_a^b Q_n du == 2^n * B_n(1/2) * (b-a)^(n+1), exactly."""
-    a, b = as_fraction(a), as_fraction(b)
-    lhs = build_Q(n, RiccatiParams(Fraction(1), a, b)).definite_integral(a, b)
-    rhs = 2 ** n * bernoulli_value(n, Fraction(1, 2)) * (b - a) ** (n + 1)
-    return _scan("integral_Q", _params(n=n, a=a, b=b), [(n, lhs, rhs)])
+    return next(_integral_Q_verdicts(range(n, n + 1), a, b))
 
 
 def check_integral_S(n: int, a, b, d) -> Verdict:
     """integral_a^b S_n du == 2^n (b-a)^(n+1) B_n(1/2 + d/(b-a)), exactly."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    sp = RiccatiParams(1, a, b, d)
-    a, b, d = sp.a, sp.b, sp.d
-    lhs = build_S(n, sp).definite_integral(a, b)
-    rhs = 2 ** n * (b - a) ** (n + 1) * bernoulli_value(
-        n, Fraction(1, 2) + d / (b - a))
-    return _scan("integral_S", _params(n=n, a=a, b=b, d=d), [(n, lhs, rhs)])
+    return next(_integral_S_verdicts(range(n, n + 1), a, b, d))
 
 
 _PM1 = RiccatiParams(Fraction(1), Fraction(-1), Fraction(1))
@@ -686,26 +724,39 @@ def check_substitution_M(n: int, params: RiccatiParams) -> Verdict:
                                build_Q(n, params), n)
 
 
-def check_homogeneity_Q(n: int, params: RiccatiParams) -> Verdict:
-    """Q_n(lam*u; lam*a, lam*b) == lam^n * Q_n(u; a, b) at sample points.
+def _homogeneity_Q_verdicts(ns: range, params: RiccatiParams):
+    """The homogeneity_Q verdict at ``params`` for each n of ns, ascending.
 
-    Q_n(u) is evaluated once per sample and lam^n formed once per lam; the
-    pairs run over lam, then over the samples.
+    The scaled records and sample points and the params text are formed
+    once per lam, and lam^n advances by one product per n.  Q_n(u) is
+    evaluated once per sample; the pairs run over lam, then over the
+    samples.
     """
     a, b = params.a, params.b
-    q = build_Q(n, params)
-    values = [q.eval(u) for u in SUBSTITUTION_SAMPLES]
+    text = _params(r=params.r, a=a, b=b)
+    lambdas = [str(lam) for lam in HOMOGENEITY_LAMBDAS]
+    scaled = [(RiccatiParams(params.r, lam * a, lam * b),
+               [lam * u for u in SUBSTITUTION_SAMPLES])
+              for lam in HOMOGENEITY_LAMBDAS]
+    powers = [lam ** ns.start for lam in HOMOGENEITY_LAMBDAS]
+    for n in ns:
+        q = build_Q(n, params)
+        values = [q.eval(u) for u in SUBSTITUTION_SAMPLES]
 
-    def pairs():
-        for lam in HOMOGENEITY_LAMBDAS:
-            q_lam = build_Q(n, RiccatiParams(params.r, lam * a, lam * b))
-            lam_n = lam ** n
-            for u, value in zip(SUBSTITUTION_SAMPLES, values):
-                yield None, q_lam.eval(lam * u), lam_n * value
+        def pairs():
+            for (lam_params, points), lam_n in zip(scaled, powers):
+                q_lam = build_Q(n, lam_params)
+                for u, value in zip(points, values):
+                    yield None, q_lam.eval(u), lam_n * value
 
-    return _scan("homogeneity_Q",
-                 _params(r=params.r, a=a, b=b, n=n, lambdas=HOMOGENEITY_LAMBDAS),
-                 pairs())
+        yield _scan("homogeneity_Q", {**text, "n": n, "lambdas": lambdas},
+                    pairs())
+        powers = [p * lam for p, lam in zip(powers, HOMOGENEITY_LAMBDAS)]
+
+
+def check_homogeneity_Q(n: int, params: RiccatiParams) -> Verdict:
+    """Q_n(lam*u; lam*a, lam*b) == lam^n * Q_n(u; a, b) at sample points."""
+    return next(_homogeneity_Q_verdicts(range(n, n + 1), params))
 
 
 def check_integrality(n: int) -> Verdict:
@@ -841,10 +892,11 @@ def suite_integrals(n_max: Optional[int] = None,
     else:
         s_n = sym_n = n_max
     ns = _upto(n_max)
-    out = [check_integral_P(n, pa, pb) for pa, pb in pairs for n in ns]
-    out += [check_integral_Q(n, pa, pb) for pa, pb in pairs for n in (0, *ns)]
-    out += [check_integral_S(n, pa, pb, pd)
-            for pa, pb, pd in triples for n in _upto(s_n)]
+    out = [v for pa, pb in pairs for v in _integral_P_verdicts(ns, pa, pb)]
+    out += [v for pa, pb in pairs
+            for v in _integral_Q_verdicts(range(n_max + 1), pa, pb)]
+    out += [v for pa, pb, pd in triples
+            for v in _integral_S_verdicts(_upto(s_n), pa, pb, pd)]
     if not explicit:
         out += [check_integral_P_symmetric(n) for n in _upto(sym_n)]
     return out
@@ -879,7 +931,7 @@ def suite_relations(n_max: Optional[int] = None) -> list[Verdict]:
         params = RiccatiParams(Fraction(1), pa, pb)
         out.extend(check_substitution_E(n, params) for n in sub_ns)
         out.extend(check_substitution_M(n, params) for n in (0, *sub_ns))
-        out.extend(check_homogeneity_Q(n, params) for n in _upto(hom_n))
+        out.extend(_homogeneity_Q_verdicts(_upto(hom_n), params))
     out.extend(check_integrality(n) for n in _upto(int_n))
     return out
 
@@ -908,32 +960,47 @@ def _suite_all() -> list[Verdict]:
     return [v for sub in _SUB_SUITES for v in run_suite(sub)]
 
 
-def _json_value(value) -> str:
-    """``json.dumps(value)`` for an int, a finite float, a str that JSON
-    writes unescaped (printable ASCII without ``"`` or ``\\``) or a list of
-    those; any other value raises, since its text would be a guess."""
+def _json_value(value, param: bool = False) -> str:
+    """``json.dumps(value, sort_keys=True)`` for an int, a finite float, a
+    str that JSON writes unescaped (printable ASCII without ``"`` or
+    ``\\``), a list of those and, unless ``param`` (a verdict parameter),
+    true, false, null and dicts of those under string keys; any other value
+    raises, since its text would be a guess."""
     kind = type(value)
-    if kind is int:
+    if kind is str:
+        if value.isascii() and value.isprintable() \
+                and '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    elif kind is int or kind is float and math.isfinite(value):
         return repr(value)
-    if kind is float and math.isfinite(value):
-        return repr(value)
-    if kind is str and value.isascii() and value.isprintable() \
-            and '"' not in value and "\\" not in value:
-        return f'"{value}"'
-    if kind is list:
-        return "[" + ", ".join(map(_json_value, value)) + "]"
-    raise ValueError(f"no exact JSON text for verdict parameter {value!r}")
+    elif kind is list:
+        return "[" + ", ".join([_json_value(v, param) for v in value]) + "]"
+    elif not param:
+        if kind is dict:
+            return json_object(value)
+        if kind is bool:
+            return "true" if value else "false"
+        if value is None:
+            return "null"
+    raise ValueError(f"no exact JSON text for {value!r}")
+
+
+def json_object(obj: dict, param: bool = False) -> str:
+    """``json.dumps(obj, sort_keys=True)`` without importing ``json``:
+    string keys in sorted order, ``", "`` and ``": "`` separators, values
+    as ``_json_value`` writes them (as verdict parameters with ``param``);
+    raises ``ValueError`` where that text would be a guess."""
+    keys = sorted(obj)
+    if any(type(k) is not str for k in keys):
+        raise ValueError(f"JSON object keys must be strings, got {keys!r}")
+    return "{" + ", ".join([f"{_json_value(k)}: {_json_value(obj[k], param)}"
+                            for k in keys]) + "}"
 
 
 def params_json(params: dict) -> str:
-    """``json.dumps(params, sort_keys=True)`` for verdict parameters, without
-    importing ``json``: string keys in sorted order, ``", "`` and ``": "``
-    separators, values as ``_json_value`` writes them."""
-    keys = sorted(params)
-    if any(type(k) is not str for k in keys):
-        raise ValueError(f"verdict parameter keys must be strings, got {keys!r}")
-    return "{" + ", ".join(f"{_json_value(k)}: {_json_value(params[k])}"
-                           for k in keys) + "}"
+    """``json.dumps(params, sort_keys=True)`` for verdict parameters: ints,
+    finite floats, plain strs and lists of those."""
+    return json_object(params, param=True)
 
 
 def _verdict_sort_key(v: Verdict) -> tuple[str, str]:

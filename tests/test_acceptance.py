@@ -266,7 +266,9 @@ UNFAULTED = {
         "verify.grosset_veselov_exact", "verify.grosset_veselov_numeric",
         "verify._check_oracle", "verify._check_egf",
         "verify._check_substitution", "verify._substitution_points",
-        "verify._claim",
+        "verify._claim", "verify._integral_steps",
+        "verify._integral_P_verdicts", "verify._integral_Q_verdicts",
+        "verify._integral_S_verdicts", "verify._homogeneity_Q_verdicts",
     ], "a check or its comparison: it states what a fault must break"),
     "verify._scan":
         "the comparison of every check: a laxer one still passes correct "
@@ -281,8 +283,9 @@ UNFAULTED = {
         "verify._check_tol", "verify._check_u0_open_unit",
     ], "runs, labels or validates checks: the count of 341 pins it"),
     **dict.fromkeys([
-        "verify.params_json", "verify._json_value",
-    ], "labels checks: the count of 341 and test_cli's csv digests pin it"),
+        "verify.params_json", "verify._json_value", "verify.json_object",
+    ], "labels checks: the count of 341 and test_cli's csv and json digests "
+       "pin it"),
     **dict.fromkeys([
         "special_numbers.eulerian", "special_numbers.eulerian_row",
         "special_numbers.macmahon", "special_numbers.macmahon_row",

@@ -426,6 +426,34 @@ class TestVerify:
             assert set(obj) == {"identity", "params", "pass", "first_failure",
                                 "witness"}
 
+    def test_json_lines_match_json_dumps(self, request):
+        """``verify --format json`` writes each line without ``json``: the
+        text is that of ``json.dumps(v.to_json_obj(), sort_keys=True)`` for
+        every ``verify all`` verdict, for the FAIL lines (with witnesses)
+        under an Eulerian fault, and, through the ``json.dumps`` fallback,
+        for witnesses that JSON escapes."""
+        def reference(v):
+            return json.dumps(v.to_json_obj(), sort_keys=True)
+
+        verdicts = verify_mod.run_suite("all")
+        request.getfixturevalue("mutated_eulerian_recurrence")
+        failed = [v for v in verify_mod.run_suite("all") if not v.passed]
+        assert len(failed) == 131 and all(v.witness for v in failed)
+        for v in [*verdicts, *failed]:
+            assert verify_mod.json_object(v.to_json_obj()) == reference(v)
+            assert cli._json_verdict(v) == reference(v)
+        for text in ('say "x"', "back\\slash", "\u00e9t\u00e9", "tab\there",
+                     "\U0001d400"):
+            v = verify_mod.Verdict("demo", {"n": 1}, False, 1,
+                                   {"lhs": text, "rhs": "1"})
+            with pytest.raises(ValueError):
+                verify_mod.json_object(v.to_json_obj())
+            assert cli._json_verdict(v) == reference(v)
+        inconclusive = verify_mod.Verdict("demo", {"tol": 1e-300}, False, 2,
+                                          {"lhs": "0.5", "rhs": "1.0"},
+                                          inconclusive=True)
+        assert cli._json_verdict(inconclusive) == reference(inconclusive)
+
     def test_csv_output(self, capsys):
         code, out = run_cli(capsys, "verify", "lemma1", "--n-max", "2",
                             "--format", "csv")
@@ -823,8 +851,9 @@ def test_import_loads_no_dataclasses_inspect_json_or_csv():
     neither ``json`` nor ``csv``, which only their own formats load, and
     neither ``argparse`` nor the ``gettext`` and ``locale`` behind it.  Whole
     plain ``table`` and ``verify`` commands, run in turn, load none of them
-    either (the verdicts' order needs no ``json``), and a csv ``verify``
-    after them loads only ``csv``."""
+    either (the verdicts' order needs no ``json``), nor does a json
+    ``verify`` (``verify.json_object`` writes its lines), and a csv
+    ``verify`` after them loads only ``csv``."""
     code = ("import sys, derivpoly.cli; "
             "lean = ('dataclasses', 'inspect', 'json', 'csv', 'argparse', "
             "'gettext', 'locale'); "
@@ -834,8 +863,10 @@ def test_import_loads_no_dataclasses_inspect_json_or_csv():
             "derivpoly.cli.main(['table', 'eulerian', '--n', '1']); report(); "
             "derivpoly.cli.main(['verify', 'classical', '--n-max', '3']); report(); "
             "derivpoly.cli.main(['verify', 'classical', '--n-max', '3', "
+            "'--format', 'json']); report(); "
+            "derivpoly.cli.main(['verify', 'classical', '--n-max', '3', "
             "'--format', 'csv']); report()")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == [b"", b"", b"", b"csv"]
+    assert proc.stderr.splitlines() == [b"", b"", b"", b"", b"csv"]
     assert proc.stdout.splitlines()[:2] == [b"1", b"PASS classical n=1"]

@@ -259,6 +259,52 @@ class TestIntegerKernelsSecondRoutes:
         assert derivative_polys._homogeneous(coeffs, a, b) == \
             poly_horner(coeffs, X - a, X - b)
 
+    @settings(max_examples=30, deadline=None)
+    @given(coeffs=st.one_of(
+               st.integers(1, 60).map(eulerian_row),
+               st.integers(1, 60).map(special_numbers.macmahon_row),
+               st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=61)),
+           a=tall_rationals, b=tall_rationals)
+    @example(coeffs=[10**40] * 61, a=Fraction(10**12, 10**9 - 7),
+             b=Fraction(-10**12, 10**9 - 7))
+    @example(coeffs=[-10**40, 10**40] * 30, a=Fraction(-10**12, 1),
+             b=Fraction(10**12, 1))
+    def test_per_pass_digit_widths(self, coeffs, a, b):
+        """Each pass of the kernel packs at its own width: at tall
+        parameters and rows up to 60 the kernel equals sum_k c_k (u-a)^k
+        (u-b)^(m-k) formed by ``Poly`` arithmetic, each pass reads back the
+        exact coefficients of its polynomial (pass 1: sum_k c_k (1 + delta
+        t)^k; pass 2: q^m times the result), the widest of them fits its
+        pass's width, and neither width exceeds the old shared one."""
+        assume(a != b)
+        passes, read = [], derivative_polys._digits
+
+        def recorded(packed, width, count):
+            digits = read(packed, width, count)
+            passes.append((width, [*digits]))  # Poly._over pops zeros
+            return digits
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(derivative_polys, "_digits", recorded)
+            result = derivative_polys._homogeneous(coeffs, a, b)
+        m = len(coeffs) - 1
+        expected = sum((c * (X - a) ** k * (X - b) ** (m - k)
+                        for k, c in enumerate(coeffs)), Poly())
+        assert result == expected
+        q = math.lcm(a.denominator, b.denominator)
+        na, nb = int(q * a), int(q * b)
+        pass1 = sum((c * Poly((1, nb - na)) ** k for k, c in enumerate(coeffs)),
+                    Poly())
+        pass2 = expected * q ** m
+        shared = (sum(map(abs, coeffs)).bit_length()
+                  + m * (q + abs(na) + abs(nb)).bit_length()) // 8 + 1
+        for (width, digits), poly in zip(passes, (pass1, pass2), strict=True):
+            assert poly._den == 1
+            assert digits == [*poly._coeffs, *[0] * (m + 1 - len(poly._coeffs))]
+            widest = max(abs(x) for x in digits)
+            assert widest.bit_length() <= 8 * width - 1
+            assert width <= shared
+
     def test_p_derivative_recurrence_at_n_160(self):
         a, b = Fraction(1, 3), Fraction(5, 3)
         params = RiccatiParams(1, a, b)

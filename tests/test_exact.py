@@ -139,6 +139,16 @@ class TestRecords:
             record.extra = 1
         assert record == type(record)(*record._fields())
 
+    def test_private_slots_are_derived_not_fields(self):
+        """``RiccatiParams`` keeps its memo key parts in ``_`` slots: they
+        are no fields, and a copy or an unpickled record rebuilds them."""
+        params = RiccatiParams(1, Fraction(1, 3), 2, Fraction(-2, 3))
+        assert RiccatiParams._field_names == ("r", "a", "b", "d")
+        assert params._abd == ((1, 3), 2, (-2, 3))
+        for clone in (copy.copy(params), copy.deepcopy(params),
+                      pickle.loads(pickle.dumps(params))):
+            assert (clone._ab, clone._abd) == (params._ab, params._abd)
+
     @pytest.mark.parametrize("record,other", RECORDS)
     def test_copy_and_pickle_round_trip(self, record, other):
         assert copy.copy(record) == record

@@ -3,9 +3,9 @@
 ``perfbench/tracing.py`` looks functions up by string (``Poly.__dict__[
 "__divmod__"]``, ``special.Triangle.__dict__["row"]``, ...) and its builder
 counter reads ``params.a`` and ``params.b``.  A rename in the package keeps
-every other test green and breaks only traced benchmark runs, so this test
-installs the tracer over the package, runs one suite, and checks that the
-spans came out and that uninstalling puts every original back.
+every other test green and breaks only traced benchmark runs, so these
+tests install the tracer over the package, run suites, and check that the
+spans and counters came out and that uninstalling puts every original back.
 """
 
 import importlib.util
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import derivpoly
 import derivpoly.cli  # noqa: F401  (the tracer wraps cli.main)
-from derivpoly import derivative_polys, polyseries, verify
+from derivpoly import derivative_polys, polyseries, special_numbers, verify
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -43,5 +43,32 @@ def test_tracer_wraps_and_restores_its_targets():
         tracer.uninstall()
     assert spans["derivative_polys.build_S"][0] > 0
     assert spans["verify.suite.theorem3"][0] == 1
+    for (owner, name), fn in originals.items():
+        assert vars(owner)[name] is fn
+
+
+def test_tracer_counts_builders_over_cold_verify_all():
+    """One cold ``run_suite("all")`` under the tracer: every builder gets
+    spans, and the repeat counters, which key on ``params.a``, ``params.b``
+    and ``d`` of each ``RiccatiParams``, count repeats of all three."""
+    originals = {(owner, f"build_{x}"): getattr(owner, f"build_{x}")
+                 for owner in (verify, derivative_polys) for x in "PQS"}
+    originals[(verify, "run_suite")] = verify.run_suite
+    tracer = load_tracing().Tracer()
+    special_numbers.reset_caches()
+    try:
+        tracer.install(derivpoly)
+        tracer.new_run()
+        verdicts = verify.run_suite("all")
+        spans = tracer.summary()
+    finally:
+        tracer.uninstall()
+        special_numbers.reset_caches()
+    assert len(verdicts) == 341 and all(v.passed for v in verdicts)
+    for x in "PQS":
+        assert spans[f"derivative_polys.build_{x}"][0] > 0, x
+        assert 0 < tracer.counts[f"derivative_polys.build_{x}.repeats"] < \
+            spans[f"derivative_polys.build_{x}"][0], x
+    assert spans["verify.suite.all"][0] == 1
     for (owner, name), fn in originals.items():
         assert vars(owner)[name] is fn

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import derivpoly.verify as V
@@ -562,6 +562,64 @@ class TestSuites:
             verdicts = V.run_suite(name)
             assert verdicts
             assert all(v.passed for v in verdicts)
+
+
+_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+def _per_n_integrals(n_max, a, b, d):
+    """The verdicts of ``suite_integrals(n_max, a, b, d)`` from the public
+    per-n checks, each of which forms its power of b - a afresh."""
+    ns = range(1, n_max + 1)
+    return [*(V.check_integral_P(n, a, b) for n in ns),
+            *(V.check_integral_Q(n, a, b) for n in range(n_max + 1)),
+            *(V.check_integral_S(n, a, b, d) for n in ns)]
+
+
+def _per_n_homogeneity(n_max):
+    """The homogeneity_Q verdicts of ``suite_relations(n_max)`` from the
+    public per-n check."""
+    return [V.check_homogeneity_Q(n, RiccatiParams(1, a, b))
+            for a, b in V.RELATION_PARAM_PAIRS for n in range(1, n_max + 1)]
+
+
+class TestPerInstanceSuites:
+    """The suites set up each parameter instance once and advance their
+    powers by one product per n; their verdicts equal those of the public
+    per-n checks, field for field."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=_rationals, b=_rationals, d=_rationals,
+           n_max=st.integers(min_value=1, max_value=12))
+    @example(a=Fraction(2, 3), b=Fraction(4, 3), d=Fraction(4, 3), n_max=24)
+    def test_integrals_match_per_n_checks(self, a, b, d, n_max):
+        """Random rational a != b and d; the example is verify-deep's
+        ``integrals --n-max 24 --a 2/3 --b 4/3 --d 4/3``."""
+        assume(a != b)
+        assert sorted(V.suite_integrals(n_max, a, b, d),
+                      key=V._verdict_sort_key) == \
+            sorted(_per_n_integrals(n_max, a, b, d), key=V._verdict_sort_key)
+
+    @settings(max_examples=8, deadline=None)
+    @given(n_max=st.integers(min_value=1, max_value=14))
+    def test_homogeneity_in_relations_matches_per_n_checks(self, n_max):
+        suite = [v for v in V.suite_relations(n_max)
+                 if v.identity == "homogeneity_Q"]
+        assert suite == _per_n_homogeneity(n_max)
+
+    @pytest.mark.parametrize("fault", ["mutated_poly_eval",
+                                       "mutated_tangent_numbers"])
+    def test_failures_match_per_n_checks(self, request, fault):
+        """Under a fault the per-instance and per-n verdicts fail alike,
+        with the same first failures and witnesses."""
+        request.getfixturevalue(fault)
+        a, b, d = Fraction(1, 3), Fraction(5, 3), Fraction(2, 3)
+        suite = V.suite_integrals(16, a, b, d)
+        assert suite == _per_n_integrals(16, a, b, d)
+        assert not all(v.passed for v in suite)
+        homogeneity = [v for v in V.suite_relations()
+                       if v.identity == "homogeneity_Q"]
+        assert homogeneity == _per_n_homogeneity(V.DEFAULT_HOMOGENEITY_N)
 
 
 def _verdicts_digest(verdicts) -> str:
