@@ -30,7 +30,7 @@ from typing import NoReturn, Optional, Sequence
 
 from .derivative_polys import FAMILIES, family_poly
 from .exact import UsageError, parse_rational
-from .special_numbers import TABLE_KINDS, table_rows
+from .special_numbers import TABLE_KINDS, table_lines
 from .verify import (SUITE_NAMES, Verdict, instance, json_object, params_json,
                      riccati_series, run_suite, series_height, v_series)
 
@@ -65,9 +65,11 @@ def _json(obj) -> str:
 
 
 def _cmd_table(args) -> int:
-    rows = table_rows(args.kind, args.n)
+    """Print a table.  Plain and csv write each row as it is made and drop
+    it; JSON collects the rows into its one object."""
+    rows = table_lines(args.kind, args.n)
     _emit(args.format, lambda: rows,
-          lambda: [_json({"kind": args.kind, "rows": rows})])
+          lambda: [_json({"kind": args.kind, "rows": list(rows)})])
     return 0
 
 

@@ -95,19 +95,24 @@ def _homogeneous(coeffs, a: Fraction, b: Fraction, den: int = 1) -> Poly:
 
     Each pass has its own digit width, K = 8 width bits (whole bytes), and
     its digits read back exactly when every one lies in [-2^(K-1),
-    2^(K-1)), that is when K - 1 >= bitlen(B) for a bound B on their size.
-    With s = sum |c_k|:
+    2^(K-1)), that is when K - 1 >= bitlen(B) for a bound B on their size;
+    width = bitlen(B) // 8 + 1 meets it.  With s = sum |c_k|:
 
     1. coefficient j of sum_k c_k (1 + delta t)^k is sum_k c_k C(k, j)
-       delta^j, at most sum_k |c_k| (1 + |delta|)^k <= s (1 + |delta|)^m;
-    2. F(q u - nb) = sum_k c_k (q u - na)^k (q u - nb)^(m-k), and the
-       coefficients of each product sum in size to at most (q + |na|)^k
-       (q + |nb|)^(m-k) <= (q + max(|na|, |nb|))^m, so every coefficient is
-       at most s (q + max(|na|, |nb|))^m.
-
-    bitlen(s x^m) <= bitlen(s) + m bitlen(x), so
-    width = (bitlen(s) + m bitlen(x)) // 8 + 1 with x = 1 + |delta| for
-    pass 1 and x = q + max(|na|, |nb|) for pass 2 meets K - 1 >= bitlen(B).
+       delta^j, at most sum_k |c_k| (1 + |delta|)^k <= s (1 + |delta|)^m,
+       and bitlen(s x^m) <= bitlen(s) + m bitlen(x), so B1 = 2^(bitlen(s)
+       + m bitlen(1 + |delta|)) bounds them.
+    2. Pass 1's digits e_0, ..., e_m make F(t) = sum_j e_j t^(m-j), so pass 2
+       forms sum_j e_j (q u - nb)^(m-j).  The coefficients of
+       (q u - nb)^i sum in size to (q + |nb|)^i, so every coefficient is at
+       most B2 = sum_j |e_j| (q + |nb|)^(m-j), which one Horner pass over
+       the digits forms exactly.  Pass 2 takes the smaller of B2 and the
+       bound from the row alone: F(q u - nb) = sum_k c_k (q u - na)^k
+       (q u - nb)^(m-k), whose products have coefficients summing in size
+       to at most (q + max(|na|, |nb|))^m, so 2^(bitlen(s) + m bitlen(q +
+       max(|na|, |nb|))) bounds them too.  On the triangle rows B2 is
+       the smaller: for P_160 pass 2 packs at 1,472 bits instead of 1,584
+       at (1/3, 5/3), and at 1,152 instead of 1,264 at (0, 1).
     """
     q = math.lcm(a.denominator, b.denominator)
     na = a.numerator * (q // a.denominator)
@@ -116,11 +121,16 @@ def _homogeneous(coeffs, a: Fraction, b: Fraction, den: int = 1) -> Poly:
     delta, acc, out = nb - na, 0, 0
     size = sum(map(abs, coeffs)).bit_length()
     width1 = (size + m * (1 + abs(delta)).bit_length()) // 8 + 1
-    width2 = (size + m * (q + max(abs(na), abs(nb))).bit_length()) // 8 + 1
-    k1, k2 = 8 * width1, 8 * width2
+    k1 = 8 * width1
     for c in reversed(coeffs):
         acc += (delta * acc << k1) + c
-    for e in _digits(acc, width1, m + 1):
+    digits, x, bound = _digits(acc, width1, m + 1), q + abs(nb), 0
+    for e in digits:
+        bound = bound * x + abs(e)
+    width2 = min(bound.bit_length(),
+                 size + m * (q + max(abs(na), abs(nb))).bit_length()) // 8 + 1
+    k2 = 8 * width2
+    for e in digits:
         out = (out * q << k2) - out * nb + e
     return Poly._over(_digits(out, width2, m + 1), q ** m * den)
 
@@ -210,15 +220,16 @@ def build_M(n: int) -> Poly:
 
 
 #: The largest ``n`` that ``family_poly`` (the ``poly --n`` option) takes
-#: per family.  At the P, Q and S limits ``derivpoly poly`` builds and prints
-#: its polynomial in about 10 s at a = 1/3, b = 5/3, d = 2/3 (P 1300 in
-#: 9.2-10.9 s, Q 1300 in 7.7-9.8 s, S 1300 in 8.2-12.0 s, 2-6 runs each on
-#: a 2-vCPU Xeon, CPython 3.11.7).  E, A and M take 1.7-2.1 s at 1300 but
-#: hold the same memoized triangle rows as P, Q and S, whose size grows as
-#: n^3 (0.75-0.86 GB at n = 1300), so they share that limit rather than
-#: reach 10 s near n = 2300 with about 4 GB.
-FAMILY_LIMITS = {"P": 1300, "Q": 1300, "S": 1300, "E": 1300, "A": 1300,
-                 "M": 1300}
+#: per family: at the limit ``derivpoly poly`` builds and prints its
+#: polynomial in about 10 s.  P, Q and S at a = 1/3, b = 5/3, d = 2/3: P
+#: 1300 in 9.2-10.9 s, Q 1300 in 7.7-9.8 s, S 1300 in 8.2-12.0 s.  E, A and
+#: M read one triangle row, which a triangle steps to keeping a few rows
+#: (see ``special_numbers.Triangle``), so their limit is set by time alone:
+#: E 2400 in 9.9 s, A 2400 in 11.3 s and M 2400 in 8.7 s, one run each, at
+#: a peak RSS of 67-73 MB.  Timed as subprocesses printing to /dev/null on
+#: a 2-vCPU Xeon, CPython 3.11.7.
+FAMILY_LIMITS = {"P": 1300, "Q": 1300, "S": 1300, "E": 2400, "A": 2400,
+                 "M": 2400}
 FAMILIES = tuple(FAMILY_LIMITS)
 
 

@@ -1,16 +1,21 @@
 """Eulerian and MacMahon triangles, Bernoulli numbers and polynomials.
 
-Triangles are memoized row by row behind module-level singletons; lookups
-outside the triangular support return 0 because the recurrences implicitly
-use zero boundary values.  Bernoulli numbers follow the convention fixed by
-the generating function t*e^(w*t)/(e^t - 1), so B_1 = -1/2.  All caches here
-are plain module state for a single thread, with no locks.
+Each triangle is a module-level singleton that memoizes rows 1 ..
+``TRIANGLE_MEMO_ROWS``; a row above them is stepped on from the triangle's
+running row and not stored, so a large row costs the memory of a few rows,
+not of the whole triangle, and ``Triangle.rows`` walks a table storing
+nothing.  Lookups outside the triangular support return 0 because the
+recurrences implicitly use zero boundary values.  Bernoulli numbers follow
+the convention fixed by the generating function t*e^(w*t)/(e^t - 1), so
+B_1 = -1/2.  All caches here are plain module state for a single thread,
+with no locks.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
 from .exact import UsageError
 from .polyseries import Poly
@@ -18,7 +23,7 @@ from .polyseries import Poly
 EULERIAN = "eulerian"
 MACMAHON = "macmahon"
 
-#: The largest ``n_max`` that ``table_rows`` (the ``table --n`` option) takes
+#: The largest ``n_max`` that ``table_lines`` (the ``table --n`` option) takes
 #: per kind: at the limit, ``derivpoly table`` builds and prints its table in
 #: about 10 s (eulerian 900 and macmahon 850 in 8.1-8.5 s with the half-row
 #: conversion of ``_row_strings``, two runs each on a 2-vCPU Xeon, CPython
@@ -43,12 +48,27 @@ def _macmahon_next_row(n: int, prev: tuple[int, ...], p=0, e=1) -> list[int]:
         range((2 * n - 1) * e - p, -e - p, -2 * e), (*prev, 0), (0, *prev))]
 
 
-class Triangle:
-    """Memoized triangular array of exact integers.
+#: The rows each ``Triangle`` stores: 1 .. 161.  Row 161 is the largest that
+#: a ``verify`` command reads at the sizes of the large-n timings (MacMahon
+#: row 161 at ``integrals --n-max 160``, Eulerian row 160 at ``theorem1`` and
+#: ``grosset-veselov`` at 160), so ``verify`` never steps a row twice.  Kept
+#: whole, the rows up to n take memory growing as n^3: 0.75 GB for
+#: ``poly E --n 1300``.
+TRIANGLE_MEMO_ROWS = 161
 
-    Row 1 is [1] for both kinds; ``row(n)`` extends the stored rows through
-    row n on first use, a MacMahon triangle at its rational ``shift`` (see
-    ``macmahon_row``).  Not thread-safe.
+
+class Triangle:
+    """Triangular array of exact integers, memoized up to a bound.
+
+    Row 1 is [1] for both kinds, and a MacMahon triangle steps at its
+    rational ``shift`` (see ``macmahon_row``).  ``row(n)`` stores rows 1 ..
+    ``TRIANGLE_MEMO_ROWS`` on first use.  Above them it steps on from the
+    running row, the last row it returned above the bound, when that is not
+    past n, and from the last stored row otherwise; it keeps the new row as
+    the running row and stores nothing else.  So a climb one row at a time
+    steps each row once, and the triangle holds at most the stored rows and
+    one more.  ``rows(n_max)`` walks rows 1 .. n_max for a table.  Not
+    thread-safe.
     """
 
     def __init__(self, kind: str, shift=0):
@@ -57,16 +77,43 @@ class Triangle:
         self.kind = kind
         self._shift = (shift.numerator, shift.denominator) if shift else ()
         self._rows: list[tuple[int, ...]] = [(1,)]
+        #: (n, row n) of the running row; n = 0 before any row above the bound.
+        self._running: tuple[int, tuple[int, ...]] = (0, ())
+
+    def _step(self, n: int, prev: tuple[int, ...]) -> tuple[int, ...]:
+        """Row n from row n - 1, by the recurrence of the triangle's kind as
+        the module holds it when called (the fault fixtures patch it)."""
+        step = _eulerian_next_row if self.kind == EULERIAN else _macmahon_next_row
+        return tuple(step(n, prev, *self._shift))
 
     def row(self, n: int) -> tuple[int, ...]:
         if n < 1:
             raise ValueError(f"triangle rows start at 1, got {n}")
-        if n > len(self._rows):
-            step = _eulerian_next_row if self.kind == EULERIAN else _macmahon_next_row
-            while len(self._rows) < n:
-                m = len(self._rows) + 1
-                self._rows.append(tuple(step(m, self._rows[-1], *self._shift)))
-        return self._rows[n - 1]
+        rows = self._rows
+        if n <= len(rows):
+            return rows[n - 1]
+        while len(rows) < min(n, TRIANGLE_MEMO_ROWS):
+            rows.append(self._step(len(rows) + 1, rows[-1]))
+        if n <= TRIANGLE_MEMO_ROWS:
+            return rows[n - 1]
+        m, row = self._running
+        if not 0 < m <= n:
+            m, row = len(rows), rows[-1]
+        for m in range(m + 1, n + 1):
+            row = self._step(m, row)
+        self._running = n, row
+        return row
+
+    def rows(self, n_max: int) -> Iterator[tuple[int, ...]]:
+        """Rows 1 .. n_max (n_max >= 1) in order: the stored ones, then each
+        further row stepped from the one before it, stored nowhere and
+        dropped by the walk once the next one is made."""
+        rows = self._rows[:n_max]
+        yield from rows
+        row = rows[-1]
+        for m in range(len(rows) + 1, n_max + 1):
+            row = self._step(m, row)
+            yield row
 
 
 _EULERIAN_TRIANGLE = Triangle(EULERIAN)
@@ -134,14 +181,19 @@ def macmahon(n: int, k: int) -> int:
     return row[k - 1] if 1 <= k <= n else 0
 
 
-def macmahon_row(n: int, shift=0) -> tuple[int, ...]:
-    """Row n of the MacMahon triangle, or with a rational ``shift`` c = p/e
-    row n of the triangle shifted by c times e^(n-1), all integers."""
+def _macmahon_triangle(shift=0) -> Triangle:
+    """The memoized MacMahon triangle at ``shift``, made on first use."""
     key = shift.numerator, shift.denominator
     triangle = _MACMAHON_TRIANGLES.get(key)
     if triangle is None:
         triangle = _MACMAHON_TRIANGLES[key] = Triangle(MACMAHON, shift)
-    return triangle.row(n)
+    return triangle
+
+
+def macmahon_row(n: int, shift=0) -> tuple[int, ...]:
+    """Row n of the MacMahon triangle, or with a rational ``shift`` c = p/e
+    row n of the triangle shifted by c times e^(n-1), all integers."""
+    return _macmahon_triangle(shift).row(n)
 
 
 def macmahon_explicit(n: int, k: int) -> int:
@@ -171,8 +223,10 @@ def _tangent_numbers(k_max: int) -> list[int]:
     for k in range(1, k_max):
         t[k] = k * t[k - 1]
     for k in range(1, k_max):
+        # t[j - 1] is the value just written, so it is carried, not read
+        value = t[k - 1]
         for j in range(k, k_max):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+            value = t[j] = (j - k) * value + (j - k + 2) * t[j]
     return t
 
 
@@ -213,16 +267,20 @@ def bernoulli_poly(n: int) -> Poly:
     Every coefficient is put over the lcm L of the denominators of B_0..B_n:
     the numerator of x^(n-k) is C(n,k) num(B_k) (L / den(B_k)), and the
     ``Poly`` is built from these integers over L, with no ``Fraction``
-    arithmetic.
+    arithmetic.  Each B_k is read once, by ``as_integer_ratio``, and a zero
+    one is skipped on its integer numerator; C(n,k) runs along k by one
+    product and one exact division per step.
     """
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    bs = bernoulli_numbers(n)
-    den = math.lcm(*(b.denominator for b in bs))
+    pairs = [b.as_integer_ratio() for b in bernoulli_numbers(n)]
+    den = math.lcm(*(d for _, d in pairs))
     nums = [0] * (n + 1)
-    for k, b in enumerate(bs):
-        if b:
-            nums[n - k] = math.comb(n, k) * b.numerator * (den // b.denominator)
+    binomial = 1
+    for k, (num, d) in enumerate(pairs):
+        if num:
+            nums[n - k] = binomial * num * (den // d)
+        binomial = binomial * (n - k) // (k + 1)
     return Poly._over(nums, den)
 
 
@@ -252,15 +310,17 @@ def _row_strings(row: tuple[int, ...]) -> list[str]:
     return head + head[:n // 2][::-1]
 
 
-def table_rows(kind: str, n_max: int) -> list[list[str]]:
-    """Rows of the requested table with every value as an exact string.
+def table_lines(kind: str, n_max: int) -> Iterator[list[str]]:
+    """Rows of the requested table with every value as an exact string, one
+    at a time, so a printer can write and drop each.
 
-    Triangle kinds list rows 1..n_max; the Bernoulli kinds list indices
-    0..n_max (single values, respectively coefficient vectors).  A triangle
-    row goes through ``_row_strings``: CPython's int-to-str takes time
-    quadratic in the digits, and a triangle row is symmetric, so only its
-    first half is converted.  n_max above ``TABLE_LIMITS[kind]`` is refused
-    before any work.
+    Triangle kinds give rows 1..n_max from ``Triangle.rows``, which stores
+    none of the rows it steps; the Bernoulli kinds give indices 0..n_max
+    (single values, respectively coefficient vectors).  A triangle row goes
+    through ``_row_strings``: CPython's int-to-str takes time quadratic in
+    the digits, and a triangle row is symmetric, so only its first half is
+    converted.  An unknown kind, or n_max above ``TABLE_LIMITS[kind]``, is
+    refused here, before any work and before the first row.
     """
     if kind not in TABLE_LIMITS:
         raise UsageError(f"unknown table kind {kind!r}")
@@ -268,9 +328,14 @@ def table_rows(kind: str, n_max: int) -> list[list[str]]:
         raise UsageError(f"need 1 <= n_max <= {TABLE_LIMITS[kind]} for {kind}, "
                          f"got {n_max}")
     if kind == EULERIAN:
-        return [_row_strings(eulerian_row(n)) for n in range(1, n_max + 1)]
+        return map(_row_strings, _EULERIAN_TRIANGLE.rows(n_max))
     if kind == MACMAHON:
-        return [_row_strings(macmahon_row(n)) for n in range(1, n_max + 1)]
+        return map(_row_strings, _macmahon_triangle().rows(n_max))
     if kind == "bernoulli":
-        return [[str(b)] for b in bernoulli_numbers(n_max)]
-    return [bernoulli_poly(n).to_coeff_strings() for n in range(n_max + 1)]
+        return ([str(b)] for b in bernoulli_numbers(n_max))
+    return (bernoulli_poly(n).to_coeff_strings() for n in range(n_max + 1))
+
+
+def table_rows(kind: str, n_max: int) -> list[list[str]]:
+    """All rows of ``table_lines(kind, n_max)``, as a list."""
+    return list(table_lines(kind, n_max))

@@ -698,30 +698,37 @@ def _substitution_points(a: Fraction, b: Fraction) -> tuple:
                  for u in SUBSTITUTION_SAMPLES if u != b)
 
 
-def _check_substitution(identity: str, n: int, params: RiccatiParams,
-                        in_x: Poly, in_u: Poly, power: int) -> Verdict:
-    """in_x((u-a)/(u-b)) == in_u(u) / (u-b)^power at sample points u != b."""
+def _substitution_verdicts(family: str, ns: range, params: RiccatiParams):
+    """The substitution_E (``family`` "E") or substitution_M ("M") verdict
+    at ``params`` for each n of ns, ascending: in_x((u-a)/(u-b)) ==
+    in_u(u) / (u-b)^power at sample points u != b, with (in_x, in_u, power)
+    = (E_n, P_{n+1}, n+1) or (M_n, Q_n, n).  The sample points and the
+    params text are formed once per record."""
+    text = _params(r=params.r, a=params.a, b=params.b)
     points = _substitution_points(params.a, params.b)
-    for _, _, powers in points:
-        while len(powers) <= power:
-            powers.append(powers[-1] * powers[1])
-    return _scan(identity, _params(r=params.r, a=params.a, b=params.b, n=n), (
-        (None, in_x.eval(x), in_u.eval(u) / powers[power])
-        for u, x, powers in points))
+    for n in ns:
+        if family == "E":
+            in_x, in_u, power = build_E(n), build_P(n + 1, params), n + 1
+        else:
+            in_x, in_u, power = build_M(n), build_Q(n, params), n
+        for _, _, powers in points:
+            while len(powers) <= power:
+                powers.append(powers[-1] * powers[1])
+        yield _scan(f"substitution_{family}", {**text, "n": n}, (
+            (None, in_x.eval(x), in_u.eval(u) / powers[power])
+            for u, x, powers in points))
 
 
 def check_substitution_E(n: int, params: RiccatiParams) -> Verdict:
     """E_n((u-a)/(u-b)) == P_{n+1}(u) / (u-b)^(n+1) at sample points u != b."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return _check_substitution("substitution_E", n, params, build_E(n),
-                               build_P(n + 1, params), n + 1)
+    return next(_substitution_verdicts("E", range(n, n + 1), params))
 
 
 def check_substitution_M(n: int, params: RiccatiParams) -> Verdict:
     """M_n((u-a)/(u-b)) == Q_n(u) / (u-b)^n at sample points u != b."""
-    return _check_substitution("substitution_M", n, params, build_M(n),
-                               build_Q(n, params), n)
+    return next(_substitution_verdicts("M", range(n, n + 1), params))
 
 
 def _homogeneity_Q_verdicts(ns: range, params: RiccatiParams):
@@ -929,8 +936,8 @@ def suite_relations(n_max: Optional[int] = None) -> list[Verdict]:
     ]
     for pa, pb in RELATION_PARAM_PAIRS:
         params = RiccatiParams(Fraction(1), pa, pb)
-        out.extend(check_substitution_E(n, params) for n in sub_ns)
-        out.extend(check_substitution_M(n, params) for n in (0, *sub_ns))
+        out.extend(_substitution_verdicts("E", sub_ns, params))
+        out.extend(_substitution_verdicts("M", range(sub_n + 1), params))
         out.extend(_homogeneity_Q_verdicts(_upto(hom_n), params))
     out.extend(check_integrality(n) for n in _upto(int_n))
     return out

@@ -265,7 +265,7 @@ UNFAULTED = {
             "integrality", "eulerian_triangle", "macmahon_triangle")),
         "verify.grosset_veselov_exact", "verify.grosset_veselov_numeric",
         "verify._check_oracle", "verify._check_egf",
-        "verify._check_substitution", "verify._substitution_points",
+        "verify._substitution_verdicts", "verify._substitution_points",
         "verify._claim", "verify._integral_steps",
         "verify._integral_P_verdicts", "verify._integral_Q_verdicts",
         "verify._integral_S_verdicts", "verify._homogeneity_Q_verdicts",
@@ -289,6 +289,7 @@ UNFAULTED = {
     **dict.fromkeys([
         "special_numbers.eulerian", "special_numbers.eulerian_row",
         "special_numbers.macmahon", "special_numbers.macmahon_row",
+        "special_numbers._macmahon_triangle",
         "special_numbers.bernoulli_number", "special_numbers.bernoulli_numbers",
         "special_numbers.bernoulli_value", "derivative_polys.build_P",
         "derivative_polys.build_Q", "derivative_polys.build_S",
@@ -318,7 +319,8 @@ UNFAULTED = {
         "test_verify_all_builds_each_value_once does",
     **dict.fromkeys([
         "polyseries.Poly.to_coeff_strings", "polyseries.Poly.__str__",
-        "special_numbers.table_rows", "derivative_polys.family_poly",
+        "special_numbers.table_rows", "special_numbers.table_lines",
+        "derivative_polys.family_poly",
         "verify.series_height",
     ], "command-line input, bounds or output: test_cli's digests pin it"),
     "polyseries.Poly.__repr__":

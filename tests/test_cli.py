@@ -13,7 +13,7 @@ import pytest
 
 import derivpoly.cli as cli
 import derivpoly.verify as verify_mod
-from derivpoly import derivative_polys
+from derivpoly import derivative_polys, special_numbers
 from derivpoly.derivative_polys import FAMILIES, FAMILY_LIMITS
 from derivpoly.exact import UsageError, parse_rational
 from derivpoly.special_numbers import TABLE_KINDS, TABLE_LIMITS, bernoulli_number
@@ -94,6 +94,41 @@ class TestTable:
         assert len(rows) == 461
         assert len(rows[448].split("/")[0]) > 640
         assert rows[448] == str(bernoulli_number(448))
+
+    @pytest.mark.parametrize("kind", ["eulerian", "macmahon"])
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_streamed_table_prints_table_rows(self, capsys, kind, fmt):
+        """The streamed table prints exactly the rows of ``table_rows``."""
+        special_numbers.reset_caches()
+        rows = special_numbers.table_rows(kind, 200)
+        special_numbers.reset_caches()
+        code, out = run_cli(capsys, "table", kind, "--n", "200",
+                            "--format", fmt)
+        assert code == 0
+        assert out == _table_text(kind, rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    def test_streamed_table_prints_faulty_rows_as_computed(
+            self, capsys, request, fmt):
+        """Under a faulty recurrence the rows are not palindromes, and the
+        streamed table prints every entry as ``eulerian_row`` computes it,
+        below and above the stored rows."""
+        request.getfixturevalue("mutated_eulerian_recurrence")
+        code, out = run_cli(capsys, "table", "eulerian", "--n", "200",
+                            "--format", fmt)
+        rows = [special_numbers.eulerian_row(n) for n in range(1, 201)]
+        assert any(row != row[::-1] for row in rows)
+        assert code == 0
+        assert out == _table_text(
+            "eulerian", [[str(v) for v in row] for row in rows], fmt)
+
+
+def _table_text(kind, rows, fmt):
+    """The text ``table`` prints for ``rows`` of ``kind`` in ``fmt``."""
+    if fmt == "json":
+        return json.dumps({"kind": kind, "rows": rows}, sort_keys=True) + "\n"
+    sep = "," if fmt == "csv" else " "
+    return "".join(sep.join(row) + "\n" for row in rows)
 
 
 class TestPoly:
@@ -749,10 +784,11 @@ def test_module_failing_verify_exits_1():
 
 def test_module_internal_value_error_exits_1():
     """A ValueError inside the library ends in a traceback and exit 1, not
-    in a usage error's exit 2."""
+    in a usage error's exit 2.  The table streams its rows, so row 1, made
+    before the faulty step, is already written."""
     proc = _with_patched_eulerian_step("lambda n, prev: int('kernel fault')",
                                        "table", "eulerian", "--n", "3")
-    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert (proc.returncode, proc.stdout) == (1, b"1\n")
     assert proc.stderr.startswith(b"Traceback (most recent call last):")
     assert proc.stderr.endswith(b"ValueError: invalid literal for int() "
                                 b"with base 10: 'kernel fault'\n")
@@ -808,6 +844,28 @@ def test_module_pipe_closed_mid_output_exits_1():
     stderr = proc.stderr.read()
     proc.stderr.close()
     assert (head, proc.wait(), stderr) == (b"1\n1 1\n1 6 ", 1, b"")
+
+
+#: Posix-spawns ``python argv`` with its stdout on ``os.devnull`` and prints
+#: its exit code and peak RSS (kB).  A child's ``ru_maxrss`` starts from the
+#: resident size of the process that spawned it, so the test runs this small
+#: process in between.
+SPAWNER = """import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"""
+
+
+@pytest.mark.parametrize("argv", [("poly", "E", "--n", "500"),
+                                  ("table", "eulerian", "--n", "500")])
+def test_large_row_commands_keep_few_rows(argv):
+    """A command that reads row 500 holds a few rows, not the triangle: its
+    peak RSS stays under 30 MB (53 and 94 MB with every row memoized)."""
+    proc = _python("-c", SPAWNER, "-S", "-m", "derivpoly", *argv)
+    code, peak_kb = map(int, proc.stdout.split())
+    assert (code, proc.stderr) == (0, b"")
+    assert peak_kb < 30 * 1024
 
 
 def test_benchmark_commands_match_main_in_process(capsys):

@@ -269,13 +269,16 @@ class TestIntegerKernelsSecondRoutes:
              b=Fraction(-10**12, 10**9 - 7))
     @example(coeffs=[-10**40, 10**40] * 30, a=Fraction(-10**12, 1),
              b=Fraction(10**12, 1))
+    @example(coeffs=[0] * 60 + [1], a=Fraction(1 - 2**20), b=Fraction(2**20 - 1))
     def test_per_pass_digit_widths(self, coeffs, a, b):
         """Each pass of the kernel packs at its own width: at tall
         parameters and rows up to 60 the kernel equals sum_k c_k (u-a)^k
         (u-b)^(m-k) formed by ``Poly`` arithmetic, each pass reads back the
         exact coefficients of its polynomial (pass 1: sum_k c_k (1 + delta
         t)^k; pass 2: q^m times the result), the widest of them fits its
-        pass's width, and neither width exceeds the old shared one."""
+        pass's width, and neither width exceeds the old shared one.  The
+        last example is (u-a)^60 at a = -b = 1 - 2^20, where the bound from
+        pass 1's digits alone, (q + 3|b|)^60, is wider than the row's."""
         assume(a != b)
         passes, read = [], derivative_polys._digits
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from derivpoly.derivative_polys import RiccatiParams, build_P
+from derivpoly.derivative_polys import RiccatiParams, build_E, build_P
 from derivpoly.polyseries import Poly
 from derivpoly import special_numbers as sn
 from derivpoly import verify as V
@@ -140,6 +140,75 @@ class TestTriangleObject:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             sn.Triangle("pascal")
+
+
+#: The last stored row of each triangle.
+LAST = sn.TRIANGLE_MEMO_ROWS
+
+
+def _held(triangle):
+    """The rows a triangle holds: the stored ones and its running row."""
+    return len(triangle._rows) + (triangle._running[0] > 0)
+
+
+class TestBoundedMemo:
+    """Rows 1 .. TRIANGLE_MEMO_ROWS are stored; above them a triangle holds
+    one running row, and a table walk stores nothing."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        sn.reset_caches()
+        yield
+        sn.reset_caches()
+
+    def test_memo_holds_at_most_two_rows_past_the_bound(self):
+        e = build_E(LAST + 50)
+        triangle = sn._EULERIAN_TRIANGLE
+        assert len(triangle._rows) == LAST
+        assert _held(triangle) <= LAST + 2
+        row = sn.eulerian_row(LAST + 50)
+        assert sn.eulerian_row(LAST + 50) is row
+        assert list(e.coeffs) == [0, *row]
+        assert sum(row) == math.factorial(LAST + 50)
+        assert row == row[::-1]
+
+    def test_rows_past_the_bound_in_any_order(self):
+        """Reads that climb, fall back and climb again give the rows of one
+        walk, with at most one row past the stored ones held at a time."""
+        walk = list(sn.Triangle(sn.MACMAHON).rows(LAST + 40))
+        for n in (LAST + 40, LAST + 1, LAST + 2, LAST + 40, LAST + 39, LAST,
+                  LAST + 3, 5):
+            assert sn.macmahon_row(n) == walk[n - 1]
+            assert _held(sn._MACMAHON_TRIANGLES[0, 1]) <= LAST + 1
+
+    def test_shifted_rows_past_the_bound(self):
+        shift = Fraction(-3, 7)
+        walk = list(sn.Triangle(sn.MACMAHON, shift).rows(LAST + 12))
+        assert sn.macmahon_row(LAST + 12, shift) == walk[-1]
+        assert sn.macmahon_row(LAST + 11, shift) == walk[-2]
+        assert _held(sn._MACMAHON_TRIANGLES[-3, 7]) == LAST + 1
+
+    def test_reset_drops_the_running_row(self):
+        sn.eulerian_row(LAST + 3)
+        assert sn._EULERIAN_TRIANGLE._running[0] == LAST + 3
+        sn.reset_caches()
+        assert sn._EULERIAN_TRIANGLE._running == (0, ())
+        assert _held(sn._EULERIAN_TRIANGLE) == 1
+
+    @pytest.mark.parametrize("kind", [sn.EULERIAN, sn.MACMAHON])
+    def test_table_walk_stores_no_row(self, kind):
+        rows = sn.table_rows(kind, LAST + 20)
+        triangle = (sn._EULERIAN_TRIANGLE if kind == sn.EULERIAN
+                    else sn._MACMAHON_TRIANGLES[0, 1])
+        assert _held(triangle) == 1
+        row = sn.eulerian_row if kind == sn.EULERIAN else sn.macmahon_row
+        assert rows == [[str(v) for v in row(n)] for n in range(1, LAST + 21)]
+
+    def test_table_walk_reads_the_stored_rows(self):
+        stored = sn.eulerian_row(40)
+        walk = list(sn._EULERIAN_TRIANGLE.rows(60))
+        assert walk[39] is stored
+        assert len(walk) == 60 and _held(sn._EULERIAN_TRIANGLE) == 40
 
 
 class TestBernoulliNumbers:
@@ -291,6 +360,7 @@ class TestTables:
         for name in ("eulerian_row", "macmahon_row", "bernoulli_numbers",
                      "bernoulli_poly"):
             monkeypatch.setattr(sn, name, work)
+        monkeypatch.setattr(sn.Triangle, "rows", work)
         with pytest.raises(RuntimeError):
             sn.table_rows(kind, sn.TABLE_LIMITS[kind])
         with pytest.raises(ValueError):
