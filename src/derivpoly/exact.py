@@ -32,12 +32,7 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.match(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
-            raise ZeroDivisionError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    return Fraction(s)
 
 
 def as_fraction(value) -> Fraction:

@@ -138,6 +138,10 @@ class Poly:
         return self._den == o._den and self._coeffs == o._coeffs
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it hashes as that Fraction.
+        if len(self._coeffs) <= 1:
+            return hash(Fraction(self._coeffs[0] if self._coeffs else 0,
+                                 self._den))
         return hash((self._coeffs, self._den))
 
     def eval(self, x: Scalar) -> Fraction:

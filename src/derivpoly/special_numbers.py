@@ -137,9 +137,8 @@ def reset_caches() -> None:
 
     A run that must start cold calls it first: each fault of the test
     suite's fault table, around its patch, and each in-process command of
-    the benchmark.  It leaves ``verify._substitution_points`` alone, which
-    holds only sample-point ``Fraction``s (u, (u-a)/(u-b) and the powers of
-    u-b), no value that a kernel computes.
+    the benchmark.  ``verify`` keeps no memo of its own, so these are all
+    the memos a run has.
     """
     global _EULERIAN_TRIANGLE, _BERNOULLI
     _EULERIAN_TRIANGLE = Triangle(EULERIAN)

@@ -14,7 +14,6 @@ quadrature cross-check ``grosset_veselov_numeric``.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from fractions import Fraction
@@ -131,12 +130,8 @@ class Verdict(Record):
 
 
 def _params(**fields) -> dict:
-    """Verdict parameters, with every Fraction (also inside a tuple) as ``p/q``."""
-
-    def fmt(v):
-        return str(v) if isinstance(v, Fraction) else v
-
-    return {k: [fmt(x) for x in v] if isinstance(v, tuple) else fmt(v)
+    """Verdict parameters, with every Fraction as ``p/q``."""
+    return {k: str(v) if isinstance(v, Fraction) else v
             for k, v in fields.items()}
 
 
@@ -518,65 +513,50 @@ def check_classical(n: int) -> Verdict:
         sides(name, build(n), convolution(row)) for name, build, row in families))
 
 
-def _integral_steps(ns: range, params: RiccatiParams, *names: str):
-    """(n, verdict params, (b-a)^(n+1)) for each n of ns, ascending, at the
-    (a, b) of ``params``: the text of its fields ``names`` is written once
-    and the power advances by one product per n."""
-    text = {name: str(getattr(params, name)) for name in names}
-    width = params.b - params.a
-    power = width ** (ns.start + 1)
-    for n in ns:
-        yield n, {"n": n, **text}, power
-        power *= width
-
-
-def _integral_P_verdicts(ns: range, a, b):
-    """The integral_P verdict at (a, b) for each n of ns, ascending."""
-    params = RiccatiParams(Fraction(1), a, b)
-    a, b = params.a, params.b
-    for n, fields, power in _integral_steps(ns, params, "a", "b"):
-        lhs = build_P(n, params).definite_integral(a, b)
-        yield _scan("integral_P", fields,
-                    [(n, lhs, -power * bernoulli_number(n))])
-
-
-def _integral_Q_verdicts(ns: range, a, b):
-    """The integral_Q verdict at (a, b) for each n of ns, ascending."""
-    params = RiccatiParams(Fraction(1), a, b)
-    a, b = params.a, params.b
-    for n, fields, power in _integral_steps(ns, params, "a", "b"):
-        lhs = build_Q(n, params).definite_integral(a, b)
-        rhs = 2 ** n * bernoulli_value(n, Fraction(1, 2)) * power
-        yield _scan("integral_Q", fields, [(n, lhs, rhs)])
-
-
-def _integral_S_verdicts(ns: range, a, b, d):
-    """The integral_S verdict at (a, b, d) for each n of ns, ascending; the
-    Bernoulli point 1/2 + d/(b-a) is formed once."""
-    if ns.start < 1:
-        raise ValueError(f"need n >= 1, got {ns.start}")
+def _integral_verdicts(family: str, ns: range, a, b, d=0):
+    """The integral_P, _Q or _S verdict (``family`` "P", "Q" or "S") at
+    (a, b), and d for S, for each n of ns, ascending:
+    integral_a^b F_n du == w_n * (b-a)^(n+1), with w_n = -B_n for P and
+    2^n * B_n(1/2 + d/(b-a)) for Q and S, Q being S at d = 0.  The record,
+    the Bernoulli point and the params text are formed once, and the power
+    advances by one product per n."""
     params = RiccatiParams(1, a, b, d)
     a, b = params.a, params.b
-    point = Fraction(1, 2) + params.d / (b - a)
-    for n, fields, power in _integral_steps(ns, params, "a", "b", "d"):
-        lhs = build_S(n, params).definite_integral(a, b)
-        rhs = 2 ** n * power * bernoulli_value(n, point)
-        yield _scan("integral_S", fields, [(n, lhs, rhs)])
+    width = b - a
+    point = Fraction(1, 2) + params.d / width
+    # Formed per call, so that a builder rebound on this module (as the
+    # benchmark's tracer does) is the one called.
+    build, least, names, weight = {
+        "P": (build_P, 1, ("a", "b"), lambda n: -bernoulli_number(n)),
+        "Q": (build_Q, 0, ("a", "b"),
+              lambda n: 2 ** n * bernoulli_value(n, point)),
+        "S": (build_S, 1, ("a", "b", "d"),
+              lambda n: 2 ** n * bernoulli_value(n, point)),
+    }[family]
+    if ns.start < least:
+        raise ValueError(f"need n >= {least}, got {ns.start}")
+    text = {name: str(getattr(params, name)) for name in names}
+    power = width ** (ns.start + 1)
+    for n in ns:
+        lhs = build(n, params).definite_integral(a, b)
+        yield _scan(f"integral_{family}", {"n": n, **text},
+                    [(n, lhs, weight(n) * power)])
+        power *= width
 
 
 def check_integral_P(n: int, a, b) -> Verdict:
     """integral_a^b P_n du == -(b-a)^(n+1) * B_n, exactly."""
-    return next(_integral_P_verdicts(range(n, n + 1), a, b))
+    return next(_integral_verdicts("P", range(n, n + 1), a, b))
 
 
 def check_integral_Q(n: int, a, b) -> Verdict:
     """integral_a^b Q_n du == 2^n * B_n(1/2) * (b-a)^(n+1), exactly."""
-    return next(_integral_Q_verdicts(range(n, n + 1), a, b))
+    return next(_integral_verdicts("Q", range(n, n + 1), a, b))
 
 
 def check_integral_S(n: int, a, b, d) -> Verdict:
     """integral_a^b S_n du == 2^n (b-a)^(n+1) B_n(1/2 + d/(b-a)), exactly."""
-    return next(_integral_S_verdicts(range(n, n + 1), a, b, d))
+    return next(_integral_verdicts("S", range(n, n + 1), a, b, d))
 
 
 _PM1 = RiccatiParams(Fraction(1), Fraction(-1), Fraction(1))
@@ -689,33 +669,33 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
                    inconclusive=not converged)
 
 
-@functools.cache
-def _substitution_points(a: Fraction, b: Fraction) -> tuple:
-    """(u, (u-a)/(u-b), [1, u-b, (u-b)^2, ...]) for each sample point
-    u != b, in sample order; the substitution checks of one (a, b) all share
-    them, and each list of powers grows by one product per new power."""
-    return tuple((u, (u - a) / (u - b), [Fraction(1), u - b])
-                 for u in SUBSTITUTION_SAMPLES if u != b)
+def _substitution_points(a: Fraction, b: Fraction) -> list:
+    """(u, (u-a)/(u-b), [1, u-b]) for each sample point u != b, in sample
+    order: the substitution checks of one (a, b) share them, and
+    ``_substitution_verdicts`` extends each list of powers of u-b in place,
+    one product per new power."""
+    return [(u, (u - a) / (u - b), [Fraction(1), u - b])
+            for u in SUBSTITUTION_SAMPLES if u != b]
 
 
-def _substitution_verdicts(family: str, ns: range, params: RiccatiParams):
+def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
+                           points: list):
     """The substitution_E (``family`` "E") or substitution_M ("M") verdict
-    at ``params`` for each n of ns, ascending: in_x((u-a)/(u-b)) ==
-    in_u(u) / (u-b)^power at sample points u != b, with (in_x, in_u, power)
-    = (E_n, P_{n+1}, n+1) or (M_n, Q_n, n).  The sample points and the
-    params text are formed once per record."""
+    at ``params`` for each n of ns, ascending: in_x(n)((u-a)/(u-b)) ==
+    in_u(n + shift)(u) / (u-b)^(n + shift) at the ``_substitution_points``
+    of (a, b), with (in_x, in_u, shift) = (E, P, 1) or (M, Q, 0).  The
+    params text is formed once."""
+    in_x, in_u, shift = {"E": (build_E, build_P, 1),
+                         "M": (build_M, build_Q, 0)}[family]
     text = _params(r=params.r, a=params.a, b=params.b)
-    points = _substitution_points(params.a, params.b)
     for n in ns:
-        if family == "E":
-            in_x, in_u, power = build_E(n), build_P(n + 1, params), n + 1
-        else:
-            in_x, in_u, power = build_M(n), build_Q(n, params), n
+        power = n + shift
+        x_poly, u_poly = in_x(n), in_u(power, params)
         for _, _, powers in points:
             while len(powers) <= power:
                 powers.append(powers[-1] * powers[1])
         yield _scan(f"substitution_{family}", {**text, "n": n}, (
-            (None, in_x.eval(x), in_u.eval(u) / powers[power])
+            (None, x_poly.eval(x), u_poly.eval(u) / powers[power])
             for u, x, powers in points))
 
 
@@ -723,12 +703,14 @@ def check_substitution_E(n: int, params: RiccatiParams) -> Verdict:
     """E_n((u-a)/(u-b)) == P_{n+1}(u) / (u-b)^(n+1) at sample points u != b."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return next(_substitution_verdicts("E", range(n, n + 1), params))
+    points = _substitution_points(params.a, params.b)
+    return next(_substitution_verdicts("E", range(n, n + 1), params, points))
 
 
 def check_substitution_M(n: int, params: RiccatiParams) -> Verdict:
     """M_n((u-a)/(u-b)) == Q_n(u) / (u-b)^n at sample points u != b."""
-    return next(_substitution_verdicts("M", range(n, n + 1), params))
+    points = _substitution_points(params.a, params.b)
+    return next(_substitution_verdicts("M", range(n, n + 1), params, points))
 
 
 def _homogeneity_Q_verdicts(ns: range, params: RiccatiParams):
@@ -899,11 +881,11 @@ def suite_integrals(n_max: Optional[int] = None,
     else:
         s_n = sym_n = n_max
     ns = _upto(n_max)
-    out = [v for pa, pb in pairs for v in _integral_P_verdicts(ns, pa, pb)]
+    out = [v for pa, pb in pairs for v in _integral_verdicts("P", ns, pa, pb)]
     out += [v for pa, pb in pairs
-            for v in _integral_Q_verdicts(range(n_max + 1), pa, pb)]
+            for v in _integral_verdicts("Q", range(n_max + 1), pa, pb)]
     out += [v for pa, pb, pd in triples
-            for v in _integral_S_verdicts(_upto(s_n), pa, pb, pd)]
+            for v in _integral_verdicts("S", _upto(s_n), pa, pb, pd)]
     if not explicit:
         out += [check_integral_P_symmetric(n) for n in _upto(sym_n)]
     return out
@@ -936,8 +918,10 @@ def suite_relations(n_max: Optional[int] = None) -> list[Verdict]:
     ]
     for pa, pb in RELATION_PARAM_PAIRS:
         params = RiccatiParams(Fraction(1), pa, pb)
-        out.extend(_substitution_verdicts("E", sub_ns, params))
-        out.extend(_substitution_verdicts("M", range(sub_n + 1), params))
+        points = _substitution_points(params.a, params.b)
+        out.extend(_substitution_verdicts("E", sub_ns, params, points))
+        out.extend(_substitution_verdicts("M", range(sub_n + 1), params,
+                                          points))
         out.extend(_homogeneity_Q_verdicts(_upto(hom_n), params))
     out.extend(check_integrality(n) for n in _upto(int_n))
     return out

@@ -15,6 +15,7 @@ from types import FunctionType
 
 import pytest
 
+import derivpoly.cli as cli
 import derivpoly.verify as V
 from derivpoly import derivative_polys, polyseries
 from derivpoly import special_numbers as sn
@@ -266,9 +267,8 @@ UNFAULTED = {
         "verify.grosset_veselov_exact", "verify.grosset_veselov_numeric",
         "verify._check_oracle", "verify._check_egf",
         "verify._substitution_verdicts", "verify._substitution_points",
-        "verify._claim", "verify._integral_steps",
-        "verify._integral_P_verdicts", "verify._integral_Q_verdicts",
-        "verify._integral_S_verdicts", "verify._homogeneity_Q_verdicts",
+        "verify._claim", "verify._integral_verdicts",
+        "verify._homogeneity_Q_verdicts",
     ], "a check or its comparison: it states what a fault must break"),
     "verify._scan":
         "the comparison of every check: a laxer one still passes correct "
@@ -348,6 +348,17 @@ def test_every_kernel_has_a_fault_or_a_reason():
     assert _census() == faulted | UNFAULTED.keys()
 
 
+def test_no_module_keeps_a_functools_memo():
+    """Every memo is module state that ``special_numbers.reset_caches``
+    drops before a fault is injected: no module-level callable of the
+    computing modules or of the command line is a ``functools`` memo."""
+    memos = [f"{module.__name__}.{name}"
+             for module in (polyseries, sn, derivative_polys, V, cli)
+             for name, obj in vars(module).items()
+             if callable(obj) and hasattr(obj, "cache_info")]
+    assert memos == []
+
+
 def test_mutation_reaches_warm_bernoulli_memo(request):
     """A tangent-number fault injected after the Bernoulli memos are warm
     still fails ``verify all`` and changes a Bernoulli polynomial's value,
@@ -408,11 +419,13 @@ def test_mutation_reaches_warm_family_memo(request, fault):
 def test_verify_all_builds_each_value_once(monkeypatch):
     """A cold ``verify all`` builds each Bernoulli polynomial and each row of
     each shifted MacMahon triangle once: every call has a key no earlier
-    call had, and some rows are shifted.  The substitution checks compute
+    call had, and some rows are shifted.  The substitution checks form
     their sample points once per (a, b)."""
-    keys = {"bernoulli_poly": [], "_macmahon_next_row": []}
+    keys = {"bernoulli_poly": [], "_macmahon_next_row": [],
+            "_substitution_points": []}
     bernoulli_poly = sn.bernoulli_poly
     next_row = sn._macmahon_next_row
+    substitution_points = V._substitution_points
 
     def counted_bernoulli_poly(n):
         keys["bernoulli_poly"].append(n)
@@ -422,10 +435,14 @@ def test_verify_all_builds_each_value_once(monkeypatch):
         keys["_macmahon_next_row"].append((n, *shift))
         return next_row(n, prev, *shift)
 
+    def counted_points(a, b):
+        keys["_substitution_points"].append((a, b))
+        return substitution_points(a, b)
+
     sn.reset_caches()
-    V._substitution_points.cache_clear()
     monkeypatch.setattr(sn, "bernoulli_poly", counted_bernoulli_poly)
     monkeypatch.setattr(sn, "_macmahon_next_row", counted_next_row)
+    monkeypatch.setattr(V, "_substitution_points", counted_points)
     try:
         assert all(v.passed for v in V.run_suite("all"))
     finally:
@@ -435,5 +452,4 @@ def test_verify_all_builds_each_value_once(monkeypatch):
         assert calls, name
         assert len(calls) == len(set(calls)), name
     assert any(len(key) == 3 for key in keys["_macmahon_next_row"])
-    points = V._substitution_points.cache_info()
-    assert points.misses == len(V.RELATION_PARAM_PAIRS) and points.hits > 0
+    assert len(keys["_substitution_points"]) == len(V.RELATION_PARAM_PAIRS)

@@ -221,6 +221,13 @@ class TestCanonicalForm:
         assert Poly([Fraction(1, 3)]) * 3 == Poly([1])
         assert str(Poly([Fraction(1, 6), Fraction(1, 3)]) * 6) == "[1, 2]"
 
+    def test_constant_hashes_as_its_scalar(self):
+        """A constant equals its scalar, so it is one set member and one
+        dict key with it; zero hashes as 0."""
+        assert Poly((3,)) == 3 and len({Poly((3,)), 3}) == 1
+        assert {Fraction(1, 2): 1}.get(Poly((Fraction(1, 2),))) == 1
+        assert hash(Poly()) == hash(0) == 0
+
 
 class TestExactInputs:
     """A binary float is not the decimal it prints as: ``Poly([0.1])`` would
