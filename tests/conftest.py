@@ -155,11 +155,19 @@ FAULTS = {
                                                       polys, den),
         13, {"lemma1"}),
     # Numerator 3 of every Poly sum of degree 3 or more plus 1: the products
-    # by c + d e^(rate t) of the polynomial generating functions.
+    # by c + d e^(rate t) of the polynomial generating functions, and lemma
+    # 1's right side u*acc - acc, of degree n + 1, from n = 2 on.
     "mutated_poly_sum": (
         Poly, "__add__",
         lambda add: lambda p, o: _poly_plus(add(p, o), 3),
-        4, {"egf_a", "egf_eulerian", "egf_macmahon", "egf_macmahon_halved"}),
+        18, {"egf_a", "egf_eulerian", "egf_macmahon", "egf_macmahon_halved",
+            "lemma1"}),
+    # Numerator 3 of every negation of degree 3 or more plus 1: lemma 1's
+    # right side negates its sum acc, of degree n, so it fails from n = 3 on.
+    "mutated_poly_negation": (
+        Poly, "__neg__",
+        lambda negate: lambda p: _poly_plus(negate(p), 3),
+        13, {"lemma1"}),
     # Numerator 2 of every quotient plus 1: the exact divisions of the
     # Grosset-Veselov squares and of the integrality check.
     "mutated_quotient_coefficient_2": (

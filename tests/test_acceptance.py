@@ -98,14 +98,20 @@ def test_criterion_5_polynomial_identities():
 def test_criterion_6_integral_theorems():
     pairs = ((0, 1), (-1, 1), (3, -2))
     for a, b in pairs:
-        for n in range(1, 21):
-            assert V.check_integral_P(n, a, b).passed
-        for n in range(0, 21):
-            assert V.check_integral_Q(n, a, b).passed
+        verdicts = V.suite_integrals(20, a, b)
+        assert _ns(verdicts, "integral_P") == list(range(1, 21))
+        assert _ns(verdicts, "integral_Q") == list(range(0, 21))
+        assert all(v.passed for v in verdicts)
     triples = ((0, 1, Fraction(1, 3)), (-1, 1, Fraction(1, 2)), (2, 5, -1))
     for a, b, d in triples:
-        for n in range(1, 13):
-            assert V.check_integral_S(n, a, b, d).passed
+        verdicts = V.suite_integrals(12, a, b, d)
+        assert _ns(verdicts, "integral_S") == list(range(1, 13))
+        assert all(v.passed for v in verdicts)
+
+
+def _ns(verdicts, identity):
+    """The n of each ``identity`` verdict, in the order given."""
+    return [v.params["n"] for v in verdicts if v.identity == identity]
 
 
 @criterion("criterion 7 (even Bernoulli integral: exact m <= 8, numeric m <= 3)")
@@ -260,9 +266,7 @@ UNFAULTED = {
         *(f"verify.check_{name}" for name in (
             "theorem1", "theorem2", "theorem3", "egf_eulerian", "egf_A",
             "egf_macmahon", "egf_macmahon_halved", "F_closed_form",
-            "H_closed_form", "lemma1", "classical", "integral_P",
-            "integral_Q", "integral_S", "integral_P_symmetric",
-            "substitution_E", "substitution_M", "homogeneity_Q",
+            "H_closed_form", "lemma1", "classical", "integral_P_symmetric",
             "integrality", "eulerian_triangle", "macmahon_triangle")),
         "verify.grosset_veselov_exact", "verify.grosset_veselov_numeric",
         "verify._check_oracle", "verify._check_egf",
@@ -306,10 +310,10 @@ UNFAULTED = {
     **dict.fromkeys([
         "polyseries.Poly.__new__", "polyseries.Poly._over",
         "polyseries.Poly._coerce", "polyseries._exact",
-        "polyseries.Poly.__neg__", "polyseries.Poly.coefficient",
+        "polyseries.Poly.coefficient",
         "polyseries.Poly.coeffs", "polyseries.Poly.degree",
         "polyseries.Poly.is_zero",
-    ], "the canonical form, its accessors and sign: test_polyseries pins them"),
+    ], "the canonical form and its accessors: test_polyseries pins them"),
     "polyseries.Poly.__eq__":
         "equality: a laxer one still passes correct kernels, so no verdict "
         "can fail; test_scan_stops_at_first_mismatch pins it on unequal "
@@ -357,6 +361,40 @@ def test_no_module_keeps_a_functools_memo():
              for name, obj in vars(module).items()
              if callable(obj) and hasattr(obj, "cache_info")]
     assert memos == []
+
+
+#: Commands that between them reach every part of ``verify``: ``all`` in
+#: each format, an integrals run with an explicit (a, b, d), and both series.
+_COMMANDS_THAT_RUN_VERIFY = [
+    *(["verify", "all", "--format", fmt] for fmt in ("plain", "json", "csv")),
+    ["verify", "integrals", "--n-max", "3", "--a", "0", "--b", "1",
+     "--d", "1/3"],
+    *(["series", which, "--order", "4", "--r", "1", "--a", "0", "--b", "1",
+       "--u0", "1/3"] for which in ("riccati", "v")),
+]
+
+
+def test_no_verify_function_is_test_only(capsys):
+    """Every module-level function of ``verify`` is called by a command, so
+    a test of one tests a path that the command line runs."""
+    functions = {obj.__code__: name for name, obj in vars(V).items()
+                 if isinstance(obj, FunctionType)
+                 and obj.__module__ == V.__name__}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for argv in _COMMANDS_THAT_RUN_VERIFY:
+            cli.main(argv)
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert sorted(name for code, name in functions.items()
+                  if code not in called) == []
 
 
 def test_mutation_reaches_warm_bernoulli_memo(request):

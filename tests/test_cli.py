@@ -20,6 +20,14 @@ from derivpoly.special_numbers import TABLE_KINDS, TABLE_LIMITS, bernoulli_numbe
 from derivpoly.verify import SUITE_NAMES
 
 
+#: Suite -> the option that bounds it.
+BOUND_OPTIONS = {
+    **dict.fromkeys(("theorem1", "theorem2", "theorem3", "lemma1",
+                     "classical", "integrals", "relations"), "n_max"),
+    "egf": "order", "grosset-veselov": "m_max",
+}
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -588,6 +596,18 @@ class TestVerify:
                              "--m-max", "9", "--order", "3") == 2
         assert run_cli_error(capsys, "verify", "integrals", "--d", "7") == 2
         assert run_cli_error(capsys, "verify", "theorem1", "--order", "5") == 2
+
+    @pytest.mark.parametrize("suite", verify_mod._SUB_SUITES)
+    def test_bound_below_one_names_the_suites_option(self, capsys, suite):
+        """A bound below 1 is refused under the option that the suite
+        takes, never under one that it refuses."""
+        option = BOUND_OPTIONS[suite]
+        flag = "--" + option.replace("_", "-")
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", suite, flag, "0"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: {option} must be >= 1, got 0\n")
 
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli_error(capsys, "verify", "lemma1", "--frobnicate") == 2

@@ -45,8 +45,8 @@ class TestParseFormat:
         lambda: as_fraction(0.5),
         lambda: RiccatiParams(0.1, 0, 1),
         lambda: OracleInstance(RiccatiParams(1, 0, 1), 0.25),
-        lambda: verify.check_integral_P(2, 0.0, 1),
-        lambda: verify.check_integral_Q(2, 0, 1.0),
+        lambda: verify.suite_integrals(2, 0.0, 1),
+        lambda: verify.suite_integrals(2, 0, 1.0),
         lambda: verify.check_F_closed_form(0.3),
         lambda: verify.run_suite("egf", u0=0.3),
     ])
@@ -59,7 +59,9 @@ class TestParseFormat:
 
     def test_strings_accepted(self):
         assert as_fraction("1/3") == Fraction(1, 3)
-        assert verify.check_integral_P(3, "0", "1/2").passed
+        integrals = verify.suite_integrals(3, "0", "1/2")
+        assert all(v.passed for v in integrals)
+        assert {v.params["b"] for v in integrals} == {"1/2"}
         assert verify.check_F_closed_form("1/3").params["u0"] == "1/3"
 
 

@@ -275,49 +275,78 @@ class TestPolynomialIdentities:
         assert failing == list(range(2, 41))
 
 
+def _of(identity, verdicts):
+    """The verdicts of one identity, in the order given."""
+    return [v for v in verdicts if v.identity == identity]
+
+
+def _coverage(verdicts, *names):
+    """The set of (params[name] for each name, n) of the verdicts."""
+    return {(*(v.params[name] for name in names), v.params["n"])
+            for v in verdicts}
+
+
 class TestIntegralChecks:
     def test_p_family_anchors(self):
-        assert V.check_integral_P(1, 0, 1).passed
-        assert V.check_integral_P(2, 0, 1).passed
-        assert V.check_integral_P(3, Fraction(-7, 2), Fraction(5, 3)).passed
+        verdicts = _of("integral_P", V.suite_integrals(2, 0, 1))
+        assert all(v.passed for v in verdicts)
+        verdicts = _of("integral_P",
+                       V.suite_integrals(3, Fraction(-7, 2), Fraction(5, 3)))
+        assert verdicts[-1].params["n"] == 3
+        assert all(v.passed for v in verdicts)
 
     def test_p_family_range(self):
-        for a, b in V.INTEGRAL_PAIRS:
-            assert all(V.check_integral_P(n, a, b).passed for n in range(1, 21))
+        verdicts = _of("integral_P", V.suite_integrals())
+        assert _coverage(verdicts, "a", "b") == {
+            (str(a), str(b), n) for a, b in V.INTEGRAL_PAIRS
+            for n in range(1, 21)}
+        assert all(v.passed for v in verdicts)
 
     def test_q_family_range(self):
-        for a, b in V.INTEGRAL_PAIRS:
-            assert all(V.check_integral_Q(n, a, b).passed for n in range(0, 21))
+        verdicts = _of("integral_Q", V.suite_integrals())
+        assert _coverage(verdicts, "a", "b") == {
+            (str(a), str(b), n) for a, b in V.INTEGRAL_PAIRS
+            for n in range(0, 21)}
+        assert all(v.passed for v in verdicts)
 
     def test_q_family_spot_value(self):
         # n=2 on (-1, 3): both sides equal -64/3
         params = RiccatiParams(1, -1, 3)
         from derivpoly.derivative_polys import build_Q
         assert build_Q(2, params).definite_integral(-1, 3) == Fraction(-64, 3)
-        assert V.check_integral_Q(2, -1, 3).passed
+        verdict = _of("integral_Q", V.suite_integrals(2, -1, 3))[-1]
+        assert verdict.params["n"] == 2
+        assert verdict.passed
 
     def test_s_family(self):
-        for a, b, d in V.INTEGRAL_S_TRIPLES:
-            assert all(V.check_integral_S(n, a, b, d).passed
-                       for n in range(1, 13))
+        verdicts = _of("integral_S", V.suite_integrals())
+        assert _coverage(verdicts, "a", "b", "d") == {
+            (str(a), str(b), str(d), n) for a, b, d in V.INTEGRAL_S_TRIPLES
+            for n in range(1, 13)}
+        assert all(v.passed for v in verdicts)
 
     def test_s_reduces_to_q_at_zero_shift(self):
-        for n in range(1, 13):
-            assert V.check_integral_S(n, 0, 1, 0).passed
+        verdicts = _of("integral_S", V.suite_integrals(12, 0, 1, 0))
+        assert _coverage(verdicts, "d") == {("0", n) for n in range(1, 13)}
+        assert all(v.passed for v in verdicts)
 
     def test_s_spot_value(self):
-        assert V.check_integral_S(1, 0, 1, Fraction(1, 4)).passed
+        verdicts = _of("integral_S",
+                       V.suite_integrals(1, 0, 1, Fraction(1, 4)))
+        assert [v.params for v in verdicts] == \
+            [{"n": 1, "a": "0", "b": "1", "d": "1/4"}]
+        assert verdicts[0].passed
 
     def test_symmetric_interval_form(self):
         assert all(V.check_integral_P_symmetric(n).passed for n in range(1, 17))
 
     def test_index_validation(self):
+        """The P and Q builders refuse an n below their families' first, so
+        a stream started there raises before it compares anything."""
         with pytest.raises(ValueError):
-            V.check_integral_P(0, 0, 1)
+            next(V._integral_verdicts("P", range(0, 1), 0, 1))
         with pytest.raises(ValueError):
-            V.check_integral_Q(-1, 0, 1)
-        with pytest.raises(ValueError):
-            V.check_integral_S(0, 0, 1, 1)
+            next(V._integral_verdicts("Q", range(-1, 0), 0, 1))
 
 
 class TestGrossetVeselov:
@@ -368,13 +397,18 @@ class TestGrossetVeselov:
 
 class TestRelationChecks:
     def test_substitutions(self):
-        params = RiccatiParams(1, 0, 1)
-        assert all(V.check_substitution_E(n, params).passed for n in range(1, 13))
-        assert all(V.check_substitution_M(n, params).passed for n in range(0, 13))
+        verdicts = V.suite_relations()
+        for identity, least in (("substitution_E", 1), ("substitution_M", 0)):
+            at_01 = [v for v in _of(identity, verdicts)
+                     if (v.params["a"], v.params["b"]) == ("0", "1")]
+            assert _coverage(at_01) == {(n,) for n in range(least, 13)}
+            assert all(v.passed for v in at_01)
 
     def test_homogeneity(self):
-        params = RiccatiParams(1, Fraction(-2, 3), Fraction(3, 2))
-        assert all(V.check_homogeneity_Q(n, params).passed for n in range(1, 11))
+        verdicts = [v for v in _of("homogeneity_Q", V.suite_relations())
+                    if (v.params["a"], v.params["b"]) == ("-2/3", "3/2")]
+        assert _coverage(verdicts) == {(n,) for n in range(1, 11)}
+        assert all(v.passed for v in verdicts)
 
     def test_integrality(self):
         assert all(V.check_integrality(n).passed for n in range(0, 21))
@@ -568,25 +602,31 @@ _rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 
 def _per_n_integrals(n_max, a, b, d):
-    """The verdicts of ``suite_integrals(n_max, a, b, d)`` from the public
-    per-n checks, each of which forms its power of b - a afresh."""
+    """The verdicts of ``suite_integrals(n_max, a, b, d)`` from single-n
+    calls of the integral streams, each of which sets up its instance and
+    forms its power of b - a afresh."""
+    def one(family, n, *shift):
+        return next(V._integral_verdicts(family, range(n, n + 1), a, b,
+                                         *shift))
+
     ns = range(1, n_max + 1)
-    return [*(V.check_integral_P(n, a, b) for n in ns),
-            *(V.check_integral_Q(n, a, b) for n in range(n_max + 1)),
-            *(V.check_integral_S(n, a, b, d) for n in ns)]
+    return [*(one("P", n) for n in ns),
+            *(one("Q", n) for n in range(n_max + 1)),
+            *(one("S", n, d) for n in ns)]
 
 
 def _per_n_homogeneity(n_max):
-    """The homogeneity_Q verdicts of ``suite_relations(n_max)`` from the
-    public per-n check."""
-    return [V.check_homogeneity_Q(n, RiccatiParams(1, a, b))
+    """The homogeneity_Q verdicts of ``suite_relations(n_max)`` from
+    single-n calls of the homogeneity stream."""
+    return [next(V._homogeneity_Q_verdicts(range(n, n + 1),
+                                           RiccatiParams(1, a, b)))
             for a, b in V.RELATION_PARAM_PAIRS for n in range(1, n_max + 1)]
 
 
 class TestPerInstanceSuites:
     """The suites set up each parameter instance once and advance their
-    powers by one product per n; their verdicts equal those of the public
-    per-n checks, field for field."""
+    powers by one product per n; their verdicts equal those of single-n
+    calls of the same streams, field for field."""
 
     @settings(max_examples=25, deadline=None)
     @given(a=_rationals, b=_rationals, d=_rationals,
