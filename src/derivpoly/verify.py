@@ -298,16 +298,33 @@ def v_series(inst: OracleInstance) -> Series:
                      lead, p.r, q)
 
 
-def _check_oracle(identity: str, inst: OracleInstance, oracle,
-                  start: Fraction, ratio: Fraction, family, **extra) -> Verdict:
-    """n! * [z^n]oracle(inst) == start * ratio^n * family(n)(u0), exactly,
-    for 1 <= n <= the oracle order (reported as ``n_max``).
+def check_theorem(theorem: str, inst: OracleInstance) -> Verdict:
+    """n! * [z^n]oracle(inst) == start * ratio^n * F_n(u0), exactly, for
+    1 <= n <= the oracle order (reported as ``n_max``), where ``theorem``
+    picks the oracle, the family F_n, the start and the ratio:
 
-    The shared comparison of theorems 1-3: the left side comes from the ODE
-    oracle alone, the right side from a triangle-built polynomial family.
-    The factor start * ratio^n is stepped by one product per n.
+    - ``theorem1``: n! * [z^n]u == r^n * P_{n+1}(u0);
+    - ``theorem2``: n! * [z^n]v == v0 * (r/2)^n * Q_n(u0), for the unshifted
+      case d = 0 only (ValueError otherwise);
+    - ``theorem3``: n! * [z^n]v == v0 * (r/2)^n * S_n(u0) for any shift d.
+
+    The left side comes from the ODE oracle alone, the right side from a
+    triangle-built polynomial family.  The factor start * ratio^n is stepped
+    by one product per n.
     """
     p = inst.params
+    if theorem == "theorem2" and p.d != 0:
+        raise ValueError("the Q-family check applies to d = 0 instances")
+    # Formed per call, so that an oracle or builder rebound on this module
+    # (as the benchmark's tracer does) is the one called.
+    oracle, family, start, ratio, extra = {
+        "theorem1": (riccati_series, lambda n: build_P(n + 1, p),
+                     Fraction(1), p.r, {}),
+        "theorem2": (v_series, lambda n: build_Q(n, p),
+                     inst.v0, p.r / 2, {"v0": inst.v0}),
+        "theorem3": (v_series, lambda n: build_S(n, p),
+                     inst.v0, p.r / 2, {"d": p.d, "v0": inst.v0}),
+    }[theorem]
     params = _params(r=p.r, a=p.a, b=p.b, u0=inst.u0,
                      n_max=inst.order, **extra)
     c = oracle(inst).coeffs
@@ -318,31 +335,7 @@ def _check_oracle(identity: str, inst: OracleInstance, oracle,
             scale *= ratio
             yield n, math.factorial(n) * c[n], scale * family(n).eval(inst.u0)
 
-    return _scan(identity, params, pairs())
-
-
-def check_theorem1(inst: OracleInstance) -> Verdict:
-    """n! * [z^n]u == r^n * P_{n+1}(u0), exactly, for 1 <= n <= order."""
-    p = inst.params
-    return _check_oracle("theorem1", inst, riccati_series, Fraction(1),
-                         p.r, lambda n: build_P(n + 1, p))
-
-
-def check_theorem2(inst: OracleInstance) -> Verdict:
-    """n! * [z^n]v == v0 * (r/2)^n * Q_n(u0) for the unshifted case d = 0."""
-    if inst.params.d != 0:
-        raise ValueError("the Q-family check applies to d = 0 instances")
-    p = inst.params
-    return _check_oracle("theorem2", inst, v_series, inst.v0,
-                         p.r / 2, lambda n: build_Q(n, p), v0=inst.v0)
-
-
-def check_theorem3(inst: OracleInstance) -> Verdict:
-    """n! * [z^n]v == v0 * (r/2)^n * S_n(u0) for any shift d."""
-    return _check_oracle("theorem3", inst, v_series, inst.v0,
-                         inst.params.r / 2,
-                         lambda n: build_S(n, inst.params),
-                         d=inst.params.d, v0=inst.v0)
+    return _scan(theorem, params, pairs())
 
 
 def _exp_transform(fs: list, rate) -> list:
@@ -359,8 +352,8 @@ def _exp_transform(fs: list, rate) -> list:
 def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
                **params) -> Verdict:
     """(sum_n F_n t^n/n!) * (c + d e^(rate t)) == c' + d' e^(rate' t) through
-    order N >= 1, where F_n is ``coeff(n)``, ``mult`` is (c, d, rate) and
-    ``expected`` is (c', d', rate').
+    order N >= 1 (``suite_egf`` refuses a lower N), where F_n is
+    ``coeff(n)``, ``mult`` is (c, d, rate) and ``expected`` is (c', d', rate').
 
     Each generating function checked here is a Moebius function of one
     exponential, like the Riccati solution itself, so cross-multiplying by
@@ -375,8 +368,6 @@ def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
     0..N is exact evidence.  If any datum is a Poly, both sides are compared
     and printed as Poly, a zero side as ``[]``.
     """
-    if order < 1:
-        raise UsageError(f"order must be >= 1, got {order}")
     (c, d, rate), (c1, d1, rate1) = mult, expected
     fs = [coeff(n) for n in range(order + 1)]
     if any(isinstance(v, Poly) for v in (*fs, *mult, *expected)):
@@ -401,77 +392,7 @@ def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
 
 
 _ONE_MINUS_X = Poly((1, -1))
-
-
-def check_egf_eulerian(order: int = DEFAULT_EGF_ORDER) -> Verdict:
-    """(sum E_n(x) y^n/n!) * (1 - x e^((1-x)y)) == 1 - x, cross-multiplied.
-
-    Cross-multiplication avoids dividing by 1 - x e^((1-x)y), whose constant
-    term 1 - x is not invertible over polynomial coefficients.
-    """
-    return _check_egf("egf_eulerian", build_E, order,
-                      (1, -X, _ONE_MINUS_X), (_ONE_MINUS_X, 0, 0))
-
-
-def check_egf_A(order: int = DEFAULT_EGF_ORDER) -> Verdict:
-    """(sum A_n(x) y^n/n!) * (x - e^((x-1)y)) == x - 1, cross-multiplied."""
-    return _check_egf("egf_a", build_A, order,
-                      (X, -1, X - 1), (X - 1, 0, 0))
-
-
-def check_egf_macmahon(order: int = DEFAULT_EGF_ORDER) -> Verdict:
-    """(sum M_n(x) y^n/n!) * (1 - x e^(2(1-x)y)) == (1-x) e^((1-x)y).
-
-    Note the doubled exponent in the multiplier: expanding the companion
-    generating function e^(t/2)/(u + (1-u)e^t) under x = (u-a)/(u-b) leaves
-    the numerator exponent at half the denominator's, and rescaling y to
-    absorb the 2^-n coefficient weights doubles the denominator exponent.
-    """
-    return _check_egf("egf_macmahon", build_M, order,
-                      (1, -X, _ONE_MINUS_X * 2), (0, _ONE_MINUS_X, _ONE_MINUS_X))
-
-
-def check_egf_macmahon_halved(order: int = DEFAULT_EGF_ORDER) -> Verdict:
-    """(sum 2^-n M_n(x) y^n/n!) * (1 - x e^((1-x)y)) == (1-x) e^((1-x)y/2).
-
-    This is the direct substituted form (same multiplier as the Eulerian
-    check); the unhalved variant above is this one with y doubled.
-    """
-    return _check_egf("egf_macmahon_halved",
-                      lambda n: build_M(n) * Fraction(1, 2 ** n), order,
-                      (1, -X, _ONE_MINUS_X),
-                      (0, _ONE_MINUS_X, _ONE_MINUS_X * Fraction(1, 2)))
-
-
 _BASE01 = RiccatiParams(Fraction(1), Fraction(0), Fraction(1))
-
-
-def _check_u0_open_unit(u0: Fraction) -> Fraction:
-    u0 = as_fraction(u0)
-    if not 0 < u0 < 1:
-        raise UsageError(f"u0 must lie strictly between 0 and 1, got {u0}")
-    return u0
-
-
-def check_F_closed_form(u0, order: int = DEFAULT_EGF_ORDER) -> Verdict:
-    """(sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1."""
-    u0 = _check_u0_open_unit(u0)
-    return _check_egf("closed_form_f",
-                      lambda n: build_P(n + 1, _BASE01).eval(u0), order,
-                      (u0, 1 - u0, 1), (u0, 0, 0), u0=u0)
-
-
-def check_H_closed_form(u0, d, order: int = DEFAULT_EGF_ORDER) -> Verdict:
-    """(sum S_n(u0)/2^n t^n/n!) * (u0 + (1-u0) e^t) == e^((1/2+d)t).
-
-    The d = 0 case is the generating function of the Q family itself.
-    """
-    u0 = _check_u0_open_unit(u0)
-    sp = RiccatiParams(1, 0, 1, d)
-    return _check_egf("closed_form_h",
-                      lambda n: build_S(n, sp).eval(u0) * Fraction(1, 2 ** n),
-                      order, (u0, 1 - u0, 1), (0, 1, Fraction(1, 2) + sp.d),
-                      u0=u0, d=sp.d)
 
 
 def check_lemma1(n: int) -> Verdict:
@@ -781,45 +702,83 @@ def check_macmahon_triangle(n_max: int = 20) -> Verdict:
 # ---------------------------------------------------------------------------
 # Suites
 
-# The theorem suites build their oracles at order n_max: the coefficients
-# up to n_max do not depend on the truncation order.  Each refuses an n_max
-# below 1 under that name before it builds an instance, whose own refusal
-# would name the oracle's order.
-
-def suite_theorem1(n_max: int = DEFAULT_T1_N) -> list[Verdict]:
+def _oracle_instances(n_max: int, d=0) -> list[OracleInstance]:
+    """The ORACLE_INSTANCES at shift d, with oracles of order n_max: the
+    coefficients up to n_max do not depend on the truncation order.  An
+    n_max below 1 is refused under that name, before an instance's own
+    refusal would name the oracle's order."""
     _upto(n_max)
-    return [check_theorem1(instance(r, a, b, u0, order=n_max))
+    return [instance(r, a, b, u0, d=d, order=n_max)
             for r, a, b, u0 in ORACLE_INSTANCES]
 
 
+def suite_theorem1(n_max: int = DEFAULT_T1_N) -> list[Verdict]:
+    return [check_theorem("theorem1", inst)
+            for inst in _oracle_instances(n_max)]
+
+
 def suite_theorem2(n_max: int = DEFAULT_T23_N) -> list[Verdict]:
-    _upto(n_max)
-    out = [check_theorem2(instance(r, a, b, u0, order=n_max))
-           for r, a, b, u0 in ORACLE_INSTANCES]
+    out = [check_theorem("theorem2", inst)
+           for inst in _oracle_instances(n_max)]
     # v is determined only up to scale; a non-unit v0 exercises that freedom.
     r, a, b, u0 = ORACLE_INSTANCES[0]
-    out.append(check_theorem2(
-        instance(r, a, b, u0, v0=Fraction(2, 3), order=n_max)))
+    out.append(check_theorem("theorem2", instance(
+        r, a, b, u0, v0=Fraction(2, 3), order=n_max)))
     return out
 
 
 def suite_theorem3(n_max: int = DEFAULT_T23_N) -> list[Verdict]:
-    _upto(n_max)
-    return [check_theorem3(instance(r, a, b, u0, d=d, order=n_max))
+    return [check_theorem("theorem3", inst)
             for d in (Fraction(1, 4), Fraction(-1, 2))
-            for r, a, b, u0 in ORACLE_INSTANCES]
+            for inst in _oracle_instances(n_max, d)]
 
 
 def suite_egf(order: int = DEFAULT_EGF_ORDER, u0=Fraction(1, 3)) -> list[Verdict]:
-    out = [
-        check_egf_eulerian(order),
-        check_egf_A(order),
-        check_egf_macmahon(order),
-        check_egf_macmahon_halved(order),
-        check_F_closed_form(u0, order),
+    """The generating-function identities through ``order``, one
+    ``_check_egf`` verdict per row of (identity, F_n, (c, d, rate),
+    (c', d', rate'), params): (sum F_n t^n/n!) * (c + d e^(rate t)) ==
+    c' + d' e^(rate' t).  The closed forms F and H read P and S at u0, in
+    (0, 1); a bad order is refused before a bad u0."""
+    _upto(order, "order")
+    u0 = as_fraction(u0)
+    if not 0 < u0 < 1:
+        raise UsageError(f"u0 must lie strictly between 0 and 1, got {u0}")
+    rows = [
+        # (sum E_n(x) y^n/n!) * (1 - x e^((1-x)y)) == 1 - x.  Cross-
+        # multiplication avoids dividing by 1 - x e^((1-x)y), whose constant
+        # term 1 - x is not invertible over polynomial coefficients.
+        ("egf_eulerian", build_E, (1, -X, _ONE_MINUS_X), (_ONE_MINUS_X, 0, 0),
+         {}),
+        # (sum A_n(x) y^n/n!) * (x - e^((x-1)y)) == x - 1.
+        ("egf_a", build_A, (X, -1, X - 1), (X - 1, 0, 0), {}),
+        # (sum M_n(x) y^n/n!) * (1 - x e^(2(1-x)y)) == (1-x) e^((1-x)y).
+        # Note the doubled exponent in the multiplier: expanding the
+        # companion generating function e^(t/2)/(u + (1-u)e^t) under
+        # x = (u-a)/(u-b) leaves the numerator exponent at half the
+        # denominator's, and rescaling y to absorb the 2^-n coefficient
+        # weights doubles the denominator exponent.
+        ("egf_macmahon", build_M, (1, -X, _ONE_MINUS_X * 2),
+         (0, _ONE_MINUS_X, _ONE_MINUS_X), {}),
+        # (sum 2^-n M_n(x) y^n/n!) * (1 - x e^((1-x)y)) == (1-x) e^((1-x)y/2):
+        # the direct substituted form (the Eulerian row's multiplier); the
+        # unhalved row above is this one with y doubled.
+        ("egf_macmahon_halved", lambda n: build_M(n) * Fraction(1, 2 ** n),
+         (1, -X, _ONE_MINUS_X),
+         (0, _ONE_MINUS_X, _ONE_MINUS_X * Fraction(1, 2)), {}),
+        # (sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1.
+        ("closed_form_f", lambda n: build_P(n + 1, _BASE01).eval(u0),
+         (u0, 1 - u0, 1), (u0, 0, 0), {"u0": u0}),
+        # (sum S_n(u0)/2^n t^n/n!) * (u0 + (1-u0) e^t) == e^((1/2+d)t) at
+        # each shift d; the d = 0 row is the generating function of the Q
+        # family itself.
+        *(("closed_form_h",
+           lambda n, sp=sp: build_S(n, sp).eval(u0) * Fraction(1, 2 ** n),
+           (u0, 1 - u0, 1), (0, 1, Fraction(1, 2) + sp.d),
+           {"u0": u0, "d": sp.d})
+          for sp in (RiccatiParams(1, 0, 1, d) for d in EGF_SHIFTS)),
     ]
-    out.extend(check_H_closed_form(u0, d, order) for d in EGF_SHIFTS)
-    return out
+    return [_check_egf(identity, coeff, order, mult, expected, **params)
+            for identity, coeff, mult, expected, params in rows]
 
 
 def suite_lemma1(n_max: int = DEFAULT_POLY_ID_N) -> list[Verdict]:

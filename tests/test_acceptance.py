@@ -49,7 +49,8 @@ def test_criterion_2_theorem1_oracle():
     for r, a, b, u0 in ((1, 0, 1, Fraction(1, 3)),
                         (-1, -1, 1, Fraction(0)),
                         (Fraction(-1, 2), 2, 0, Fraction(1, 2))):
-        verdict = V.check_theorem1(V.instance(r, a, b, u0, order=15))
+        verdict = V.check_theorem("theorem1",
+                                  V.instance(r, a, b, u0, order=15))
         assert verdict.passed, verdict.to_json_obj()
     assert time.perf_counter() - start < 1.0
 
@@ -60,11 +61,13 @@ def test_criterion_3_theorem23_oracle():
                  (-1, -1, 1, Fraction(0)),
                  (Fraction(-1, 2), 2, 0, Fraction(1, 2)))
     for r, a, b, u0 in instances:
-        verdict = V.check_theorem2(V.instance(r, a, b, u0, order=12))
+        verdict = V.check_theorem("theorem2",
+                                  V.instance(r, a, b, u0, order=12))
         assert verdict.passed, verdict.to_json_obj()
     for d in (Fraction(1, 4), Fraction(-1, 2)):
         for r, a, b, u0 in instances:
-            verdict = V.check_theorem3(V.instance(r, a, b, u0, d=d, order=12))
+            verdict = V.check_theorem("theorem3",
+                                      V.instance(r, a, b, u0, d=d, order=12))
             assert verdict.passed, verdict.to_json_obj()
 
 
@@ -72,16 +75,13 @@ def test_criterion_3_theorem23_oracle():
 def test_criterion_4_egf_suites():
     start = time.perf_counter()
     u0 = Fraction(1, 3)
-    verdicts = [
-        V.check_egf_eulerian(10),
-        V.check_egf_A(10),
-        V.check_egf_macmahon(10),
-        V.check_egf_macmahon_halved(10),
-        V.check_F_closed_form(u0, 10),
-        V.check_H_closed_form(u0, Fraction(0), 10),
-        V.check_H_closed_form(u0, Fraction(1, 4), 10),
-        V.check_H_closed_form(u0, Fraction(-1, 2), 10),
-    ]
+    verdicts = V.suite_egf(10, u0)
+    assert [(v.identity, v.params.get("u0"), v.params.get("d"))
+            for v in verdicts] == [
+        ("egf_eulerian", None, None), ("egf_a", None, None),
+        ("egf_macmahon", None, None), ("egf_macmahon_halved", None, None),
+        ("closed_form_f", "1/3", None), ("closed_form_h", "1/3", "0"),
+        ("closed_form_h", "1/3", "1/4"), ("closed_form_h", "1/3", "-1/2")]
     for verdict in verdicts:
         assert verdict.passed, verdict.to_json_obj()
     assert time.perf_counter() - start < 5.0
@@ -165,11 +165,11 @@ def test_criterion_9_mutation_sanity(mutated_eulerian_recurrence):
     assert any(sn.eulerian(n, k) != sn.eulerian_explicit(n, k)
                for n in range(1, 13) for k in range(n))
     # criterion 2 collapses: the ODE oracle no longer matches the family
-    assert not V.check_theorem1(
-        V.instance(1, 0, 1, Fraction(1, 3), order=15)).passed
+    assert not V.check_theorem(
+        "theorem1", V.instance(1, 0, 1, Fraction(1, 3), order=15)).passed
     # criterion 4 collapses for the checks that consume the triangle
-    assert not V.check_egf_eulerian(10).passed
-    assert not V.check_egf_A(10).passed
+    failed = {v.identity for v in V.suite_egf(10) if not v.passed}
+    assert {"egf_eulerian", "egf_a"} <= failed
     # criterion 5 collapses
     assert not all(V.check_lemma1(n).passed for n in range(1, 16))
     assert not all(V.check_classical(n).passed for n in range(1, 16))
@@ -264,12 +264,10 @@ def _census() -> set:
 UNFAULTED = {
     **dict.fromkeys([
         *(f"verify.check_{name}" for name in (
-            "theorem1", "theorem2", "theorem3", "egf_eulerian", "egf_A",
-            "egf_macmahon", "egf_macmahon_halved", "F_closed_form",
-            "H_closed_form", "lemma1", "classical", "integral_P_symmetric",
+            "theorem", "lemma1", "classical", "integral_P_symmetric",
             "integrality", "eulerian_triangle", "macmahon_triangle")),
         "verify.grosset_veselov_exact", "verify.grosset_veselov_numeric",
-        "verify._check_oracle", "verify._check_egf",
+        "verify._check_egf",
         "verify._substitution_verdicts", "verify._substitution_points",
         "verify._claim", "verify._integral_verdicts",
         "verify._homogeneity_Q_verdicts",
@@ -283,8 +281,8 @@ UNFAULTED = {
             "theorem1", "theorem2", "theorem3", "egf", "lemma1", "classical",
             "integrals", "grosset_veselov", "relations")),
         "verify.run_suite", "verify._suite_all", "verify._verdict_sort_key",
-        "verify.instance", "verify._params", "verify._upto",
-        "verify._check_tol", "verify._check_u0_open_unit",
+        "verify.instance", "verify._oracle_instances", "verify._params",
+        "verify._upto", "verify._check_tol",
     ], "runs, labels or validates checks: the count of 341 pins it"),
     **dict.fromkeys([
         "verify.params_json", "verify._json_value", "verify.json_object",

@@ -609,6 +609,15 @@ class TestVerify:
         assert capsys.readouterr().err.endswith(
             f"error: {option} must be >= 1, got 0\n")
 
+    def test_egf_refuses_a_bad_order_before_a_bad_u0(self, capsys):
+        """With both options bad, ``egf`` names the order, as it does when
+        the order alone is bad."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["verify", "egf", "--order", "0", "--u0", "2"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: order must be >= 1, got 0\n")
+
     def test_unknown_flag_rejected(self, capsys):
         assert run_cli_error(capsys, "verify", "lemma1", "--frobnicate") == 2
 

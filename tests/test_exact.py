@@ -47,7 +47,7 @@ class TestParseFormat:
         lambda: OracleInstance(RiccatiParams(1, 0, 1), 0.25),
         lambda: verify.suite_integrals(2, 0.0, 1),
         lambda: verify.suite_integrals(2, 0, 1.0),
-        lambda: verify.check_F_closed_form(0.3),
+        lambda: verify.suite_egf(u0=0.3),
         lambda: verify.run_suite("egf", u0=0.3),
     ])
     def test_float_refused(self, call):
@@ -62,7 +62,9 @@ class TestParseFormat:
         integrals = verify.suite_integrals(3, "0", "1/2")
         assert all(v.passed for v in integrals)
         assert {v.params["b"] for v in integrals} == {"1/2"}
-        assert verify.check_F_closed_form("1/3").params["u0"] == "1/3"
+        closed_forms = [v for v in verify.suite_egf(u0="1/3")
+                        if v.identity.startswith("closed_form")]
+        assert [v.params["u0"] for v in closed_forms] == ["1/3"] * 4
 
 
 BASE = RiccatiParams(1, 0, 1)

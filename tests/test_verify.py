@@ -68,13 +68,20 @@ oracle_rationals = st.one_of(
     st.integers(-5, 5).map(Fraction),
     st.fractions(min_value=-5, max_value=5, max_denominator=12),
 )
-# (r, a, b, d, u0, v0, order); u0 is drawn free or set to a or b, the
-# constant solutions, which random rationals almost never hit.
-oracle_instances = st.tuples(
-    oracle_rationals.filter(bool), oracle_rationals, oracle_rationals,
-    oracle_rationals, oracle_rationals, oracle_rationals.filter(bool),
-    st.integers(1, 40), st.sampled_from((4, 1, 2)),
-).filter(lambda t: t[1] != t[2]).map(lambda t: (*t[:4], t[t[7]], *t[5:7]))
+
+
+def instance_tuples(rationals, max_order: int):
+    """(r, a, b, d, u0, v0, order) from ``rationals``, with r, v0 != 0,
+    a != b and 1 <= order <= max_order; u0 is drawn free or set to a or b,
+    the constant solutions, which random rationals almost never hit."""
+    return st.tuples(
+        rationals.filter(bool), rationals, rationals, rationals, rationals,
+        rationals.filter(bool), st.integers(1, max_order),
+        st.sampled_from((4, 1, 2)),
+    ).filter(lambda t: t[1] != t[2]).map(lambda t: (*t[:4], t[t[7]], *t[5:7]))
+
+
+oracle_instances = instance_tuples(oracle_rationals, 40)
 
 
 class TestIntegerOracle:
@@ -146,20 +153,24 @@ class TestIntegerOracle:
 class TestTheorem1:
     @pytest.mark.parametrize("r,a,b,u0", V.ORACLE_INSTANCES)
     def test_named_instances(self, r, a, b, u0):
-        verdict = V.check_theorem1(V.instance(r, a, b, u0, order=16))
+        verdict = V.check_theorem("theorem1",
+                                  V.instance(r, a, b, u0, order=16))
         assert verdict.passed
 
     def test_instance_independence(self):
         for u0 in (Fraction(1, 3), Fraction(1, 2), Fraction(-2), Fraction(7, 5)):
-            assert V.check_theorem1(V.instance(1, 0, 1, u0, order=15)).passed
+            assert V.check_theorem(
+                "theorem1", V.instance(1, 0, 1, u0, order=15)).passed
 
     def test_degenerate_initial_values_pass(self):
         # u0 = a and u0 = b give constant solutions; both sides vanish
-        assert V.check_theorem1(V.instance(1, 0, 1, 0, order=10)).passed
-        assert V.check_theorem1(V.instance(1, 0, 1, 1, order=10)).passed
+        for u0 in (0, 1):
+            assert V.check_theorem(
+                "theorem1", V.instance(1, 0, 1, u0, order=10)).passed
 
     def test_mutation_is_detected(self, mutated_eulerian_recurrence):
-        verdict = V.check_theorem1(V.instance(1, 0, 1, Fraction(1, 3), order=16))
+        verdict = V.check_theorem(
+            "theorem1", V.instance(1, 0, 1, Fraction(1, 3), order=16))
         assert not verdict.passed
         assert verdict.first_failure is not None
         assert verdict.witness is not None
@@ -168,20 +179,37 @@ class TestTheorem1:
 class TestTheorems2And3:
     @pytest.mark.parametrize("r,a,b,u0", V.ORACLE_INSTANCES)
     def test_unshifted(self, r, a, b, u0):
-        assert V.check_theorem2(V.instance(r, a, b, u0, order=12)).passed
+        assert V.check_theorem(
+            "theorem2", V.instance(r, a, b, u0, order=12)).passed
 
     def test_scale_freedom_in_v0(self):
         inst = V.instance(1, 0, 1, Fraction(1, 3), v0=Fraction(2, 3), order=12)
-        assert V.check_theorem2(inst).passed
+        assert V.check_theorem("theorem2", inst).passed
 
     def test_shifted_requires_d_zero(self):
         with pytest.raises(ValueError):
-            V.check_theorem2(V.instance(1, 0, 1, Fraction(1, 3), d=Fraction(1, 4)))
+            V.check_theorem("theorem2", V.instance(1, 0, 1, Fraction(1, 3),
+                                                   d=Fraction(1, 4)))
 
     @pytest.mark.parametrize("d", [Fraction(1, 4), Fraction(-1, 2)])
     @pytest.mark.parametrize("r,a,b,u0", V.ORACLE_INSTANCES)
     def test_shifted(self, r, a, b, u0, d):
-        assert V.check_theorem3(V.instance(r, a, b, u0, d=d, order=12)).passed
+        assert V.check_theorem(
+            "theorem3", V.instance(r, a, b, u0, d=d, order=12)).passed
+
+
+class TestTheoremsAtAnyInstance:
+    @given(instance_tuples(st.fractions(-5, 5, max_denominator=5), 10))
+    @settings(max_examples=60, deadline=None)
+    def test_theorems_hold(self, t):
+        """Theorems 1-3 at random rational (r, a, b, d, u0, v0), u0 = a and
+        u0 = b included; theorem 2 at d = 0, the only shift it states."""
+        r, a, b, d, u0, v0, order = t
+        for theorem, shift in (("theorem1", d), ("theorem2", 0),
+                               ("theorem3", d)):
+            inst = V.instance(r, a, b, u0, d=shift, v0=v0, order=order)
+            verdict = V.check_theorem(theorem, inst)
+            assert verdict.passed, verdict.to_json_obj()
 
 
 _SCALARS = st.one_of(st.integers(-3, 3),
@@ -191,27 +219,30 @@ _RING_ELEMENTS = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3).map(Poly))
 
 class TestEgfChecks:
     def test_all_pass_at_default_order(self):
-        assert V.check_egf_eulerian(10).passed
-        assert V.check_egf_A(10).passed
-        assert V.check_egf_macmahon(10).passed
-        assert V.check_egf_macmahon_halved(10).passed
+        verdicts = {v.identity: v for v in V.suite_egf(10)}
+        assert verdicts["egf_eulerian"].passed
+        assert verdicts["egf_a"].passed
+        assert verdicts["egf_macmahon"].passed
+        assert verdicts["egf_macmahon_halved"].passed
 
     def test_order_one_is_trivially_checkable(self):
-        assert V.check_egf_eulerian(1).passed
-        assert V.check_egf_A(1).passed
+        verdicts = {v.identity: v for v in V.suite_egf(1)}
+        assert verdicts["egf_eulerian"].passed
+        assert verdicts["egf_a"].passed
 
     def test_closed_forms(self):
-        assert V.check_F_closed_form(Fraction(1, 3), 10).passed
-        assert V.check_F_closed_form(Fraction(1, 2), 10).passed
-        for d in (Fraction(0), Fraction(1, 4), Fraction(-1, 2)):
-            assert V.check_H_closed_form(Fraction(1, 3), d, 10).passed
+        for u0 in (Fraction(1, 3), Fraction(1, 2)):
+            closed = [v for v in V.suite_egf(10, u0)
+                      if v.identity.startswith("closed_form")]
+            assert [(v.identity, v.params.get("d")) for v in closed] == [
+                ("closed_form_f", None), ("closed_form_h", "0"),
+                ("closed_form_h", "1/4"), ("closed_form_h", "-1/2")]
+            assert all(v.passed for v in closed)
 
     def test_u0_outside_unit_interval_rejected(self):
         for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 3)):
             with pytest.raises(ValueError):
-                V.check_F_closed_form(bad, 5)
-            with pytest.raises(ValueError):
-                V.check_H_closed_form(bad, Fraction(1, 4), 5)
+                V.suite_egf(5, bad)
 
     def test_shifted_series_matches_p_family(self):
         # at d = -1/2 the H-series coefficients are P_{n+1}(u0)/u0
@@ -241,8 +272,8 @@ class TestEgfChecks:
         assert verdict.witness == {"lhs": "[1, -1]", "rhs": "[1, -2, 1]"}
 
     def test_mutation_is_detected(self, mutated_eulerian_recurrence):
-        assert not V.check_egf_eulerian(10).passed
-        assert not V.check_egf_A(10).passed
+        failed = {v.identity for v in V.suite_egf(10) if not v.passed}
+        assert {"egf_eulerian", "egf_a"} <= failed
 
     def test_top_coefficient_is_compared(self, mutated_eulerian_recurrence):
         """At order 2 the first corrupted row, E_2, reaches only the top
@@ -485,7 +516,8 @@ class TestVerdicts:
             assert verdict.witness == {"lhs": str(lhs), "rhs": str(rhs)}
 
     def test_failure_carries_witness(self, mutated_eulerian_recurrence):
-        verdict = V.check_egf_eulerian(6)
+        verdict = next(v for v in V.suite_egf(6)
+                       if v.identity == "egf_eulerian")
         assert not verdict.passed
         assert set(verdict.witness) == {"lhs", "rhs"}
         obj = verdict.to_json_obj()
@@ -574,8 +606,10 @@ class TestSuites:
             V.run_suite("grosset-veselov", m_max=1, tol=0.0)
 
     @pytest.mark.parametrize("call", [
-        lambda: V.check_theorem1(V.instance(1, 0, 1, Fraction(1, 3), order=0)),
-        lambda: V.check_theorem1(V.instance(1, 0, 1, Fraction(1, 3), order=-3)),
+        lambda: V.check_theorem(
+            "theorem1", V.instance(1, 0, 1, Fraction(1, 3), order=0)),
+        lambda: V.check_theorem(
+            "theorem1", V.instance(1, 0, 1, Fraction(1, 3), order=-3)),
         lambda: V.suite_lemma1(0),
         lambda: V.suite_classical(0),
         lambda: V.suite_integrals(n_max=0),
