@@ -31,7 +31,7 @@ from typing import NoReturn, Optional, Sequence
 from .derivative_polys import FAMILIES, family_poly
 from .exact import UsageError, parse_rational
 from .special_numbers import TABLE_KINDS, table_lines
-from .verify import (SUITE_NAMES, Verdict, instance, json_object, params_json,
+from .verify import (SUITE_NAMES, Verdict, instance, json_object,
                      riccati_series, run_suite, series_height, v_series)
 
 
@@ -43,9 +43,9 @@ def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
     printed one per line.  Each is a zero-argument callable, and only the
     one for ``fmt`` runs.  ``json`` and ``csv`` are imported where they are
     used, so a plain command never loads them and a csv command only
-    ``csv``: ``verify.params_json`` writes the JSON text that orders
-    verdicts and fills their csv params column, and ``verify.json_object``
-    the JSON lines of ``verify``, without ``json``.
+    ``csv``: ``verify.json_object`` writes, without ``json``, the JSON text
+    that orders verdicts and fills their csv params column, and the JSON
+    lines of ``verify``.
     """
     if fmt == "json":
         for text in as_json():
@@ -163,20 +163,16 @@ def _plain_verdict(v: Verdict) -> list[str]:
 
 
 def _json_verdict(v: Verdict) -> str:
-    """The verdict's JSON line.  ``json_object`` writes it; a value it has
-    no exact text for (a witness that JSON escapes) sends that line
-    through ``json.dumps``."""
-    obj = v.to_json_obj()
-    try:
-        return json_object(obj)
-    except ValueError:
-        return _json(obj)
+    """The verdict's JSON line, written by ``json_object``.  Every witness
+    is the text of a number, a ``Poly`` or a tuple, or a fixed text of
+    ``verify``, none of which JSON escapes; anything else raises."""
+    return json_object(v.to_json_obj())
 
 
 def _csv_verdict(v: Verdict) -> list[str]:
     return [
         v.identity,
-        params_json(v.params),
+        json_object(v.params),
         v.status,
         "" if v.first_failure is None else v.first_failure,
         v.witness["lhs"] if v.witness else "",

@@ -165,7 +165,7 @@ def build_P(n: int, params: RiccatiParams) -> Poly:
     at u = b.
     """
     if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+        raise UsageError(f"need n >= 1, got {n}")
     if n == 1:
         return Poly((-params.a, 1))
     return _homogeneous((0, *eulerian_row(n - 1), 0), params.a, params.b)
@@ -176,7 +176,7 @@ def build_Q(n: int, params: RiccatiParams) -> Poly:
     """Q_n(u; a, b), degree n, independent of r; Q_0 = 1.  Its coefficients
     against (u-a)^(n+1-k) (u-b)^(k-1) are the MacMahon numbers of row n+1."""
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+        raise UsageError(f"need n >= 0, got {n}")
     return _homogeneous(macmahon_row(n + 1), params.b, params.a)
 
 
@@ -188,7 +188,7 @@ def build_S(n: int, params: RiccatiParams) -> Poly:
     coefficients against (u-a)^(n+1-k) (u-b)^(k-1) are row n+1 of the
     MacMahon triangle shifted by c.  Memoized on (n, a, b, d)."""
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+        raise UsageError(f"need n >= 0, got {n}")
     c = 2 * params.d / (params.b - params.a)
     return _homogeneous(macmahon_row(n + 1, c), params.b, params.a,
                         c.denominator ** n)
@@ -197,7 +197,7 @@ def build_S(n: int, params: RiccatiParams) -> Poly:
 def build_E(n: int) -> Poly:
     """Eulerian polynomial E_n: sum_k <n,k> x^(k+1) for n >= 1, E_0 = 1."""
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+        raise UsageError(f"need n >= 0, got {n}")
     if n == 0:
         return Poly((1,))
     return Poly._over([0, *eulerian_row(n)], 1)
@@ -206,7 +206,7 @@ def build_E(n: int) -> Poly:
 def build_A(n: int) -> Poly:
     """Eulerian polynomial A_n: sum_k <n,k> x^k, so E_n = x*A_n for n >= 1."""
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+        raise UsageError(f"need n >= 0, got {n}")
     if n == 0:
         return Poly((1,))
     return Poly._over(list(eulerian_row(n)), 1)
@@ -215,7 +215,7 @@ def build_A(n: int) -> Poly:
 def build_M(n: int) -> Poly:
     """MacMahon polynomial M_n: sum_{k=1..n+1} M_{n+1,k} x^(k-1)."""
     if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
+        raise UsageError(f"need n >= 0, got {n}")
     return Poly._over(list(macmahon_row(n + 1)), 1)
 
 
@@ -237,7 +237,8 @@ def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
     """Build one member of a named family; raises UsageError on bad input,
     including a parameter the family does not depend on (E/A/M take none of
     r, a, b, d; P and Q take no d).  n above ``FAMILY_LIMITS[family]`` is
-    refused before any work."""
+    refused before any work, and n below the family's first member by its
+    builder."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}")
     if n > FAMILY_LIMITS[family]:
@@ -256,9 +257,6 @@ def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
                                 0 if d is None else d),)
         if family == "S" and d is None:
             raise UsageError("family S requires parameter d")
-    least = 1 if family == "P" else 0
-    if n < least:
-        raise UsageError(f"need n >= {least}, got {n}")
     build = {"P": build_P, "Q": build_Q, "S": build_S, "E": build_E,
              "A": build_A, "M": build_M}[family]
     return build(n, *params)

@@ -42,11 +42,11 @@ class Poly:
         return poly
 
     @classmethod
-    def _combination(cls, weights: Iterable[int], polys: Iterable["Poly"],
-                     den: int) -> "Poly":
-        """sum_k weights[k] * polys[k] / den for integer weights (den > 0):
-        each polynomial's numerators, scaled to the lcm of the denominators,
-        are added into one integer list, which is normalised once."""
+    def _combination(cls, weights: Iterable[int],
+                     polys: Iterable["Poly"]) -> "Poly":
+        """sum_k weights[k] * polys[k] for integer weights: each polynomial's
+        numerators, scaled to the lcm of the denominators, are added into one
+        integer list, which is normalised once."""
         terms = [(w, p) for w, p in zip(weights, polys) if w]
         lcm = math.lcm(*(p._den for _, p in terms))
         acc = [0] * max((len(p._coeffs) for _, p in terms), default=0)
@@ -54,7 +54,7 @@ class Poly:
             scale = w * (lcm // p._den)
             acc[:len(p._coeffs)] = [x + scale * c
                                     for x, c in zip(acc, p._coeffs)]
-        return cls._over(acc, lcm * den)
+        return cls._over(acc, lcm)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

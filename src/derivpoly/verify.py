@@ -261,23 +261,14 @@ def _v_numerators(alpha: int, beta: int, mu: int, eta: int,
                   order: int) -> list[int]:
     """y_0..y_order of the scaled v series, on ints:
     y_n = sum_k C(n,k) (eta+alpha)^(n-k) x'_k, where x'_0 = mu - beta and
-    x'_k = x_k of ``_riccati_numerators`` for k >= 1; y_n = (eta+beta)^n
-    if mu = beta.
-
-    The sum is one Pascal pass of additions and small-int products, written
-    out here rather than taken from ``_exp_transform`` so that a fault in
-    that transform stays off theorems 2 and 3.
+    x'_k = x_k of ``_riccati_numerators`` for k >= 1, summed by the one
+    Pascal pass ``_exp_transform``; y_n = (eta+beta)^n if mu = beta.
     """
     if mu == beta:
         return [(eta + beta) ** n for n in range(order + 1)]
-    rate = eta + alpha
     row = _riccati_numerators(alpha, beta, mu, order)
     row[0] = mu - beta
-    y = []
-    while row:
-        y.append(row[0])
-        row = [s + rate * t for t, s in zip(row, row[1:])]
-    return y
+    return _exp_transform(row, eta + alpha)
 
 
 def v_series(inst: OracleInstance) -> Series:
@@ -404,7 +395,7 @@ def check_lemma1(n: int) -> Verdict:
         raise ValueError(f"need n >= 1, got {n}")
     lhs = build_P(n + 1, _BASE01)
     acc = Poly._combination([math.comb(n, k) for k in range(n)],
-                            [build_P(k + 1, _BASE01) for k in range(n)], 1)
+                            [build_P(k + 1, _BASE01) for k in range(n)])
     return _scan("lemma1", {"n": n}, [(None, lhs, acc * X - acc)])
 
 
@@ -660,43 +651,40 @@ def check_integrality(n: int) -> Verdict:
     return _scan("integrality", {"n": n}, pairs())
 
 
-def check_eulerian_triangle(n_max: int = DEFAULT_T23_N) -> Verdict:
+def check_eulerian_triangle() -> Verdict:
     """Triangle self-consistency: anchor row, recurrence vs explicit sum,
-    symmetry, and factorial row sums up to n_max; symmetry up to row 25."""
-    if n_max < 3:
-        raise ValueError(f"need n_max >= 3, got {n_max}")
+    symmetry, and factorial row sums up to row 12; symmetry up to row 25."""
 
     def pairs():
         yield 3, eulerian_row(3), (1, 4, 1)
-        for n in range(1, n_max + 1):
+        for n in range(1, 13):
             for k in range(n):
                 rec = eulerian(n, k)
                 yield n, rec, eulerian_explicit(n, k)
                 yield n, rec, eulerian(n, n - k - 1)
             yield n, sum(eulerian_row(n)), math.factorial(n)
-        for n in range(n_max + 1, 26):
+        for n in range(13, 26):
             row = eulerian_row(n)
             yield n, row, _claim(row, row == row[::-1], "symmetric row")
 
-    return _scan("triangle_eulerian", {"n_max": n_max}, pairs())
+    return _scan("triangle_eulerian", {"n_max": 12}, pairs())
 
 
-def check_macmahon_triangle(n_max: int = 20) -> Verdict:
-    """Triangle self-consistency: anchor rows, boundary ones, symmetry, and
-    each row of the recurrence against the explicit type-B sum."""
-    if n_max < 4:
-        raise ValueError(f"need n_max >= 4, got {n_max}")
+def check_macmahon_triangle() -> Verdict:
+    """Triangle self-consistency up to row 20: anchor rows, boundary ones,
+    symmetry, and each row of the recurrence against the explicit type-B
+    sum."""
 
     def pairs():
         yield (4, (macmahon_row(3), macmahon_row(4)),
                ((1, 6, 1), (1, 23, 23, 1)))
-        for n in range(1, n_max + 1):
+        for n in range(1, 21):
             yield n, macmahon(n, 1), 1
             row = macmahon_row(n)
             yield n, row, _claim(row, row == row[::-1], "symmetric row")
             yield n, row, tuple(macmahon_explicit(n, k) for k in range(1, n + 1))
 
-    return _scan("triangle_macmahon", {"n_max": n_max}, pairs())
+    return _scan("triangle_macmahon", {"n_max": 20}, pairs())
 
 
 # ---------------------------------------------------------------------------
@@ -846,8 +834,8 @@ def suite_relations(n_max: Optional[int] = None) -> list[Verdict]:
         sub_n = hom_n = int_n = n_max
     sub_ns = _upto(sub_n)
     out: list[Verdict] = [
-        check_eulerian_triangle(DEFAULT_T23_N),
-        check_macmahon_triangle(20),
+        check_eulerian_triangle(),
+        check_macmahon_triangle(),
     ]
     for pa, pb in RELATION_PARAM_PAIRS:
         params = RiccatiParams(Fraction(1), pa, pb)
@@ -884,12 +872,12 @@ def _suite_all() -> list[Verdict]:
     return [v for sub in _SUB_SUITES for v in run_suite(sub)]
 
 
-def _json_value(value, param: bool = False) -> str:
-    """``json.dumps(value, sort_keys=True)`` for an int, a finite float, a
-    str that JSON writes unescaped (printable ASCII without ``"`` or
-    ``\\``), a list of those and, unless ``param`` (a verdict parameter),
-    true, false, null and dicts of those under string keys; any other value
-    raises, since its text would be a guess."""
+def json_object(value) -> str:
+    """``json.dumps(value, sort_keys=True)`` without importing ``json``, for
+    an int, a finite float, a str that JSON writes unescaped (printable
+    ASCII without ``"`` or ``\\``), a bool, None, and lists of those and
+    dicts of those under such str keys; any other value raises
+    ``ValueError``, since its text would be a guess."""
     kind = type(value)
     if kind is str:
         if value.isascii() and value.isprintable() \
@@ -898,43 +886,26 @@ def _json_value(value, param: bool = False) -> str:
     elif kind is int or kind is float and math.isfinite(value):
         return repr(value)
     elif kind is list:
-        return "[" + ", ".join([_json_value(v, param) for v in value]) + "]"
-    elif not param:
-        if kind is dict:
-            return json_object(value)
-        if kind is bool:
-            return "true" if value else "false"
-        if value is None:
-            return "null"
+        return "[" + ", ".join([json_object(v) for v in value]) + "]"
+    elif kind is dict:
+        if all(type(k) is str for k in value):
+            return "{" + ", ".join([f"{json_object(k)}: {json_object(value[k])}"
+                                    for k in sorted(value)]) + "}"
+    elif kind is bool:
+        return "true" if value else "false"
+    elif value is None:
+        return "null"
     raise ValueError(f"no exact JSON text for {value!r}")
 
 
-def json_object(obj: dict, param: bool = False) -> str:
-    """``json.dumps(obj, sort_keys=True)`` without importing ``json``:
-    string keys in sorted order, ``", "`` and ``": "`` separators, values
-    as ``_json_value`` writes them (as verdict parameters with ``param``);
-    raises ``ValueError`` where that text would be a guess."""
-    keys = sorted(obj)
-    if any(type(k) is not str for k in keys):
-        raise ValueError(f"JSON object keys must be strings, got {keys!r}")
-    return "{" + ", ".join([f"{_json_value(k)}: {_json_value(obj[k], param)}"
-                            for k in keys]) + "}"
-
-
-def params_json(params: dict) -> str:
-    """``json.dumps(params, sort_keys=True)`` for verdict parameters: ints,
-    finite floats, plain strs and lists of those."""
-    return json_object(params, param=True)
-
-
 def _verdict_sort_key(v: Verdict) -> tuple[str, str]:
-    return (v.identity, params_json(v.params))
+    return (v.identity, json_object(v.params))
 
 
 def run_suite(name: str, **options) -> list[Verdict]:
     """Run one named suite (or all of them) and return its verdicts in
     canonical order: by identity, then by the params' JSON text with sorted
-    keys (``params_json``), so ``n=10`` sorts before ``n=2``.
+    keys (``json_object``), so ``n=10`` sorts before ``n=2``.
 
     The options are the parameters of the suite functions (n_max, m_max,
     order, u0, a, b, d, tol).  Only the options that are given (not None)

@@ -102,15 +102,17 @@ FAULTS = {
             else multiply(p, o)),
         27, {"egf_a", "egf_eulerian", "egf_macmahon", "egf_macmahon_halved",
              "grosset_veselov_exact", "lemma1"}),
-    # The k = 2 weight of the generating-function binomial sum off by one,
-    # so g_n gains rate^(n-2) F_2: only the generating-function checks fail.
+    # The k = 2 weight of the binomial (Pascal) transform off by one, so g_n
+    # gains rate^(n-2) F_2: the generating-function checks fail, and
+    # theorems 2 and 3, whose v oracle sums its numerators by the same
+    # transform; theorem 1's u oracle does not read it.
     "mutated_exp_transform": (
         verify, "_exp_transform",
         lambda transform: lambda fs, rate: [
             g + rate ** (n - 2) * fs[2] if n >= 2 else g
             for n, g in enumerate(transform(fs, rate))],
-        8, {"closed_form_f", "closed_form_h", "egf_a", "egf_eulerian",
-            "egf_macmahon", "egf_macmahon_halved"}),
+        15, {"closed_form_f", "closed_form_h", "egf_a", "egf_eulerian",
+             "egf_macmahon", "egf_macmahon_halved", "theorem2", "theorem3"}),
     # T_3 = 16 doubled, so B_6 doubles: only checks that read a Bernoulli
     # number from B_6 on fail.  The reset drops the Bernoulli memo too.
     "mutated_tangent_numbers": (
@@ -151,8 +153,7 @@ FAULTS = {
     # one: lemma 1's right side, its only caller.
     "mutated_combination_weight": (
         Poly, "_combination",
-        lambda combine: lambda w, polys, den: combine(_plus(list(w), 2),
-                                                      polys, den),
+        lambda combine: lambda w, polys: combine(_plus(list(w), 2), polys),
         13, {"lemma1"}),
     # Numerator 3 of every Poly sum of degree 3 or more plus 1: the products
     # by c + d e^(rate t) of the polynomial generating functions, and lemma

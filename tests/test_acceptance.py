@@ -208,12 +208,13 @@ def test_mutation_of_shift_transform_fails_verify_all(mutated_shift_weight):
 
 
 def test_mutation_of_exp_transform_fails_verify_all(mutated_exp_transform):
-    """An off-by-one k = 2 weight in the binomial sum of the generating-function
-    checks fails the generating-function identities and closed forms, and
-    nothing else."""
+    """An off-by-one k = 2 weight in the binomial (Pascal) transform fails
+    the generating-function identities and closed forms, and theorems 2 and
+    3, whose v oracle sums by the same transform, but not theorem 1."""
     failed = {v.identity for v in V.run_suite("all") if not v.passed}
     assert failed == {"closed_form_f", "closed_form_h", "egf_a",
-                      "egf_eulerian", "egf_macmahon", "egf_macmahon_halved"}
+                      "egf_eulerian", "egf_macmahon", "egf_macmahon_halved",
+                      "theorem2", "theorem3"}
 
 
 def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
@@ -284,10 +285,9 @@ UNFAULTED = {
         "verify.instance", "verify._oracle_instances", "verify._params",
         "verify._upto", "verify._check_tol",
     ], "runs, labels or validates checks: the count of 341 pins it"),
-    **dict.fromkeys([
-        "verify.params_json", "verify._json_value", "verify.json_object",
-    ], "labels checks: the count of 341 and test_cli's csv and json digests "
-       "pin it"),
+    "verify.json_object":
+        "labels checks: the count of 341 and test_cli's csv and json digests "
+        "pin it",
     **dict.fromkeys([
         "special_numbers.eulerian", "special_numbers.eulerian_row",
         "special_numbers.macmahon", "special_numbers.macmahon_row",
@@ -336,7 +336,7 @@ UNFAULTED = {
     ], "holds the oracle's coefficients: the oracle rows reach it"),
     "polyseries.Series.__mul__":
         "no library code multiplies series: kept for perfbench/tracing.py's "
-        "series_mul target until ROADMAP item 1 drops it",
+        "series_mul target until ROADMAP item 5 drops it",
 }
 
 
@@ -372,12 +372,28 @@ _COMMANDS_THAT_RUN_VERIFY = [
 ]
 
 
-def test_no_verify_function_is_test_only(capsys):
-    """Every module-level function of ``verify`` is called by a command, so
-    a test of one tests a path that the command line runs."""
-    functions = {obj.__code__: name for name, obj in vars(V).items()
+#: Commands that between them call every function of ``cli`` but ``run``
+#: and ``_drop_stdout``, which only a whole process reaches: the help, each
+#: command but verify in json, both forms of series, and verify in each
+#: format.
+_COMMANDS_THAT_RUN_CLI = [
+    ["-h"],
+    ["table", "eulerian", "--n", "2", "--format", "json"],
+    ["poly", "P", "--n", "2", "--a", "0", "--b", "1", "--format", "json"],
+    ["series", "riccati", "--order", "2", "--r", "1", "--a", "0", "--b", "1",
+     "--u0", "1/3", "--format", "json"],
+    ["series", "v", "--order", "2", "--q", "2", "--p", "3", "--s", "1"],
+    *(["verify", "lemma1", "--n-max", "1", "--format", fmt]
+      for fmt in ("plain", "json", "csv")),
+]
+
+
+def _uncalled(module, commands) -> list[str]:
+    """The module-level functions of ``module`` that none of ``commands``,
+    each run by ``cli.main`` in process, calls."""
+    functions = {obj.__code__: name for name, obj in vars(module).items()
                  if isinstance(obj, FunctionType)
-                 and obj.__module__ == V.__name__}
+                 and obj.__module__ == module.__name__}
     called = set()
 
     def profile(frame, event, arg):
@@ -386,13 +402,30 @@ def test_no_verify_function_is_test_only(capsys):
 
     sys.setprofile(profile)
     try:
-        for argv in _COMMANDS_THAT_RUN_VERIFY:
-            cli.main(argv)
+        for argv in commands:
+            try:
+                cli.main(argv)
+            except SystemExit as exc:  # the help exits 0
+                assert exc.code == 0, argv
     finally:
         sys.setprofile(None)
+    return sorted(name for code, name in functions.items()
+                  if code not in called)
+
+
+def test_no_verify_function_is_test_only(capsys):
+    """Every module-level function of ``verify`` is called by a command, so
+    a test of one tests a path that the command line runs."""
+    assert _uncalled(V, _COMMANDS_THAT_RUN_VERIFY) == []
     capsys.readouterr()
-    assert sorted(name for code, name in functions.items()
-                  if code not in called) == []
+
+
+def test_no_cli_function_is_test_only(capsys):
+    """Every module-level function of ``cli`` but ``run`` and
+    ``_drop_stdout`` is called by a command in process; those two end a
+    whole process, and the subprocess tests of ``test_cli`` reach them."""
+    assert _uncalled(cli, _COMMANDS_THAT_RUN_CLI) == ["_drop_stdout", "run"]
+    capsys.readouterr()
 
 
 def test_mutation_reaches_warm_bernoulli_memo(request):

@@ -19,6 +19,8 @@ from derivpoly.exact import UsageError, parse_rational
 from derivpoly.special_numbers import TABLE_KINDS, TABLE_LIMITS, bernoulli_number
 from derivpoly.verify import SUITE_NAMES
 
+from conftest import FAULTS
+
 
 #: Suite -> the option that bounds it.
 BOUND_OPTIONS = {
@@ -180,6 +182,17 @@ class TestPoly:
                             "--b", "1", "--d", "-1/2")
         assert code == 0
         assert out.strip() == "-2 2"
+
+    @pytest.mark.parametrize("argv, message", [
+        (("poly", "P", "--n", "0", "--a", "0", "--b", "1"), "need n >= 1, got 0"),
+        (("poly", "E", "--n", "-1"), "need n >= 0, got -1"),
+    ])
+    def test_n_below_first_member_rejected(self, capsys, argv, message):
+        """The builder's refusal is the command's usage error, as it is."""
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(list(argv))
+        assert excinfo.value.code == 2
+        assert capsys.readouterr() == ("", f"derivpoly poly: error: {message}\n")
 
     def test_usage_errors(self, capsys):
         assert run_cli_error(capsys, "poly", "P", "--n", "2", "--a", "1",
@@ -469,33 +482,47 @@ class TestVerify:
             assert set(obj) == {"identity", "params", "pass", "first_failure",
                                 "witness"}
 
-    def test_json_lines_match_json_dumps(self, request):
+    def test_json_lines_match_json_dumps(self):
         """``verify --format json`` writes each line without ``json``: the
         text is that of ``json.dumps(v.to_json_obj(), sort_keys=True)`` for
-        every ``verify all`` verdict, for the FAIL lines (with witnesses)
-        under an Eulerian fault, and, through the ``json.dumps`` fallback,
-        for witnesses that JSON escapes."""
+        every ``verify all`` verdict and for an inconclusive one, and a
+        witness that JSON escapes has no line: it raises."""
         def reference(v):
             return json.dumps(v.to_json_obj(), sort_keys=True)
 
-        verdicts = verify_mod.run_suite("all")
-        request.getfixturevalue("mutated_eulerian_recurrence")
-        failed = [v for v in verify_mod.run_suite("all") if not v.passed]
-        assert len(failed) == 131 and all(v.witness for v in failed)
-        for v in [*verdicts, *failed]:
-            assert verify_mod.json_object(v.to_json_obj()) == reference(v)
+        inconclusive = verify_mod.Verdict("demo", {"tol": 1e-300}, False, 2,
+                                          {"lhs": "0.5", "rhs": "1.0"},
+                                          inconclusive=True)
+        for v in [*verify_mod.run_suite("all"), inconclusive]:
             assert cli._json_verdict(v) == reference(v)
         for text in ('say "x"', "back\\slash", "\u00e9t\u00e9", "tab\there",
                      "\U0001d400"):
             v = verify_mod.Verdict("demo", {"n": 1}, False, 1,
                                    {"lhs": text, "rhs": "1"})
             with pytest.raises(ValueError):
-                verify_mod.json_object(v.to_json_obj())
-            assert cli._json_verdict(v) == reference(v)
-        inconclusive = verify_mod.Verdict("demo", {"tol": 1e-300}, False, 2,
-                                          {"lhs": "0.5", "rhs": "1.0"},
-                                          inconclusive=True)
-        assert cli._json_verdict(inconclusive) == reference(inconclusive)
+                cli._json_verdict(v)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_json_lines_under_every_fault(self, request, capsys, monkeypatch,
+                                          fault):
+        """Under each fault of ``FAULTS``, ``verify all --format json`` in
+        process writes every line by ``json_object`` (a witness it has no
+        text for would raise out of ``main``), and each line is the text of
+        ``json.dumps(v.to_json_obj(), sort_keys=True)`` for its verdict:
+        the FAIL lines' witnesses need no escaping."""
+        request.getfixturevalue(fault)
+        verdicts = []
+
+        def recorded(*args, **kwargs):
+            verdicts.extend(verify_mod.run_suite(*args, **kwargs))
+            return verdicts
+
+        monkeypatch.setattr(cli, "run_suite", recorded)
+        code, out = run_cli(capsys, "verify", "all", "--format", "json")
+        assert code == 1
+        assert sum(not v.passed for v in verdicts) == FAULTS[fault][3]
+        assert out.splitlines() == [
+            json.dumps(v.to_json_obj(), sort_keys=True) for v in verdicts]
 
     def test_csv_output(self, capsys):
         code, out = run_cli(capsys, "verify", "lemma1", "--n-max", "2",

@@ -17,6 +17,7 @@ from derivpoly.derivative_polys import (
     build_S,
     family_poly,
 )
+from derivpoly.exact import UsageError
 from derivpoly.polyseries import Poly, X
 from derivpoly.special_numbers import eulerian, eulerian_row, macmahon
 
@@ -414,6 +415,23 @@ class TestFamilyDispatch:
         assert family_poly("E", 3) == Poly([0, 1, 4, 1])
         assert family_poly("A", 4) == Poly([1, 11, 11, 1])
         assert family_poly("M", 3) == Poly([1, 23, 23, 1])
+
+    @pytest.mark.parametrize("family, params, least", [
+        ("P", {"a": 0, "b": 1}, 1), ("Q", {"a": 0, "b": 1}, 0),
+        ("S", {"a": 0, "b": 1, "d": 1}, 0), ("E", {}, 0), ("A", {}, 0),
+        ("M", {}, 0),
+    ])
+    def test_n_below_first_member_is_the_builders_usage_error(
+            self, family, params, least):
+        """Each builder refuses an n below its family's first member, and
+        ``family_poly`` passes that refusal on as it is."""
+        message = f"^need n >= {least}, got {least - 1}$"
+        build = getattr(derivative_polys, f"build_{family}")
+        record = (RiccatiParams(1, **params),) if params else ()
+        with pytest.raises(UsageError, match=message):
+            build(least - 1, *record)
+        with pytest.raises(UsageError, match=message):
+            family_poly(family, least - 1, **params)
 
     def test_missing_parameters_rejected(self):
         with pytest.raises(ValueError):

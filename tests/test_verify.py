@@ -445,11 +445,11 @@ class TestRelationChecks:
         assert all(V.check_integrality(n).passed for n in range(0, 21))
 
     def test_triangle_checks(self):
-        assert V.check_eulerian_triangle(12).passed
-        assert V.check_macmahon_triangle(20).passed
+        assert V.check_eulerian_triangle().passed
+        assert V.check_macmahon_triangle().passed
 
     def test_triangle_mutation_detected(self, mutated_eulerian_recurrence):
-        verdict = V.check_eulerian_triangle(12)
+        verdict = V.check_eulerian_triangle()
         assert not verdict.passed
         assert verdict.witness is not None
 
@@ -469,7 +469,7 @@ class TestRelationChecks:
         monkeypatch.setattr(special_numbers, "_macmahon_next_row", doubled)
         try:
             rows = [special_numbers.macmahon_row(n) for n in range(1, 21)]
-            verdict = V.check_macmahon_triangle(20)
+            verdict = V.check_macmahon_triangle()
         finally:
             monkeypatch.undo()
             special_numbers.reset_caches()
@@ -722,17 +722,24 @@ def test_verdicts_under_fault_pinned(request, fault, digest):
 
 _JSON_PLAIN = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
                                     blacklist_characters='"\\'))
-_JSON_SCALARS = (st.integers() | st.floats(allow_nan=False, allow_infinity=False)
-                 | _JSON_PLAIN)
+#: Every value ``json_object`` writes: ints, finite floats, plain strs,
+#: bools and None, nested in lists and in dicts under plain str keys.
+_JSON_VALUES = st.recursive(
+    st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | _JSON_PLAIN | st.booleans() | st.none(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_PLAIN, inner, max_size=4),
+    max_leaves=12)
 
 
 class TestParamsJson:
-    """``params_json`` writes the text of ``json.dumps(params,
-    sort_keys=True)``, the reference, without importing ``json``."""
+    """``json_object``, which writes the verdicts' params and lines, writes
+    the text of ``json.dumps(value, sort_keys=True)``, the reference,
+    without importing ``json``."""
 
     def test_every_default_verdict(self):
         for v in V.run_suite("all"):
-            assert V.params_json(v.params) == json.dumps(v.params, sort_keys=True)
+            assert V.json_object(v.params) == json.dumps(v.params, sort_keys=True)
 
     def test_verify_deep_commands(self):
         """The five verify-deep commands of ``perfbench/workloads.py`` at
@@ -751,24 +758,24 @@ class TestParamsJson:
                     order=args.order, u0=args.u0, a=args.a, b=args.b, d=args.d,
                     tol=args.tol)
                 for v in verdicts:
-                    assert V.params_json(v.params) == \
+                    assert V.json_object(v.params) == \
                         json.dumps(v.params, sort_keys=True), argv
 
-    @given(st.dictionaries(_JSON_PLAIN,
-                           _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=4),
-                           max_size=5))
-    def test_property(self, params):
-        assert V.params_json(params) == json.dumps(params, sort_keys=True)
+    @given(_JSON_VALUES)
+    def test_property(self, value):
+        assert V.json_object(value) == json.dumps(value, sort_keys=True)
 
     @pytest.mark.parametrize("value", [
-        True, None, {"n": 1}, 'a"b', "a\\b", "\u00e9", "\n", float("nan"),
-        float("inf"), (1, 2), Fraction(1, 2)])
+        float("-inf"), "\t", "\x7f", 'a"b', "a\\b", "\u00e9", "\n",
+        float("nan"), float("inf"), (1, 2), Fraction(1, 2)])
     def test_refuses_what_it_would_guess(self, value):
-        with pytest.raises(ValueError):
-            V.params_json({"x": value})
-        with pytest.raises(ValueError):
-            V.params_json({"x": [value]})
+        for wrapped in (value, [value], {"x": value}, {"x": [{"y": value}]}):
+            with pytest.raises(ValueError):
+                V.json_object(wrapped)
 
     def test_refuses_keys_that_are_not_strings(self):
-        with pytest.raises(ValueError):
-            V.params_json({1: 1})
+        for key in (1, None, True, (1,), 'a"b'):
+            with pytest.raises(ValueError):
+                V.json_object({key: 1})
+            with pytest.raises(ValueError):
+                V.json_object({"x": [{key: 1}]})
