@@ -13,6 +13,8 @@ For concrete rational parameters:
 * ``build_E/A/M`` -- the Eulerian polynomials (both indexings) and the
   MacMahon row polynomials; P and Q collapse onto E and M under the
   substitution x = (u-a)/(u-b).
+* ``family_value`` -- P_n, Q_n or S_n at one rational point, read from the
+  row its builder reads, without building the polynomial.
 
 Parameters are concrete rationals, never indeterminates, so every family
 member is an ordinary univariate ``Poly``.
@@ -73,6 +75,29 @@ def _digits(packed: int, width: int, count: int) -> list[int]:
     raw = ((packed + bias) ^ bias).to_bytes(width * count, "little")
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
             for i in range(0, width * count, width)]
+
+
+def _packed(digits, width: int) -> int:
+    """sum_i digits[i] 2^(8 width i), the inverse of ``_digits`` for digits
+    in [-2^(8 width - 1), 2^(8 width - 1)); a digit outside raises
+    ``OverflowError``.
+
+    Each digit's two's complement is its biased value XOR the bias, so one
+    ``to_bytes`` per digit, one ``from_bytes`` and one XOR read the biased
+    sum, and subtracting the bias leaves the signed one.
+    """
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(digits), "little")
+    raw = b"".join([c.to_bytes(width, "little", signed=True) for c in digits])
+    return (int.from_bytes(raw, "little") ^ bias) - bias
+
+
+def _unpacked(packed: int, width: int, den: int) -> Poly:
+    """The polynomial whose numerators over ``den`` are the signed base
+    2^(8 width) digits of ``packed``, as many as it holds: a side of a
+    packed comparison read back for its witness, so every digit must lie in
+    the range that ``_digits`` reads."""
+    count = abs(packed).bit_length() // (8 * width) + 2
+    return Poly._over(_digits(packed, width, count), den)
 
 
 def _homogeneous(coeffs, a: Fraction, b: Fraction, den: int = 1) -> Poly:
@@ -154,6 +179,53 @@ def _built_once(build, *, keyed_on_d: bool = False):
     return cached
 
 
+def _family_row(letter: str, n: int, params: RiccatiParams) -> tuple:
+    """(row, x, y, den) with F_n(u) = sum_k row[k] (u-x)^k (u-y)^(m-k) / den,
+    m = len(row) - 1, for F = P, Q or S (``letter``): the one statement of
+    which triangle row a member reads, in which orientation and over which
+    divisor, read by the builders and by ``family_value``.
+
+    P_n for n >= 2 reads Eulerian row n-1 padded with a zero at each end,
+    against (u-a)^k (u-b)^(n-k), and P_1 = u - a is the row (0, 1).  Q_n reads
+    MacMahon row n+1 against (u-b)^k (u-a)^(n-k).  S_n reads row n+1 of the
+    MacMahon triangle shifted by c = 2d/(b-a) = p/e in the same orientation,
+    which is e^n times S_n's coefficients, so its divisor is e^n.  n below
+    the family's first member (1 for P, 0 for Q and S) is a UsageError.
+    """
+    first = 1 if letter == "P" else 0
+    if n < first:
+        raise UsageError(f"need n >= {first}, got {n}")
+    a, b = params.a, params.b
+    if letter == "P":
+        return (0, *eulerian_row(n - 1), 0) if n > 1 else (0, 1), a, b, 1
+    if letter == "Q":
+        return macmahon_row(n + 1), b, a, 1
+    c = 2 * params.d / (b - a)
+    return macmahon_row(n + 1, c), b, a, c.denominator ** n
+
+
+def family_value(letter: str, n: int, params: RiccatiParams, u) -> Fraction:
+    """F_n(u) for F = P, Q or S (``letter``), read from the row its builder
+    reads (``_family_row``) without building the polynomial, and not memoized.
+
+    With x, y and u over one denominator q, alpha = q (u - x) and beta =
+    q (u - y) are integers, and one homogeneous Horner pass on ints forms
+    sum_k row[k] alpha^k beta^(m-k), each step one product by alpha and one
+    by the running power of beta; the value is that sum over q^m den, one
+    ``Fraction`` built at the end.
+    """
+    row, x, y, den = _family_row(letter, n, params)
+    q = math.lcm(x.denominator, y.denominator, u.denominator)
+    nu = u.numerator * (q // u.denominator)
+    alpha = nu - x.numerator * (q // x.denominator)
+    beta = nu - y.numerator * (q // y.denominator)
+    acc, power = 0, 1
+    for c in reversed(row):
+        acc = acc * alpha + c * power
+        power *= beta
+    return Fraction(acc, q ** (len(row) - 1) * den)
+
+
 @_built_once
 def build_P(n: int, params: RiccatiParams) -> Poly:
     """P_n(u; a, b), degree n, independent of r.
@@ -164,20 +236,17 @@ def build_P(n: int, params: RiccatiParams) -> Poly:
     summand carries both factors, so P_n vanishes at u = a and, for n >= 2,
     at u = b.
     """
-    if n < 1:
-        raise UsageError(f"need n >= 1, got {n}")
+    row = _family_row("P", n, params)
     if n == 1:
         return Poly((-params.a, 1))
-    return _homogeneous((0, *eulerian_row(n - 1), 0), params.a, params.b)
+    return _homogeneous(*row)
 
 
 @_built_once
 def build_Q(n: int, params: RiccatiParams) -> Poly:
     """Q_n(u; a, b), degree n, independent of r; Q_0 = 1.  Its coefficients
     against (u-a)^(n+1-k) (u-b)^(k-1) are the MacMahon numbers of row n+1."""
-    if n < 0:
-        raise UsageError(f"need n >= 0, got {n}")
-    return _homogeneous(macmahon_row(n + 1), params.b, params.a)
+    return _homogeneous(*_family_row("Q", n, params))
 
 
 @functools.partial(_built_once, keyed_on_d=True)
@@ -187,11 +256,7 @@ def build_S(n: int, params: RiccatiParams) -> Poly:
     plus the shift, so with 2d = c (b - a) and c = p/e, e^n times S_n's
     coefficients against (u-a)^(n+1-k) (u-b)^(k-1) are row n+1 of the
     MacMahon triangle shifted by c.  Memoized on (n, a, b, d)."""
-    if n < 0:
-        raise UsageError(f"need n >= 0, got {n}")
-    c = 2 * params.d / (params.b - params.a)
-    return _homogeneous(macmahon_row(n + 1, c), params.b, params.a,
-                        c.denominator ** n)
+    return _homogeneous(*_family_row("S", n, params))
 
 
 def build_E(n: int) -> Poly:

@@ -125,8 +125,8 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_POLYS: dict[int, Poly] = {}
 #: The P, Q and S families of ``derivative_polys``, built from the triangles
 #: and dropped with their rows.  It pays: in-process ``verify all`` takes
-#: about 1.55x the CPU time without the P/Q memo (median of 30 rounds, each
-#: the best of 7 cold runs per setting; 2-vCPU Xeon, CPython 3.11).
+#: 1.13-1.14x the CPU time without the P/Q/S memo (three rounds, each the
+#: best of 9 cold runs per setting; 2-vCPU host, CPython 3.11.7).
 FAMILY_CACHE: dict[tuple, Poly] = {}
 
 

@@ -17,17 +17,19 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterable, Optional
 
 from .derivative_polys import (
     RiccatiParams,
+    _packed,
+    _unpacked,
     build_A,
     build_E,
     build_M,
     build_P,
     build_Q,
     build_S,
+    family_value,
 )
 from .exact import Record, UsageError, as_fraction
 from .polyseries import Poly, Series, X
@@ -299,22 +301,21 @@ def check_theorem(theorem: str, inst: OracleInstance) -> Verdict:
       case d = 0 only (ValueError otherwise);
     - ``theorem3``: n! * [z^n]v == v0 * (r/2)^n * S_n(u0) for any shift d.
 
-    The left side comes from the ODE oracle alone, the right side from a
-    triangle-built polynomial family.  The factor start * ratio^n is stepped
-    by one product per n.
+    The left side comes from the ODE oracle's integer recurrence alone, the
+    right side from the family's triangle row read at u0 by
+    ``family_value``, which builds no polynomial.  The factor start *
+    ratio^n is stepped by one product per n.
     """
     p = inst.params
     if theorem == "theorem2" and p.d != 0:
         raise ValueError("the Q-family check applies to d = 0 instances")
-    # Formed per call, so that an oracle or builder rebound on this module
-    # (as the benchmark's tracer does) is the one called.
-    oracle, family, start, ratio, extra = {
-        "theorem1": (riccati_series, lambda n: build_P(n + 1, p),
-                     Fraction(1), p.r, {}),
-        "theorem2": (v_series, lambda n: build_Q(n, p),
-                     inst.v0, p.r / 2, {"v0": inst.v0}),
-        "theorem3": (v_series, lambda n: build_S(n, p),
-                     inst.v0, p.r / 2, {"d": p.d, "v0": inst.v0}),
+    # Formed per call, so that an oracle rebound on this module (as the
+    # benchmark's tracer does) is the one called.
+    oracle, letter, shift, start, ratio, extra = {
+        "theorem1": (riccati_series, "P", 1, Fraction(1), p.r, {}),
+        "theorem2": (v_series, "Q", 0, inst.v0, p.r / 2, {"v0": inst.v0}),
+        "theorem3": (v_series, "S", 0, inst.v0, p.r / 2,
+                     {"d": p.d, "v0": inst.v0}),
     }[theorem]
     params = _params(r=p.r, a=p.a, b=p.b, u0=inst.u0,
                      n_max=inst.order, **extra)
@@ -324,7 +325,8 @@ def check_theorem(theorem: str, inst: OracleInstance) -> Verdict:
         scale = start
         for n in range(1, inst.order + 1):
             scale *= ratio
-            yield n, math.factorial(n) * c[n], scale * family(n).eval(inst.u0)
+            yield (n, math.factorial(n) * c[n],
+                   scale * family_value(letter, n + shift, p, inst.u0))
 
     return _scan(theorem, params, pairs())
 
@@ -351,38 +353,79 @@ def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
     its denominator leaves one such triple on each side and no division.
     Coefficient n of the left side is (c F_n + d g_n)/n!, with the binomial
     sum g_n = sum_k C(n,k) rate^(n-k) F_k from ``_exp_transform`` (Pascal's
-    rule), which rational data enter as integer numerators over one common
-    denominator; coefficient n of the right side is (c' [n = 0] + d'
-    rate'^n)/n!.
-    The running power rate'^n and the running factorial n! each take one
-    product per n.  Coefficient n reads F_0..F_n only, so every coefficient
-    0..N is exact evidence.  If any datum is a Poly, both sides are compared
-    and printed as Poly, a zero side as ``[]``.
+    rule); coefficient n of the right side is (c' [n = 0] + d' rate'^n)/n!.
+    Coefficient n reads F_0..F_n only, so every coefficient 0..N is exact
+    evidence.
+
+    Every datum is a polynomial in x (a scalar is a constant one) and runs
+    on integers: the F_n over one denominator D, each times e^n for the
+    rate's denominator e, (c, d) and (c', d') over one denominator each, and
+    each integer polynomial packed into one int at x = 2^K (``_packed``).
+    The Pascal pass then runs on ints with the packed rate, a product of
+    packed ints is the packed product, and each coefficient comparison is
+    one integer equality of the two sides cross-multiplied by each other's
+    denominator.  That equality is exact when every digit of both products
+    fits in K bits, so K bounds them, and every digit of the data too: an
+    L1 bound carried through the same Pascal rule on the rows' L1 norms,
+    since the L1 norm of a product is at most the product of the norms.
+    Only when the two sides differ are they unpacked (``_unpacked``), as the
+    witness: as ``Poly`` text if any datum is a ``Poly``, a zero side as
+    ``[]``, and as ``Fraction`` text otherwise.
     """
-    (c, d, rate), (c1, d1, rate1) = mult, expected
     fs = [coeff(n) for n in range(order + 1)]
-    if any(isinstance(v, Poly) for v in (*fs, *mult, *expected)):
-        side = Poly._coerce
-        gs = _exp_transform(fs, rate)
-    else:
-        side = Fraction
-        den = math.lcm(*(f.denominator for f in fs))
-        gs = [Fraction(g, den) for g in _exp_transform(
-            [f.numerator * (den // f.denominator) for f in fs], rate)]
+    polys = any(isinstance(v, Poly) for v in (*fs, *mult, *expected))
+    (c, d, rate), (c1, d1, rate1) = (map(Poly._coerce, side)
+                                     for side in (mult, expected))
+
+    def numerators(data):
+        den = math.lcm(*(p._den for p in data))
+        return [[x * (den // p._den) for x in p._coeffs] for p in data], den
+
+    rows, den = numerators(list(map(Poly._coerce, fs)))
+    e, e1 = rate._den, rate1._den
+    rows = [[x * e ** n for x in row] for n, row in enumerate(rows)]
+    (gamma, delta), cd = numerators((c, d))
+    (gamma1, delta1), cd1 = numerators((c1, d1))
+    rho, rho1 = rate._coeffs, rate1._coeffs
+
+    def norm(p):
+        return sum(map(abs, p))
+
+    # coefficient n of the left side is its packed numerator over
+    # lscales[n] n!, of the right side over rscales[n] n!
+    lscales = [cd * den * e ** n for n in range(order + 1)]
+    rscales = [cd1 * e1 ** n for n in range(order + 1)]
+    g_norms = _exp_transform([norm(row) for row in rows], norm(rho))
+    data = (gamma, delta, gamma1, delta1, rho, rho1)
+    bound = max(map(norm, (*rows, *data)))
+    for n in range(order + 1):
+        lhs = norm(gamma) * norm(rows[n]) + norm(delta) * g_norms[n]
+        rhs = norm(gamma1) * (n == 0) + norm(delta1) * norm(rho1) ** n
+        bound = max(bound, lhs * rscales[n], rhs * lscales[n])
+    width = bound.bit_length() // 8 + 1
+    hs = [_packed(row, width) for row in rows]
+    gamma, delta, gamma1, delta1, rho, rho1 = (_packed(p, width) for p in data)
+    gs = _exp_transform(hs, rho)
+
+    def text(packed, scale):
+        side = _unpacked(packed, width, scale)
+        return str(side) if polys else str(side.coefficient(0))
 
     def pairs():
         power, fact = 1, 1
-        yield 0, side(c * fs[0] + d * gs[0]), side(c1 + d1)
-        for n in range(1, order + 1):
-            power, fact = power * rate1, fact * n
-            inverse = Fraction(1, fact)
-            yield (n, side((c * fs[n] + d * gs[n]) * inverse),
-                   side(d1 * power * inverse))
+        for n in range(order + 1):
+            fact *= n or 1
+            lhs = gamma * hs[n] + delta * gs[n]
+            rhs = delta1 * power + (gamma1 if n == 0 else 0)
+            left, right = lhs * rscales[n], rhs * lscales[n]
+            yield ((n, left, right) if left == right else
+                   (n, text(lhs, lscales[n] * fact),
+                    text(rhs, rscales[n] * fact)))
+            power *= rho1
 
     return _scan(identity, _params(**params, order=order), pairs())
 
 
-_ONE_MINUS_X = Poly((1, -1))
 _BASE01 = RiccatiParams(Fraction(1), Fraction(0), Fraction(1))
 
 
@@ -399,33 +442,42 @@ def check_lemma1(n: int) -> Verdict:
     return _scan("lemma1", {"n": n}, [(None, lhs, acc * X - acc)])
 
 
-def check_classical(n: int) -> Verdict:
-    """F_n == sum_{k<n} C(n,k) F_k (x-1)^(n-1-k) for the Eulerian polynomials
-    F = A, and F = E with E_1 standing in for E_0, summed by Horner in x-1
-    on the integer coefficient lists of the triangle rows.
+def _classical_verdicts(ns: range):
+    """The classical verdict for each n of ns, ascending: F_n == sum_{k<n}
+    C(n,k) F_k (x-1)^(n-1-k) for the Eulerian polynomials F = E, with E_1
+    standing in for E_0, and F = A.
 
-    The sides are compared as polynomials; only when they differ are they
-    written as the labelled texts ``E: [...]`` or ``A: [...]``, the witness.
+    Each Eulerian row up to the largest n is packed once into one int at
+    x = 2^K (``_packed``), and E's rows are A's times x, a shift by K.  The
+    sum runs by Horner's rule in x-1, each step (acc << K) - acc + C(n,k)
+    row_k, and is compared with row n as one integer.  With s the largest
+    L1 norm of the rows, every digit of either side is at most s 3^n (the
+    weights C(n,k) 2^(n-1-k) sum to less than 3^n), so K bounds s 3^N for
+    the largest n = N and the comparison is exact.  Only when the sides
+    differ are they unpacked and written as the labelled texts ``E: [...]``
+    or ``A: [...]``, the witness.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    top = ns[-1]
+    rows = [(1,), *map(eulerian_row, range(1, top + 1))]
+    norm = max(sum(map(abs, row)) for row in rows)
+    width = (norm * 3 ** top).bit_length() // 8 + 1
+    k = 8 * width
+    a_rows = [_packed(row, width) for row in rows]
+    e_rows = [row << k for row in (a_rows[1], *a_rows[1:])]
 
-    def convolution(row) -> Poly:
-        acc = list(row(0))
-        for k in range(1, n):
-            c = math.comb(n, k)
-            acc = [s - t + c * f for s, t, f in
-                   zip_longest([0, *acc], [*acc, 0], row(k), fillvalue=0)]
-        return Poly._over(acc, 1)
+    def sides(name, fs, n):
+        acc = fs[0]
+        for j in range(1, n):
+            acc = (acc << k) - acc + math.comb(n, j) * fs[j]
+        if acc == fs[n]:
+            return None, fs[n], acc
+        return (None, f"{name}: {_unpacked(fs[n], width, 1)}",
+                f"{name}: {_unpacked(acc, width, 1)}")
 
-    def sides(name, lhs, rhs):
-        return ((None, lhs, rhs) if lhs == rhs
-                else (None, f"{name}: {lhs}", f"{name}: {rhs}"))
-
-    families = (("E", build_E, lambda k: (0, *eulerian_row(max(k, 1)))),
-                ("A", build_A, lambda k: eulerian_row(k) if k else (1,)))
-    return _scan("classical", {"n": n}, (
-        sides(name, build(n), convolution(row)) for name, build, row in families))
+    for n in ns:
+        yield _scan("classical", {"n": n},
+                    (sides(name, fs, n) for name, fs in (("E", e_rows),
+                                                         ("A", a_rows))))
 
 
 def _integral_verdicts(family: str, ns: range, a, b, d=0):
@@ -731,11 +783,12 @@ def suite_egf(order: int = DEFAULT_EGF_ORDER, u0=Fraction(1, 3)) -> list[Verdict
     u0 = as_fraction(u0)
     if not 0 < u0 < 1:
         raise UsageError(f"u0 must lie strictly between 0 and 1, got {u0}")
+    one_minus_x = -X + 1
     rows = [
         # (sum E_n(x) y^n/n!) * (1 - x e^((1-x)y)) == 1 - x.  Cross-
         # multiplication avoids dividing by 1 - x e^((1-x)y), whose constant
         # term 1 - x is not invertible over polynomial coefficients.
-        ("egf_eulerian", build_E, (1, -X, _ONE_MINUS_X), (_ONE_MINUS_X, 0, 0),
+        ("egf_eulerian", build_E, (1, -X, one_minus_x), (one_minus_x, 0, 0),
          {}),
         # (sum A_n(x) y^n/n!) * (x - e^((x-1)y)) == x - 1.
         ("egf_a", build_A, (X, -1, X - 1), (X - 1, 0, 0), {}),
@@ -745,22 +798,22 @@ def suite_egf(order: int = DEFAULT_EGF_ORDER, u0=Fraction(1, 3)) -> list[Verdict
         # x = (u-a)/(u-b) leaves the numerator exponent at half the
         # denominator's, and rescaling y to absorb the 2^-n coefficient
         # weights doubles the denominator exponent.
-        ("egf_macmahon", build_M, (1, -X, _ONE_MINUS_X * 2),
-         (0, _ONE_MINUS_X, _ONE_MINUS_X), {}),
+        ("egf_macmahon", build_M, (1, -X, one_minus_x * 2),
+         (0, one_minus_x, one_minus_x), {}),
         # (sum 2^-n M_n(x) y^n/n!) * (1 - x e^((1-x)y)) == (1-x) e^((1-x)y/2):
         # the direct substituted form (the Eulerian row's multiplier); the
         # unhalved row above is this one with y doubled.
         ("egf_macmahon_halved", lambda n: build_M(n) * Fraction(1, 2 ** n),
-         (1, -X, _ONE_MINUS_X),
-         (0, _ONE_MINUS_X, _ONE_MINUS_X * Fraction(1, 2)), {}),
+         (1, -X, one_minus_x),
+         (0, one_minus_x, one_minus_x * Fraction(1, 2)), {}),
         # (sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1.
-        ("closed_form_f", lambda n: build_P(n + 1, _BASE01).eval(u0),
+        ("closed_form_f", lambda n: family_value("P", n + 1, _BASE01, u0),
          (u0, 1 - u0, 1), (u0, 0, 0), {"u0": u0}),
         # (sum S_n(u0)/2^n t^n/n!) * (u0 + (1-u0) e^t) == e^((1/2+d)t) at
         # each shift d; the d = 0 row is the generating function of the Q
         # family itself.
         *(("closed_form_h",
-           lambda n, sp=sp: build_S(n, sp).eval(u0) * Fraction(1, 2 ** n),
+           lambda n, sp=sp: family_value("S", n, sp, u0) / 2 ** n,
            (u0, 1 - u0, 1), (0, 1, Fraction(1, 2) + sp.d),
            {"u0": u0, "d": sp.d})
           for sp in (RiccatiParams(1, 0, 1, d) for d in EGF_SHIFTS)),
@@ -774,7 +827,7 @@ def suite_lemma1(n_max: int = DEFAULT_POLY_ID_N) -> list[Verdict]:
 
 
 def suite_classical(n_max: int = DEFAULT_POLY_ID_N) -> list[Verdict]:
-    return [check_classical(n) for n in _upto(n_max)]
+    return list(_classical_verdicts(_upto(n_max)))
 
 
 def suite_integrals(n_max: Optional[int] = None,

@@ -91,7 +91,7 @@ def test_criterion_4_egf_suites():
 def test_criterion_5_polynomial_identities():
     for n in range(1, 16):
         assert V.check_lemma1(n).passed
-        assert V.check_classical(n).passed
+    assert all(v.passed for v in V._classical_verdicts(range(1, 16)))
 
 
 @criterion("criterion 6 (integral representations for P, Q, S)")
@@ -172,23 +172,34 @@ def test_criterion_9_mutation_sanity(mutated_eulerian_recurrence):
     assert {"egf_eulerian", "egf_a"} <= failed
     # criterion 5 collapses
     assert not all(V.check_lemma1(n).passed for n in range(1, 16))
-    assert not all(V.check_classical(n).passed for n in range(1, 16))
+    assert not all(v.passed for v in V._classical_verdicts(range(1, 16)))
 
 
-def test_mutation_of_horner_kernel_fails_theorems(mutated_horner_kernel):
-    """An off-by-one coefficient in the P/Q Horner kernel fails theorem 1
-    (P against the u oracle) and theorem 2 (Q against the v oracle)."""
+def test_mutation_of_horner_kernel_fails_built_families(mutated_horner_kernel):
+    """An off-by-one coefficient in the P/Q Horner kernel fails the checks
+    that build P, Q or S (substitution, integrals, lemma 1), and no theorem:
+    theorems 1-3 read the rows at u0 through ``family_value``."""
     failed = {v.identity for v in V.run_suite("all") if not v.passed}
-    assert {"theorem1", "theorem2"} <= failed
+    assert {"substitution_E", "substitution_M", "integral_P", "integral_Q",
+            "integral_S", "lemma1"} <= failed
+    assert not failed & {"theorem1", "theorem2", "theorem3"}
+
+
+def test_mutation_of_family_value_fails_theorems(mutated_family_value):
+    """An off-by-one value at u0 fails theorem 1 (P against the u oracle),
+    theorems 2 and 3 (Q and S against the v oracle) and the closed forms."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert failed == {"theorem1", "theorem2", "theorem3", "closed_form_f",
+                      "closed_form_h"}
 
 
 def test_mutation_of_poly_eval_fails_verify_all(mutated_poly_eval):
     """An off-by-one ``Poly.eval`` from degree 8 on fails ``verify all``:
-    the integer evaluation layer is reached by some verdict."""
-    failed = [v for v in V.run_suite("all") if not v.passed]
-    assert failed
-    assert {"theorem1", "integral_Q", "substitution_E"} <= {
-        v.identity for v in failed}
+    the integer evaluation layer is reached by the verdicts that evaluate a
+    built polynomial, and by no theorem."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"integral_Q", "substitution_E", "homogeneity_Q"} <= failed
+    assert not failed & {"theorem1", "theorem2", "theorem3"}
 
 
 def test_mutation_of_tangent_numbers_fails_verify_all(mutated_tangent_numbers):
@@ -265,14 +276,17 @@ def _census() -> set:
 UNFAULTED = {
     **dict.fromkeys([
         *(f"verify.check_{name}" for name in (
-            "theorem", "lemma1", "classical", "integral_P_symmetric",
+            "theorem", "lemma1", "integral_P_symmetric",
             "integrality", "eulerian_triangle", "macmahon_triangle")),
         "verify.grosset_veselov_exact", "verify.grosset_veselov_numeric",
-        "verify._check_egf",
+        "verify._check_egf", "verify._classical_verdicts",
         "verify._substitution_verdicts", "verify._substitution_points",
         "verify._claim", "verify._integral_verdicts",
         "verify._homogeneity_Q_verdicts",
     ], "a check or its comparison: it states what a fault must break"),
+    "derivative_polys._unpacked":
+        "reads a failing side back for its witness: the fault digests of "
+        "test_verdicts_under_fault_pinned pin it",
     "verify._scan":
         "the comparison of every check: a laxer one still passes correct "
         "kernels, so test_scan_stops_at_first_mismatch pins it on unequal "
@@ -296,6 +310,7 @@ UNFAULTED = {
         "special_numbers.bernoulli_value", "derivative_polys.build_P",
         "derivative_polys.build_Q", "derivative_polys.build_S",
         "derivative_polys._built_once", "derivative_polys._key_part",
+        "derivative_polys._family_row",
         "verify.riccati_series", "verify.v_series",
     ], "a memo, lookup or scaling around kernels that have rows"),
     **dict.fromkeys([
@@ -448,8 +463,8 @@ def test_mutation_reaches_warm_bernoulli_memo(request):
     assert any(not v.passed for v in V.run_suite("all"))
 
 
-#: The shift of theorem 3's first instance, so S_6 at (0, 1) is memoized.
-S_PARAMS = RiccatiParams(1, 0, 1, Fraction(1, 4))
+#: The first S triple of the integral suite, so S_6 at (0, 1) is memoized.
+S_PARAMS = RiccatiParams(1, 0, 1, Fraction(1, 3))
 #: Fault -> a family member it corrupts.
 CORRUPTED = {"mutated_eulerian_recurrence": "P",
              "mutated_macmahon_recurrence": "Q",
@@ -465,7 +480,7 @@ def test_mutation_reaches_warm_family_memo(request, fault):
     assert all(v.passed for v in V.run_suite("all"))
     params = RiccatiParams(1, 0, 1)
     assert ("build_Q", 6, 0, 1) in sn.FAMILY_CACHE
-    assert ("build_S", 6, 0, 1, (1, 4)) in sn.FAMILY_CACHE
+    assert ("build_S", 6, 0, 1, (1, 3)) in sn.FAMILY_CACHE
 
     def members():
         return {"P": build_P(6, params), "Q": build_Q(6, params),

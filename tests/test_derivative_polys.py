@@ -16,6 +16,7 @@ from derivpoly.derivative_polys import (
     build_Q,
     build_S,
     family_poly,
+    family_value,
 )
 from derivpoly.exact import UsageError
 from derivpoly.polyseries import Poly, X
@@ -331,6 +332,104 @@ class TestIntegerKernelsSecondRoutes:
         assume(a != b and a.denominator != b.denominator)
         sp = RiccatiParams(1, a, b, d)
         assert build_S(n, sp) == poly_shift_transform(n, sp)
+
+
+# small denominators, so members up to n = 200 build in milliseconds
+small_rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+class TestFamilyValue:
+    """``family_value`` reads the row each builder reads at one point, by a
+    Horner pass on ints that builds no polynomial: a second route for the
+    packed kernel, at any n."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(a=small_rationals, b=small_rationals, d=small_rationals,
+           u=small_rationals, at=st.sampled_from("uab"),
+           n=st.integers(min_value=0, max_value=200))
+    @example(a=Fraction(1, 3), b=Fraction(5, 3), d=Fraction(2, 3),
+             u=Fraction(1, 2), at="u", n=200)
+    @example(a=Fraction(-1, 2), b=Fraction(3, 4), d=Fraction(1, 5),
+             u=Fraction(0), at="a", n=163)
+    @example(a=Fraction(0), b=Fraction(1), d=Fraction(0), u=Fraction(0),
+             at="b", n=1)
+    def test_equals_the_built_member_at_a_point(self, a, b, d, u, at, n):
+        """P_n, Q_n and S_n at random rational (a, b, d) and u, u = a and
+        u = b included, and n up to 200, past the rows the triangles store:
+        ``family_value`` equals ``build_*(n, params).eval(u)``."""
+        assume(a != b)
+        u = {"u": u, "a": a, "b": b}[at]
+        params = RiccatiParams(1, a, b, d)
+        try:
+            for letter, build in (("P", build_P), ("Q", build_Q),
+                                  ("S", build_S)):
+                if n or letter != "P":
+                    assert family_value(letter, n, params, u) == \
+                        build(n, params).eval(u), letter
+        finally:
+            special_numbers.reset_caches()  # no shifted triangle outlives it
+
+    @pytest.mark.parametrize("letter, least", [("P", 1), ("Q", 0), ("S", 0)])
+    def test_n_below_first_member_is_the_builders_usage_error(self, letter,
+                                                               least):
+        with pytest.raises(UsageError, match=f"^need n >= {least}, got "
+                                             f"{least - 1}$"):
+            family_value(letter, least - 1, RiccatiParams(1, 0, 1, 1),
+                         Fraction(1, 3))
+
+    def test_memoizes_nothing(self):
+        special_numbers.reset_caches()
+        params = RiccatiParams(1, 0, 1, Fraction(1, 4))
+        for letter in "PQS":
+            family_value(letter, 6, params, Fraction(1, 3))
+        assert special_numbers.FAMILY_CACHE == {}
+
+
+def _tight_width(values) -> int:
+    """The fewest bytes whose signed range holds every value."""
+    return max((v if v >= 0 else ~v).bit_length() for v in values) // 8 + 1
+
+
+class TestPacked:
+    """``_packed`` is the inverse of ``_digits``, and packed integers add
+    and multiply as the polynomials whose digits they hold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=st.integers(1, 3).flatmap(lambda width: st.tuples(
+        st.just(width), st.lists(st.one_of(
+            st.sampled_from([-(2 ** (8 * width - 1)), 2 ** (8 * width - 1) - 1,
+                             -1, 0]),
+            st.integers(-(2 ** (8 * width - 1)), 2 ** (8 * width - 1) - 1)),
+            max_size=8))))
+    @example(case=(1, [-128, 127, 0, -128, -1, 127]))
+    @example(case=(2, [-32768]))
+    def test_round_trip_to_the_edge_of_the_width(self, case):
+        width, digits = case
+        top = 2 ** (8 * width - 1)
+        packed = derivative_polys._packed(digits, width)
+        assert packed == sum(c << (8 * width * i) for i, c in enumerate(digits))
+        assert derivative_polys._digits(packed, width, len(digits)) == digits
+        with pytest.raises(OverflowError):
+            derivative_polys._packed([*digits, top], width)
+        with pytest.raises(OverflowError):
+            derivative_polys._packed([*digits, -top - 1], width)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.lists(st.integers(-300, 300), max_size=6),
+           q=st.lists(st.integers(-300, 300), max_size=6))
+    @example(p=[-128], q=[1])  # a product digit at the lower edge
+    @example(p=[127, -128], q=[-1, 1])
+    def test_products_and_sums_at_the_tight_width(self, p, q):
+        """At the fewest bytes that hold every digit of the inputs and of
+        the results, the packed sum and product read back as the ``Poly``
+        sum and product, negative digits included."""
+        total, product = Poly(p) + Poly(q), Poly(p) * Poly(q)
+        width = _tight_width([0, *p, *q, *total._coeffs, *product._coeffs])
+        count = len(p) + len(q)
+        pp, pq = (derivative_polys._packed(x, width) for x in (p, q))
+        for packed, poly in ((pp + pq, total), (pp * pq, product)):
+            assert Poly._over(derivative_polys._digits(packed, width, count),
+                              1) == poly
 
 
 class TestCombinatorialPolynomials:

@@ -37,12 +37,14 @@ def test_tracer_wraps_and_restores_its_targets():
     try:
         tracer.install(derivpoly)
         tracer.new_run()
-        assert all(v.passed for v in verify.run_suite("theorem3", n_max=3))
+        # theorem 3 reads S at u0 from its row, so the S integrals build it
+        assert all(v.passed for v in verify.run_suite(
+            "integrals", n_max=3, a=0, b=1, d="1/3"))
         spans = tracer.summary()
     finally:
         tracer.uninstall()
     assert spans["derivative_polys.build_S"][0] > 0
-    assert spans["verify.suite.theorem3"][0] == 1
+    assert spans["verify.suite.integrals"][0] == 1
     for (owner, name), fn in originals.items():
         assert vars(owner)[name] is fn
 
@@ -50,7 +52,10 @@ def test_tracer_wraps_and_restores_its_targets():
 def test_tracer_counts_builders_over_cold_verify_all():
     """One cold ``run_suite("all")`` under the tracer: every builder gets
     spans, and the repeat counters, which key on ``params.a``, ``params.b``
-    and ``d`` of each ``RiccatiParams``, count repeats of all three."""
+    and ``d`` of each ``RiccatiParams``, count repeats of P and Q.  No S
+    lookup repeats: theorem 3 and the closed forms read S at u0 from its
+    row, and the S integrals and the integrality check each look up their
+    own (n, a, b, d)."""
     originals = {(owner, f"build_{x}"): getattr(owner, f"build_{x}")
                  for owner in (verify, derivative_polys) for x in "PQS"}
     originals[(verify, "run_suite")] = verify.run_suite
@@ -67,8 +72,10 @@ def test_tracer_counts_builders_over_cold_verify_all():
     assert len(verdicts) == 341 and all(v.passed for v in verdicts)
     for x in "PQS":
         assert spans[f"derivative_polys.build_{x}"][0] > 0, x
+    for x in "PQ":
         assert 0 < tracer.counts[f"derivative_polys.build_{x}.repeats"] < \
             spans[f"derivative_polys.build_{x}"][0], x
+    assert tracer.counts["derivative_polys.build_S.repeats"] == 0
     assert spans["verify.suite.all"][0] == 1
     for (owner, name), fn in originals.items():
         assert vars(owner)[name] is fn

@@ -262,6 +262,64 @@ class TestEgfChecks:
             assert g == sum((math.comb(n, k) * rate ** (n - k) * fs[k]
                              for k in range(n + 1)), Fraction(0))
 
+    @settings(max_examples=60, deadline=None)
+    @given(fs=st.lists(st.lists(st.integers(-2**15, 2**15), max_size=5),
+                       min_size=1, max_size=7),
+           rate=st.lists(st.integers(-3, 3), max_size=3))
+    @example(fs=[[-2**15]], rate=[])  # a digit at the lower edge
+    @example(fs=[[2**15 - 1, -2**15], [-2**15, 2**15 - 1]], rate=[1])
+    def test_packed_pascal_pass_is_the_poly_pass(self, fs, rate):
+        """On integer polynomials packed at the fewest bytes that hold
+        every digit of the data and of the result, so that negative digits
+        sit at the edge of the width, the Pascal pass with a packed rate
+        reads back as the pass on ``Poly`` objects."""
+        polys = V._exp_transform([Poly(f) for f in fs], Poly(rate))
+        digits = [0, *rate, *(c for f in fs for c in f),
+                  *(c for g in polys for c in g._coeffs)]
+        width = max((v if v >= 0 else ~v).bit_length() for v in digits) // 8 + 1
+        packed = V._exp_transform([derivative_polys._packed(f, width)
+                                   for f in fs],
+                                  derivative_polys._packed(rate, width))
+        count = max(map(len, fs)) + len(fs) * max(len(rate), 1)
+        assert [Poly._over(derivative_polys._digits(g, width, count), 1)
+                for g in packed] == polys
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=_RING_ELEMENTS, c=_RING_ELEMENTS, d=_RING_ELEMENTS,
+           rate=_RING_ELEMENTS, rate1=_RING_ELEMENTS,
+           order=st.integers(1, 8), fault=st.none() | st.tuples(
+               st.integers(0, 8), st.integers(0, 2), st.integers(-2, 2)))
+    @example(p=Poly((1, -1)), c=0, d=1, rate=Poly((0, 2)), rate1=Fraction(1, 2),
+             order=8, fault=(7, 1, 1))
+    def test_packed_check_is_the_poly_check(self, p, c, d, rate, rate1,
+                                             order, fault):
+        """``_check_egf`` on packed integers gives the verdict, first
+        failure and witness that the same comparison gives on ``Poly`` and
+        ``Fraction`` objects.  The data hold exactly: F_n = p rate1^n makes
+        (sum F_n t^n/n!) (c + d e^(rate t)) equal c p + d p e^((rate +
+        rate1) t) when c = 0 or rate1 = 0; ``fault`` adds k x^i to F_j, so
+        a coefficient from j on differs."""
+        if rate1 != 0:
+            c = 0
+        fs = [p * rate1 ** n if n else p for n in range(order + 1)]
+        if fault is not None and fault[0] <= order:
+            j, i, k = fault
+            fs[j] = fs[j] + k * X ** i
+        mult, expected = (c, d, rate), (c * p, d * p, rate + rate1)
+        polys = any(isinstance(v, Poly) for v in (*fs, *mult, *expected))
+        side = Poly._coerce if polys else Fraction
+        gs = V._exp_transform(fs, rate)
+
+        def pairs():
+            yield 0, side(c * fs[0] + d * gs[0]), side(c * p + d * p)
+            for n in range(1, order + 1):
+                inverse = Fraction(1, math.factorial(n))
+                yield (n, side((c * fs[n] + d * gs[n]) * inverse),
+                       side(d * p * (rate + rate1) ** n * inverse))
+
+        assert V._check_egf("egf", fs.__getitem__, order, mult, expected) == \
+            V._scan("egf", {"order": order}, pairs())
+
     def test_macmahon_needs_the_doubled_exponent(self):
         """The README's note: without the doubled exponent the MacMahon EGF
         check fails already at order 1, since M_1(x) = 1 + x."""
@@ -293,17 +351,49 @@ class TestPolynomialIdentities:
         assert all(V.check_lemma1(n).passed for n in range(1, 16))
 
     def test_classical_range(self):
-        assert all(V.check_classical(n).passed for n in range(1, 16))
+        assert all(v.passed for v in V._classical_verdicts(range(1, 16)))
 
     def test_mutation_is_detected(self, mutated_eulerian_recurrence):
         assert not all(V.check_lemma1(n).passed for n in range(1, 16))
-        assert not all(V.check_classical(n).passed for n in range(1, 16))
+        assert not all(v.passed for v in V._classical_verdicts(range(1, 16)))
 
     def test_mutation_fails_classical_at_every_n(self, mutated_eulerian_recurrence):
-        """Row 1 is the only correct row left, so the integer-row sum must
+        """Row 1 is the only correct row left, so the packed row sum must
         fail every n from 2 to the verify-deep bound 40."""
-        failing = [n for n in range(1, 41) if not V.check_classical(n).passed]
+        failing = [v.params["n"] for v in V._classical_verdicts(range(1, 41))
+                   if not v.passed]
         assert failing == list(range(2, 41))
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.integers(-10**6, 10**6).flatmap(
+        lambda top: st.lists(st.integers(-abs(top), abs(top)), min_size=1,
+                             max_size=6)), min_size=1, max_size=12))
+    @example(rows=[[1], [1, 1], [1, 4, 1]])
+    @example(rows=[[-128], [127, -128], [-128] * 3])
+    def test_packed_sum_is_the_poly_sum(self, rows):
+        """With any integer rows of either sign in place of the Eulerian
+        ones, each packed verdict, its witness included, is the verdict of
+        the same identity summed by Horner's rule in x-1 on ``Poly``
+        objects."""
+        table = [(1,), *map(tuple, rows)]
+
+        def poly_sum(name, family, n):
+            acc = family(0)
+            for k in range(1, n):
+                acc = acc * (X - 1) + math.comb(n, k) * family(k)
+            lhs = family(n)
+            return ((None, lhs, acc) if lhs == acc else
+                    (None, f"{name}: {lhs}", f"{name}: {acc}"))
+
+        families = (("E", lambda k: Poly((0, *table[max(k, 1)]))),
+                    ("A", lambda k: Poly(table[k])))
+        ns = range(1, len(rows) + 1)
+        expected = [V._scan("classical", {"n": n}, (
+            poly_sum(name, family, n) for name, family in families))
+            for n in ns]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(V, "eulerian_row", table.__getitem__)
+            assert list(V._classical_verdicts(ns)) == expected
 
 
 def _of(identity, verdicts):
