@@ -185,6 +185,19 @@ def test_mutation_of_horner_kernel_fails_built_families(mutated_horner_kernel):
     assert not failed & {"theorem1", "theorem2", "theorem3"}
 
 
+def test_mutation_of_horner_kernel_fails_theorems(mutated_horner_kernel,
+                                                  monkeypatch):
+    """An off-by-one coefficient in the P/Q Horner kernel fails theorem 1
+    (P against the u oracle) and theorem 2 (Q against the v oracle) when
+    the theorems read the built members at u0: the fault is one the
+    paper's statements catch, not only the checks that build a family."""
+    builders = {"P": build_P, "Q": build_Q, "S": build_S}
+    monkeypatch.setattr(V, "family_value", lambda letter, n, params, u:
+                        builders[letter](n, params).eval(u))
+    for theorem in ("theorem1", "theorem2"):
+        assert not all(v.passed for v in V.run_suite(theorem))
+
+
 def test_mutation_of_family_value_fails_theorems(mutated_family_value):
     """An off-by-one value at u0 fails theorem 1 (P against the u oracle),
     theorems 2 and 3 (Q and S against the v oracle) and the closed forms."""
