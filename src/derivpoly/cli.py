@@ -24,9 +24,9 @@ from __future__ import annotations
 import atexit
 import os
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import NoReturn, Optional, Sequence
 
 from .derivative_polys import FAMILIES, family_poly
 from .exact import UsageError, parse_rational
@@ -283,7 +283,7 @@ def parse_args(argv: Sequence[str]) -> SimpleNamespace:
         name.lstrip("-").replace("-", "_"): value for name, value in values.items()})
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     """Run one command of ``argv`` (default ``sys.argv[1:]``).  Bad input,
     from the parser or as the library's ``UsageError``, is a usage error: a
     message on stderr and exit 2; any other exception propagates.  The
@@ -312,8 +312,9 @@ def _drop_stdout() -> int:
     return 1
 
 
-def run(argv: Optional[Sequence[str]] = None) -> NoReturn:
-    """Run ``main`` as a whole process and end it, without CPython's teardown.
+def run(argv: Sequence[str] | None = None) -> None:
+    """Run ``main`` as a whole process and end it, without CPython's teardown;
+    it never returns.
 
     The exit code is what ``main`` returns or the code of its
     ``SystemExit``.  The ``atexit`` handlers run and stdout and stderr are

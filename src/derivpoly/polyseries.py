@@ -8,11 +8,11 @@ coefficients; a Poly, a float or any other value is a TypeError.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Iterable, Optional, Union
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class Poly:
@@ -75,7 +75,7 @@ class Poly:
         return Fraction(0)
 
     @staticmethod
-    def _coerce(value: object) -> Optional["Poly"]:
+    def _coerce(value: object) -> "Poly | None":
         if isinstance(value, Poly):
             return value
         if isinstance(value, (int, Fraction)):

@@ -14,8 +14,8 @@ with no locks.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
-from typing import Iterator
 
 from .exact import UsageError
 from .polyseries import Poly
@@ -125,8 +125,9 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 _BERNOULLI_POLYS: dict[int, Poly] = {}
 #: The P, Q and S families of ``derivative_polys``, built from the triangles
 #: and dropped with their rows.  It pays: in-process ``verify all`` takes
-#: 1.13-1.14x the CPU time without the P/Q/S memo (three rounds, each the
-#: best of 9 cold runs per setting; 2-vCPU host, CPython 3.11.7).
+#: 1.11-1.17x the CPU time without the P/Q/S memo, median 1.13x (11 of 12
+#: rounds, each the best of 9 cold runs per setting; 2-vCPU host, CPython
+#: 3.11.7).
 FAMILY_CACHE: dict[tuple, Poly] = {}
 
 

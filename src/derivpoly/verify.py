@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable, Optional
 
 from .derivative_polys import (
     RiccatiParams,
@@ -51,12 +51,10 @@ DEFAULT_EGF_ORDER = 10
 DEFAULT_POLY_ID_N = 15
 DEFAULT_INTEGRAL_N = 20
 DEFAULT_INTEGRAL_S_N = 12
-DEFAULT_SYMMETRIC_N = 16
 DEFAULT_GV_M = 8
 DEFAULT_GV_NUMERIC_M = 3
 DEFAULT_GV_TOL = 1e-8
 DEFAULT_RELATION_N = 12
-DEFAULT_HOMOGENEITY_N = 10
 
 #: (r, a, b, u0) oracle instances; the third is the logistic instance
 #: q=2, p=3, s=1 mapped to Riccati form.
@@ -83,8 +81,6 @@ SUBSTITUTION_SAMPLES = (
     Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3, 7), Fraction(-5, 3),
 )
 
-HOMOGENEITY_LAMBDAS = (Fraction(2), Fraction(-3), Fraction(1, 5))
-
 RELATION_PARAM_PAIRS = (
     (Fraction(0), Fraction(1)),
     (Fraction(-2, 3), Fraction(3, 2)),
@@ -102,8 +98,8 @@ class Verdict(Record):
     __hash__ = None
 
     def __init__(self, identity: str, params: dict, passed: bool,
-                 first_failure: Optional[int] = None,
-                 witness: Optional[dict] = None, inconclusive: bool = False):
+                 first_failure: int | None = None,
+                 witness: dict | None = None, inconclusive: bool = False):
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "passed", passed)
@@ -188,7 +184,7 @@ def instance(r, a, b, u0, *, d=0, v0=1, order=DEFAULT_ORACLE_ORDER) -> OracleIns
 
 
 def _scaled_parameters(a: Fraction, b: Fraction, u0: Fraction,
-                       d: Optional[Fraction] = None) -> tuple[int, ...]:
+                       d: Fraction | None = None) -> tuple[int, ...]:
     """(q, alpha, beta, mu, eta): one denominator q with a = alpha/q,
     b = beta/q, u0 = mu/q and h = d - (a+b)/2 = eta/q.  Without d, h is 0:
     u never reads d, so its q covers a, b and u0 only."""
@@ -198,7 +194,7 @@ def _scaled_parameters(a: Fraction, b: Fraction, u0: Fraction,
 
 
 def series_height(r: Fraction, a: Fraction, b: Fraction, u0: Fraction,
-                  d: Optional[Fraction] = None) -> int:
+                  d: Fraction | None = None) -> int:
     """About how many bits coefficient n of either series oracle gains per
     step of n, beyond the log2(n) of n!: the bit length of the largest of
     ``_scaled_parameters``' integers, which set the growth of x_n, plus that
@@ -443,41 +439,31 @@ def check_lemma1(n: int) -> Verdict:
 
 
 def _classical_verdicts(ns: range):
-    """The classical verdict for each n of ns, ascending: F_n == sum_{k<n}
-    C(n,k) F_k (x-1)^(n-1-k) for the Eulerian polynomials F = E, with E_1
-    standing in for E_0, and F = A.
+    """The classical verdict for each n of ns, ascending: A_n == sum_{k<n}
+    C(n,k) A_k (x-1)^(n-1-k) for the Eulerian polynomials A.
 
     Each Eulerian row up to the largest n is packed once into one int at
-    x = 2^K (``_packed``), and E's rows are A's times x, a shift by K.  The
-    sum runs by Horner's rule in x-1, each step (acc << K) - acc + C(n,k)
-    row_k, and is compared with row n as one integer.  With s the largest
-    L1 norm of the rows, every digit of either side is at most s 3^n (the
-    weights C(n,k) 2^(n-1-k) sum to less than 3^n), so K bounds s 3^N for
-    the largest n = N and the comparison is exact.  Only when the sides
-    differ are they unpacked and written as the labelled texts ``E: [...]``
-    or ``A: [...]``, the witness.
+    x = 2^K (``_packed``).  The sum runs by Horner's rule in x-1, each step
+    (acc << K) - acc + C(n,k) A_k, and is compared with A_n as one integer.
+    With s the largest L1 norm of the rows, every digit of either side is at
+    most s 3^n (the weights C(n,k) 2^(n-1-k) sum to less than 3^n), so K
+    bounds s 3^N for the largest n = N and the comparison is exact.  Only
+    when the sides differ are they unpacked (``_unpacked``), as the witness.
     """
     top = ns[-1]
     rows = [(1,), *map(eulerian_row, range(1, top + 1))]
     norm = max(sum(map(abs, row)) for row in rows)
     width = (norm * 3 ** top).bit_length() // 8 + 1
     k = 8 * width
-    a_rows = [_packed(row, width) for row in rows]
-    e_rows = [row << k for row in (a_rows[1], *a_rows[1:])]
-
-    def sides(name, fs, n):
+    fs = [_packed(row, width) for row in rows]
+    for n in ns:
         acc = fs[0]
         for j in range(1, n):
             acc = (acc << k) - acc + math.comb(n, j) * fs[j]
-        if acc == fs[n]:
-            return None, fs[n], acc
-        return (None, f"{name}: {_unpacked(fs[n], width, 1)}",
-                f"{name}: {_unpacked(acc, width, 1)}")
-
-    for n in ns:
-        yield _scan("classical", {"n": n},
-                    (sides(name, fs, n) for name, fs in (("E", e_rows),
-                                                         ("A", a_rows))))
+        lhs, rhs = fs[n], acc
+        if lhs != rhs:
+            lhs, rhs = (_unpacked(side, width, 1) for side in (lhs, rhs))
+        yield _scan("classical", {"n": n}, [(None, lhs, rhs)])
 
 
 def _integral_verdicts(family: str, ns: range, a, b, d=0):
@@ -513,14 +499,6 @@ _PM1 = RiccatiParams(Fraction(1), Fraction(-1), Fraction(1))
 _ONE_MINUS_U2 = Poly((1, 0, -1))
 
 
-def check_integral_P_symmetric(n: int) -> Verdict:
-    """(-1)^(n-1) * integral_{-1}^{1} P_n(u;-1,1) du == (-1)^n 2^(n+1) B_n."""
-    sign = -1 if n % 2 == 0 else 1
-    lhs = sign * build_P(n, _PM1).definite_integral(-1, 1)
-    rhs = (-sign) * 2 ** (n + 1) * bernoulli_number(n)
-    return _scan("integral_P_symmetric", {"n": n}, [(n, lhs, rhs)])
-
-
 def grosset_veselov_exact(m: int) -> Verdict:
     """Even Bernoulli numbers from the squared P family, fully exactly.
 
@@ -552,6 +530,9 @@ def grosset_veselov_exact(m: int) -> Verdict:
 
 #: The finest grid of one quadrature: 40 unit steps halved 12 times.
 QUADRATURE_MAX_STEPS = 40 * 2 ** 12
+#: The rounding allowance of ``_trapezoid``'s convergence test, in ulps of
+#: the sum.
+ROUNDING_ULPS = 8
 
 
 def _trapezoid(f, tol: float) -> tuple[float, bool]:
@@ -559,9 +540,9 @@ def _trapezoid(f, tol: float) -> tuple[float, bool]:
 
     Starts at 40 unit steps, and each round adds the midpoints, halving the
     step, until two successive sums differ by at most tol/2 less a rounding
-    allowance of 8 ulps of the sum.  The allowance keeps two sums that
-    agree only because rounding has stalled them from passing a tolerance
-    below the sum's precision.  A grid finer than QUADRATURE_MAX_STEPS is
+    allowance of ROUNDING_ULPS ulps of the sum.  The allowance keeps two
+    sums that agree only because rounding has stalled them from passing a
+    tolerance below the sum's precision.  A grid finer than QUADRATURE_MAX_STEPS is
     not tried, and the result is then flagged non-converged.
     """
     steps, h = 40, 1.0
@@ -572,15 +553,26 @@ def _trapezoid(f, tol: float) -> tuple[float, bool]:
         inner += math.fsum(f(-20.0 + (k + 0.5) * h) for k in range(steps))
         steps, h = 2 * steps, h / 2
         last, value = value, h * (ends + inner)
-        if abs(value - last) <= tol / 2 - 8 * math.ulp(value):
+        if abs(value - last) <= tol / 2 - ROUNDING_ULPS * math.ulp(value):
             return value, True
     return value, False
 
 
 def _check_tol(tol: float) -> None:
-    # The targets are 4/3, 16/15, 64/21: tol >= 1 would pass a zero integral.
+    """Refuse a tol that the numeric cross-checks cannot honour.  The
+    targets are 2^(2m+1) |B_2m| = 4/3, 16/15, 64/21, so tol >= 1 would pass
+    a zero integral; and ``_trapezoid`` accepts no sum near a target
+    unless tol/2 exceeds its rounding allowance there, so a tol at or below
+    twice that allowance at the largest target would only ever be
+    inconclusive."""
     if not 0 < tol < 1:
         raise UsageError(f"tol must be positive and below 1, got {tol}")
+    least = max(2 * ROUNDING_ULPS
+                * math.ulp(2 ** (2 * m + 1) * float(bernoulli_number(2 * m)))
+                for m in range(1, DEFAULT_GV_NUMERIC_M + 1))
+    if tol <= least:
+        raise UsageError(f"tol must exceed {least!r}, {2 * ROUNDING_ULPS} "
+                         f"ulps of the largest target, got {tol}")
 
 
 def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
@@ -647,38 +639,6 @@ def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
         yield _scan(f"substitution_{family}", {**text, "n": n}, (
             (None, x_poly.eval(x), u_poly.eval(u) / powers[power])
             for u, x, powers in points))
-
-
-def _homogeneity_Q_verdicts(ns: range, params: RiccatiParams):
-    """The homogeneity_Q verdict at ``params`` for each n of ns, ascending:
-    Q_n(lam*u; lam*a, lam*b) == lam^n * Q_n(u; a, b) at the sample points u,
-    for each lam of HOMOGENEITY_LAMBDAS.
-
-    The scaled records and sample points and the params text are formed
-    once per lam, and lam^n advances by one product per n.  Q_n(u) is
-    evaluated once per sample; the pairs run over lam, then over the
-    samples.
-    """
-    a, b = params.a, params.b
-    text = _params(r=params.r, a=a, b=b)
-    lambdas = [str(lam) for lam in HOMOGENEITY_LAMBDAS]
-    scaled = [(RiccatiParams(params.r, lam * a, lam * b),
-               [lam * u for u in SUBSTITUTION_SAMPLES])
-              for lam in HOMOGENEITY_LAMBDAS]
-    powers = [lam ** ns.start for lam in HOMOGENEITY_LAMBDAS]
-    for n in ns:
-        q = build_Q(n, params)
-        values = [q.eval(u) for u in SUBSTITUTION_SAMPLES]
-
-        def pairs():
-            for (lam_params, points), lam_n in zip(scaled, powers):
-                q_lam = build_Q(n, lam_params)
-                for u, value in zip(points, values):
-                    yield None, q_lam.eval(u), lam_n * value
-
-        yield _scan("homogeneity_Q", {**text, "n": n, "lambdas": lambdas},
-                    pairs())
-        powers = [p * lam for p, lam in zip(powers, HOMOGENEITY_LAMBDAS)]
 
 
 def check_integrality(n: int) -> Verdict:
@@ -800,12 +760,6 @@ def suite_egf(order: int = DEFAULT_EGF_ORDER, u0=Fraction(1, 3)) -> list[Verdict
         # weights doubles the denominator exponent.
         ("egf_macmahon", build_M, (1, -X, one_minus_x * 2),
          (0, one_minus_x, one_minus_x), {}),
-        # (sum 2^-n M_n(x) y^n/n!) * (1 - x e^((1-x)y)) == (1-x) e^((1-x)y/2):
-        # the direct substituted form (the Eulerian row's multiplier); the
-        # unhalved row above is this one with y doubled.
-        ("egf_macmahon_halved", lambda n: build_M(n) * Fraction(1, 2 ** n),
-         (1, -X, one_minus_x),
-         (0, one_minus_x, one_minus_x * Fraction(1, 2)), {}),
         # (sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1.
         ("closed_form_f", lambda n: family_value("P", n + 1, _BASE01, u0),
          (u0, 1 - u0, 1), (u0, 0, 0), {"u0": u0}),
@@ -830,16 +784,15 @@ def suite_classical(n_max: int = DEFAULT_POLY_ID_N) -> list[Verdict]:
     return list(_classical_verdicts(_upto(n_max)))
 
 
-def suite_integrals(n_max: Optional[int] = None,
+def suite_integrals(n_max: int | None = None,
                     a=None, b=None, d=None) -> list[Verdict]:
     """P/Q/S integral identities.
 
-    With an explicit (a, b) only that pair is exercised (and only P/Q/S, with
-    shift d, default 0); otherwise the default pairs, including a
-    reversed-orientation one, plus the symmetric-interval reduction on
-    (-1, 1).  A given n_max bounds every verdict.  Without it, P/Q run to
-    DEFAULT_INTEGRAL_N, S to DEFAULT_INTEGRAL_S_N (DEFAULT_INTEGRAL_N with a
-    pair) and the symmetric reduction to DEFAULT_SYMMETRIC_N.
+    With an explicit (a, b) only that pair is exercised (with shift d for S,
+    default 0); otherwise the default pairs, including the symmetric
+    interval (-1, 1) and a reversed-orientation one.  A given n_max bounds
+    every verdict.  Without it, P/Q run to DEFAULT_INTEGRAL_N and S to
+    DEFAULT_INTEGRAL_S_N (DEFAULT_INTEGRAL_N with a pair).
     """
     if (a is None) != (b is None):
         raise UsageError("a and b must be given together")
@@ -851,17 +804,14 @@ def suite_integrals(n_max: Optional[int] = None,
     if n_max is None:
         n_max = DEFAULT_INTEGRAL_N
         s_n = n_max if explicit else DEFAULT_INTEGRAL_S_N
-        sym_n = DEFAULT_SYMMETRIC_N
     else:
-        s_n = sym_n = n_max
+        s_n = n_max
     ns = _upto(n_max)
     out = [v for pa, pb in pairs for v in _integral_verdicts("P", ns, pa, pb)]
     out += [v for pa, pb in pairs
             for v in _integral_verdicts("Q", range(n_max + 1), pa, pb)]
     out += [v for pa, pb, pd in triples
             for v in _integral_verdicts("S", _upto(s_n), pa, pb, pd)]
-    if not explicit:
-        out += [check_integral_P_symmetric(n) for n in _upto(sym_n)]
     return out
 
 
@@ -874,17 +824,15 @@ def suite_grosset_veselov(m_max: int = DEFAULT_GV_M,
     return out
 
 
-def suite_relations(n_max: Optional[int] = None) -> list[Verdict]:
-    """Triangle self-consistency at fixed rows, and the substitution,
-    homogeneity and integrality relations.  A given n_max bounds every
-    relation; without it, substitution runs to DEFAULT_RELATION_N,
-    homogeneity to DEFAULT_HOMOGENEITY_N and integrality to
+def suite_relations(n_max: int | None = None) -> list[Verdict]:
+    """Triangle self-consistency at fixed rows, and the substitution and
+    integrality relations.  A given n_max bounds every relation; without it,
+    substitution runs to DEFAULT_RELATION_N and integrality to
     DEFAULT_INTEGRAL_N."""
     if n_max is None:
-        sub_n, hom_n, int_n = (DEFAULT_RELATION_N, DEFAULT_HOMOGENEITY_N,
-                               DEFAULT_INTEGRAL_N)
+        sub_n, int_n = DEFAULT_RELATION_N, DEFAULT_INTEGRAL_N
     else:
-        sub_n = hom_n = int_n = n_max
+        sub_n = int_n = n_max
     sub_ns = _upto(sub_n)
     out: list[Verdict] = [
         check_eulerian_triangle(),
@@ -896,7 +844,6 @@ def suite_relations(n_max: Optional[int] = None) -> list[Verdict]:
         out.extend(_substitution_verdicts("E", sub_ns, params, points))
         out.extend(_substitution_verdicts("M", range(sub_n + 1), params,
                                           points))
-        out.extend(_homogeneity_Q_verdicts(_upto(hom_n), params))
     out.extend(check_integrality(n) for n in _upto(int_n))
     return out
 

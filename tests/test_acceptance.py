@@ -79,9 +79,9 @@ def test_criterion_4_egf_suites():
     assert [(v.identity, v.params.get("u0"), v.params.get("d"))
             for v in verdicts] == [
         ("egf_eulerian", None, None), ("egf_a", None, None),
-        ("egf_macmahon", None, None), ("egf_macmahon_halved", None, None),
-        ("closed_form_f", "1/3", None), ("closed_form_h", "1/3", "0"),
-        ("closed_form_h", "1/3", "1/4"), ("closed_form_h", "1/3", "-1/2")]
+        ("egf_macmahon", None, None), ("closed_form_f", "1/3", None),
+        ("closed_form_h", "1/3", "0"), ("closed_form_h", "1/3", "1/4"),
+        ("closed_form_h", "1/3", "-1/2")]
     for verdict in verdicts:
         assert verdict.passed, verdict.to_json_obj()
     assert time.perf_counter() - start < 5.0
@@ -211,7 +211,7 @@ def test_mutation_of_poly_eval_fails_verify_all(mutated_poly_eval):
     the integer evaluation layer is reached by the verdicts that evaluate a
     built polynomial, and by no theorem."""
     failed = {v.identity for v in V.run_suite("all") if not v.passed}
-    assert {"integral_Q", "substitution_E", "homogeneity_Q"} <= failed
+    assert {"integral_Q", "substitution_E", "substitution_M"} <= failed
     assert not failed & {"theorem1", "theorem2", "theorem3"}
 
 
@@ -237,8 +237,7 @@ def test_mutation_of_exp_transform_fails_verify_all(mutated_exp_transform):
     3, whose v oracle sums by the same transform, but not theorem 1."""
     failed = {v.identity for v in V.run_suite("all") if not v.passed}
     assert failed == {"closed_form_f", "closed_form_h", "egf_a",
-                      "egf_eulerian", "egf_macmahon", "egf_macmahon_halved",
-                      "theorem2", "theorem3"}
+                      "egf_eulerian", "egf_macmahon", "theorem2", "theorem3"}
 
 
 def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
@@ -252,7 +251,7 @@ def test_mutation_of_series_oracle_fails_verify_all(mutated_series_oracle):
                          [(name, row[3]) for name, row in FAULTS.items()])
 def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault,
                                                        failing):
-    """Each fault of ``FAULTS`` fails exactly its pinned number of the 341
+    """Each fault of ``FAULTS`` fails exactly its pinned number of the 304
     ``verify all`` verdicts, in exactly its pinned identities.  The
     ``test_mutation_of_*`` tests above state, apart from these measured
     pins, the identities a fault must reach by what each check reads."""
@@ -260,7 +259,7 @@ def test_kernel_fault_fails_pinned_share_of_verify_all(request, fault,
     request.getfixturevalue(fault)
     verdicts = V.run_suite("all")
     failed = [v.identity for v in verdicts if not v.passed]
-    assert (len(failed), len(verdicts)) == (failing, 341)
+    assert (len(failed), len(verdicts)) == (failing, 304)
     assert set(failed) == identities
 
 
@@ -289,13 +288,12 @@ def _census() -> set:
 UNFAULTED = {
     **dict.fromkeys([
         *(f"verify.check_{name}" for name in (
-            "theorem", "lemma1", "integral_P_symmetric",
-            "integrality", "eulerian_triangle", "macmahon_triangle")),
+            "theorem", "lemma1", "integrality", "eulerian_triangle",
+            "macmahon_triangle")),
         "verify.grosset_veselov_exact", "verify.grosset_veselov_numeric",
         "verify._check_egf", "verify._classical_verdicts",
         "verify._substitution_verdicts", "verify._substitution_points",
         "verify._claim", "verify._integral_verdicts",
-        "verify._homogeneity_Q_verdicts",
     ], "a check or its comparison: it states what a fault must break"),
     "derivative_polys._unpacked":
         "reads a failing side back for its witness: the fault digests of "
@@ -311,9 +309,9 @@ UNFAULTED = {
         "verify.run_suite", "verify._suite_all", "verify._verdict_sort_key",
         "verify.instance", "verify._oracle_instances", "verify._params",
         "verify._upto", "verify._check_tol",
-    ], "runs, labels or validates checks: the count of 341 pins it"),
+    ], "runs, labels or validates checks: the count of 304 pins it"),
     "verify.json_object":
-        "labels checks: the count of 341 and test_cli's csv and json digests "
+        "labels checks: the count of 304 and test_cli's csv and json digests "
         "pin it",
     **dict.fromkeys([
         "special_numbers.eulerian", "special_numbers.eulerian_row",

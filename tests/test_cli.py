@@ -1,8 +1,12 @@
 import ast
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import inspect
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +14,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import derivpoly.cli as cli
 import derivpoly.verify as verify_mod
@@ -460,10 +466,8 @@ class TestVerify:
         assert len(out.splitlines()) == 37
 
     @pytest.mark.parametrize("suite, bound, bounded", [
-        ("relations", 1, {"substitution_E", "substitution_M", "homogeneity_Q",
-                          "integrality"}),
-        ("integrals", 2, {"integral_P", "integral_Q", "integral_S",
-                          "integral_P_symmetric"}),
+        ("relations", 1, {"substitution_E", "substitution_M", "integrality"}),
+        ("integrals", 2, {"integral_P", "integral_Q", "integral_S"}),
     ])
     def test_n_max_bounds_every_verdict(self, capsys, suite, bound, bounded):
         code, out = run_cli(capsys, "verify", suite, "--n-max", str(bound),
@@ -538,9 +542,9 @@ class TestVerify:
         assert first == second
 
     @pytest.mark.parametrize("fmt, digest", [
-        ("plain", "849973269dea95b10042f22340cd40dd5da5698f19f5a7911112dcecec490dfc"),
-        ("json", "9b3088caf0f9be3c9cfcab4e88a03650b64cf213cb47294859f166cf26397263"),
-        ("csv", "a3fc5f37d5f2e116be562dac6b944e9a94a5e07ac4d928d134e1dffbd5110662"),
+        ("plain", "4023c838e8c35c3b1d0071e15a408e5c149fe18269520586f3dd2892a09d070d"),
+        ("json", "adcc5acb5358aba21d3a3d2bda9e5e2cb1741dae3e907775b8ede29dd88eb99a"),
+        ("csv", "293e1d4a5d0cf19305b28117e2d401074d3b79ca62f9ed5b6f1de73d601c62df"),
     ])
     def test_verify_all_output_pinned(self, capsys, fmt, digest):
         """``verify all`` stdout is pinned byte for byte in every format."""
@@ -561,9 +565,9 @@ class TestVerify:
         (GV_40, "plain", "4e0696f50a0ce566ad01a3f3e4f95b7e468db47154ce008986347b12027b98a3"),
         (GV_40, "json", "a0c3e02be86965e11e2172a7aeb54e9fa076c41e3016572272a8f6ab7ee88e08"),
         (GV_40, "csv", "69cafa3d703ff7e58e77c9f6c4c8953cde64212dffd18309ab5b3aabb165d3de"),
-        (EGF_16, "plain", "8928c481e6047b66ea2c4613ec6ec3cb1812b2e94c568345437549a6571c771f"),
-        (EGF_16, "json", "2923935413e931a02f64ae8fb68048f2e9cb7a8cc8df620ca11ab96e9e1d0754"),
-        (EGF_16, "csv", "d8bc32f559c703441b0add62c57a560c405b5bac081a193f0b1bd935c6fb5573"),
+        (EGF_16, "plain", "12ea74046a793b6d68b5514b7cbdbad2caf139b41eb3ec656775c83305cf4700"),
+        (EGF_16, "json", "fa897ae8d84dd70aecf4aa05ce1b67e82eb2c17c83166606e587d622a6134d26"),
+        (EGF_16, "csv", "3da6f4c2478fa5cddd56b64b3f48326b73e586d10a36f2401618bea49af367f3"),
     ])
     def test_builder_suites_output_pinned(self, capsys, argv, fmt, digest):
         """The verify-deep workload's commands that read the builders or the
@@ -624,6 +628,27 @@ class TestVerify:
         assert run_cli_error(capsys, "verify", "integrals", "--d", "7") == 2
         assert run_cli_error(capsys, "verify", "theorem1", "--order", "5") == 2
 
+    def test_tol_at_or_below_the_quadrature_bound_is_refused(self, capsys):
+        """The quadrature accepts a sum only when two rounds differ by at
+        most tol/2 less 8 ulps of the sum, so a tol at or below 16 ulps of
+        the largest target, 64/21, could never pass: it is refused with exit
+        2 and an empty stdout.  One ulp above that bound the suite runs, and
+        8e-15 and the default 1e-8 pass."""
+        bound = 16 * math.ulp(64 / 21)
+        for tol in (1e-15, math.nextafter(bound, 0), bound):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.main(["verify", "grosset-veselov", "--tol", repr(tol)])
+            captured = capsys.readouterr()
+            assert (excinfo.value.code, captured.out) == (2, ""), tol
+            assert captured.err.startswith(
+                "derivpoly verify: error: tol must exceed"), tol
+        code, out = run_cli(capsys, "verify", "grosset-veselov", "--tol",
+                            repr(math.nextafter(bound, 1)))
+        assert code in (0, 1) and len(out.splitlines()) == 11
+        for tol in ("8e-15", "1e-8"):
+            assert run_cli(capsys, "verify", "grosset-veselov", "--tol",
+                           tol)[0] == 0
+
     @pytest.mark.parametrize("suite", verify_mod._SUB_SUITES)
     def test_bound_below_one_names_the_suites_option(self, capsys, suite):
         """A bound below 1 is refused under the option that the suite
@@ -650,6 +675,60 @@ class TestVerify:
 
     def test_missing_subcommand_rejected(self, capsys):
         assert run_cli_error(capsys) == 2
+
+
+def _json_status(obj: dict) -> str:
+    assert set(obj) >= {"identity", "params", "pass", "first_failure",
+                        "witness"}
+    return ("pass" if obj["pass"] else
+            "inconclusive" if obj.get("inconclusive") else "fail")
+
+
+_TOL_BOUND = 16 * math.ulp(64 / 21)
+#: (good, bad) option texts per converter: signs, zero padding and blanks
+#: that parse; NaN, infinities, a zero denominator, decimals and empty
+#: texts that do not; tolerances on either side of the quadrature's bound.
+#: Sizes stay at or below the suites' defaults.
+_TEXTS = {
+    int: (["1", "3", "8", "007", "+2", " 4"],
+          ["0", "-1", "", "1e2", "nan", "2.0"]),
+    parse_rational: (["0", "1", "-1", "1/3", "-2/3", "5/3", "+1/2", "03/6"],
+                     ["1/0", "", "nan", "inf", "0.5", "1/-3"]),
+    float: (["1e-8", "1e-12", "8e-15", repr(math.nextafter(_TOL_BOUND, 1))],
+            ["1e-15", repr(_TOL_BOUND), repr(math.nextafter(_TOL_BOUND, 0)),
+             "0", "-1e-8", "1", "nan", "inf", "-inf", "", "1e300"]),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """An argv of a command of ``COMMANDS`` (or an unknown one): mostly a
+    positional from its choices, its required options and any of the
+    others (for a suite, mostly of those it takes), each with a good text
+    for its converter three times in four, as ``--opt value`` or
+    ``--opt=value``."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "tables"]))
+    if command not in cli.COMMANDS:
+        return [command, "eulerian", "--n", "3"]
+    _, _, _, choices, options = cli.COMMANDS[command]
+    argv = [command]
+    if draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from([*choices, "nope"])))
+    pool = list(options)
+    suite = verify_mod.SUITES.get(argv[-1]) if command == "verify" else None
+    if suite is not None and draw(st.integers(0, 3)):
+        pool = ["--format", *("--" + name.replace("_", "-") for name in
+                              inspect.signature(suite).parameters)]
+    flags = [flag for flag, spec in options.items() if spec[2]]
+    flags += draw(st.lists(st.sampled_from(pool), max_size=len(pool),
+                           unique=True))
+    for flag in flags:
+        convert = options[flag][0]
+        good, bad = ((convert, ("xml", "")) if isinstance(convert, tuple)
+                     else _TEXTS[convert])
+        text = draw(st.sampled_from(good if draw(st.integers(0, 3)) else bad))
+        argv += ([f"{flag}={text}"] if draw(st.booleans()) else [flag, text])
+    return argv
 
 
 SERIES_ARGS = ("--r", "1", "--a", "0", "--b", "1", "--u0", "1/3")
@@ -774,6 +853,42 @@ class TestParser:
             args = cli.parse_args(argv)
             with pytest.raises(UsageError):
                 cli.COMMANDS[args.command][0](args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(argv=_command_lines())
+    def test_every_command_line_ends_in_output_or_a_usage_error(self, argv):
+        """Command lines drawn from ``COMMANDS``, with good and bad values
+        for each converter, end in one of two ways and never in a traceback:
+        exit 0 (or 1 for ``verify``) with well-formed output, or exit 2 with
+        an empty stdout and one ``derivpoly CMD: error:`` line."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            prog = "derivpoly " + argv[0] if argv[0] in cli.COMMANDS \
+                else "derivpoly"
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith(f"{prog}: error: ")
+            return
+        assert err == "" and out.endswith("\n")
+        if argv[0] != "verify":
+            assert code == 0
+            return
+        lines, fmt = out.splitlines(), cli.parse_args(argv).format
+        if fmt == "json":
+            statuses = [_json_status(json.loads(line)) for line in lines]
+        elif fmt == "csv":
+            statuses = [row[2] for row in csv.reader(lines) if len(row) == 6]
+        else:
+            statuses = [line.split(" ")[0].lower() for line in lines]
+        assert len(statuses) == len(lines)
+        assert set(statuses) <= {"pass", "fail", "inconclusive"}
+        assert code == (0 if set(statuses) == {"pass"} else 1)
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         """``run``, the process entry, calls ``main()`` with no argument."""
@@ -962,15 +1077,16 @@ def test_console_script_and_module_share_one_entry():
 def test_import_loads_no_dataclasses_inspect_json_or_csv():
     """Start-up stays lean: importing the CLI pulls in neither ``dataclasses``
     nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind them),
-    neither ``json`` nor ``csv``, which only their own formats load, and
-    neither ``argparse`` nor the ``gettext`` and ``locale`` behind it.  Whole
+    neither ``json`` nor ``csv``, which only their own formats load, neither
+    ``argparse`` nor the ``gettext`` and ``locale`` behind it, and not
+    ``typing``, which no annotation needs at run time.  Whole
     plain ``table`` and ``verify`` commands, run in turn, load none of them
     either (the verdicts' order needs no ``json``), nor does a json
     ``verify`` (``verify.json_object`` writes its lines), and a csv
     ``verify`` after them loads only ``csv``."""
     code = ("import sys, derivpoly.cli; "
             "lean = ('dataclasses', 'inspect', 'json', 'csv', 'argparse', "
-            "'gettext', 'locale'); "
+            "'gettext', 'locale', 'typing'); "
             "report = lambda: print(*[m for m in lean if m in sys.modules], "
             "sep=',', file=sys.stderr); "
             "report(); "

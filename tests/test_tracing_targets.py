@@ -69,7 +69,7 @@ def test_tracer_counts_builders_over_cold_verify_all():
     finally:
         tracer.uninstall()
         special_numbers.reset_caches()
-    assert len(verdicts) == 341 and all(v.passed for v in verdicts)
+    assert len(verdicts) == 304 and all(v.passed for v in verdicts)
     for x in "PQS":
         assert spans[f"derivative_polys.build_{x}"][0] > 0, x
     for x in "PQ":

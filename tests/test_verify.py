@@ -223,7 +223,6 @@ class TestEgfChecks:
         assert verdicts["egf_eulerian"].passed
         assert verdicts["egf_a"].passed
         assert verdicts["egf_macmahon"].passed
-        assert verdicts["egf_macmahon_halved"].passed
 
     def test_order_one_is_trivially_checkable(self):
         verdicts = {v.identity: v for v in V.suite_egf(1)}
@@ -377,20 +376,14 @@ class TestPolynomialIdentities:
         objects."""
         table = [(1,), *map(tuple, rows)]
 
-        def poly_sum(name, family, n):
-            acc = family(0)
+        def poly_sum(n):
+            acc = Poly(table[0])
             for k in range(1, n):
-                acc = acc * (X - 1) + math.comb(n, k) * family(k)
-            lhs = family(n)
-            return ((None, lhs, acc) if lhs == acc else
-                    (None, f"{name}: {lhs}", f"{name}: {acc}"))
+                acc = acc * (X - 1) + math.comb(n, k) * Poly(table[k])
+            return None, Poly(table[n]), acc
 
-        families = (("E", lambda k: Poly((0, *table[max(k, 1)]))),
-                    ("A", lambda k: Poly(table[k])))
         ns = range(1, len(rows) + 1)
-        expected = [V._scan("classical", {"n": n}, (
-            poly_sum(name, family, n) for name, family in families))
-            for n in ns]
+        expected = [V._scan("classical", {"n": n}, [poly_sum(n)]) for n in ns]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(V, "eulerian_row", table.__getitem__)
             assert list(V._classical_verdicts(ns)) == expected
@@ -458,9 +451,6 @@ class TestIntegralChecks:
             [{"n": 1, "a": "0", "b": "1", "d": "1/4"}]
         assert verdicts[0].passed
 
-    def test_symmetric_interval_form(self):
-        assert all(V.check_integral_P_symmetric(n).passed for n in range(1, 17))
-
     def test_index_validation(self):
         """The P and Q builders refuse an n below their families' first, so
         a stream started there raises before it compares anything."""
@@ -492,7 +482,7 @@ class TestGrossetVeselov:
     def test_numeric_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             V.grosset_veselov_numeric(4)
-        for tol in (0, math.inf, math.nan, 1.0):
+        for tol in (0, math.inf, math.nan, 1.0, 1e-15):
             with pytest.raises(ValueError):
                 V.grosset_veselov_numeric(1, tol=tol)
 
@@ -505,11 +495,14 @@ class TestGrossetVeselov:
         with pytest.raises(ValueError, match="tol"):
             V.run_suite("grosset-veselov", m_max=40, tol=tol)
 
-    def test_unreachable_tolerance_is_inconclusive(self):
-        """Below the rounding of the sums the quadrature cannot converge:
-        two equal sums must not pass as converged, so every m is
-        inconclusive, never a pass or a failed comparison."""
-        for tol in (1e-16, 1e-300):
+    def test_unreachable_tolerance_is_inconclusive(self, monkeypatch):
+        """A tolerance that the step budget cannot reach is inconclusive,
+        never a pass or a failed comparison: with one halving of the 40
+        unit steps allowed, the two sums differ by far more than tol/2 at
+        every m.  A tol below the rounding of the sums is refused before
+        any quadrature (test_cli checks that refusal)."""
+        monkeypatch.setattr(V, "QUADRATURE_MAX_STEPS", 80)
+        for tol in (1e-8, 1e-14):
             for m in (1, 2, 3):
                 verdict = V.grosset_veselov_numeric(m, tol=tol)
                 assert verdict.status == "inconclusive", (m, tol)
@@ -524,12 +517,6 @@ class TestRelationChecks:
                      if (v.params["a"], v.params["b"]) == ("0", "1")]
             assert _coverage(at_01) == {(n,) for n in range(least, 13)}
             assert all(v.passed for v in at_01)
-
-    def test_homogeneity(self):
-        verdicts = [v for v in _of("homogeneity_Q", V.suite_relations())
-                    if (v.params["a"], v.params["b"]) == ("-2/3", "3/2")]
-        assert _coverage(verdicts) == {(n,) for n in range(1, 11)}
-        assert all(v.passed for v in verdicts)
 
     def test_integrality(self):
         assert all(V.check_integrality(n).passed for n in range(0, 21))
@@ -597,7 +584,7 @@ class TestVerdicts:
             (Poly([1, 2, 3]), Poly([1, 2, 4])),  # only the top differs
             (X, Poly()),
             ((1, 4, 1), (1, 4, 2)),  # triangle rows
-            ("A: [1, 4, 1]", "A: [1, 4, 2]"),  # labelled texts
+            ("[1, 4, 1]", "[1, 4, 2]"),  # witness texts
             (Poly([1]), V._claim(Poly([1]), False, "exact division")),
         ]
         for lhs, rhs in unequal:
@@ -739,14 +726,6 @@ def _per_n_integrals(n_max, a, b, d):
             *(one("S", n, d) for n in ns)]
 
 
-def _per_n_homogeneity(n_max):
-    """The homogeneity_Q verdicts of ``suite_relations(n_max)`` from
-    single-n calls of the homogeneity stream."""
-    return [next(V._homogeneity_Q_verdicts(range(n, n + 1),
-                                           RiccatiParams(1, a, b)))
-            for a, b in V.RELATION_PARAM_PAIRS for n in range(1, n_max + 1)]
-
-
 class TestPerInstanceSuites:
     """The suites set up each parameter instance once and advance their
     powers by one product per n; their verdicts equal those of single-n
@@ -764,13 +743,6 @@ class TestPerInstanceSuites:
                       key=V._verdict_sort_key) == \
             sorted(_per_n_integrals(n_max, a, b, d), key=V._verdict_sort_key)
 
-    @settings(max_examples=8, deadline=None)
-    @given(n_max=st.integers(min_value=1, max_value=14))
-    def test_homogeneity_in_relations_matches_per_n_checks(self, n_max):
-        suite = [v for v in V.suite_relations(n_max)
-                 if v.identity == "homogeneity_Q"]
-        assert suite == _per_n_homogeneity(n_max)
-
     @pytest.mark.parametrize("fault", ["mutated_poly_eval",
                                        "mutated_tangent_numbers"])
     def test_failures_match_per_n_checks(self, request, fault):
@@ -781,9 +753,6 @@ class TestPerInstanceSuites:
         suite = V.suite_integrals(16, a, b, d)
         assert suite == _per_n_integrals(16, a, b, d)
         assert not all(v.passed for v in suite)
-        homogeneity = [v for v in V.suite_relations()
-                       if v.identity == "homogeneity_Q"]
-        assert homogeneity == _per_n_homogeneity(V.DEFAULT_HOMOGENEITY_N)
 
 
 def _verdicts_digest(verdicts) -> str:
@@ -801,8 +770,8 @@ def _verdicts_digest(verdicts) -> str:
 
 
 @pytest.mark.parametrize("fault,digest", [
-    ("mutated_eulerian_recurrence", "2742a72793f830f004a3b6395144303b59c78863556f9e95417864faab892a04"),
-    ("mutated_macmahon_recurrence", "f09ae2101e4537a1e288897a2cd6ad75aa31807d3129cede448c7234580fc8e9"),
+    ("mutated_eulerian_recurrence", "2ebff25b431d8e4042fde4cece535319e0bbfb0202a1d599c4c3fb98ead1edf2"),
+    ("mutated_macmahon_recurrence", "c7b18889ed525a9e4946610a7c784e0ed3ba71f72dc7f27a5a1d5fe63896a855"),
 ])
 def test_verdicts_under_fault_pinned(request, fault, digest):
     """Every verdict and witness of ``all`` under an injected fault is pinned."""
