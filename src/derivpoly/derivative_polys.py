@@ -43,9 +43,11 @@ class RiccatiParams(Record):
     (unrestricted, default 0) is read only by S and the v oracle.
 
     ``_ab`` and ``_abd`` are the memo key parts of (a, b) and (a, b, d),
-    built once here, so a family lookup only joins tuples."""
+    built once here, so a family lookup only joins tuples, and ``_shift``
+    is S's row shift c = 2d/(b-a), computed once here for every S member
+    and value."""
 
-    __slots__ = ("r", "a", "b", "d", "_ab", "_abd")
+    __slots__ = ("r", "a", "b", "d", "_ab", "_abd", "_shift")
 
     def __init__(self, r, a, b, d=Fraction(0)):
         r, a, b, d = map(as_fraction, (r, a, b, d))
@@ -60,6 +62,7 @@ class RiccatiParams(Record):
         ab = (_key_part(a), _key_part(b))
         object.__setattr__(self, "_ab", ab)
         object.__setattr__(self, "_abd", (*ab, _key_part(d)))
+        object.__setattr__(self, "_shift", 2 * d / (b - a))
 
 
 def _digits(packed: int, width: int, count: int) -> list[int]:
@@ -188,9 +191,10 @@ def _family_row(letter: str, n: int, params: RiccatiParams) -> tuple:
     P_n for n >= 2 reads Eulerian row n-1 padded with a zero at each end,
     against (u-a)^k (u-b)^(n-k), and P_1 = u - a is the row (0, 1).  Q_n reads
     MacMahon row n+1 against (u-b)^k (u-a)^(n-k).  S_n reads row n+1 of the
-    MacMahon triangle shifted by c = 2d/(b-a) = p/e in the same orientation,
-    which is e^n times S_n's coefficients, so its divisor is e^n.  n below
-    the family's first member (1 for P, 0 for Q and S) is a UsageError.
+    MacMahon triangle shifted by c = 2d/(b-a) = p/e (the record's
+    ``_shift``) in the same orientation, which is e^n times S_n's
+    coefficients, so its divisor is e^n.  n below the family's first member
+    (1 for P, 0 for Q and S) is a UsageError.
     """
     first = 1 if letter == "P" else 0
     if n < first:
@@ -200,7 +204,7 @@ def _family_row(letter: str, n: int, params: RiccatiParams) -> tuple:
         return (0, *eulerian_row(n - 1), 0) if n > 1 else (0, 1), a, b, 1
     if letter == "Q":
         return macmahon_row(n + 1), b, a, 1
-    c = 2 * params.d / (b - a)
+    c = params._shift
     return macmahon_row(n + 1, c), b, a, c.denominator ** n
 
 

@@ -7,9 +7,13 @@ two exact closed forms) as a lazy stream of ``(index, lhs, rhs)`` pairs, and
 ``_scan`` is the one place where they are compared: it fails at the first
 pair that differs, with that pair as the witness, and passes otherwise.  A
 property (an exact division, integer coefficients, a symmetric row) is a
-pair too, its right side from ``_claim``.  Exact paths carry no tolerance
-knobs; the one verdict decided outside ``_scan`` is the floating-point
-quadrature cross-check ``grosset_veselov_numeric``.
+pair too, its right side from ``_claim``.  A pair of rationals keeps each
+side as an integer numerator and denominator and is compared
+cross-multiplied (``_cross_sides``), and packed polynomials are compared as
+one integer each: the ``Fraction`` or ``Poly`` sides are built only for a
+failing pair's witness.  Exact paths carry no tolerance knobs; the one
+verdict decided outside ``_scan`` is the floating-point quadrature
+cross-check ``grosset_veselov_numeric``.
 """
 
 from __future__ import annotations
@@ -144,13 +148,27 @@ def _scan(identity: str, params: dict, pairs: Iterable[tuple]) -> Verdict:
     """Compare two routes pair by pair: fail at the first ``(index, lhs,
     rhs)`` whose sides differ, with that pair as the witness; pass otherwise.
 
-    ``pairs`` is read lazily, so nothing after the first mismatch is computed.
+    A pair of rationals arrives from ``_cross_sides`` as two equal integers,
+    its sides cross-multiplied, and as its two ``Fraction``s only when it
+    fails, so the witness prints them as ``p/q``.  ``pairs`` is read
+    lazily, so nothing after the first mismatch is computed.
     """
     for index, lhs, rhs in pairs:
         if lhs != rhs:
             return Verdict(identity, params, False, index,
                            {"lhs": str(lhs), "rhs": str(rhs)})
     return Verdict(identity, params, True)
+
+
+def _cross_sides(ln: int, ld: int, rn: int, rd: int) -> tuple:
+    """The two sides of the exact pair ln/ld against rn/rd, for nonzero
+    denominators of either sign: the integers ln rd and rn ld, equal exactly
+    when the rationals are, and for a failing pair ``Fraction(ln, ld)`` and
+    ``Fraction(rn, rd)`` instead, built only for the witness."""
+    left, right = ln * rd, rn * ld
+    if left == right:
+        return left, right
+    return Fraction(ln, ld), Fraction(rn, rd)
 
 
 def _claim(value, holds: bool, text: str):
@@ -299,18 +317,24 @@ def check_theorem(theorem: str, inst: OracleInstance) -> Verdict:
 
     The left side comes from the ODE oracle's integer recurrence alone, the
     right side from the family's triangle row read at u0 by
-    ``family_value``, which builds no polynomial.  The factor start *
-    ratio^n is stepped by one product per n.
+    ``family_value``, which builds no polynomial.  Each side is kept as an
+    integer numerator and denominator, n! and start * ratio^n folded in by
+    one integer product each per n, and the pair is compared
+    cross-multiplied (``_cross_sides``): the ``Fraction``s are built only
+    for a failing pair's witness.
     """
     p = inst.params
     if theorem == "theorem2" and p.d != 0:
         raise ValueError("the Q-family check applies to d = 0 instances")
+    r_num, r_den = p.r.numerator, p.r.denominator
     # Formed per call, so that an oracle rebound on this module (as the
-    # benchmark's tracer does) is the one called.
-    oracle, letter, shift, start, ratio, extra = {
-        "theorem1": (riccati_series, "P", 1, Fraction(1), p.r, {}),
-        "theorem2": (v_series, "Q", 0, inst.v0, p.r / 2, {"v0": inst.v0}),
-        "theorem3": (v_series, "S", 0, inst.v0, p.r / 2,
+    # benchmark's tracer does) is the one called.  The ratio is r or r/2 as
+    # (numerator, denominator).
+    oracle, letter, shift, start, (ratio_num, ratio_den), extra = {
+        "theorem1": (riccati_series, "P", 1, Fraction(1), (r_num, r_den), {}),
+        "theorem2": (v_series, "Q", 0, inst.v0, (r_num, 2 * r_den),
+                     {"v0": inst.v0}),
+        "theorem3": (v_series, "S", 0, inst.v0, (r_num, 2 * r_den),
                      {"d": p.d, "v0": inst.v0}),
     }[theorem]
     params = _params(r=p.r, a=p.a, b=p.b, u0=inst.u0,
@@ -318,11 +342,15 @@ def check_theorem(theorem: str, inst: OracleInstance) -> Verdict:
     c = oracle(inst).coeffs
 
     def pairs():
-        scale = start
+        fact, num, den = 1, start.numerator, start.denominator
         for n in range(1, inst.order + 1):
-            scale *= ratio
-            yield (n, math.factorial(n) * c[n],
-                   scale * family_value(letter, n + shift, p, inst.u0))
+            fact *= n
+            num *= ratio_num
+            den *= ratio_den
+            lhs = c[n]
+            rhs = family_value(letter, n + shift, p, inst.u0)
+            yield (n, *_cross_sides(fact * lhs.numerator, lhs.denominator,
+                                    num * rhs.numerator, den * rhs.denominator))
 
     return _scan(theorem, params, pairs())
 
@@ -423,6 +451,8 @@ def _check_egf(identity: str, coeff, order: int, mult: tuple, expected: tuple,
 
 
 _BASE01 = RiccatiParams(Fraction(1), Fraction(0), Fraction(1))
+_BASE01_HALF = RiccatiParams(Fraction(1), Fraction(0), Fraction(1),
+                             Fraction(-1, 2))
 
 
 def check_lemma1(n: int) -> Verdict:
@@ -471,28 +501,35 @@ def _integral_verdicts(family: str, ns: range, a, b, d=0):
     (a, b), and d for S, for each n of ns, ascending:
     integral_a^b F_n du == w_n * (b-a)^(n+1), with w_n = -B_n for P and
     2^n * B_n(1/2 + d/(b-a)) for Q and S, Q being S at d = 0.  The record,
-    the Bernoulli point and the params text are formed once, and the power
-    advances by one product per n."""
+    the Bernoulli point (1 + c)/2 for S's shift c = 2d/(b-a) and the params
+    text are formed once.  The right side is kept as an integer numerator
+    and denominator, into which the sign, the 2^n and (b-a)^(n+1) are folded
+    by one integer product each per n, and compared cross-multiplied with
+    the integral (``_cross_sides``)."""
     params = RiccatiParams(1, a, b, d)
     a, b = params.a, params.b
-    width = b - a
-    point = Fraction(1, 2) + params.d / width
+    width, c = b - a, params._shift
+    point = Fraction(c.numerator + c.denominator, 2 * c.denominator)
     # Formed per call, so that a builder rebound on this module (as the
-    # benchmark's tracer does) is the one called.
-    build, names, weight = {
-        "P": (build_P, ("a", "b"), lambda n: -bernoulli_number(n)),
-        "Q": (build_Q, ("a", "b"),
-              lambda n: 2 ** n * bernoulli_value(n, point)),
-        "S": (build_S, ("a", "b", "d"),
-              lambda n: 2 ** n * bernoulli_value(n, point)),
+    # benchmark's tracer does) is the one called.  w_n = sign base^n value(n).
+    build, names, value, sign, base = {
+        "P": (build_P, ("a", "b"), bernoulli_number, -1, 1),
+        "Q": (build_Q, ("a", "b"), lambda n: bernoulli_value(n, point), 1, 2),
+        "S": (build_S, ("a", "b", "d"), lambda n: bernoulli_value(n, point),
+              1, 2),
     }[family]
     text = {name: str(getattr(params, name)) for name in names}
-    power = width ** (ns.start + 1)
+    step_num, step_den = base * width.numerator, width.denominator
+    num = sign * base ** ns.start * width.numerator ** (ns.start + 1)
+    den = step_den ** (ns.start + 1)
     for n in ns:
         lhs = build(n, params).definite_integral(a, b)
+        w = value(n)
         yield _scan(f"integral_{family}", {"n": n, **text},
-                    [(n, lhs, weight(n) * power)])
-        power *= width
+                    [(n, *_cross_sides(lhs.numerator, lhs.denominator,
+                                       num * w.numerator, den * w.denominator))])
+        num *= step_num
+        den *= step_den
 
 
 _PM1 = RiccatiParams(Fraction(1), Fraction(-1), Fraction(1))
@@ -508,6 +545,8 @@ def grosset_veselov_exact(m: int) -> Verdict:
     B_{2m} == (-1)^(m-1) 2^-(2m+1) * integral_{-1}^{1} quotient du.
     The first pair claims the division exact: a nonzero remainder fails it,
     with the remainder as the witness, before the integral is formed.  The
+    B_2m pair folds the sign and 2^-(2m+1) into the integral's numerator and
+    denominator and is compared cross-multiplied (``_cross_sides``).  The
     exact quotient is even, so the integral over [-1, 1] cannot see an odd
     coefficient: a last pair compares the quotient's odd part with zero.
     """
@@ -519,8 +558,10 @@ def grosset_veselov_exact(m: int) -> Verdict:
         quotient, rem = divmod(p * p, _ONE_MINUS_U2)
         yield m, rem, _claim(rem, rem.is_zero(), "exact division")
         sign = 1 if (m - 1) % 2 == 0 else -1
-        lhs = sign * Fraction(1, 2 ** (2 * m + 1)) * quotient.definite_integral(-1, 1)
-        yield m, lhs, bernoulli_number(2 * m)
+        lhs, rhs = quotient.definite_integral(-1, 1), bernoulli_number(2 * m)
+        yield (m, *_cross_sides(sign * lhs.numerator,
+                                2 ** (2 * m + 1) * lhs.denominator,
+                                rhs.numerator, rhs.denominator))
         odd = Poly._over([c if k % 2 else 0
                           for k, c in enumerate(quotient._coeffs)], quotient._den)
         yield m, odd, Poly()
@@ -612,12 +653,17 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
 
 
 def _substitution_points(a: Fraction, b: Fraction) -> list:
-    """(u, (u-a)/(u-b), [1, u-b]) for each sample point u != b, in sample
-    order: the E and M streams of one (a, b) share them, and
-    ``_substitution_verdicts`` extends each list of powers of u-b in place,
-    one product per new power."""
-    return [(u, (u - a) / (u - b), [Fraction(1), u - b])
-            for u in SUBSTITUTION_SAMPLES if u != b]
+    """(u, (u-a)/(u-b), nums, dens) for each sample point u != b, in sample
+    order, with (u-b)^k = nums[k]/dens[k] on ints for k = 0, 1: the E and M
+    streams of one (a, b) share them, and ``_substitution_verdicts`` extends
+    both lists in place, one integer product each per new power."""
+    points = []
+    for u in SUBSTITUTION_SAMPLES:
+        if u != b:
+            diff = u - b
+            points.append((u, (u - a) / diff, [1, diff.numerator],
+                           [1, diff.denominator]))
+    return points
 
 
 def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
@@ -626,19 +672,28 @@ def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
     at ``params`` for each n of ns, ascending: in_x(n)((u-a)/(u-b)) ==
     in_u(n + shift)(u) / (u-b)^(n + shift) at the ``_substitution_points``
     of (a, b), with (in_x, in_u, shift) = (E, P, 1) or (M, Q, 0).  The
-    params text is formed once."""
+    params text is formed once.  The power of u-b is folded into the right
+    side's integer numerator and denominator, its numerator's sign included,
+    and each pair is compared cross-multiplied (``_cross_sides``)."""
     in_x, in_u, shift = {"E": (build_E, build_P, 1),
                          "M": (build_M, build_Q, 0)}[family]
     text = _params(r=params.r, a=params.a, b=params.b)
     for n in ns:
         power = n + shift
         x_poly, u_poly = in_x(n), in_u(power, params)
-        for _, _, powers in points:
-            while len(powers) <= power:
-                powers.append(powers[-1] * powers[1])
-        yield _scan(f"substitution_{family}", {**text, "n": n}, (
-            (None, x_poly.eval(x), u_poly.eval(u) / powers[power])
-            for u, x, powers in points))
+        for _, _, nums, dens in points:
+            while len(nums) <= power:
+                nums.append(nums[-1] * nums[1])
+                dens.append(dens[-1] * dens[1])
+
+        def pairs():
+            for u, x, nums, dens in points:
+                lhs, rhs = x_poly.eval(x), u_poly.eval(u)
+                yield (None, *_cross_sides(
+                    lhs.numerator, lhs.denominator,
+                    rhs.numerator * dens[power], rhs.denominator * nums[power]))
+
+        yield _scan(f"substitution_{family}", {**text, "n": n}, pairs())
 
 
 def check_integrality(n: int) -> Verdict:
@@ -654,7 +709,7 @@ def check_integrality(n: int) -> Verdict:
     def pairs():
         quotient, rem = divmod(build_P(n + 1, _BASE01), X)
         yield n, rem, _claim(rem, rem.is_zero(), "exact division")
-        s = build_S(n, RiccatiParams(1, 0, 1, Fraction(-1, 2)))
+        s = build_S(n, _BASE01_HALF)
         yield n, s, 2 ** n * quotient
         reduced = s * Fraction(1, 2 ** n)
         yield n, reduced, _claim(reduced, reduced._den == 1,

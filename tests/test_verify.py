@@ -1,7 +1,9 @@
+import fractions
 import hashlib
 import importlib.util
 import json
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -592,6 +594,30 @@ class TestVerdicts:
             assert (verdict.passed, verdict.first_failure) == (False, 2)
             assert verdict.witness == {"lhs": str(lhs), "rhs": str(rhs)}
 
+    @given(ln=st.integers(-60, 60), ld=st.integers(-60, 60).filter(bool),
+           rn=st.integers(-60, 60), rd=st.integers(-60, 60).filter(bool),
+           scale=st.none() | st.integers(-7, 7).filter(bool))
+    @example(ln=0, ld=1, rn=0, rd=-5, scale=None)
+    @example(ln=3, ld=-4, rn=-3, rd=4, scale=None)
+    @example(ln=3, ld=4, rn=-3, rd=4, scale=None)
+    @example(ln=-2, ld=3, rn=0, rd=0, scale=-2)
+    def test_cross_sides_compare_as_fractions(self, ln, ld, rn, rd, scale):
+        """The two sides are equal exactly when the two rationals are, and a
+        failing pair's witness prints the two ``Fraction``s.  ``scale``
+        makes the right side ln/ld over other terms, so that equal pairs
+        are drawn; a negative denominator stands for the substitution
+        quotient's divisor, whose numerator u - b may be negative."""
+        if scale is not None:
+            rn, rd = ln * scale, ld * scale
+        lhs, rhs = V._cross_sides(ln, ld, rn, rd)
+        equal = Fraction(ln, ld) == Fraction(rn, rd)
+        assert (lhs == rhs) is equal
+        verdict = V._scan("demo", {}, [(1, lhs, rhs)])
+        assert verdict.passed is equal
+        if not equal:
+            assert verdict.witness == {"lhs": str(Fraction(ln, ld)),
+                                       "rhs": str(Fraction(rn, rd))}
+
     def test_failure_carries_witness(self, mutated_eulerian_recurrence):
         verdict = next(v for v in V.suite_egf(6)
                        if v.identity == "egf_eulerian")
@@ -621,6 +647,56 @@ class TestVerdicts:
         assert len(failed) == 28
         assert all(v.witness == {"lhs": "[1]", "rhs": "exact division"}
                    for v in failed)
+
+
+#: The operators of ``fractions.Fraction`` that compute or compare: the
+#: ``forward`` and ``reverse`` methods that ``_operator_fallbacks`` makes for
+#: + - * / // % divmod and pow, and those written out.
+_FRACTION_OPERATORS = {"forward", "reverse", "__neg__", "__pos__", "__abs__",
+                       "__pow__", "__rpow__", "__eq__", "_richcmp"}
+
+
+def _fraction_operations(run) -> int:
+    """How many calls into ``_FRACTION_OPERATORS`` ``run()`` makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if (event == "call" and code.co_name in _FRACTION_OPERATORS
+                and code.co_filename == fractions.__file__):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_fraction_operations_are_counted():
+    assert _fraction_operations(
+        lambda: -(Fraction(1, 2) + 1) * Fraction(2, 3) == 1) == 4
+
+
+@pytest.mark.parametrize("suite, bound, low, high", [
+    *((name, "n_max", 4, 12) for name in (
+        "theorem1", "theorem2", "theorem3", "integrals", "relations")),
+    ("grosset-veselov", "m_max", 2, 6),
+])
+def test_no_pair_does_fraction_arithmetic(suite, bound, low, high):
+    """A cold suite makes as many ``Fraction`` operations at a high bound
+    as at a low one: each pair of rationals is compared cross-multiplied
+    on integers, so only the per-call set-up (a record, a Bernoulli point,
+    the substitution points) computes with ``Fraction``s."""
+
+    def cold(size):
+        special_numbers.reset_caches()
+        return _fraction_operations(
+            lambda: V.run_suite(suite, **{bound: size}))
+
+    assert cold(low) == cold(high)
 
 
 class TestSuites:
