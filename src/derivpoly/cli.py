@@ -3,7 +3,9 @@ the identity-verification suites.
 
 Exit codes: 0 on success (all verdicts passing for ``verify``), 1 when any
 verification fails, 2 on usage errors.  Rationals are written ``p/q`` on the
-command line; decimal input is rejected to keep everything exact.
+command line; decimal input is rejected to keep everything exact.  A
+table is written a row at a time in every format, and
+``verify.json_object`` writes all JSON text, so no command imports ``json``.
 
 The command line is parsed from one table, ``COMMANDS``, which also writes
 the ``--help`` text.  It stands in for ``argparse`` because most commands
@@ -39,17 +41,16 @@ def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
     """Print a command's output in format ``fmt``.
 
     ``plain`` and ``as_csv`` (default: ``plain``) return rows of strings,
-    printed space-separated or as csv lines; ``as_json`` returns JSON texts,
-    printed one per line.  Each is a zero-argument callable, and only the
-    one for ``fmt`` runs.  ``json`` and ``csv`` are imported where they are
-    used, so a plain command never loads them and a csv command only
-    ``csv``: ``verify.json_object`` writes, without ``json``, the JSON text
-    that orders verdicts and fills their csv params column, and the JSON
-    lines of ``verify``.
+    printed space-separated or as csv lines; ``as_json`` returns pieces of
+    JSON text, written as they come, each line ending in its own newline.
+    Each is a zero-argument callable, and only the one for ``fmt`` runs, so
+    a row that its source makes on demand is written before the next is
+    made, in every format.  ``verify.json_object`` writes all JSON text
+    without ``json``, and ``csv`` is imported where it is used, so a plain
+    or json command loads neither module and a csv command only ``csv``.
     """
     if fmt == "json":
-        for text in as_json():
-            print(text)
+        sys.stdout.writelines(as_json())
     elif fmt == "csv":
         import csv
         csv.writer(sys.stdout, lineterminator="\n").writerows((as_csv or plain)())
@@ -58,18 +59,19 @@ def _emit(fmt: str, plain, as_json, as_csv=None) -> None:
             print(" ".join(row))
 
 
-def _json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True)``, importing ``json`` on first use."""
-    import json
-    return json.dumps(obj, sort_keys=True)
-
-
 def _cmd_table(args) -> int:
-    """Print a table.  Plain and csv write each row as it is made and drop
-    it; JSON collects the rows into its one object."""
+    """Print a table, each row as it is made.  JSON writes the text of
+    ``{"kind": kind, "rows": [row, ...]}`` a row at a time, so no format
+    holds the table."""
     rows = table_lines(args.kind, args.n)
-    _emit(args.format, lambda: rows,
-          lambda: [_json({"kind": args.kind, "rows": list(rows)})])
+
+    def as_json():
+        yield f'{{"kind": {json_object(args.kind)}, "rows": ['
+        for i, row in enumerate(rows):
+            yield (", " if i else "") + json_object(row)
+        yield "]}\n"
+
+    _emit(args.format, lambda: rows, as_json)
     return 0
 
 
@@ -77,10 +79,10 @@ def _cmd_poly(args) -> int:
     params = {"r": args.r, "a": args.a, "b": args.b, "d": args.d}
     coefficients = family_poly(args.family, args.n, **params).to_coeff_strings()
     _emit(args.format, lambda: [coefficients or ["0"]],
-          lambda: [_json({"family": args.family, "n": args.n,
-                          "params": {k: None if v is None else str(v)
-                                     for k, v in params.items()},
-                          "coefficients": coefficients})])
+          lambda: [json_object({"family": args.family, "n": args.n,
+                                "params": {k: None if v is None else str(v)
+                                           for k, v in params.items()},
+                                "coefficients": coefficients}) + "\n"])
     return 0
 
 
@@ -147,7 +149,8 @@ def _cmd_series(args) -> int:
     series = riccati_series(inst) if riccati else v_series(inst)
     coefficients = [str(c) for c in series.coeffs]
     _emit(args.format, lambda: [coefficients],
-          lambda: [_json({"order": args.order, "coefficients": coefficients})])
+          lambda: [json_object({"order": args.order,
+                                "coefficients": coefficients}) + "\n"])
     return 0
 
 
@@ -185,7 +188,7 @@ def _cmd_verify(args) -> int:
                          order=args.order, u0=args.u0, a=args.a, b=args.b,
                          d=args.d, tol=args.tol)
     _emit(args.format, lambda: map(_plain_verdict, verdicts),
-          lambda: map(_json_verdict, verdicts),
+          lambda: (_json_verdict(v) + "\n" for v in verdicts),
           lambda: map(_csv_verdict, verdicts))
     return 0 if all(v.passed for v in verdicts) else 1
 

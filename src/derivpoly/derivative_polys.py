@@ -304,7 +304,7 @@ FAMILIES = tuple(FAMILY_LIMITS)
 
 def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
     """Build one member of a named family; raises UsageError on bad input,
-    including a parameter the family does not depend on (E/A/M take none of
+    including a parameter the family does not take (E/A/M take none of
     r, a, b, d; P and Q take no d).  n above ``FAMILY_LIMITS[family]`` is
     refused before any work, and n below the family's first member by its
     builder."""

@@ -653,17 +653,10 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
 
 
 def _substitution_points(a: Fraction, b: Fraction) -> list:
-    """(u, (u-a)/(u-b), nums, dens) for each sample point u != b, in sample
-    order, with (u-b)^k = nums[k]/dens[k] on ints for k = 0, 1: the E and M
-    streams of one (a, b) share them, and ``_substitution_verdicts`` extends
-    both lists in place, one integer product each per new power."""
-    points = []
-    for u in SUBSTITUTION_SAMPLES:
-        if u != b:
-            diff = u - b
-            points.append((u, (u - a) / diff, [1, diff.numerator],
-                           [1, diff.denominator]))
-    return points
+    """(u, (u-a)/(u-b), u-b) for each sample point u != b, in sample order:
+    the E and M streams of one (a, b) share them."""
+    return [(u, (u - a) / (u - b), u - b)
+            for u in SUBSTITUTION_SAMPLES if u != b]
 
 
 def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
@@ -681,17 +674,14 @@ def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
     for n in ns:
         power = n + shift
         x_poly, u_poly = in_x(n), in_u(power, params)
-        for _, _, nums, dens in points:
-            while len(nums) <= power:
-                nums.append(nums[-1] * nums[1])
-                dens.append(dens[-1] * dens[1])
 
         def pairs():
-            for u, x, nums, dens in points:
+            for u, x, diff in points:
                 lhs, rhs = x_poly.eval(x), u_poly.eval(u)
                 yield (None, *_cross_sides(
                     lhs.numerator, lhs.denominator,
-                    rhs.numerator * dens[power], rhs.denominator * nums[power]))
+                    rhs.numerator * diff.denominator ** power,
+                    rhs.denominator * diff.numerator ** power))
 
         yield _scan(f"substitution_{family}", {**text, "n": n}, pairs())
 
@@ -928,11 +918,11 @@ def _suite_all() -> list[Verdict]:
 
 
 def json_object(value) -> str:
-    """``json.dumps(value, sort_keys=True)`` without importing ``json``, for
-    an int, a finite float, a str that JSON writes unescaped (printable
-    ASCII without ``"`` or ``\\``), a bool, None, and lists of those and
-    dicts of those under such str keys; any other value raises
-    ``ValueError``, since its text would be a guess."""
+    """The package's one JSON writer: ``json.dumps(value, sort_keys=True)``
+    without importing ``json``, for an int, a finite float, a str that JSON
+    writes unescaped (printable ASCII without ``"`` or ``\\``), a bool,
+    None, and lists of those and dicts of those under such str keys; any
+    other value raises ``ValueError``, since its text would be a guess."""
     kind = type(value)
     if kind is str:
         if value.isascii() and value.isprintable() \

@@ -315,8 +315,9 @@ UNFAULTED = {
         "verify._upto", "verify._check_tol",
     ], "runs, labels or validates checks: the count of 304 pins it"),
     "verify.json_object":
-        "labels checks: the count of 304 and test_cli's csv and json digests "
-        "pin it",
+        "labels checks and writes all JSON: the count of 304, test_cli's csv "
+        "and json verdict digests and test_output_pinned's table, poly and "
+        "series json digests pin it",
     **dict.fromkeys([
         "special_numbers.eulerian", "special_numbers.eulerian_row",
         "special_numbers.macmahon", "special_numbers.macmahon_row",
@@ -347,8 +348,8 @@ UNFAULTED = {
         "can fail; test_scan_stops_at_first_mismatch pins it on unequal "
         "pairs",
     "polyseries.Poly.__hash__":
-        "no verdict hashes a polynomial; "
-        "test_verify_all_builds_each_value_once does",
+        "no verdict hashes a polynomial; tests/test_polyseries.py::"
+        "TestCanonicalForm::test_constant_hashes_as_its_scalar does",
     **dict.fromkeys([
         "polyseries.Poly.to_coeff_strings", "polyseries.Poly.__str__",
         "special_numbers.table_rows", "special_numbers.table_lines",

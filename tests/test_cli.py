@@ -178,6 +178,17 @@ class TestPoly:
         assert [parse_rational(s) for s in obj["coefficients"]] == \
             list(expected.coeffs)
 
+    @pytest.mark.parametrize("family, params", [
+        ("P", ["--a", "1/3", "--b", "5/3"]),
+        ("Q", ["--a", "1/3", "--b", "5/3"]),
+        ("S", ["--a", "1/3", "--b", "5/3", "--d", "2/7"]),
+    ])
+    def test_r_changes_no_coefficient(self, capsys, family, params):
+        """P, Q and S do not depend on r: ``--r -1/2`` prints the
+        coefficients printed without ``--r``."""
+        argv = ("poly", family, "--n", "6", *params)
+        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--r", "-1/2")
+
     def test_e_family(self, capsys):
         code, out = run_cli(capsys, "poly", "E", "--n", "3")
         assert code == 0
@@ -1029,10 +1040,13 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"""
 
 
 @pytest.mark.parametrize("argv", [("poly", "E", "--n", "500"),
-                                  ("table", "eulerian", "--n", "500")])
+                                  ("table", "eulerian", "--n", "500"),
+                                  ("table", "eulerian", "--n", "500",
+                                   "--format", "json")])
 def test_large_row_commands_keep_few_rows(argv):
     """A command that reads row 500 holds a few rows, not the triangle: its
-    peak RSS stays under 30 MB (53 and 94 MB with every row memoized)."""
+    peak RSS stays under 30 MB (53 and 94 MB with every row memoized, and
+    225 MB for a json table that collects its rows)."""
     proc = _python("-c", SPAWNER, "-S", "-m", "derivpoly", *argv)
     code, peak_kb = map(int, proc.stdout.split())
     assert (code, proc.stderr) == (0, b"")
@@ -1077,13 +1091,13 @@ def test_console_script_and_module_share_one_entry():
 def test_import_loads_no_dataclasses_inspect_json_or_csv():
     """Start-up stays lean: importing the CLI pulls in neither ``dataclasses``
     nor ``inspect`` (with ``ast``, ``dis`` and ``tokenize`` behind them),
-    neither ``json`` nor ``csv``, which only their own formats load, neither
-    ``argparse`` nor the ``gettext`` and ``locale`` behind it, and not
-    ``typing``, which no annotation needs at run time.  Whole
-    plain ``table`` and ``verify`` commands, run in turn, load none of them
-    either (the verdicts' order needs no ``json``), nor does a json
-    ``verify`` (``verify.json_object`` writes its lines), and a csv
-    ``verify`` after them loads only ``csv``."""
+    neither ``json`` nor ``csv``, neither ``argparse`` nor the ``gettext``
+    and ``locale`` behind it, and not ``typing``, which no annotation needs
+    at run time.  Whole plain ``table`` and ``verify`` commands, run in
+    turn, load none of them either (the verdicts' order needs no ``json``),
+    nor do json ``verify``, ``table``, ``poly`` and ``series`` commands
+    (``verify.json_object`` writes all their JSON), and a csv ``verify``
+    after them loads only ``csv``."""
     code = ("import sys, derivpoly.cli; "
             "lean = ('dataclasses', 'inspect', 'json', 'csv', 'argparse', "
             "'gettext', 'locale', 'typing'); "
@@ -1094,9 +1108,16 @@ def test_import_loads_no_dataclasses_inspect_json_or_csv():
             "derivpoly.cli.main(['verify', 'classical', '--n-max', '3']); report(); "
             "derivpoly.cli.main(['verify', 'classical', '--n-max', '3', "
             "'--format', 'json']); report(); "
+            "derivpoly.cli.main(['table', 'bernoulli', '--n', '2', "
+            "'--format', 'json']); report(); "
+            "derivpoly.cli.main(['poly', 'E', '--n', '2', "
+            "'--format', 'json']); report(); "
+            "derivpoly.cli.main(['series', 'v', '--r', '1', '--a', '0', "
+            "'--b', '1', '--u0', '1/3', '--order', '2', "
+            "'--format', 'json']); report(); "
             "derivpoly.cli.main(['verify', 'classical', '--n-max', '3', "
             "'--format', 'csv']); report()")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.splitlines() == [b"", b"", b"", b"", b"csv"]
+    assert proc.stderr.splitlines() == [b""] * 7 + [b"csv"]
     assert proc.stdout.splitlines()[:2] == [b"1", b"PASS classical n=1"]
