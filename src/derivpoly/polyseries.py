@@ -145,23 +145,38 @@ class Poly:
         return hash((self._coeffs, self._den))
 
     def eval(self, x: Scalar) -> Fraction:
-        """Horner evaluation at an exact point p/q, on ints."""
+        """The value at an exact point, as one ``Fraction`` of
+        ``_eval_pair``."""
+        return Fraction(*self._eval_pair(x))
+
+    def _eval_pair(self, x: Scalar) -> tuple[int, int]:
+        """The value at an exact point p/q as an integer (numerator,
+        denominator) pair, not reduced, the denominator positive: Horner's
+        rule on ints, each step acc p + c q^j, gives acc = q^(m-1) times the
+        numerators' value for m coefficients, and the pair is (acc q,
+        den q^m)."""
         p, q = _exact(x).numerator, x.denominator
         acc, q_pow = 0, 1
         for c in reversed(self._coeffs):
             acc = acc * p + c * q_pow
             q_pow *= q
-        return Fraction(acc * q, self._den * q_pow)
+        return acc * q, self._den * q_pow
 
     def definite_integral(self, a: Scalar, b: Scalar) -> Fraction:
-        """Exact integral over [a, b]; swapping the endpoints negates it.
+        """Exact integral over [a, b], as one ``Fraction`` of
+        ``_integral_pair``; swapping the endpoints negates it."""
+        return Fraction(*self._integral_pair(a, b))
+
+    def _integral_pair(self, a: Scalar, b: Scalar) -> tuple[int, int]:
+        """The integral over [a, b] as an integer (numerator, denominator)
+        pair, not reduced, the denominator positive.
 
         With L = lcm(1..m) for m coefficients, the antiderivative has the
         integer numerators ``c_k (L / (k+1))`` over ``den L``.  With both
         endpoints over one denominator q, one integer Horner pass per
         endpoint gives the antiderivative's value there times q^m, and the
-        difference is one ``Fraction`` built at the end: no antiderivative
-        ``Poly`` and no ``Fraction`` arithmetic.
+        pair is their difference over q^m den L: no antiderivative ``Poly``
+        and no ``Fraction``.
         """
         m = len(self._coeffs)
         scale = math.lcm(*range(1, m + 1))
@@ -175,7 +190,7 @@ class Poly:
             acc_a = acc_a * pa + w
             acc_b = acc_b * pb + w
             q_pow *= q
-        return Fraction(acc_b * pb - acc_a * pa, q_pow * self._den * scale)
+        return acc_b * pb - acc_a * pa, q_pow * self._den * scale
 
     def __divmod__(self, other: object) -> tuple["Poly", "Poly"]:
         """Long division on the numerators, fraction-free: the dividend is

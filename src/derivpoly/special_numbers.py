@@ -121,7 +121,7 @@ _EULERIAN_TRIANGLE = Triangle(EULERIAN)
 #: is the MacMahon triangle of Q and M, and any other key holds S's rows.
 _MACMAHON_TRIANGLES: dict[tuple[int, int], Triangle] = {}
 _BERNOULLI: list[Fraction] = [Fraction(1)]
-#: B_n(x) per n, for ``bernoulli_value``.
+#: B_n(x) per n, for ``_bernoulli_value_pair``.
 _BERNOULLI_POLYS: dict[int, Poly] = {}
 #: The P, Q and S families of ``derivative_polys``, built from the triangles
 #: and dropped with their rows.  It pays: in-process ``verify all`` takes
@@ -285,15 +285,19 @@ def bernoulli_poly(n: int) -> Poly:
 
 
 def bernoulli_value(n: int, x) -> Fraction:
-    """Exact value of the n-th Bernoulli polynomial at a rational point.
+    """Exact value of the n-th Bernoulli polynomial at a rational point:
+    one ``Fraction`` of ``_bernoulli_value_pair``."""
+    return Fraction(*_bernoulli_value_pair(n, x))
 
-    B_n(x) is built once per n and memoized until ``reset_caches()``; each
-    call is one ``Poly.eval``.
-    """
+
+def _bernoulli_value_pair(n: int, x) -> tuple[int, int]:
+    """B_n(x) at a rational point as an integer (numerator, denominator)
+    pair, not reduced: one ``Poly._eval_pair`` of B_n(x), which is built
+    once per n and memoized until ``reset_caches()``."""
     poly = _BERNOULLI_POLYS.get(n)
     if poly is None:
         poly = _BERNOULLI_POLYS[n] = bernoulli_poly(n)
-    return poly.eval(x)
+    return poly._eval_pair(x)
 
 
 def _row_strings(row: tuple[int, ...]) -> list[str]:

@@ -11,9 +11,12 @@ pair too, its right side from ``_claim``.  A pair of rationals keeps each
 side as an integer numerator and denominator and is compared
 cross-multiplied (``_cross_sides``), and packed polynomials are compared as
 one integer each: the ``Fraction`` or ``Poly`` sides are built only for a
-failing pair's witness.  Exact paths carry no tolerance knobs; the one
-verdict decided outside ``_scan`` is the floating-point quadrature
-cross-check ``grosset_veselov_numeric``.
+failing pair's witness.  The values of the families, of built polynomials
+and of their integrals come from their kernels as such integer pairs
+(``family_value``, ``Poly._eval_pair``, ``Poly._integral_pair``), so a
+passing pair builds no ``Fraction``.  Exact paths carry no tolerance
+knobs; the one verdict decided outside ``_scan`` is the floating-point
+quadrature cross-check ``grosset_veselov_numeric``.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from .derivative_polys import (
 from .exact import Record, UsageError, as_fraction
 from .polyseries import Poly, Series, X
 from .special_numbers import (
+    _bernoulli_value_pair,
     bernoulli_number,
-    bernoulli_value,
     eulerian,
     eulerian_explicit,
     eulerian_row,
@@ -317,11 +320,11 @@ def check_theorem(theorem: str, inst: OracleInstance) -> Verdict:
 
     The left side comes from the ODE oracle's integer recurrence alone, the
     right side from the family's triangle row read at u0 by
-    ``family_value``, which builds no polynomial.  Each side is kept as an
-    integer numerator and denominator, n! and start * ratio^n folded in by
-    one integer product each per n, and the pair is compared
-    cross-multiplied (``_cross_sides``): the ``Fraction``s are built only
-    for a failing pair's witness.
+    ``family_value``, which builds no polynomial and returns an integer
+    pair.  Each side is kept as an integer numerator and denominator, n!
+    and start * ratio^n folded in by one integer product each per n, and
+    the pair is compared cross-multiplied (``_cross_sides``): the
+    ``Fraction``s are built only for a failing pair's witness.
     """
     p = inst.params
     if theorem == "theorem2" and p.d != 0:
@@ -348,9 +351,9 @@ def check_theorem(theorem: str, inst: OracleInstance) -> Verdict:
             num *= ratio_num
             den *= ratio_den
             lhs = c[n]
-            rhs = family_value(letter, n + shift, p, inst.u0)
+            rhs_num, rhs_den = family_value(letter, n + shift, p, inst.u0)
             yield (n, *_cross_sides(fact * lhs.numerator, lhs.denominator,
-                                    num * rhs.numerator, den * rhs.denominator))
+                                    num * rhs_num, den * rhs_den))
 
     return _scan(theorem, params, pairs())
 
@@ -505,7 +508,9 @@ def _integral_verdicts(family: str, ns: range, a, b, d=0):
     text are formed once.  The right side is kept as an integer numerator
     and denominator, into which the sign, the 2^n and (b-a)^(n+1) are folded
     by one integer product each per n, and compared cross-multiplied with
-    the integral (``_cross_sides``)."""
+    the integral's integer pair (``Poly._integral_pair``, ``_cross_sides``);
+    the Bernoulli value at the point is an integer pair too
+    (``_bernoulli_value_pair``)."""
     params = RiccatiParams(1, a, b, d)
     a, b = params.a, params.b
     width, c = b - a, params._shift
@@ -513,21 +518,23 @@ def _integral_verdicts(family: str, ns: range, a, b, d=0):
     # Formed per call, so that a builder rebound on this module (as the
     # benchmark's tracer does) is the one called.  w_n = sign base^n value(n).
     build, names, value, sign, base = {
-        "P": (build_P, ("a", "b"), bernoulli_number, -1, 1),
-        "Q": (build_Q, ("a", "b"), lambda n: bernoulli_value(n, point), 1, 2),
-        "S": (build_S, ("a", "b", "d"), lambda n: bernoulli_value(n, point),
+        "P": (build_P, ("a", "b"),
+              lambda n: bernoulli_number(n).as_integer_ratio(), -1, 1),
+        "Q": (build_Q, ("a", "b"), lambda n: _bernoulli_value_pair(n, point),
               1, 2),
+        "S": (build_S, ("a", "b", "d"),
+              lambda n: _bernoulli_value_pair(n, point), 1, 2),
     }[family]
     text = {name: str(getattr(params, name)) for name in names}
     step_num, step_den = base * width.numerator, width.denominator
     num = sign * base ** ns.start * width.numerator ** (ns.start + 1)
     den = step_den ** (ns.start + 1)
     for n in ns:
-        lhs = build(n, params).definite_integral(a, b)
-        w = value(n)
+        lhs_num, lhs_den = build(n, params)._integral_pair(a, b)
+        w_num, w_den = value(n)
         yield _scan(f"integral_{family}", {"n": n, **text},
-                    [(n, *_cross_sides(lhs.numerator, lhs.denominator,
-                                       num * w.numerator, den * w.denominator))])
+                    [(n, *_cross_sides(lhs_num, lhs_den,
+                                       num * w_num, den * w_den))])
         num *= step_num
         den *= step_den
 
@@ -558,9 +565,9 @@ def grosset_veselov_exact(m: int) -> Verdict:
         quotient, rem = divmod(p * p, _ONE_MINUS_U2)
         yield m, rem, _claim(rem, rem.is_zero(), "exact division")
         sign = 1 if (m - 1) % 2 == 0 else -1
-        lhs, rhs = quotient.definite_integral(-1, 1), bernoulli_number(2 * m)
-        yield (m, *_cross_sides(sign * lhs.numerator,
-                                2 ** (2 * m + 1) * lhs.denominator,
+        lhs_num, lhs_den = quotient._integral_pair(-1, 1)
+        rhs = bernoulli_number(2 * m)
+        yield (m, *_cross_sides(sign * lhs_num, 2 ** (2 * m + 1) * lhs_den,
                                 rhs.numerator, rhs.denominator))
         odd = Poly._over([c if k % 2 else 0
                           for k, c in enumerate(quotient._coeffs)], quotient._den)
@@ -665,9 +672,10 @@ def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
     at ``params`` for each n of ns, ascending: in_x(n)((u-a)/(u-b)) ==
     in_u(n + shift)(u) / (u-b)^(n + shift) at the ``_substitution_points``
     of (a, b), with (in_x, in_u, shift) = (E, P, 1) or (M, Q, 0).  The
-    params text is formed once.  The power of u-b is folded into the right
-    side's integer numerator and denominator, its numerator's sign included,
-    and each pair is compared cross-multiplied (``_cross_sides``)."""
+    params text is formed once.  Both values are integer pairs
+    (``Poly._eval_pair``), the power of u-b is folded into the right side's
+    numerator and denominator, its numerator's sign included, and each pair
+    is compared cross-multiplied (``_cross_sides``)."""
     in_x, in_u, shift = {"E": (build_E, build_P, 1),
                          "M": (build_M, build_Q, 0)}[family]
     text = _params(r=params.r, a=params.a, b=params.b)
@@ -677,11 +685,11 @@ def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
 
         def pairs():
             for u, x, diff in points:
-                lhs, rhs = x_poly.eval(x), u_poly.eval(u)
+                rhs_num, rhs_den = u_poly._eval_pair(u)
                 yield (None, *_cross_sides(
-                    lhs.numerator, lhs.denominator,
-                    rhs.numerator * diff.denominator ** power,
-                    rhs.denominator * diff.numerator ** power))
+                    *x_poly._eval_pair(x),
+                    rhs_num * diff.denominator ** power,
+                    rhs_den * diff.numerator ** power))
 
         yield _scan(f"substitution_{family}", {**text, "n": n}, pairs())
 
@@ -806,13 +814,14 @@ def suite_egf(order: int = DEFAULT_EGF_ORDER, u0=Fraction(1, 3)) -> list[Verdict
         ("egf_macmahon", build_M, (1, -X, one_minus_x * 2),
          (0, one_minus_x, one_minus_x), {}),
         # (sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1.
-        ("closed_form_f", lambda n: family_value("P", n + 1, _BASE01, u0),
+        ("closed_form_f",
+         lambda n: Fraction(*family_value("P", n + 1, _BASE01, u0)),
          (u0, 1 - u0, 1), (u0, 0, 0), {"u0": u0}),
         # (sum S_n(u0)/2^n t^n/n!) * (u0 + (1-u0) e^t) == e^((1/2+d)t) at
         # each shift d; the d = 0 row is the generating function of the Q
         # family itself.
         *(("closed_form_h",
-           lambda n, sp=sp: family_value("S", n, sp, u0) / 2 ** n,
+           lambda n, sp=sp: Fraction(*family_value("S", n, sp, u0)) / 2 ** n,
            (u0, 1 - u0, 1), (0, 1, Fraction(1, 2) + sp.d),
            {"u0": u0, "d": sp.d})
           for sp in (RiccatiParams(1, 0, 1, d) for d in EGF_SHIFTS)),

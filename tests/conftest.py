@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from derivpoly import derivative_polys, polyseries, special_numbers, verify
@@ -15,6 +17,15 @@ def _plus(seq, k, delta=1):
     """``seq`` as a list with ``delta`` added to item k; unchanged if
     shorter."""
     return _at(seq, k, lambda x: x + delta)
+
+
+def _pair_plus(pair, delta):
+    """The integer (numerator, denominator) pair of a rational value plus
+    the rational ``delta``."""
+    num, den = pair
+    delta = Fraction(delta)
+    return (num * delta.denominator + delta.numerator * den,
+            den * delta.denominator)
 
 
 def _poly_plus(poly, k):
@@ -66,12 +77,14 @@ FAULTS = {
         264, {"grosset_veselov_exact", "grosset_veselov_numeric",
               "integral_P", "integral_Q", "integral_S", "integrality",
               "lemma1", "substitution_E", "substitution_M"}),
-    # The value of a family member at a point off by one from n = 8 on:
-    # theorems 1-3 and the closed forms, which read P, Q and S at u0 from
-    # their rows, fail; everything that builds a member holds.
+    # The value of a family member at a point off by one from n = 8 on, in
+    # the integer pair it returns: theorems 1-3 and the closed forms, which
+    # read P, Q and S at u0 from their rows, fail; everything that builds a
+    # member holds.
     "mutated_family_value": (
         verify, "family_value",
-        lambda value: lambda letter, n, *args: value(letter, n, *args) + (n >= 8),
+        lambda value: lambda letter, n, *args: _pair_plus(
+            value(letter, n, *args), n >= 8),
         17, {"closed_form_f", "closed_form_h", "theorem1", "theorem2",
              "theorem3"}),
     # The lowest digit of every polynomial packed into one int off by one:
@@ -89,20 +102,22 @@ FAULTS = {
         special_numbers, "_macmahon_next_row",
         lambda step: lambda n, prev, p=0, e=1: step(n, prev, p + (p != 0), e),
         76, {"closed_form_h", "integral_S", "integrality", "theorem3"}),
-    # Poly.eval off by one from degree 8 on: only checks that evaluate a
-    # built polynomial at a point fail (the Bernoulli values and the
-    # substitution relations); definite_integral runs its
-    # own Horner pass, and family_value reads the rows without a Poly.
+    # The integer pair of a value at a point off by one from degree 8 on:
+    # only checks that evaluate a built polynomial at a point fail (the
+    # Bernoulli values and the substitution relations); the integral runs
+    # its own Horner pass, and family_value reads the rows without a Poly.
     "mutated_poly_eval": (
-        Poly, "eval",
-        lambda evaluate: lambda p, x: evaluate(p, x) + (p.degree >= 8),
+        Poly, "_eval_pair",
+        lambda evaluate: lambda p, x: _pair_plus(evaluate(p, x),
+                                                 p.degree >= 8),
         81, {"integral_Q", "integral_S", "substitution_E", "substitution_M"}),
     # The u^2 term integrated as u^3/4 instead of u^3/3, taking
-    # c (b^3 - a^3) / 12 away: only the checks that integrate fail.
+    # c (b^3 - a^3) / 12 away from the integral's integer pair: only the
+    # checks that integrate fail.
     "mutated_definite_integral": (
-        Poly, "definite_integral",
-        lambda integrate: lambda p, a, b: (
-            integrate(p, a, b) - p.coefficient(2) * (b ** 3 - a ** 3) / 12),
+        Poly, "_integral_pair",
+        lambda integrate: lambda p, a, b: _pair_plus(
+            integrate(p, a, b), -p.coefficient(2) * (b ** 3 - a ** 3) / 12),
         148, {"grosset_veselov_exact", "integral_P", "integral_Q",
               "integral_S"}),
     # Numerator 2 of every Poly x Poly product of degree 2 or more plus 1;

@@ -193,7 +193,7 @@ def test_mutation_of_horner_kernel_fails_theorems(mutated_horner_kernel,
     paper's statements catch, not only the checks that build a family."""
     builders = {"P": build_P, "Q": build_Q, "S": build_S}
     monkeypatch.setattr(V, "family_value", lambda letter, n, params, u:
-                        builders[letter](n, params).eval(u))
+                        builders[letter](n, params)._eval_pair(u))
     for theorem in ("theorem1", "theorem2"):
         assert not all(v.passed for v in V.run_suite(theorem))
 
@@ -323,7 +323,7 @@ UNFAULTED = {
         "special_numbers.macmahon", "special_numbers.macmahon_row",
         "special_numbers._macmahon_triangle",
         "special_numbers.bernoulli_number", "special_numbers.bernoulli_numbers",
-        "special_numbers.bernoulli_value", "derivative_polys.build_P",
+        "special_numbers._bernoulli_value_pair", "derivative_polys.build_P",
         "derivative_polys.build_Q", "derivative_polys.build_S",
         "derivative_polys._built_once", "derivative_polys._key_part",
         "derivative_polys._family_row",
@@ -336,6 +336,12 @@ UNFAULTED = {
     **dict.fromkeys([
         "polyseries.Poly.__sub__", "polyseries.Poly.__pow__",
     ], "built on a Poly operation that has a row"),
+    **dict.fromkeys([
+        "polyseries.Poly.eval", "polyseries.Poly.definite_integral",
+        "special_numbers.bernoulli_value",
+    ], "the public Fraction of an integer pair whose kernel has a row: no "
+       "verdict calls it, and test_polyseries and test_special_numbers pin "
+       "it"),
     **dict.fromkeys([
         "polyseries.Poly.__new__", "polyseries.Poly._over",
         "polyseries.Poly._coerce", "polyseries._exact",
@@ -553,3 +559,35 @@ def test_verify_all_builds_each_value_once(monkeypatch):
         assert len(calls) == len(set(calls)), name
     assert any(len(key) == 3 for key in keys["_macmahon_next_row"])
     assert len(keys["_substitution_points"]) == len(V.RELATION_PARAM_PAIRS)
+
+
+def test_verify_all_fraction_census():
+    """A cold ``verify all`` builds no ``Fraction`` in ``family_value`` or
+    in the evaluation and integration of a ``Poly``: their values reach the
+    comparisons as integer pairs.  The package's other ``Fraction``
+    constructions, counted by the package function that calls
+    ``Fraction()``, total 373: the oracles' ``_unscaled`` 178, parameter
+    parsing 44, the closed forms' coefficients 44 and the Bernoulli numbers
+    38 among them."""
+    package = Path(V.__file__).parent
+    new = Fraction.__new__.__code__
+    callers = {}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is new:
+            code = frame.f_back.f_code
+            if Path(code.co_filename).parent == package:
+                callers[code] = callers.get(code, 0) + 1
+
+    sn.reset_caches()
+    sys.setprofile(profile)
+    try:
+        verdicts = V.run_suite("all")
+    finally:
+        sys.setprofile(None)
+        sn.reset_caches()
+    assert len(verdicts) == 304 and all(v.passed for v in verdicts)
+    values = [derivative_polys.family_value, Poly.eval, Poly._eval_pair,
+              Poly.definite_integral, Poly._integral_pair]
+    assert not {f.__code__ for f in values} & callers.keys()
+    assert sum(callers.values()) == 373

@@ -201,6 +201,8 @@ def poly_shift_transform(n, params):
 # either sign, denominators up to 15; the tests below ask for a != b with
 # different denominators, so the kernels' common denominator is a real lcm
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 15))
+#: The largest m that ``_homogeneous`` builds in one pass.
+ONE_PASS_MAX_M = 20
 # numerators up to 10^12 over denominators up to 10^9: wide packed digits
 tall_rationals = st.builds(Fraction, st.integers(-10**12, 10**12),
                            st.integers(1, 10**9))
@@ -272,15 +274,22 @@ class TestIntegerKernelsSecondRoutes:
     @example(coeffs=[-10**40, 10**40] * 30, a=Fraction(-10**12, 1),
              b=Fraction(10**12, 1))
     @example(coeffs=[0] * 60 + [1], a=Fraction(1 - 2**20), b=Fraction(2**20 - 1))
+    @example(coeffs=[10**40] * 21, a=Fraction(10**12, 10**9 - 7),
+             b=Fraction(-10**12, 10**9 - 7))
+    @example(coeffs=[-10**40, 10**40] * 10 + [-10**40],
+             a=Fraction(-10**12, 1), b=Fraction(10**12, 1))
     def test_per_pass_digit_widths(self, coeffs, a, b):
         """Each pass of the kernel packs at its own width: at tall
         parameters and rows up to 60 the kernel equals sum_k c_k (u-a)^k
-        (u-b)^(m-k) formed by ``Poly`` arithmetic, each pass reads back the
-        exact coefficients of its polynomial (pass 1: sum_k c_k (1 + delta
-        t)^k; pass 2: q^m times the result), the widest of them fits its
-        pass's width, and neither width exceeds the old shared one.  The
-        last example is (u-a)^60 at a = -b = 1 - 2^20, where the bound from
-        pass 1's digits alone, (q + 3|b|)^60, is wider than the row's."""
+        (u-b)^(m-k) formed by ``Poly`` arithmetic.  A member with m <= 20
+        is one pass, whose one read is q^m times the result; a larger one
+        is two, each reading back the exact coefficients of its polynomial
+        (pass 1: sum_k c_k (1 + delta t)^k; pass 2: q^m times the result).
+        The widest digit of every read fits its width, and no width exceeds
+        the old shared one.  The third example is (u-a)^60 at a = -b =
+        1 - 2^20, where the bound from pass 1's digits alone, (q + 3|b|)^60,
+        is wider than the row's; the last two are one-pass members at the
+        widest digits."""
         assume(a != b)
         passes, read = [], derivative_polys._digits
 
@@ -303,12 +312,51 @@ class TestIntegerKernelsSecondRoutes:
         pass2 = expected * q ** m
         shared = (sum(map(abs, coeffs)).bit_length()
                   + m * (q + abs(na) + abs(nb)).bit_length()) // 8 + 1
-        for (width, digits), poly in zip(passes, (pass1, pass2), strict=True):
+        reads = (pass2,) if m <= ONE_PASS_MAX_M else (pass1, pass2)
+        for (width, digits), poly in zip(passes, reads, strict=True):
             assert poly._den == 1
             assert digits == [*poly._coeffs, *[0] * (m + 1 - len(poly._coeffs))]
             widest = max(abs(x) for x in digits)
             assert widest.bit_length() <= 8 * width - 1
             assert width <= shared
+
+    @settings(max_examples=40, deadline=None)
+    @given(coeffs=st.lists(st.integers(-10**6, 10**6), min_size=1,
+                           max_size=ONE_PASS_MAX_M + 1),
+           a=rationals, b=rationals, den=st.integers(1, 10**6),
+           i=st.integers(0, 3), past=st.integers(1, 6))
+    @example(coeffs=[0] * (ONE_PASS_MAX_M + 1), a=Fraction(1, 3),
+             b=Fraction(5, 3), den=1, i=0, past=1)
+    @example(coeffs=[1, -2, 0, 3] * 5 + [-1], a=Fraction(2, 9),
+             b=Fraction(-5, 6), den=7, i=1, past=1)
+    @example(coeffs=[5], a=Fraction(-4), b=Fraction(7, 2), den=3, i=3,
+             past=6)
+    def test_both_paths_across_the_selection(self, coeffs, a, b, den, i,
+                                             past):
+        """Padding a row with i zeros in front and j behind multiplies its
+        member by (u-a)^i (u-b)^j, so a one-pass member (m <= 20) and its
+        padding to m = 20 + ``past``, which takes two passes, give the same
+        polynomial up to that product.  Rows with zero and negative
+        entries, a != b over coprime or shared denominators, and any
+        divisor den."""
+        assume(a != b)
+        m = len(coeffs) - 1
+        j = max(0, ONE_PASS_MAX_M + past - m - i)
+        padded = [0] * i + list(coeffs) + [0] * j
+        reads, read = [], derivative_polys._digits
+
+        def counted(*args):
+            reads.append(args)
+            return read(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(derivative_polys, "_digits", counted)
+            small = derivative_polys._homogeneous(coeffs, a, b, den)
+            assert len(reads) == 1
+            large = derivative_polys._homogeneous(padded, a, b, den)
+            assert len(reads) == 3
+        assert large == (X - a) ** i * (X - b) ** j * small
+        assert small == poly_horner(coeffs, X - a, X - b) * Fraction(1, den)
 
     def test_p_derivative_recurrence_at_n_160(self):
         a, b = Fraction(1, 3), Fraction(5, 3)
@@ -356,7 +404,8 @@ class TestFamilyValue:
     def test_equals_the_built_member_at_a_point(self, a, b, d, u, at, n):
         """P_n, Q_n and S_n at random rational (a, b, d) and u, u = a and
         u = b included, and n up to 200, past the rows the triangles store:
-        ``family_value`` equals ``build_*(n, params).eval(u)``."""
+        ``family_value`` is an integer pair over a positive denominator
+        whose ratio equals ``build_*(n, params).eval(u)``."""
         assume(a != b)
         u = {"u": u, "a": a, "b": b}[at]
         params = RiccatiParams(1, a, b, d)
@@ -364,8 +413,10 @@ class TestFamilyValue:
             for letter, build in (("P", build_P), ("Q", build_Q),
                                   ("S", build_S)):
                 if n or letter != "P":
-                    assert family_value(letter, n, params, u) == \
-                        build(n, params).eval(u), letter
+                    num, den = family_value(letter, n, params, u)
+                    assert type(num) is int and type(den) is int and den > 0
+                    assert Fraction(num, den) == build(n, params).eval(u), \
+                        letter
         finally:
             special_numbers.reset_caches()  # no shifted triangle outlives it
 
