@@ -173,9 +173,11 @@ def _json_verdict(v: Verdict) -> str:
 
 
 def _csv_verdict(v: Verdict) -> list[str]:
+    """The verdict's csv row; its params column is the JSON text that the
+    verdict made once, at construction."""
     return [
         v.identity,
-        json_object(v.params),
+        v._params_text,
         v.status,
         "" if v.first_failure is None else v.first_failure,
         v.witness["lhs"] if v.witness else "",

@@ -13,9 +13,9 @@ For concrete rational parameters:
 * ``build_E/A/M`` -- the Eulerian polynomials (both indexings) and the
   MacMahon row polynomials; P and Q collapse onto E and M under the
   substitution x = (u-a)/(u-b).
-* ``family_value`` -- P_n, Q_n or S_n at one rational point, as an integer
-  (numerator, denominator) pair, read from the row its builder reads,
-  without building the polynomial.
+* ``family_value`` -- P_n, Q_n or S_n at one rational point, both as
+  integer (numerator, denominator) pairs, read from the row its builder
+  reads, without building the polynomial.
 
 Parameters are concrete rationals, never indeterminates, so every family
 member is an ordinary univariate ``Poly``.
@@ -30,7 +30,8 @@ from fractions import Fraction
 
 from .exact import Record, UsageError, as_fraction
 from .polyseries import Poly
-from .special_numbers import FAMILY_CACHE, eulerian_row, macmahon_row
+from .special_numbers import (FAMILY_CACHE, _macmahon_triangle, eulerian_row,
+                              macmahon_row)
 
 
 def _key_part(x: Fraction):
@@ -43,12 +44,15 @@ class RiccatiParams(Record):
     """(r, a, b, d) with r != 0 and a != b; the companion-equation shift d
     (unrestricted, default 0) is read only by S and the v oracle.
 
-    ``_ab`` and ``_abd`` are the memo key parts of (a, b) and (a, b, d),
-    built once here, so a family lookup only joins tuples, and ``_shift``
-    is S's row shift c = 2d/(b-a), computed once here for every S member
-    and value."""
+    The ``_`` slots are integers derived here, once, so that no kernel
+    reads a ``Fraction`` property per member or per value: ``_ab`` and
+    ``_abd`` are the memo key parts of (a, b) and (a, b, d), so a family
+    lookup only joins tuples; ``_qab`` is (q, na, nb), a and b over their
+    one denominator q = lcm(den a, den b), na = q a and nb = q b; and
+    ``_shift`` is S's row shift c = 2d/(b-a) as its key (p, e), c = p/e in
+    lowest terms with e > 0."""
 
-    __slots__ = ("r", "a", "b", "d", "_ab", "_abd", "_shift")
+    __slots__ = ("r", "a", "b", "d", "_ab", "_abd", "_qab", "_shift")
 
     def __init__(self, r, a, b, d=Fraction(0)):
         r, a, b, d = map(as_fraction, (r, a, b, d))
@@ -63,18 +67,48 @@ class RiccatiParams(Record):
         ab = (_key_part(a), _key_part(b))
         object.__setattr__(self, "_ab", ab)
         object.__setattr__(self, "_abd", (*ab, _key_part(d)))
-        object.__setattr__(self, "_shift", 2 * d / (b - a))
+        q = math.lcm(a.denominator, b.denominator)
+        object.__setattr__(self, "_qab", (q, a.numerator * (q // a.denominator),
+                                          b.numerator * (q // b.denominator)))
+        object.__setattr__(self, "_shift", (2 * d / (b - a)).as_integer_ratio())
+
+
+#: The largest read, in bytes (width times count), that ``_digits`` takes
+#: by shift and mask; a larger one goes through ``to_bytes``.  The shift
+#: read's cost grows with count times bytes, so the crossover falls as the
+#: count rises.  Time of the shift read over the ``to_bytes`` read at random
+#: digits (median of 9 rounds of the best of 3 x 200 calls, 2-vCPU host,
+#: CPython 3.11.7): 0.45-0.54 at 250-510 bytes over 6 digits, 0.61-0.89 at
+#: 250-510 bytes over 21 digits and 0.67-0.95 over 41, against 0.76-1.29 at
+#: 750-1,530 bytes over 21 digits and 1.10-1.76 at 615-1,520 over 41.  A
+#: cold ``verify all`` reads at most 378 bytes, all by shift and mask.
+DIGITS_SHIFT_BYTES = 512
 
 
 def _digits(packed: int, width: int, count: int) -> list[int]:
-    """The ``count`` signed digits of ``packed`` in base 2^(8 width), lowest
-    first, each in [-2^(8 width - 1), 2^(8 width - 1)).
+    """The ``count`` signed digits of ``packed`` in base 2^K, K = 8 width,
+    lowest first, each in [-2^(K-1), 2^(K-1)).
 
-    Adding the bias 2^(8 width - 1) to every digit makes them all
-    nonnegative, and XOR with the same bias turns each biased digit into the
-    two's complement of the signed one, so one ``to_bytes`` pass and one
-    signed ``from_bytes`` per digit read them off.
+    A read of at most ``DIGITS_SHIFT_BYTES`` bytes takes the digits off the
+    bottom one at a time: with t = packed + 2^(K-1), the low K bits of t
+    are the digit plus 2^(K-1), and t >> K, the carry included, is what
+    remains above it.  Each step shifts the whole remainder, so the read
+    costs count^2 width; a larger one costs width count in one pass:
+    adding the bias 2^(K-1) to every digit makes them all nonnegative, and
+    XOR with the same bias turns each biased digit into the two's
+    complement of the signed one, so one ``to_bytes`` pass and one signed
+    ``from_bytes`` per digit read them off.
     """
+    if width * count <= DIGITS_SHIFT_BYTES:
+        k = 8 * width
+        half = 1 << (k - 1)
+        mask = (half << 1) - 1
+        out = []
+        for _ in range(count):
+            packed += half
+            out.append((packed & mask) - half)
+            packed >>= k
+        return out
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
     raw = ((packed + bias) ^ bias).to_bytes(width * count, "little")
     return [int.from_bytes(raw[i:i + width], "little", signed=True)
@@ -104,48 +138,61 @@ def _unpacked(packed: int, width: int, den: int) -> Poly:
     return Poly._over(_digits(packed, width, count), den)
 
 
-def _homogeneous(coeffs, a: Fraction, b: Fraction, den: int = 1) -> Poly:
-    """sum_k coeffs[k] (u-a)^k (u-b)^(m-k) / den, m = len(coeffs) - 1, by
-    Horner's rule on integers that each pack a whole polynomial (Kronecker
-    substitution).
+def _pass_widths(size: int, m: int, q: int, na: int, nb: int) -> tuple:
+    """(width, width1), in bytes, of the packed passes of ``_homogeneous``
+    over a row of m + 1 coefficients whose sizes sum to less than 2^size,
+    with a and b over one denominator q (na = q a, nb = q b): ``width``
+    holds every coefficient of the numerator F over q^m (the one-pass read,
+    and the cap of pass 2), ``width1`` every digit of pass 1.  Each bounds
+    its digits' size B by bitlen(B) <= 8 width - 1, as the kernel's
+    docstring derives."""
+    width = (size + m * (q + max(abs(na), abs(nb))).bit_length()) // 8 + 1
+    width1 = (size + m * (1 + abs(nb - na)).bit_length()) // 8 + 1
+    return width, width1
 
-    Over one denominator q, with na = q a and nb = q b, the numerator over
-    q^m is F(u) = sum_k c_k (q u - na)^k (q u - nb)^(m-k).  Its coefficients
-    sum in size to at most s (q + max(|na|, |nb|))^m, s = sum |c_k|, since
-    the coefficients of a product sum in size to at most the product of
-    the factors' sums.  A Horner rule at 2^K of shifts, adds and products
-    by small integers (no big x big product but c_k times a power) forms
-    it, and the digits of the packed result read back exactly when every
-    one lies in [-2^(K-1), 2^(K-1)), that is when K - 1 >= bitlen(B) for a
-    bound B on their size.  K = 8 width bits (whole bytes), and width =
-    bitlen(B) // 8 + 1 meets it; with B the row bound above, bitlen(B) <=
+
+def _homogeneous(coeffs, q: int, na: int, nb: int, den: int = 1) -> Poly:
+    """sum_k coeffs[k] (u-a)^k (u-b)^(m-k) / den, m = len(coeffs) - 1, for
+    a = na/q and b = nb/q over one denominator q > 0, by Horner's rule on
+    integers that each pack a whole polynomial (Kronecker substitution).
+
+    The numerator over q^m is F(u) = sum_k c_k (q u - na)^k (q u - nb)^(m-k).
+    Its coefficients sum in size to at most s (q + max(|na|, |nb|))^m,
+    s = sum |c_k|, since the coefficients of a product sum in size to at
+    most the product of the factors' sums.  The digits of a packed result
+    at 2^K read back exactly when every one lies in [-2^(K-1), 2^(K-1)),
+    that is when K - 1 >= bitlen(B) for a bound B on their size.  K = 8
+    width bits (whole bytes), and ``_pass_widths`` sizes each width by
+    width = bitlen(B) // 8 + 1; with B the row bound above, bitlen(B) <=
     bitlen(s) + m bitlen(q + max(|na|, |nb|)).
 
-    Small members (m <= 20) take one pass at u = 2^K and that width: each
-    step is acc (q u - na) + c_k power and power (q u - nb), that is
-    acc = (acc q << K) - acc na + c_k power and power = (power q << K) -
-    power nb, so one ``_digits`` read gives the numerators, normalised once
-    over q^m den.  Both acc and power grow by K bits per step, and c_k
-    times power is a product of a row entry by the whole packed power, so a
-    step does more work than a step of either pass below; at small m the
-    fixed cost of a second pass, its bound and a second read outweighs
-    that.  Timed per member on Eulerian, MacMahon and shifted MacMahon rows
-    at q <= 3 and at q = 1,111,101 (median of 3 rounds of the best of 11 x
-    100 calls, 2-vCPU Xeon, CPython 3.11.7), the one pass took 0.64-0.86
-    of the two passes' time at m = 8-16, 0.78-0.97 at m = 20, 0.82-1.06 at
-    m = 24 (above 1 only at the large q), 0.91-1.11 at m = 28 and
-    1.07-1.41 at m = 40, where ``poly --n 1300`` and the grosset-veselov
-    squares of ``--m-max 40`` build.
+    Small members (m <= 20) take one pass at u = 2^K and that width, with
+    the linear factors packed as the ints fa = (q << K) - na and fb =
+    (q << K) - nb: each step is acc = acc fa + c_k power and power *= fb,
+    two products by a packed factor of about K bits and one by a row entry,
+    and one ``_digits`` read gives the numerators, normalised once over q^m
+    den.  Both acc and power grow by K bits per step, so a step does more
+    work than a step of either pass below; at small m the fixed cost of a
+    second pass, its bound and a second read outweighs that.  Timed per
+    member on Eulerian and MacMahon rows (median of 5 rounds of the best of
+    3 x 100 calls, 2-vCPU host, CPython 3.11.7), the one pass took, of the
+    two passes' time, 0.57-0.77 at m = 8-16 and 0.84-0.97 at m = 20 for
+    q <= 3, and 1.00-1.13 at m = 24, past the selection.  A product by a
+    packed factor grows with K^2 where a shift and add grow with K, so at a
+    tall q the one pass is the slower: at q = 1,111,101 it took 0.89 of the
+    two passes' time at m = 8, 1.31 at m = 12 and 2.18 at m = 20 (its
+    earlier steps of shifts and products by q, na and nb took 0.80-0.98).
 
-    Larger members take two passes: with delta = nb - na, t = q u - nb
-    gives q u - na = t + delta, so F(t) = sum_k c_k (t + delta)^k t^(m-k),
-    and each pass packs at its own width:
+    Larger members take two passes of shifts and adds, with no product by a
+    wide packed factor: with delta = nb - na, t = q u - nb gives q u - na =
+    t + delta, so F(t) = sum_k c_k (t + delta)^k t^(m-k), and each pass
+    packs at its own width:
 
     1. t^m F(1/t) = sum_k c_k (1 + delta t)^k at t = 2^K1, so each step is
        acc + (delta acc << K1) + c_k; its digits, lowest first, are the
        coefficients of F from t^m down.  Coefficient j is sum_k c_k C(k, j)
        delta^j, at most sum_k |c_k| (1 + |delta|)^k <= s (1 + |delta|)^m,
-       so K1 bounds 2^(bitlen(s) + m bitlen(1 + |delta|)).
+       so K1 (``width1``) bounds 2^(bitlen(s) + m bitlen(1 + |delta|)).
     2. F(q u - nb) at u = 2^K2, each step (out q << K2) - out nb + e_j over
        pass 1's digits e_0, ..., e_m, as F(t) = sum_j e_j t^(m-j).  The
        coefficients of (q u - nb)^i sum in size to (q + |nb|)^i, so every
@@ -155,21 +202,18 @@ def _homogeneous(coeffs, a: Fraction, b: Fraction, den: int = 1) -> Poly:
        P_160 pass 2 packs at 1,472 bits instead of 1,584 at (1/3, 5/3), and
        at 1,152 instead of 1,264 at (0, 1).
     """
-    q = math.lcm(a.denominator, b.denominator)
-    na = a.numerator * (q // a.denominator)
-    nb = b.numerator * (q // b.denominator)
     m = len(coeffs) - 1
     size = sum(map(abs, coeffs)).bit_length()
-    width = (size + m * (q + max(abs(na), abs(nb))).bit_length()) // 8 + 1
+    width, width1 = _pass_widths(size, m, q, na, nb)
     if m <= 20:
         k = 8 * width
+        fa, fb = (q << k) - na, (q << k) - nb
         acc, power = 0, 1
         for c in reversed(coeffs):
-            acc = (acc * q << k) - acc * na + c * power
-            power = (power * q << k) - power * nb
+            acc = acc * fa + c * power
+            power *= fb
         return Poly._over(_digits(acc, width, m + 1), q ** m * den)
     delta, acc, out = nb - na, 0, 0
-    width1 = (size + m * (1 + abs(delta)).bit_length()) // 8 + 1
     k1 = 8 * width1
     for c in reversed(coeffs):
         acc += (delta * acc << k1) + c
@@ -203,10 +247,12 @@ def _built_once(build, *, keyed_on_d: bool = False):
 
 
 def _family_row(letter: str, n: int, params: RiccatiParams) -> tuple:
-    """(row, x, y, den) with F_n(u) = sum_k row[k] (u-x)^k (u-y)^(m-k) / den,
-    m = len(row) - 1, for F = P, Q or S (``letter``): the one statement of
-    which triangle row a member reads, in which orientation and over which
-    divisor, read by the builders and by ``family_value``.
+    """(row, q, nx, ny, den) with F_n(u) = sum_k row[k] (u-x)^k (u-y)^(m-k)
+    / den, m = len(row) - 1, x = nx/q and y = ny/q, for F = P, Q or S
+    (``letter``): the one statement of which triangle row a member reads,
+    in which orientation and over which divisor, read by the builders and
+    by ``family_value``.  It reads the record's integers, not its
+    ``Fraction``s.
 
     P_n for n >= 2 reads Eulerian row n-1 padded with a zero at each end,
     against (u-a)^k (u-b)^(n-k), and P_1 = u - a is the row (0, 1).  Q_n reads
@@ -219,38 +265,39 @@ def _family_row(letter: str, n: int, params: RiccatiParams) -> tuple:
     first = 1 if letter == "P" else 0
     if n < first:
         raise UsageError(f"need n >= {first}, got {n}")
-    a, b = params.a, params.b
+    q, na, nb = params._qab
     if letter == "P":
-        return (0, *eulerian_row(n - 1), 0) if n > 1 else (0, 1), a, b, 1
+        return (0, *eulerian_row(n - 1), 0) if n > 1 else (0, 1), q, na, nb, 1
     if letter == "Q":
-        return macmahon_row(n + 1), b, a, 1
-    c = params._shift
-    return macmahon_row(n + 1, c), b, a, c.denominator ** n
+        return macmahon_row(n + 1), q, nb, na, 1
+    shift = params._shift
+    return _macmahon_triangle(shift).row(n + 1), q, nb, na, shift[1] ** n
 
 
 def family_value(letter: str, n: int, params: RiccatiParams,
-                 u) -> tuple[int, int]:
-    """F_n(u) for F = P, Q or S (``letter``) as an integer (numerator,
-    denominator) pair, not reduced, the denominator positive: read from the
-    row its builder reads (``_family_row``) without building the
-    polynomial, and not memoized.
+                 u: tuple[int, int]) -> tuple[int, int]:
+    """F_n(u) for F = P, Q or S (``letter``) at the point u = (numerator,
+    denominator), an integer pair with a positive denominator, as an
+    integer (numerator, denominator) pair, not reduced, the denominator
+    positive: read from the row its builder reads (``_family_row``) without
+    building the polynomial, and not memoized.
 
-    With x, y and u over one denominator q, alpha = q (u - x) and beta =
-    q (u - y) are integers, and one homogeneous Horner pass on ints forms
+    With x, y and u over one denominator g, alpha = g (u - x) and beta =
+    g (u - y) are integers, and one homogeneous Horner pass on ints forms
     sum_k row[k] alpha^k beta^(m-k), each step one product by alpha and one
-    by the running power of beta; the value is that sum over q^m den.  No
-    ``Fraction`` is built: a caller compares the pair cross-multiplied.
+    by the running power of beta; the value is that sum over g^m den.  It
+    reads no ``Fraction``: a caller compares the pair cross-multiplied.
     """
-    row, x, y, den = _family_row(letter, n, params)
-    q = math.lcm(x.denominator, y.denominator, u.denominator)
-    nu = u.numerator * (q // u.denominator)
-    alpha = nu - x.numerator * (q // x.denominator)
-    beta = nu - y.numerator * (q // y.denominator)
+    row, q, nx, ny, den = _family_row(letter, n, params)
+    num, u_den = u
+    g = math.lcm(q, u_den)
+    nu, scale = num * (g // u_den), g // q
+    alpha, beta = nu - nx * scale, nu - ny * scale
     acc, power = 0, 1
     for c in reversed(row):
         acc = acc * alpha + c * power
         power *= beta
-    return acc, q ** (len(row) - 1) * den
+    return acc, g ** (len(row) - 1) * den
 
 
 @_built_once
@@ -312,25 +359,52 @@ def build_M(n: int) -> Poly:
 
 
 #: The largest ``n`` that ``family_poly`` (the ``poly --n`` option) takes
-#: per family: at the limit ``derivpoly poly`` builds and prints its
-#: polynomial in about 10 s.  P, Q and S at a = 1/3, b = 5/3, d = 2/3: P
-#: 1300 in 9.2-10.9 s, Q 1300 in 7.7-9.8 s, S 1300 in 8.2-12.0 s.  E, A and
-#: M read one triangle row, which a triangle steps to keeping a few rows
-#: (see ``special_numbers.Triangle``), so their limit is set by time alone:
-#: E 2400 in 9.9 s, A 2400 in 11.3 s and M 2400 in 8.7 s, one run each, at
-#: a peak RSS of 67-73 MB.  Timed as subprocesses printing to /dev/null on
-#: a 2-vCPU Xeon, CPython 3.11.7.
+#: per family.  E, A and M read one triangle row, which a triangle steps to
+#: keeping a few rows (see ``special_numbers.Triangle``), so their limit is
+#: set by time alone: E 2400 in 9.9 s, A 2400 in 11.3 s and M 2400 in
+#: 8.7 s, one run each, at a peak RSS of 67-73 MB.  P, Q and S are bounded
+#: by ``_build_cost`` too, whose budget is their cost at n = 1300 and the
+#: parameters of ``_COST_REFERENCE``: P 1300 in 9.2-10.9 s, Q 1300 in
+#: 7.7-9.8 s, S 1300 in 8.2-12.0 s.  Timed as subprocesses printing to
+#: /dev/null on a 2-vCPU Xeon, CPython 3.11.7.
 FAMILY_LIMITS = {"P": 1300, "Q": 1300, "S": 1300, "E": 2400, "A": 2400,
                  "M": 2400}
 FAMILIES = tuple(FAMILY_LIMITS)
+#: a = 1/3, b = 5/3 and d = 2/3, at which P, Q and S at n = 1300 set the
+#: cost budget of ``family_poly``.
+_COST_REFERENCE = RiccatiParams(1, Fraction(1, 3), Fraction(5, 3),
+                                Fraction(2, 3))
+
+
+def _build_cost(letter: str, n: int, params: RiccatiParams) -> int:
+    """About how much work ``_homogeneous`` does for P_n, Q_n or S_n
+    (``letter``, n >= 1) at ``params``, without building the row: each
+    Horner pass takes m = n steps on ints that grow to m times its width,
+    so it costs about m^2 width, and the estimate is m^2 (width + width1)
+    with both widths from ``_pass_widths``.  The row's L1 norm, which sets
+    both widths, is bounded from the row sums: (n-1)! for P's Eulerian row
+    n-1 and 2^n n! for Q's MacMahon row n+1, whose entries are positive.
+    S's row steps by the weights e(2k-1) + p and e(2n'-2k+1) - p at the
+    shift p/e, and the two weights of each parent in row n'-1 sum in size
+    to at most 2(e(n'-1) + |p|), so 2^n prod_{j=1..n} (e j + |p|) bounds its
+    L1 norm."""
+    if letter == "P":
+        norm = math.factorial(n - 1)
+    elif letter == "Q":
+        norm = math.factorial(n) << n
+    else:
+        p, e = params._shift
+        norm = math.prod(range(e + abs(p), e * n + abs(p) + 1, e)) << n
+    return n * n * sum(_pass_widths(norm.bit_length(), n, *params._qab))
 
 
 def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
     """Build one member of a named family; raises UsageError on bad input,
     including a parameter the family does not take (E/A/M take none of
-    r, a, b, d; P and Q take no d).  n above ``FAMILY_LIMITS[family]`` is
-    refused before any work, and n below the family's first member by its
-    builder."""
+    r, a, b, d; P and Q take no d).  n above ``FAMILY_LIMITS[family]``, and
+    a P, Q or S member whose ``_build_cost`` exceeds the family's at n =
+    1300 and ``_COST_REFERENCE``, are refused before any work, and n below
+    the family's first member by its builder."""
     if family not in FAMILIES:
         raise UsageError(f"unknown family {family!r}")
     if n > FAMILY_LIMITS[family]:
@@ -349,6 +423,16 @@ def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
                                 0 if d is None else d),)
         if family == "S" and d is None:
             raise UsageError("family S requires parameter d")
+        if n >= 1:
+            cost = _build_cost(family, n, *params)
+            budget = _build_cost(family, FAMILY_LIMITS[family], _COST_REFERENCE)
+            if cost > budget:
+                raise UsageError(
+                    f"family {family} at n = {n} and these parameters would "
+                    f"cost about {cost / budget:.2f} times the largest build "
+                    f"(n = {FAMILY_LIMITS[family]} at a = 1/3, b = 5/3"
+                    f"{', d = 2/3' if family == 'S' else ''}); use a smaller "
+                    f"n or parameters of smaller height")
     build = {"P": build_P, "Q": build_Q, "S": build_S, "E": build_E,
              "A": build_A, "M": build_M}[family]
     return build(n, *params)

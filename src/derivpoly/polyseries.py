@@ -147,15 +147,16 @@ class Poly:
     def eval(self, x: Scalar) -> Fraction:
         """The value at an exact point, as one ``Fraction`` of
         ``_eval_pair``."""
-        return Fraction(*self._eval_pair(x))
+        return Fraction(*self._eval_pair(_exact(x)))
 
     def _eval_pair(self, x: Scalar) -> tuple[int, int]:
-        """The value at an exact point p/q as an integer (numerator,
+        """The value at an exact point p/q (an int or a ``Fraction``, read
+        once by ``as_integer_ratio``) as an integer (numerator,
         denominator) pair, not reduced, the denominator positive: Horner's
         rule on ints, each step acc p + c q^j, gives acc = q^(m-1) times the
         numerators' value for m coefficients, and the pair is (acc q,
         den q^m)."""
-        p, q = _exact(x).numerator, x.denominator
+        p, q = x.as_integer_ratio()
         acc, q_pow = 0, 1
         for c in reversed(self._coeffs):
             acc = acc * p + c * q_pow
@@ -165,11 +166,12 @@ class Poly:
     def definite_integral(self, a: Scalar, b: Scalar) -> Fraction:
         """Exact integral over [a, b], as one ``Fraction`` of
         ``_integral_pair``; swapping the endpoints negates it."""
-        return Fraction(*self._integral_pair(a, b))
+        return Fraction(*self._integral_pair(_exact(a), _exact(b)))
 
     def _integral_pair(self, a: Scalar, b: Scalar) -> tuple[int, int]:
-        """The integral over [a, b] as an integer (numerator, denominator)
-        pair, not reduced, the denominator positive.
+        """The integral over [a, b] (ints or ``Fraction``s, each read once by
+        ``as_integer_ratio``) as an integer (numerator, denominator) pair,
+        not reduced, the denominator positive.
 
         With L = lcm(1..m) for m coefficients, the antiderivative has the
         integer numerators ``c_k (L / (k+1))`` over ``den L``.  With both
@@ -180,9 +182,10 @@ class Poly:
         """
         m = len(self._coeffs)
         scale = math.lcm(*range(1, m + 1))
-        q = math.lcm(_exact(a).denominator, _exact(b).denominator)
-        pa = a.numerator * (q // a.denominator)
-        pb = b.numerator * (q // b.denominator)
+        (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
+        q = math.lcm(qa, qb)
+        pa *= q // qa
+        pb *= q // qb
         acc_a = acc_b = 0
         q_pow = 1
         for k, c in zip(range(m, 0, -1), reversed(self._coeffs)):

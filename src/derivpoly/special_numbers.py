@@ -181,19 +181,20 @@ def macmahon(n: int, k: int) -> int:
     return row[k - 1] if 1 <= k <= n else 0
 
 
-def _macmahon_triangle(shift=0) -> Triangle:
-    """The memoized MacMahon triangle at ``shift``, made on first use."""
-    key = shift.numerator, shift.denominator
+def _macmahon_triangle(key=(0, 1)) -> Triangle:
+    """The memoized MacMahon triangle at the shift c = p/e whose key is
+    (p, e), in lowest terms with e > 0, made on first use.  The key is read
+    as two integers, as ``RiccatiParams`` holds S's shift."""
     triangle = _MACMAHON_TRIANGLES.get(key)
     if triangle is None:
-        triangle = _MACMAHON_TRIANGLES[key] = Triangle(MACMAHON, shift)
+        triangle = _MACMAHON_TRIANGLES[key] = Triangle(MACMAHON, Fraction(*key))
     return triangle
 
 
 def macmahon_row(n: int, shift=0) -> tuple[int, ...]:
     """Row n of the MacMahon triangle, or with a rational ``shift`` c = p/e
     row n of the triangle shifted by c times e^(n-1), all integers."""
-    return _macmahon_triangle(shift).row(n)
+    return _macmahon_triangle((shift.numerator, shift.denominator)).row(n)
 
 
 def macmahon_explicit(n: int, k: int) -> int:

@@ -12,9 +12,10 @@ side as an integer numerator and denominator and is compared
 cross-multiplied (``_cross_sides``), and packed polynomials are compared as
 one integer each: the ``Fraction`` or ``Poly`` sides are built only for a
 failing pair's witness.  The values of the families, of built polynomials
-and of their integrals come from their kernels as such integer pairs
-(``family_value``, ``Poly._eval_pair``, ``Poly._integral_pair``), so a
-passing pair builds no ``Fraction``.  Exact paths carry no tolerance
+and of their integrals, and the oracle's coefficients times n!, come from
+their kernels as such integer pairs (``family_value``, ``Poly._eval_pair``,
+``Poly._integral_pair``, ``_unscaled``), so a passing pair builds no
+``Fraction``.  Exact paths carry no tolerance
 knobs; the one verdict decided outside ``_scan`` is the floating-point
 quadrature cross-check ``grosset_veselov_numeric``.
 """
@@ -97,10 +98,15 @@ EGF_SHIFTS = (Fraction(0), Fraction(1, 4), Fraction(-1, 2))
 
 
 class Verdict(Record):
-    """Outcome of one identity check; a failure always carries a witness."""
+    """Outcome of one identity check; a failure always carries a witness.
+
+    ``_params_text`` is the params' JSON text (``json_object``), made once
+    here: the canonical order of ``run_suite`` sorts on it and the csv
+    writer prints it.  It is derived, so no part of equality or the repr.
+    """
 
     __slots__ = ("identity", "params", "passed", "first_failure", "witness",
-                 "inconclusive")
+                 "inconclusive", "_params_text")
     #: ``params`` and ``witness`` are dicts, so a verdict has no hash.
     __hash__ = None
 
@@ -113,6 +119,7 @@ class Verdict(Record):
         object.__setattr__(self, "first_failure", first_failure)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "inconclusive", inconclusive)
+        object.__setattr__(self, "_params_text", json_object(params))
 
     @property
     def status(self) -> str:
@@ -250,15 +257,40 @@ def _riccati_numerators(alpha: int, beta: int, mu: int, order: int) -> list[int]
     return x
 
 
-def _unscaled(nums: list[int], lead: Fraction, r: Fraction, q: int) -> Series:
-    """The series with coefficient n equal to lead * r^n * nums[n] / (n! q^n)."""
-    num, den, out = lead.numerator, lead.denominator, []
+def _unscaled(nums: list[int], lead: tuple[int, int], r: tuple[int, int],
+              q: int) -> list[tuple[int, int]]:
+    """n! c_n = lead * r^n * nums[n] / q^n for each n, as unreduced integer
+    (numerator, denominator) pairs, with ``lead`` and ``r`` given as such
+    pairs: the oracle's coefficients times n!, with no ``Fraction`` built.
+    The theorems compare them cross-multiplied, and ``_series`` divides
+    them by n! for the ``series`` command."""
+    (num, den), (r_num, r_den), out = lead, r, []
     for n, x in enumerate(nums):
         if n:
-            num *= r.numerator
-            den *= r.denominator * n * q
-        out.append(Fraction(num * x, den))
+            num *= r_num
+            den *= r_den * q
+        out.append((num * x, den))
+    return out
+
+
+def _series(pairs: list[tuple[int, int]]) -> Series:
+    """The series whose coefficient n is pairs[n] over n!, one reduced
+    ``Fraction`` each: the oracle's ``_unscaled`` pairs as Taylor
+    coefficients."""
+    out, fact = [], 1
+    for n, (num, den) in enumerate(pairs):
+        fact *= n or 1
+        out.append(Fraction(num, den * fact))
     return Series(out)
+
+
+def _riccati_pairs(inst: OracleInstance) -> list[tuple[int, int]]:
+    """n! c_n for the Taylor coefficients c_n of u, as ``_unscaled`` integer
+    pairs (see ``riccati_series``)."""
+    p = inst.params
+    q, alpha, beta, mu, _ = _scaled_parameters(p.a, p.b, inst.u0)
+    return _unscaled(_riccati_numerators(alpha, beta, mu, inst.order),
+                     (1, q), p.r.as_integer_ratio(), q)
 
 
 def riccati_series(inst: OracleInstance) -> Series:
@@ -267,13 +299,10 @@ def riccati_series(inst: OracleInstance) -> Series:
     The recurrence (n+1) c_{n+1} = r * [z^n]((u-a)(u-b)) runs on ints: with
     a, b, u0 over one denominator q, c_n = r^n x_n / (n! q^(n+1)) for the
     integers x_n of ``_riccati_numerators``, and each c_n is one ``Fraction``
-    built at the end.  It never consults the polynomial families it is used
-    to check.
+    built at the end from the integer pairs of ``_riccati_pairs``.  It never
+    consults the polynomial families it is used to check.
     """
-    p = inst.params
-    q, alpha, beta, mu, _ = _scaled_parameters(p.a, p.b, inst.u0)
-    return _unscaled(_riccati_numerators(alpha, beta, mu, inst.order),
-                     Fraction(1, q), p.r, q)
+    return _series(_riccati_pairs(inst))
 
 
 def _v_numerators(alpha: int, beta: int, mu: int, eta: int,
@@ -290,6 +319,19 @@ def _v_numerators(alpha: int, beta: int, mu: int, eta: int,
     return _exp_transform(row, eta + alpha)
 
 
+def _v_pairs(inst: OracleInstance) -> list[tuple[int, int]]:
+    """n! w_n for the Taylor coefficients w_n of v, as ``_unscaled`` integer
+    pairs (see ``v_series``), whose denominators take the sign of mu - beta
+    (``_cross_sides`` and ``Fraction`` read either sign)."""
+    p = inst.params
+    q, alpha, beta, mu, eta = _scaled_parameters(p.a, p.b, inst.u0, p.d)
+    num, den = inst.v0.as_integer_ratio()
+    if mu != beta:
+        den *= mu - beta
+    return _unscaled(_v_numerators(alpha, beta, mu, eta, inst.order),
+                     (num, den), p.r.as_integer_ratio(), q)
+
+
 def v_series(inst: OracleInstance) -> Series:
     """Taylor coefficients of v from v' = r v (u - (a+b)/2 + d), v(0) = v0.
 
@@ -299,13 +341,11 @@ def v_series(inst: OracleInstance) -> Series:
     Hence v = v0 e^((eta+alpha) s) (X - beta)/(mu - beta), that is
     w_n = v0 r^n y_n / ((mu - beta) n! q^n) for the integers y_n of
     ``_v_numerators``; 1/(mu - beta) goes into the lead, so no integer is
-    divided.  If mu = beta, u is constant and the lead is v0.
+    divided.  If mu = beta, u is constant and the lead is v0.  Each w_n is
+    one ``Fraction`` built at the end from the integer pairs of
+    ``_v_pairs``.
     """
-    p = inst.params
-    q, alpha, beta, mu, eta = _scaled_parameters(p.a, p.b, inst.u0, p.d)
-    lead = inst.v0 if mu == beta else inst.v0 / (mu - beta)
-    return _unscaled(_v_numerators(alpha, beta, mu, eta, inst.order),
-                     lead, p.r, q)
+    return _series(_v_pairs(inst))
 
 
 def check_theorem(theorem: str, inst: OracleInstance) -> Verdict:
@@ -318,42 +358,39 @@ def check_theorem(theorem: str, inst: OracleInstance) -> Verdict:
       case d = 0 only (ValueError otherwise);
     - ``theorem3``: n! * [z^n]v == v0 * (r/2)^n * S_n(u0) for any shift d.
 
-    The left side comes from the ODE oracle's integer recurrence alone, the
-    right side from the family's triangle row read at u0 by
-    ``family_value``, which builds no polynomial and returns an integer
-    pair.  Each side is kept as an integer numerator and denominator, n!
-    and start * ratio^n folded in by one integer product each per n, and
-    the pair is compared cross-multiplied (``_cross_sides``): the
-    ``Fraction``s are built only for a failing pair's witness.
+    The left side comes from the ODE oracle's integer recurrence alone, as
+    the integer pairs of n! times each coefficient (``_riccati_pairs``,
+    ``_v_pairs``), the right side from the family's triangle row read at
+    u0 by ``family_value``, which builds no polynomial and returns an
+    integer pair.  start * ratio^n is kept as an integer numerator and
+    denominator, advanced by one product each per n, and each pair is
+    compared cross-multiplied (``_cross_sides``): no ``Fraction`` is read
+    or built per n, and the two are built only for a failing pair's
+    witness.
     """
     p = inst.params
     if theorem == "theorem2" and p.d != 0:
         raise ValueError("the Q-family check applies to d = 0 instances")
-    r_num, r_den = p.r.numerator, p.r.denominator
-    # Formed per call, so that an oracle rebound on this module (as the
-    # benchmark's tracer does) is the one called.  The ratio is r or r/2 as
-    # (numerator, denominator).
+    (r_num, r_den), v0 = p.r.as_integer_ratio(), inst.v0.as_integer_ratio()
+    # The start and the ratio, r or r/2, as (numerator, denominator) pairs.
     oracle, letter, shift, start, (ratio_num, ratio_den), extra = {
-        "theorem1": (riccati_series, "P", 1, Fraction(1), (r_num, r_den), {}),
-        "theorem2": (v_series, "Q", 0, inst.v0, (r_num, 2 * r_den),
+        "theorem1": (_riccati_pairs, "P", 1, (1, 1), (r_num, r_den), {}),
+        "theorem2": (_v_pairs, "Q", 0, v0, (r_num, 2 * r_den),
                      {"v0": inst.v0}),
-        "theorem3": (v_series, "S", 0, inst.v0, (r_num, 2 * r_den),
+        "theorem3": (_v_pairs, "S", 0, v0, (r_num, 2 * r_den),
                      {"d": p.d, "v0": inst.v0}),
     }[theorem]
     params = _params(r=p.r, a=p.a, b=p.b, u0=inst.u0,
                      n_max=inst.order, **extra)
-    c = oracle(inst).coeffs
+    lhs, u0 = oracle(inst), inst.u0.as_integer_ratio()
 
     def pairs():
-        fact, num, den = 1, start.numerator, start.denominator
+        num, den = start
         for n in range(1, inst.order + 1):
-            fact *= n
             num *= ratio_num
             den *= ratio_den
-            lhs = c[n]
-            rhs_num, rhs_den = family_value(letter, n + shift, p, inst.u0)
-            yield (n, *_cross_sides(fact * lhs.numerator, lhs.denominator,
-                                    num * rhs_num, den * rhs_den))
+            rhs_num, rhs_den = family_value(letter, n + shift, p, u0)
+            yield (n, *_cross_sides(*lhs[n], num * rhs_num, den * rhs_den))
 
     return _scan(theorem, params, pairs())
 
@@ -513,8 +550,8 @@ def _integral_verdicts(family: str, ns: range, a, b, d=0):
     (``_bernoulli_value_pair``)."""
     params = RiccatiParams(1, a, b, d)
     a, b = params.a, params.b
-    width, c = b - a, params._shift
-    point = Fraction(c.numerator + c.denominator, 2 * c.denominator)
+    (p, e), width = params._shift, b - a
+    point = Fraction(p + e, 2 * e)
     # Formed per call, so that a builder rebound on this module (as the
     # benchmark's tracer does) is the one called.  w_n = sign base^n value(n).
     build, names, value, sign, base = {
@@ -660,9 +697,10 @@ def grosset_veselov_numeric(m: int, tol: float = DEFAULT_GV_TOL) -> Verdict:
 
 
 def _substitution_points(a: Fraction, b: Fraction) -> list:
-    """(u, (u-a)/(u-b), u-b) for each sample point u != b, in sample order:
-    the E and M streams of one (a, b) share them."""
-    return [(u, (u - a) / (u - b), u - b)
+    """(u, (u-a)/(u-b), u-b) for each sample point u != b, in sample order,
+    with u - b as an integer (numerator, denominator) pair: the E and M
+    streams of one (a, b) share them."""
+    return [(u, (u - a) / (u - b), (u - b).as_integer_ratio())
             for u in SUBSTITUTION_SAMPLES if u != b]
 
 
@@ -673,9 +711,10 @@ def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
     in_u(n + shift)(u) / (u-b)^(n + shift) at the ``_substitution_points``
     of (a, b), with (in_x, in_u, shift) = (E, P, 1) or (M, Q, 0).  The
     params text is formed once.  Both values are integer pairs
-    (``Poly._eval_pair``), the power of u-b is folded into the right side's
-    numerator and denominator, its numerator's sign included, and each pair
-    is compared cross-multiplied (``_cross_sides``)."""
+    (``Poly._eval_pair``), the power of u-b, an integer pair too, is folded
+    into the right side's numerator and denominator, its numerator's sign
+    included, and each pair is compared cross-multiplied
+    (``_cross_sides``)."""
     in_x, in_u, shift = {"E": (build_E, build_P, 1),
                          "M": (build_M, build_Q, 0)}[family]
     text = _params(r=params.r, a=params.a, b=params.b)
@@ -684,12 +723,11 @@ def _substitution_verdicts(family: str, ns: range, params: RiccatiParams,
         x_poly, u_poly = in_x(n), in_u(power, params)
 
         def pairs():
-            for u, x, diff in points:
+            for u, x, (diff_num, diff_den) in points:
                 rhs_num, rhs_den = u_poly._eval_pair(u)
                 yield (None, *_cross_sides(
-                    *x_poly._eval_pair(x),
-                    rhs_num * diff.denominator ** power,
-                    rhs_den * diff.numerator ** power))
+                    *x_poly._eval_pair(x), rhs_num * diff_den ** power,
+                    rhs_den * diff_num ** power))
 
         yield _scan(f"substitution_{family}", {**text, "n": n}, pairs())
 
@@ -796,7 +834,7 @@ def suite_egf(order: int = DEFAULT_EGF_ORDER, u0=Fraction(1, 3)) -> list[Verdict
     u0 = as_fraction(u0)
     if not 0 < u0 < 1:
         raise UsageError(f"u0 must lie strictly between 0 and 1, got {u0}")
-    one_minus_x = -X + 1
+    point, one_minus_x = u0.as_integer_ratio(), -X + 1
     rows = [
         # (sum E_n(x) y^n/n!) * (1 - x e^((1-x)y)) == 1 - x.  Cross-
         # multiplication avoids dividing by 1 - x e^((1-x)y), whose constant
@@ -815,13 +853,14 @@ def suite_egf(order: int = DEFAULT_EGF_ORDER, u0=Fraction(1, 3)) -> list[Verdict
          (0, one_minus_x, one_minus_x), {}),
         # (sum P_{n+1}(u0) t^n/n!) * (u0 + (1-u0) e^t) == u0, for a=0, b=1.
         ("closed_form_f",
-         lambda n: Fraction(*family_value("P", n + 1, _BASE01, u0)),
+         lambda n: Fraction(*family_value("P", n + 1, _BASE01, point)),
          (u0, 1 - u0, 1), (u0, 0, 0), {"u0": u0}),
         # (sum S_n(u0)/2^n t^n/n!) * (u0 + (1-u0) e^t) == e^((1/2+d)t) at
         # each shift d; the d = 0 row is the generating function of the Q
         # family itself.
         *(("closed_form_h",
-           lambda n, sp=sp: Fraction(*family_value("S", n, sp, u0)) / 2 ** n,
+           lambda n, sp=sp: Fraction(*family_value("S", n, sp, point))
+           / 2 ** n,
            (u0, 1 - u0, 1), (0, 1, Fraction(1, 2) + sp.d),
            {"u0": u0, "d": sp.d})
           for sp in (RiccatiParams(1, 0, 1, d) for d in EGF_SHIFTS)),
@@ -931,7 +970,13 @@ def json_object(value) -> str:
     without importing ``json``, for an int, a finite float, a str that JSON
     writes unescaped (printable ASCII without ``"`` or ``\\``), a bool,
     None, and lists of those and dicts of those under such str keys; any
-    other value raises ``ValueError``, since its text would be a guess."""
+    other value raises ``ValueError``, since its text would be a guess.
+
+    A dict writes its str and int values in place and checks its keys and
+    str values together, as one joined str, so a flat dict (a verdict's
+    params or witness) takes no call per key or value; only its other
+    values recurse.  A str that JSON would escape is then found and
+    refused by the str branch."""
     kind = type(value)
     if kind is str:
         if value.isascii() and value.isprintable() \
@@ -941,10 +986,23 @@ def json_object(value) -> str:
         return repr(value)
     elif kind is list:
         return "[" + ", ".join([json_object(v) for v in value]) + "]"
-    elif kind is dict:
-        if all(type(k) is str for k in value):
-            return "{" + ", ".join([f"{json_object(k)}: {json_object(value[k])}"
-                                    for k in sorted(value)]) + "}"
+    elif kind is dict and all(type(k) is str for k in value):
+        strs, parts = [], []
+        for k, v in sorted(value.items()):
+            strs.append(k)
+            if type(v) is str:
+                strs.append(v)
+                parts.append(f'"{k}": "{v}"')
+            elif type(v) is int:
+                parts.append(f'"{k}": {v!r}')
+            else:
+                parts.append(f'"{k}": {json_object(v)}')
+        text = "".join(strs)
+        if text.isascii() and text.isprintable() \
+                and '"' not in text and "\\" not in text:
+            return "{" + ", ".join(parts) + "}"
+        for text in strs:
+            json_object(text)
     elif kind is bool:
         return "true" if value else "false"
     elif value is None:
@@ -953,7 +1011,7 @@ def json_object(value) -> str:
 
 
 def _verdict_sort_key(v: Verdict) -> tuple[str, str]:
-    return (v.identity, json_object(v.params))
+    return (v.identity, v._params_text)
 
 
 def run_suite(name: str, **options) -> list[Verdict]:

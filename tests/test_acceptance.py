@@ -193,7 +193,7 @@ def test_mutation_of_horner_kernel_fails_theorems(mutated_horner_kernel,
     paper's statements catch, not only the checks that build a family."""
     builders = {"P": build_P, "Q": build_Q, "S": build_S}
     monkeypatch.setattr(V, "family_value", lambda letter, n, params, u:
-                        builders[letter](n, params)._eval_pair(u))
+                        builders[letter](n, params)._eval_pair(Fraction(*u)))
     for theorem in ("theorem1", "theorem2"):
         assert not all(v.passed for v in V.run_suite(theorem))
 
@@ -327,8 +327,16 @@ UNFAULTED = {
         "derivative_polys.build_Q", "derivative_polys.build_S",
         "derivative_polys._built_once", "derivative_polys._key_part",
         "derivative_polys._family_row",
-        "verify.riccati_series", "verify.v_series",
+        "verify.riccati_series", "verify.v_series", "verify._riccati_pairs",
+        "verify._v_pairs",
     ], "a memo, lookup or scaling around kernels that have rows"),
+    "verify._series":
+        "divides the oracle's pairs by n! for the series command only: "
+        "TestIntegerOracle and test_cli's series digests pin it",
+    "derivative_polys._pass_widths":
+        "the packing widths of the kernel's passes: a narrower one breaks "
+        "the kernel tests at the packing bound, test_per_pass_digit_widths "
+        "pins every width, and a wider one changes no value",
     **dict.fromkeys([
         "derivative_polys.build_E", "derivative_polys.build_A",
         "derivative_polys.build_M",
@@ -359,7 +367,7 @@ UNFAULTED = {
     **dict.fromkeys([
         "polyseries.Poly.to_coeff_strings", "polyseries.Poly.__str__",
         "special_numbers.table_rows", "special_numbers.table_lines",
-        "derivative_polys.family_poly",
+        "derivative_polys.family_poly", "derivative_polys._build_cost",
         "verify.series_height",
     ], "command-line input, bounds or output: test_cli's digests pin it"),
     "polyseries.Poly.__repr__":
@@ -562,13 +570,13 @@ def test_verify_all_builds_each_value_once(monkeypatch):
 
 
 def test_verify_all_fraction_census():
-    """A cold ``verify all`` builds no ``Fraction`` in ``family_value`` or
-    in the evaluation and integration of a ``Poly``: their values reach the
-    comparisons as integer pairs.  The package's other ``Fraction``
-    constructions, counted by the package function that calls
-    ``Fraction()``, total 373: the oracles' ``_unscaled`` 178, parameter
-    parsing 44, the closed forms' coefficients 44 and the Bernoulli numbers
-    38 among them."""
+    """A cold ``verify all`` builds no ``Fraction`` in ``family_value``, in
+    the oracles' ``_unscaled`` or in the evaluation and integration of a
+    ``Poly``: their values reach the comparisons as integer pairs.  The
+    package's other ``Fraction`` constructions, counted by the package
+    function that calls ``Fraction()``, total 188: parameter parsing 44,
+    the closed forms' coefficients 44, the Bernoulli numbers 38 and the
+    integrality check's 2^-n 20 among them."""
     package = Path(V.__file__).parent
     new = Fraction.__new__.__code__
     callers = {}
@@ -588,6 +596,50 @@ def test_verify_all_fraction_census():
         sn.reset_caches()
     assert len(verdicts) == 304 and all(v.passed for v in verdicts)
     values = [derivative_polys.family_value, Poly.eval, Poly._eval_pair,
-              Poly.definite_integral, Poly._integral_pair]
+              Poly.definite_integral, Poly._integral_pair, V._unscaled]
     assert not {f.__code__ for f in values} & callers.keys()
-    assert sum(callers.values()) == 373
+    assert sum(callers.values()) == 188
+
+
+def _nested(function, name: str):
+    """The code object of the function ``name`` defined in ``function``."""
+    (code,) = [c for c in function.__code__.co_consts
+               if getattr(c, "co_name", None) == name]
+    return code
+
+
+def test_passing_pairs_read_no_fraction():
+    """In a cold ``verify all``, the P/Q/S kernel, the row statement, the
+    value at a point and the pair streams of the theorems and of the
+    substitutions call nothing in ``fractions``: no ``Fraction`` is built,
+    and no ``numerator``, ``denominator`` or ``as_integer_ratio`` is read.
+    They take the integers that ``RiccatiParams`` and the callers form
+    once.  The census counts every call into ``fractions.py`` by the
+    package function that makes it, so a check that reads its values
+    another way shows here."""
+    package = Path(V.__file__).parent
+    fractions_file = Fraction.__new__.__code__.co_filename
+    calls = {}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions_file:
+            code = frame.f_back.f_code
+            if Path(code.co_filename).parent == package:
+                calls[code] = calls.get(code, 0) + 1
+
+    sn.reset_caches()
+    sys.setprofile(profile)
+    try:
+        verdicts = V.run_suite("all")
+    finally:
+        sys.setprofile(None)
+        sn.reset_caches()
+    assert len(verdicts) == 304 and all(v.passed for v in verdicts)
+    # the census sees the points that the pair kernels read
+    assert {"_eval_pair", "_integral_pair"} <= {code.co_name for code in calls}
+    free = {derivative_polys._homogeneous.__code__,
+            derivative_polys._family_row.__code__,
+            derivative_polys.family_value.__code__,
+            _nested(V.check_theorem, "pairs"),
+            _nested(V._substitution_verdicts, "pairs")}
+    assert {code.co_name: calls[code] for code in free & calls.keys()} == {}

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -246,6 +247,43 @@ class TestPoly:
         assert excinfo.value.code == 2
         assert f"need n <= {limit} for family {family}" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["P", "Q", "S"])
+    def test_limit_at_the_budget_parameters_reaches_the_builder(
+            self, capsys, monkeypatch, family):
+        """At n = 1300 and a = 1/3, b = 5/3 (d = 2/3 for S), where the cost
+        budget is set, the command passes the bound and reaches the
+        builder; the build itself is not run."""
+        def work(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(derivative_polys, f"build_{family}", work)
+        d = ["--d", "2/3"] if family == "S" else []
+        with pytest.raises(RuntimeError):
+            cli.main(["poly", family, "--n", "1300", "--a", "1/3", "--b",
+                      "5/3", *d])
+
+    @pytest.mark.parametrize("family", ["P", "Q", "S"])
+    def test_costly_parameters_rejected_before_any_work(self, capsys,
+                                                        monkeypatch, family):
+        """``poly P --n 1300 --a=123456/370367 --b=5/3`` took 18 s, twice
+        the limit's build at a = 1/3: its estimated cost is over the
+        budget, so it exits 2 at once, naming the reference build, without
+        calling the builder; so do Q and S at the same parameters."""
+        def work(*args, **kwargs):
+            raise RuntimeError("work started")
+
+        monkeypatch.setattr(derivative_polys, f"build_{family}", work)
+        d = ["--d", "2/3"] if family == "S" else []
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["poly", family, "--n", "1300", "--a=123456/370367",
+                      "--b=5/3", *d])
+        assert time.perf_counter() - start < 0.5
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"family {family} at n = 1300 and these parameters" in err
+        assert "(n = 1300 at a = 1/3, b = 5/3" in err
 
 
 class TestSeries:

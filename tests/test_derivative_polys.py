@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,13 @@ def poly_shift_transform(n, params):
     return total
 
 
+def over_q(a, b) -> tuple[int, int, int]:
+    """(q, na, nb): a and b over their one denominator q, na = q a and
+    nb = q b, the integer endpoints that ``_homogeneous`` takes."""
+    q = math.lcm(a.denominator, b.denominator)
+    return q, int(q * a), int(q * b)
+
+
 # either sign, denominators up to 15; the tests below ask for a != b with
 # different denominators, so the kernels' common denominator is a real lcm
 rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 15))
@@ -238,7 +246,7 @@ class TestIntegerKernelsSecondRoutes:
            a=rationals, b=rationals)
     def test_horner_kernel(self, coeffs, a, b):
         assume(a != b and a.denominator != b.denominator)
-        assert derivative_polys._homogeneous(coeffs, a, b) == \
+        assert derivative_polys._homogeneous(coeffs, *over_q(a, b)) == \
             poly_horner(coeffs, X - a, X - b)
 
     @settings(max_examples=40, deadline=None)
@@ -260,7 +268,7 @@ class TestIntegerKernelsSecondRoutes:
         widest: coefficients up to 10^40 of either sign, up to 60 of them,
         and roots with numerators up to 10^12 over denominators up to 10^9,
         with a = 0, b = 0 and a = -b among the examples."""
-        assert derivative_polys._homogeneous(coeffs, a, b) == \
+        assert derivative_polys._homogeneous(coeffs, *over_q(a, b)) == \
             poly_horner(coeffs, X - a, X - b)
 
     @settings(max_examples=30, deadline=None)
@@ -300,13 +308,12 @@ class TestIntegerKernelsSecondRoutes:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(derivative_polys, "_digits", recorded)
-            result = derivative_polys._homogeneous(coeffs, a, b)
+            result = derivative_polys._homogeneous(coeffs, *over_q(a, b))
         m = len(coeffs) - 1
         expected = sum((c * (X - a) ** k * (X - b) ** (m - k)
                         for k, c in enumerate(coeffs)), Poly())
         assert result == expected
-        q = math.lcm(a.denominator, b.denominator)
-        na, nb = int(q * a), int(q * b)
+        q, na, nb = over_q(a, b)
         pass1 = sum((c * Poly((1, nb - na)) ** k for k, c in enumerate(coeffs)),
                     Poly())
         pass2 = expected * q ** m
@@ -351,9 +358,9 @@ class TestIntegerKernelsSecondRoutes:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(derivative_polys, "_digits", counted)
-            small = derivative_polys._homogeneous(coeffs, a, b, den)
+            small = derivative_polys._homogeneous(coeffs, *over_q(a, b), den)
             assert len(reads) == 1
-            large = derivative_polys._homogeneous(padded, a, b, den)
+            large = derivative_polys._homogeneous(padded, *over_q(a, b), den)
             assert len(reads) == 3
         assert large == (X - a) ** i * (X - b) ** j * small
         assert small == poly_horner(coeffs, X - a, X - b) * Fraction(1, den)
@@ -371,7 +378,7 @@ class TestIntegerKernelsSecondRoutes:
         (u-a)(u-b), the two-stage build that the pass replaced."""
         assume(a != b)
         assert build_P(n, RiccatiParams(1, a, b)) == (X - a) * (X - b) * \
-            derivative_polys._homogeneous(eulerian_row(n - 1), a, b)
+            derivative_polys._homogeneous(eulerian_row(n - 1), *over_q(a, b))
 
     @settings(max_examples=40, deadline=None)
     @given(a=rationals, b=rationals, d=rationals,
@@ -413,7 +420,8 @@ class TestFamilyValue:
             for letter, build in (("P", build_P), ("Q", build_Q),
                                   ("S", build_S)):
                 if n or letter != "P":
-                    num, den = family_value(letter, n, params, u)
+                    num, den = family_value(letter, n, params,
+                                           u.as_integer_ratio())
                     assert type(num) is int and type(den) is int and den > 0
                     assert Fraction(num, den) == build(n, params).eval(u), \
                         letter
@@ -425,14 +433,13 @@ class TestFamilyValue:
                                                                least):
         with pytest.raises(UsageError, match=f"^need n >= {least}, got "
                                              f"{least - 1}$"):
-            family_value(letter, least - 1, RiccatiParams(1, 0, 1, 1),
-                         Fraction(1, 3))
+            family_value(letter, least - 1, RiccatiParams(1, 0, 1, 1), (1, 3))
 
     def test_memoizes_nothing(self):
         special_numbers.reset_caches()
         params = RiccatiParams(1, 0, 1, Fraction(1, 4))
         for letter in "PQS":
-            family_value(letter, 6, params, Fraction(1, 3))
+            family_value(letter, 6, params, (1, 3))
         assert special_numbers.FAMILY_CACHE == {}
 
 
@@ -481,6 +488,76 @@ class TestPacked:
         for packed, poly in ((pp + pq, total), (pp * pq, product)):
             assert Poly._over(derivative_polys._digits(packed, width, count),
                               1) == poly
+
+
+def _digit_rows(width: int):
+    """(width, digits, extra) with digits in the signed range of ``width``
+    bytes, its edges -2^(K-1) and 2^(K-1) - 1 among them, or all negative,
+    and ``extra`` zero digits to read above them."""
+    top = 2 ** (8 * width - 1)
+    digit = st.one_of(st.sampled_from([-top, top - 1, -1, 0, 1]),
+                      st.integers(-top, top - 1))
+    negative = st.one_of(st.just(-top), st.integers(-top, -1))
+    return st.tuples(st.just(width), st.one_of(
+        st.lists(digit, min_size=1, max_size=30),
+        st.lists(negative, min_size=1, max_size=30)), st.integers(0, 4))
+
+
+def _reads_through_to_bytes(width: int, count: int) -> bool:
+    """Whether ``_digits`` calls ``int.to_bytes`` for a read of ``count``
+    digits of ``width`` bytes."""
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            names.append(arg.__name__)
+
+    sys.setprofile(profile)
+    try:
+        derivative_polys._digits(-1, width, count)
+    finally:
+        sys.setprofile(None)
+    return "to_bytes" in names
+
+
+class TestDigitReads:
+    """``_digits`` reads a read of at most ``DIGITS_SHIFT_BYTES`` bytes by
+    shift and mask and a larger one through ``to_bytes``: the two reads
+    give the same signed digits, and each is taken on its side of the
+    switch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=st.integers(1, 48).flatmap(_digit_rows))
+    @example(case=(1, [-128] * 30, 4))
+    @example(case=(1, [127, -128, -1, 0, 127], 0))
+    @example(case=(17, [-(2 ** 135)] * 30, 1))
+    @example(case=(48, [2 ** 383 - 1, -(2 ** 383)] * 15, 2))
+    def test_both_reads_agree(self, case):
+        """Random digit lists, widths of 1-48 bytes and counts up to 34, so
+        reads of 1-1,632 bytes on both sides of the switch: each read,
+        forced by moving the switch, returns the digits, and so does the
+        read ``_digits`` picks."""
+        width, digits, extra = case
+        count = len(digits) + extra
+        packed = sum(d << (8 * width * i) for i, d in enumerate(digits))
+        expected = [*digits, *[0] * extra]
+        reads = []
+        with pytest.MonkeyPatch.context() as patch:
+            for switch in (-1, count * width):  # all by to_bytes, all by shift
+                patch.setattr(derivative_polys, "DIGITS_SHIFT_BYTES", switch)
+                assert _reads_through_to_bytes(width, count) is (switch < 0)
+                reads.append(derivative_polys._digits(packed, width, count))
+        assert reads == [expected, expected]
+        assert derivative_polys._digits(packed, width, count) == expected
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 64])
+    def test_switch_at_the_byte_bound(self, width):
+        """A read of at most ``DIGITS_SHIFT_BYTES`` bytes goes by shift and
+        mask, and one more digit through ``to_bytes``; at width 1 the two
+        reads are the bound itself and one byte past it."""
+        count = derivative_polys.DIGITS_SHIFT_BYTES // width
+        assert not _reads_through_to_bytes(width, count)
+        assert _reads_through_to_bytes(width, count + 1)
 
 
 class TestCombinatorialPolynomials:
