@@ -76,7 +76,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    params = {"r": args.r, "a": args.a, "b": args.b, "d": args.d}
+    params = {"a": args.a, "b": args.b, "d": args.d}
     coefficients = family_poly(args.family, args.n, **params).to_coeff_strings()
     _emit(args.format, lambda: [coefficients or ["0"]],
           lambda: [json_object({"family": args.family, "n": args.n,
@@ -209,8 +209,8 @@ COMMANDS = {
     "table": (_cmd_table, "print a number table", "kind", TABLE_KINDS,
               {"--n": (int, None, True), "--format": _FORMAT}),
     "poly": (_cmd_poly, "print one polynomial of a family", "family", FAMILIES,
-             {"--n": (int, None, True), "--r": _RATIONAL, "--a": _RATIONAL,
-              "--b": _RATIONAL, "--d": _RATIONAL, "--format": _FORMAT}),
+             {"--n": (int, None, True), "--a": _RATIONAL, "--b": _RATIONAL,
+              "--d": _RATIONAL, "--format": _FORMAT}),
     "series": (_cmd_series, "Taylor coefficients of u or its companion v, from "
                "--r/--a/--b/--u0 or logistic --q/--p/--s", "which", ("riccati", "v"),
                {"--r": _RATIONAL, "--a": _RATIONAL, "--b": _RATIONAL,

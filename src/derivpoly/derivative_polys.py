@@ -17,15 +17,19 @@ For concrete rational parameters:
   integer (numerator, denominator) pairs, read from the row its builder
   reads, without building the polynomial.
 
+Each P, Q and S member is one triangle row read against (u-x)^k (u-y)^(m-k),
+and ``_family_row`` alone states which row, orientation and divisor: the
+builders are one memoized path, ``_member``, that hands that row to the
+kernel ``_homogeneous``, and ``family_value`` evaluates the same row with
+the same Horner loop, ``_horner``.
+
 Parameters are concrete rationals, never indeterminates, so every family
 member is an ordinary univariate ``Poly``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from fractions import Fraction
 
 from .exact import Record, UsageError, as_fraction
@@ -34,25 +38,18 @@ from .special_numbers import (FAMILY_CACHE, _macmahon_triangle, eulerian_row,
                               macmahon_row)
 
 
-def _key_part(x: Fraction):
-    """x as a memo key part that hashes and compares in C: the int itself
-    when x is integral, otherwise (numerator, denominator)."""
-    return x.numerator if x.denominator == 1 else (x.numerator, x.denominator)
-
-
 class RiccatiParams(Record):
     """(r, a, b, d) with r != 0 and a != b; the companion-equation shift d
     (unrestricted, default 0) is read only by S and the v oracle.
 
     The ``_`` slots are integers derived here, once, so that no kernel
-    reads a ``Fraction`` property per member or per value: ``_ab`` and
-    ``_abd`` are the memo key parts of (a, b) and (a, b, d), so a family
-    lookup only joins tuples; ``_qab`` is (q, na, nb), a and b over their
-    one denominator q = lcm(den a, den b), na = q a and nb = q b; and
-    ``_shift`` is S's row shift c = 2d/(b-a) as its key (p, e), c = p/e in
-    lowest terms with e > 0."""
+    reads a ``Fraction`` property per member or per value: ``_qab`` is (q,
+    na, nb), a and b over their one denominator q = lcm(den a, den b), na =
+    q a and nb = q b; and ``_shift`` is S's row shift c = 2d/(b-a) as its
+    key (p, e), c = p/e in lowest terms with e > 0.  Together they are the
+    family memo's key parts (see ``_member``)."""
 
-    __slots__ = ("r", "a", "b", "d", "_ab", "_abd", "_qab", "_shift")
+    __slots__ = ("r", "a", "b", "d", "_qab", "_shift")
 
     def __init__(self, r, a, b, d=Fraction(0)):
         r, a, b, d = map(as_fraction, (r, a, b, d))
@@ -64,9 +61,6 @@ class RiccatiParams(Record):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
-        ab = (_key_part(a), _key_part(b))
-        object.__setattr__(self, "_ab", ab)
-        object.__setattr__(self, "_abd", (*ab, _key_part(d)))
         q = math.lcm(a.denominator, b.denominator)
         object.__setattr__(self, "_qab", (q, a.numerator * (q // a.denominator),
                                           b.numerator * (q // b.denominator)))
@@ -151,6 +145,18 @@ def _pass_widths(size: int, m: int, q: int, na: int, nb: int) -> tuple:
     return width, width1
 
 
+def _horner(row, alpha: int, beta: int) -> int:
+    """sum_k row[k] alpha^k beta^(m-k), m = len(row) - 1, on ints: one
+    homogeneous Horner pass, each step one product by alpha and one by the
+    running power of beta.  ``family_value`` reads it at a point, and
+    ``_homogeneous``'s one pass at packed linear factors."""
+    acc, power = 0, 1
+    for c in reversed(row):
+        acc = acc * alpha + c * power
+        power *= beta
+    return acc
+
+
 def _homogeneous(coeffs, q: int, na: int, nb: int, den: int = 1) -> Poly:
     """sum_k coeffs[k] (u-a)^k (u-b)^(m-k) / den, m = len(coeffs) - 1, for
     a = na/q and b = nb/q over one denominator q > 0, by Horner's rule on
@@ -168,20 +174,21 @@ def _homogeneous(coeffs, q: int, na: int, nb: int, den: int = 1) -> Poly:
 
     Small members (m <= 20) take one pass at u = 2^K and that width, with
     the linear factors packed as the ints fa = (q << K) - na and fb =
-    (q << K) - nb: each step is acc = acc fa + c_k power and power *= fb,
-    two products by a packed factor of about K bits and one by a row entry,
-    and one ``_digits`` read gives the numerators, normalised once over q^m
-    den.  Both acc and power grow by K bits per step, so a step does more
-    work than a step of either pass below; at small m the fixed cost of a
-    second pass, its bound and a second read outweighs that.  Timed per
-    member on Eulerian and MacMahon rows (median of 5 rounds of the best of
-    3 x 100 calls, 2-vCPU host, CPython 3.11.7), the one pass took, of the
-    two passes' time, 0.57-0.77 at m = 8-16 and 0.84-0.97 at m = 20 for
-    q <= 3, and 1.00-1.13 at m = 24, past the selection.  A product by a
-    packed factor grows with K^2 where a shift and add grow with K, so at a
-    tall q the one pass is the slower: at q = 1,111,101 it took 0.89 of the
-    two passes' time at m = 8, 1.31 at m = 12 and 2.18 at m = 20 (its
-    earlier steps of shifts and products by q, na and nb took 0.80-0.98).
+    (q << K) - nb: ``_horner`` at (fa, fb), whose steps are acc = acc fa +
+    c_k power and power *= fb, two products by a packed factor of about K
+    bits and one by a row entry, and one ``_digits`` read gives the
+    numerators, normalised once over q^m den.  Both acc and power grow by
+    K bits per step, so a step does more work than a step of either pass
+    below; at small m the fixed cost of a second pass, its bound and a
+    second read outweighs that.  Timed per member on Eulerian and MacMahon
+    rows (median of 5 rounds of the best of 3 x 100 calls, 2-vCPU host,
+    CPython 3.11.7), the one pass took, of the two passes' time, 0.57-0.77
+    at m = 8-16 and 0.84-0.97 at m = 20 for q <= 3, and 1.00-1.13 at m =
+    24, past the selection.  A product by a packed factor grows with K^2
+    where a shift and add grow with K, so at a tall q the one pass is the
+    slower: at q = 1,111,101 it took 0.89 of the two passes' time at m = 8,
+    1.31 at m = 12 and 2.18 at m = 20 (its earlier steps of shifts and
+    products by q, na and nb took 0.80-0.98).
 
     Larger members take two passes of shifts and adds, with no product by a
     wide packed factor: with delta = nb - na, t = q u - nb gives q u - na =
@@ -207,12 +214,8 @@ def _homogeneous(coeffs, q: int, na: int, nb: int, den: int = 1) -> Poly:
     width, width1 = _pass_widths(size, m, q, na, nb)
     if m <= 20:
         k = 8 * width
-        fa, fb = (q << k) - na, (q << k) - nb
-        acc, power = 0, 1
-        for c in reversed(coeffs):
-            acc = acc * fa + c * power
-            power *= fb
-        return Poly._over(_digits(acc, width, m + 1), q ** m * den)
+        packed = _horner(coeffs, (q << k) - na, (q << k) - nb)
+        return Poly._over(_digits(packed, width, m + 1), q ** m * den)
     delta, acc, out = nb - na, 0, 0
     k1 = 8 * width1
     for c in reversed(coeffs):
@@ -227,30 +230,11 @@ def _homogeneous(coeffs, q: int, na: int, nb: int, den: int = 1) -> Poly:
     return Poly._over(_digits(out, width2, m + 1), q ** m * den)
 
 
-def _built_once(build, *, keyed_on_d: bool = False):
-    """Memoize an r-independent builder on (n, a, b) in ``FAMILY_CACHE``,
-    and on d too with ``keyed_on_d`` (only S reads d, so P and Q members
-    are shared across shifts).  The key is the flat tuple (name, n, a, b[,
-    d]) of the record's key parts."""
-    name = build.__name__
-    parts = operator.attrgetter("_abd" if keyed_on_d else "_ab")
-
-    @functools.wraps(build)
-    def cached(n: int, params: RiccatiParams) -> Poly:
-        key = (name, n) + parts(params)
-        poly = FAMILY_CACHE.get(key)
-        if poly is None:
-            poly = FAMILY_CACHE[key] = build(n, params)
-        return poly
-
-    return cached
-
-
 def _family_row(letter: str, n: int, params: RiccatiParams) -> tuple:
     """(row, q, nx, ny, den) with F_n(u) = sum_k row[k] (u-x)^k (u-y)^(m-k)
     / den, m = len(row) - 1, x = nx/q and y = ny/q, for F = P, Q or S
     (``letter``): the one statement of which triangle row a member reads,
-    in which orientation and over which divisor, read by the builders and
+    in which orientation and over which divisor, read by ``_member`` and
     by ``family_value``.  It reads the record's integers, not its
     ``Fraction``s.
 
@@ -283,24 +267,36 @@ def family_value(letter: str, n: int, params: RiccatiParams,
     building the polynomial, and not memoized.
 
     With x, y and u over one denominator g, alpha = g (u - x) and beta =
-    g (u - y) are integers, and one homogeneous Horner pass on ints forms
-    sum_k row[k] alpha^k beta^(m-k), each step one product by alpha and one
-    by the running power of beta; the value is that sum over g^m den.  It
-    reads no ``Fraction``: a caller compares the pair cross-multiplied.
+    g (u - y) are integers, and ``_horner`` forms sum_k row[k] alpha^k
+    beta^(m-k); the value is that sum over g^m den.  It reads no
+    ``Fraction``: a caller compares the pair cross-multiplied.
     """
     row, q, nx, ny, den = _family_row(letter, n, params)
     num, u_den = u
     g = math.lcm(q, u_den)
     nu, scale = num * (g // u_den), g // q
-    alpha, beta = nu - nx * scale, nu - ny * scale
-    acc, power = 0, 1
-    for c in reversed(row):
-        acc = acc * alpha + c * power
-        power *= beta
-    return acc, g ** (len(row) - 1) * den
+    return (_horner(row, nu - nx * scale, nu - ny * scale),
+            g ** (len(row) - 1) * den)
 
 
-@_built_once
+def _member(letter: str, n: int, params: RiccatiParams) -> Poly:
+    """P_n, Q_n or S_n (``letter``) at ``params``, built by ``_homogeneous``
+    from ``_family_row`` once and memoized in ``FAMILY_CACHE``.
+
+    The key is (letter, n, q, na, nb), with S's shift key (p, e) appended
+    for S: exactly what the row and the kernel read.  (q, na, nb) fixes
+    (a, b), and given (a, b) the shift p/e = 2d/(b-a) fixes d, so each key
+    is one member; P and Q, which do not read d, share their members across
+    shifts, and no member reads r."""
+    key = (letter, n) + params._qab
+    if letter == "S":
+        key += params._shift
+    poly = FAMILY_CACHE.get(key)
+    if poly is None:
+        poly = FAMILY_CACHE[key] = _homogeneous(*_family_row(letter, n, params))
+    return poly
+
+
 def build_P(n: int, params: RiccatiParams) -> Poly:
     """P_n(u; a, b), degree n, independent of r.
 
@@ -310,27 +306,22 @@ def build_P(n: int, params: RiccatiParams) -> Poly:
     summand carries both factors, so P_n vanishes at u = a and, for n >= 2,
     at u = b.
     """
-    row = _family_row("P", n, params)
-    if n == 1:
-        return Poly((-params.a, 1))
-    return _homogeneous(*row)
+    return _member("P", n, params)
 
 
-@_built_once
 def build_Q(n: int, params: RiccatiParams) -> Poly:
     """Q_n(u; a, b), degree n, independent of r; Q_0 = 1.  Its coefficients
     against (u-a)^(n+1-k) (u-b)^(k-1) are the MacMahon numbers of row n+1."""
-    return _homogeneous(*_family_row("Q", n, params))
+    return _member("Q", n, params)
 
 
-@functools.partial(_built_once, keyed_on_d=True)
 def build_S(n: int, params: RiccatiParams) -> Poly:
     """S_n(u; a, b, d), independent of r, with d from the record; S_0 = 1.
     S_{n+1} = (2u - a - b + 2d) S_n + 2(u-a)(u-b) S_n' is Q's recurrence
     plus the shift, so with 2d = c (b - a) and c = p/e, e^n times S_n's
     coefficients against (u-a)^(n+1-k) (u-b)^(k-1) are row n+1 of the
-    MacMahon triangle shifted by c.  Memoized on (n, a, b, d)."""
-    return _homogeneous(*_family_row("S", n, params))
+    MacMahon triangle shifted by c."""
+    return _member("S", n, params)
 
 
 def build_E(n: int) -> Poly:
@@ -398,10 +389,10 @@ def _build_cost(letter: str, n: int, params: RiccatiParams) -> int:
     return n * n * sum(_pass_widths(norm.bit_length(), n, *params._qab))
 
 
-def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
+def family_poly(family: str, n: int, *, a=None, b=None, d=None) -> Poly:
     """Build one member of a named family; raises UsageError on bad input,
     including a parameter the family does not take (E/A/M take none of
-    r, a, b, d; P and Q take no d).  n above ``FAMILY_LIMITS[family]``, and
+    a, b, d; P and Q take no d).  n above ``FAMILY_LIMITS[family]``, and
     a P, Q or S member whose ``_build_cost`` exceeds the family's at n =
     1300 and ``_COST_REFERENCE``, are refused before any work, and n below
     the family's first member by its builder."""
@@ -410,8 +401,8 @@ def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
     if n > FAMILY_LIMITS[family]:
         raise UsageError(f"need n <= {FAMILY_LIMITS[family]} for family "
                          f"{family}, got {n}")
-    takes = {"P": "rab", "Q": "rab", "S": "rabd"}.get(family, "")
-    ignored = [k for k, v in zip("rabd", (r, a, b, d))
+    takes = {"P": "ab", "Q": "ab", "S": "abd"}.get(family, "")
+    ignored = [k for k, v in zip("abd", (a, b, d))
                if v is not None and k not in takes]
     if ignored:
         raise UsageError(f"family {family} does not take {', '.join(ignored)}")
@@ -419,8 +410,7 @@ def family_poly(family: str, n: int, *, r=None, a=None, b=None, d=None) -> Poly:
     if family in ("P", "Q", "S"):
         if a is None or b is None:
             raise UsageError(f"family {family} requires parameters a and b")
-        params = (RiccatiParams(Fraction(1) if r is None else r, a, b,
-                                0 if d is None else d),)
+        params = (RiccatiParams(1, a, b, 0 if d is None else d),)
         if family == "S" and d is None:
             raise UsageError("family S requires parameter d")
         if n >= 1:

@@ -60,8 +60,11 @@ TRIANGLE_MEMO_ROWS = 161
 class Triangle:
     """Triangular array of exact integers, memoized up to a bound.
 
-    Row 1 is [1] for both kinds, and a MacMahon triangle steps at its
-    rational ``shift`` (see ``macmahon_row``).  ``row(n)`` stores rows 1 ..
+    Row 1 is [1] for both kinds.  A MacMahon triangle steps at the shift
+    c = p/e whose key ``shift`` is (p, e), in lowest terms with e > 0, as
+    ``RiccatiParams`` holds S's shift, and its row n is the shifted row
+    times e^(n-1), all integers; the zero shift (0, 1) steps as no shift,
+    by the recurrence's defaults.  ``row(n)`` stores rows 1 ..
     ``TRIANGLE_MEMO_ROWS`` on first use.  Above them it steps on from the
     running row, the last row it returned above the bound, when that is not
     past n, and from the last stored row otherwise; it keeps the new row as
@@ -71,11 +74,11 @@ class Triangle:
     thread-safe.
     """
 
-    def __init__(self, kind: str, shift=0):
+    def __init__(self, kind: str, shift: tuple[int, ...] = ()):
         if kind not in (EULERIAN, MACMAHON):
             raise ValueError(f"unknown triangle kind {kind!r}")
         self.kind = kind
-        self._shift = (shift.numerator, shift.denominator) if shift else ()
+        self._shift = shift if shift and shift[0] else ()
         self._rows: list[tuple[int, ...]] = [(1,)]
         #: (n, row n) of the running row; n = 0 before any row above the bound.
         self._running: tuple[int, tuple[int, ...]] = (0, ())
@@ -117,17 +120,19 @@ class Triangle:
 
 
 _EULERIAN_TRIANGLE = Triangle(EULERIAN)
-#: The triangles of ``macmahon_row`` per shift c = p/e, keyed on (p, e): (0, 1)
-#: is the MacMahon triangle of Q and M, and any other key holds S's rows.
+#: The MacMahon triangles per shift c = p/e, keyed on (p, e): (0, 1) is the
+#: triangle of ``macmahon_row``, of Q and M, and any other key holds S's rows.
 _MACMAHON_TRIANGLES: dict[tuple[int, int], Triangle] = {}
 _BERNOULLI: list[Fraction] = [Fraction(1)]
 #: B_n(x) per n, for ``_bernoulli_value_pair``.
 _BERNOULLI_POLYS: dict[int, Poly] = {}
-#: The P, Q and S families of ``derivative_polys``, built from the triangles
-#: and dropped with their rows.  It pays: in-process ``verify all`` takes
-#: 1.11-1.17x the CPU time without the P/Q/S memo, median 1.13x (11 of 12
-#: rounds, each the best of 9 cold runs per setting; 2-vCPU host, CPython
-#: 3.11.7).
+#: The P, Q and S members of ``derivative_polys._member``, built from the
+#: triangles and dropped with their rows, keyed on (letter, n, q, na, nb),
+#: with S's shift key (p, e) appended for S: a and b over their one
+#: denominator q, na = q a and nb = q b, as ``_family_row`` reads them.  It
+#: pays: in-process ``verify all`` takes 1.11-1.17x the CPU time without
+#: the P/Q/S memo, median 1.13x (11 of 12 rounds, each the best of 9 cold
+#: runs per setting; 2-vCPU host, CPython 3.11.7).
 FAMILY_CACHE: dict[tuple, Poly] = {}
 
 
@@ -183,18 +188,16 @@ def macmahon(n: int, k: int) -> int:
 
 def _macmahon_triangle(key=(0, 1)) -> Triangle:
     """The memoized MacMahon triangle at the shift c = p/e whose key is
-    (p, e), in lowest terms with e > 0, made on first use.  The key is read
-    as two integers, as ``RiccatiParams`` holds S's shift."""
+    (p, e), in lowest terms with e > 0, made on first use."""
     triangle = _MACMAHON_TRIANGLES.get(key)
     if triangle is None:
-        triangle = _MACMAHON_TRIANGLES[key] = Triangle(MACMAHON, Fraction(*key))
+        triangle = _MACMAHON_TRIANGLES[key] = Triangle(MACMAHON, key)
     return triangle
 
 
-def macmahon_row(n: int, shift=0) -> tuple[int, ...]:
-    """Row n of the MacMahon triangle, or with a rational ``shift`` c = p/e
-    row n of the triangle shifted by c times e^(n-1), all integers."""
-    return _macmahon_triangle((shift.numerator, shift.denominator)).row(n)
+def macmahon_row(n: int) -> tuple[int, ...]:
+    """Row n of the MacMahon triangle."""
+    return _macmahon_triangle().row(n)
 
 
 def macmahon_explicit(n: int, k: int) -> int:

@@ -198,6 +198,19 @@ def test_mutation_of_horner_kernel_fails_theorems(mutated_horner_kernel,
         assert not all(v.passed for v in V.run_suite(theorem))
 
 
+def test_mutation_of_horner_sum_fails_theorems_and_built_members(
+        mutated_horner_sum):
+    """An off-by-one row entry in ``_horner``, the one homogeneous Horner
+    loop, fails the theorems and closed forms, which read P, Q and S at u0
+    through ``family_value``, and the checks that build a member of degree
+    20 or less through the kernel's one pass: P_1 = u - a among them."""
+    failed = {v.identity for v in V.run_suite("all") if not v.passed}
+    assert {"theorem1", "theorem2", "theorem3", "closed_form_f",
+            "closed_form_h", "substitution_E", "substitution_M", "integral_P",
+            "integral_Q", "integral_S", "lemma1"} <= failed
+    assert build_P(1, RiccatiParams(1, 0, 1)) != Poly([0, 1])
+
+
 def test_mutation_of_family_value_fails_theorems(mutated_family_value):
     """An off-by-one value at u0 fails theorem 1 (P against the u oracle),
     theorems 2 and 3 (Q and S against the v oracle) and the closed forms."""
@@ -325,8 +338,7 @@ UNFAULTED = {
         "special_numbers.bernoulli_number", "special_numbers.bernoulli_numbers",
         "special_numbers._bernoulli_value_pair", "derivative_polys.build_P",
         "derivative_polys.build_Q", "derivative_polys.build_S",
-        "derivative_polys._built_once", "derivative_polys._key_part",
-        "derivative_polys._family_row",
+        "derivative_polys._member", "derivative_polys._family_row",
         "verify.riccati_series", "verify.v_series", "verify._riccati_pairs",
         "verify._v_pairs",
     ], "a memo, lookup or scaling around kernels that have rows"),
@@ -366,10 +378,14 @@ UNFAULTED = {
         "TestCanonicalForm::test_constant_hashes_as_its_scalar does",
     **dict.fromkeys([
         "polyseries.Poly.to_coeff_strings", "polyseries.Poly.__str__",
-        "special_numbers.table_rows", "special_numbers.table_lines",
+        "special_numbers.table_lines",
         "derivative_polys.family_poly", "derivative_polys._build_cost",
         "verify.series_height",
     ], "command-line input, bounds or output: test_cli's digests pin it"),
+    "special_numbers.table_rows":
+        "a whole table as a list of rows: no command calls it, test_cli "
+        "only compares the streamed table against it, and "
+        "test_special_numbers pins its rows",
     "polyseries.Poly.__repr__":
         "no command prints it; pytest's failure messages do",
     "special_numbers._row_strings":
@@ -499,6 +515,7 @@ S_PARAMS = RiccatiParams(1, 0, 1, Fraction(1, 3))
 CORRUPTED = {"mutated_eulerian_recurrence": "P",
              "mutated_macmahon_recurrence": "Q",
              "mutated_horner_kernel": "P",
+             "mutated_horner_sum": "P",
              "mutated_shift_weight": "S"}
 
 
@@ -509,8 +526,8 @@ def test_mutation_reaches_warm_family_memo(request, fault):
     back once the fault is removed."""
     assert all(v.passed for v in V.run_suite("all"))
     params = RiccatiParams(1, 0, 1)
-    assert ("build_Q", 6, 0, 1) in sn.FAMILY_CACHE
-    assert ("build_S", 6, 0, 1, (1, 3)) in sn.FAMILY_CACHE
+    assert ("Q", 6, 1, 0, 1) in sn.FAMILY_CACHE
+    assert ("S", 6, 1, 0, 1, 2, 3) in sn.FAMILY_CACHE
 
     def members():
         return {"P": build_P(6, params), "Q": build_Q(6, params),
@@ -574,7 +591,7 @@ def test_verify_all_fraction_census():
     the oracles' ``_unscaled`` or in the evaluation and integration of a
     ``Poly``: their values reach the comparisons as integer pairs.  The
     package's other ``Fraction`` constructions, counted by the package
-    function that calls ``Fraction()``, total 188: parameter parsing 44,
+    function that calls ``Fraction()``, total 179: parameter parsing 44,
     the closed forms' coefficients 44, the Bernoulli numbers 38 and the
     integrality check's 2^-n 20 among them."""
     package = Path(V.__file__).parent
@@ -598,7 +615,7 @@ def test_verify_all_fraction_census():
     values = [derivative_polys.family_value, Poly.eval, Poly._eval_pair,
               Poly.definite_integral, Poly._integral_pair, V._unscaled]
     assert not {f.__code__ for f in values} & callers.keys()
-    assert sum(callers.values()) == 188
+    assert sum(callers.values()) == 179
 
 
 def _nested(function, name: str):

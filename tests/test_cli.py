@@ -162,7 +162,7 @@ class TestPoly:
         assert json.loads(out) == {
             "family": "Q",
             "n": 2,
-            "params": {"r": None, "a": "0", "b": "1", "d": None},
+            "params": {"a": "0", "b": "1", "d": None},
             "coefficients": ["1", "-8", "8"],
         }
 
@@ -184,11 +184,18 @@ class TestPoly:
         ("Q", ["--a", "1/3", "--b", "5/3"]),
         ("S", ["--a", "1/3", "--b", "5/3", "--d", "2/7"]),
     ])
-    def test_r_changes_no_coefficient(self, capsys, family, params):
-        """P, Q and S do not depend on r: ``--r -1/2`` prints the
-        coefficients printed without ``--r``."""
+    def test_r_is_refused(self, capsys, family, params):
+        """P, Q and S do not depend on r, so ``poly`` takes no ``--r``: the
+        command without it prints the member, and with it is a usage error
+        that names the unknown option."""
         argv = ("poly", family, "--n", "6", *params)
-        assert run_cli(capsys, *argv) == run_cli(capsys, *argv, "--r", "-1/2")
+        code, out = run_cli(capsys, *argv)
+        assert code == 0 and out
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*argv, "--r", "-1/2"])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--r" in err
 
     def test_e_family(self, capsys):
         code, out = run_cli(capsys, "poly", "E", "--n", "3")
@@ -442,17 +449,17 @@ PINNED_DIGESTS = [
     ("bernoulli-poly", "json", "a01a8abda3a3d489d8cddfdbba8bc944ebf0731dfbb9161ee68b41cd9a5c674e"),
     ("bernoulli-poly", "csv", "31410263b85a85777ff5101d3b433582b8bc1d2f7adb9660d673dbf8bea3d67d"),
     ("poly-S", "plain", "59f3d4fa4f49df0002a1031f66c5cbe395e9af474516effbfb6c25dea49b4738"),
-    ("poly-S", "json", "bbbc45a9bd61271f4e9cdad81e9c536c27178cdb6d1248ede0f77d7b60ee70e1"),
+    ("poly-S", "json", "efd00457019a4352ec1eded0d4620e9fffe3fbfd8c7ae48928a3d5094f384059"),
     ("poly-S", "csv", "19d67b36e253dbd3c650e12f4193969ba9fb55053a51c987859d9c371cf7aff9"),
     ("series-v", "plain", "34ce52f2127eb902a476c4cdb8b3b73c4d6081cc645148ac7b4482560045c57c"),
     ("series-v", "json", "3a926a8efeb5b5376cbca1c08ba2287ff297c96af35a725af7df682742acd1dc"),
     ("series-v", "csv", "ca448c84d060dbc23bd5edc5e47944f96f4775b9d9984d3d7f38b21babc9321c"),
-    ("poly-P-30-third", "json", "c0a96c654d4ec015c4d0fde5fbe2e94066b557fafba90db94c680aa2b58e3b98"),
-    ("poly-Q-30-third", "json", "3c5500a3814fc97401b85970eeb82efe790ecb0067b95a0b73c2a827b49ab412"),
-    ("poly-S-30-third", "json", "0922b980f3aa58f931d2eac18acf8355a39c0f4df01d6d7eb4b7461aecf8f11c"),
-    ("poly-P-30-symmetric", "json", "af8945d039d728ae5a7e080ad39f62f175f970a87a2294c9464b1ccbf5e95204"),
-    ("poly-Q-30-symmetric", "json", "a2699f7cc3cd0c15cdc274ee259508164800cd9a190ab195526c7bd36c55a575"),
-    ("poly-S-30-symmetric", "json", "4b06242c2feff349e17e8e51f262d7e1a730eec4185b17f373cc1da031e32a88"),
+    ("poly-P-30-third", "json", "a0ca2eae40561332214262f2427dd3b1514b432916ccb22b849ac2a8b13273ab"),
+    ("poly-Q-30-third", "json", "f5b19f31785a54b50c196b45c552812ddfe8976125c55baea89739bb57c5aa97"),
+    ("poly-S-30-third", "json", "ab3139627f3f8d8c74be52a21baf9eee8a3170e2930b4021c20e66452953f90a"),
+    ("poly-P-30-symmetric", "json", "9a9b3533406d396300426faf1f8ed3b1a9e6e6b99bd11d58dd2ba0c47a685538"),
+    ("poly-Q-30-symmetric", "json", "059e9dd0490371f71d27d75678ff404a6519dd2c576d08c71dd2121a4d51bf9c"),
+    ("poly-S-30-symmetric", "json", "7193bcf92f78718b14697b292535de12efc7069a43b056fa31254e10f74e6d99"),
     ("bernoulli-400", "plain", "a77333109bde33d8040f7587d7c904deb23c6e9334373cdb30ab749394077e59"),
     ("bernoulli-400", "json", "d8e2eac39f59571d4b3d1a84bd705b73c0d3c69069bca39a1c5cace8f2306bbb"),
     ("bernoulli-400", "csv", "a77333109bde33d8040f7587d7c904deb23c6e9334373cdb30ab749394077e59"),
@@ -798,8 +805,8 @@ class TestParser:
         # bare negative rationals as values
         (("poly", "S", "--n", "4", "--a", "0", "--b", "1", "--d", "-1/2"),
          ("poly", "S", "--n", "4", "--a", "0", "--b", "1", "--d=-1/2")),
-        (("poly", "P", "--n", "3", "--a", "-2", "--b", "1", "--r", "-1/2"),
-         ("poly", "P", "--n", "3", "--a=-2", "--b", "1", "--r=-1/2")),
+        (("poly", "P", "--n", "3", "--a", "-2", "--b", "-1/2"),
+         ("poly", "P", "--n", "3", "--a=-2", "--b=-1/2")),
         # a unique prefix names an option
         (("verify", "lemma1", "--n", "2"), ("verify", "lemma1", "--n-max", "2")),
         (("series", "riccati", *SERIES_ARGS, "--ord", "3", "--form", "json"),
@@ -840,7 +847,7 @@ class TestParser:
         assert shape == {
             "table": ("kind", TABLE_KINDS, ["--n", "--format"]),
             "poly": ("family", FAMILIES,
-                     ["--n", "--r", "--a", "--b", "--d", "--format"]),
+                     ["--n", "--a", "--b", "--d", "--format"]),
             "series": ("which", ("riccati", "v"),
                        ["--r", "--a", "--b", "--d", "--u0", "--v0", "--order",
                         "--q", "--p", "--s", "--format"]),

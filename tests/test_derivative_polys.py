@@ -168,7 +168,49 @@ class TestBuildS:
         building S_12 memoizes no family member but S_12."""
         special_numbers.reset_caches()
         build_S(12, RiccatiParams(1, 0, 1, Fraction(1, 4)))
-        assert {key[0] for key in special_numbers.FAMILY_CACHE} == {"build_S"}
+        assert {key[0] for key in special_numbers.FAMILY_CACHE} == {"S"}
+
+
+_SMALL = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+class TestFamilyMemo:
+    """``FAMILY_CACHE`` keys a member on (letter, n, q, na, nb), with S's
+    shift key (p, e) appended for S: what ``_family_row`` and the kernel
+    read, so each key is one member."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=_SMALL, r2=_SMALL, a=_SMALL, b=_SMALL, d=_SMALL, d2=_SMALL,
+           n=st.integers(min_value=1, max_value=24))
+    @example(r=Fraction(1), r2=Fraction(-1, 2), a=Fraction(0), b=Fraction(1),
+             d=Fraction(1, 3), d2=Fraction(2, 3), n=1)
+    def test_key_is_one_member(self, r, r2, a, b, d, d2, n):
+        """A member from a warm memo equals a cold build from its row;
+        records that differ only in r share every entry, P and Q entries
+        are shared across d too, and S at two values of d shares none."""
+        assume(r != 0 and r2 != 0 and a != b)
+        params = RiccatiParams(r, a, b, d)
+        other_r, other_d = RiccatiParams(r2, a, b, d), RiccatiParams(r, a, b, d2)
+        builders = {"P": build_P, "Q": build_Q, "S": build_S}
+        special_numbers.reset_caches()
+        try:
+            for letter, build in builders.items():
+                warm = build(n, params)
+                cold = derivative_polys._homogeneous(
+                    *derivative_polys._family_row(letter, n, params))
+                assert warm == cold and warm is not cold
+                assert build(n, params) is warm
+                assert build(n, other_r) is warm
+                if letter != "S":
+                    assert build(n, other_d) is warm
+            s_keys = [key for key in special_numbers.FAMILY_CACHE
+                      if key[0] == "S"]
+            assert len(s_keys) == 1
+            if d2 != d:
+                assert build_S(n, other_d) is not build_S(n, params)
+                assert len(special_numbers.FAMILY_CACHE) == 4
+        finally:
+            special_numbers.reset_caches()  # no shifted triangle outlives it
 
 
 def derivative(poly):
@@ -671,7 +713,7 @@ class TestFamilyDispatch:
             family_poly("Z", 1)
         # parameters the family does not depend on
         for family in ("E", "A", "M"):
-            for key in ("r", "a", "b", "d"):
+            for key in ("a", "b", "d"):
                 with pytest.raises(ValueError, match="does not take"):
                     family_poly(family, 2, **{key: Fraction(1)})
         for family in ("P", "Q"):
@@ -685,6 +727,6 @@ class TestFamilyDispatch:
         assert json.loads(capsys.readouterr().out) == {
             "family": "P",
             "n": 2,
-            "params": {"r": None, "a": "0", "b": "1", "d": None},
+            "params": {"a": "0", "b": "1", "d": None},
             "coefficients": ["0", "-1", "1"],
         }

@@ -148,10 +148,10 @@ class TestRecords:
         are no fields, and a copy or an unpickled record rebuilds them."""
         params = RiccatiParams(1, Fraction(1, 3), 2, Fraction(-2, 3))
         assert RiccatiParams._field_names == ("r", "a", "b", "d")
-        assert params._abd == ((1, 3), 2, (-2, 3))
+        assert (params._qab, params._shift) == ((3, 1, 6), (-4, 5))
         for clone in (copy.copy(params), copy.deepcopy(params),
                       pickle.loads(pickle.dumps(params))):
-            assert (clone._ab, clone._abd) == (params._ab, params._abd)
+            assert (clone._qab, clone._shift) == (params._qab, params._shift)
 
     @pytest.mark.parametrize("record,other", RECORDS)
     def test_copy_and_pickle_round_trip(self, record, other):

@@ -182,10 +182,10 @@ class TestBoundedMemo:
             assert _held(sn._MACMAHON_TRIANGLES[0, 1]) <= LAST + 1
 
     def test_shifted_rows_past_the_bound(self):
-        shift = Fraction(-3, 7)
+        shift = (-3, 7)
         walk = list(sn.Triangle(sn.MACMAHON, shift).rows(LAST + 12))
-        assert sn.macmahon_row(LAST + 12, shift) == walk[-1]
-        assert sn.macmahon_row(LAST + 11, shift) == walk[-2]
+        assert sn._macmahon_triangle(shift).row(LAST + 12) == walk[-1]
+        assert sn._macmahon_triangle(shift).row(LAST + 11) == walk[-2]
         assert _held(sn._MACMAHON_TRIANGLES[-3, 7]) == LAST + 1
 
     def test_reset_drops_the_running_row(self):
